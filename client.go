@@ -315,13 +315,13 @@ type errorDoc struct {
 // terminal. A 429 carrying Retry-After waits out the server's hint instead
 // of the computed backoff step.
 func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
-	return c.doTraced(ctx, method, path, "", nil, body, out)
+	return c.doWith(ctx, method, path, nil, body, out)
 }
 
-// doTraced is do with an optional trace ID stamped into TraceHeader and
-// extra headers applied on every attempt, so retried requests stay
-// attributed to the same trace and tenant.
-func (c *Client) doTraced(ctx context.Context, method, path, trace string, hdr map[string]string, body, out any) error {
+// doWith is do with per-call options (nil: none) rendered as request
+// headers on every attempt, so retried requests stay attributed to the
+// same trace and tenant.
+func (c *Client) doWith(ctx context.Context, method, path string, so *submitOptions, body, out any) error {
 	var buf []byte
 	if body != nil {
 		var err error
@@ -332,7 +332,7 @@ func (c *Client) doTraced(ctx context.Context, method, path, trace string, hdr m
 	delay := c.retryDelay()
 	var err error
 	for attempt := 0; ; attempt++ {
-		if err = c.doOnce(ctx, method, path, trace, hdr, buf, out); err == nil || !transientError(err) {
+		if err = c.doOnce(ctx, method, path, so, buf, out); err == nil || !transientError(err) {
 			return err
 		}
 		if attempt >= c.retries() {
@@ -356,7 +356,7 @@ func (c *Client) doTraced(ctx context.Context, method, path, trace string, hdr m
 }
 
 // doOnce is one attempt of do.
-func (c *Client) doOnce(ctx context.Context, method, path, trace string, hdr map[string]string, body []byte, out any) error {
+func (c *Client) doOnce(ctx context.Context, method, path string, so *submitOptions, body []byte, out any) error {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -368,14 +368,11 @@ func (c *Client) doOnce(ctx context.Context, method, path, trace string, hdr map
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	if trace != "" {
-		req.Header.Set(TraceHeader, trace)
-	}
 	if c.TenantKey != "" {
 		req.Header.Set("Authorization", "Bearer "+c.TenantKey)
 	}
-	for k, v := range hdr {
-		req.Header.Set(k, v)
+	if so != nil {
+		so.setHeaders(req.Header)
 	}
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
@@ -454,14 +451,24 @@ func remoteError(resp *http.Response) error {
 	return se
 }
 
-// SubmitOption qualifies one submission (SubmitSweep, RunSweep,
-// RunSweepFunc, RunSweepRouted).
+// SubmitOption qualifies one request that creates work (SubmitSweep,
+// RunSweep, RunSweepFunc, RunSweepRouted, RunScenario).
 type SubmitOption func(*submitOptions)
 
 type submitOptions struct {
 	tenantKey string
+	trace     string
 	priority  *int
 	deadline  time.Duration
+}
+
+// newSubmitOptions applies opts in order.
+func newSubmitOptions(opts []SubmitOption) *submitOptions {
+	so := &submitOptions{}
+	for _, opt := range opts {
+		opt(so)
+	}
+	return so
 }
 
 // WithTenant submits under the given tenant API key, overriding the
@@ -470,43 +477,48 @@ func WithTenant(key string) SubmitOption {
 	return func(o *submitOptions) { o.tenantKey = key }
 }
 
+// WithTrace sends the request under trace ID id (TraceHeader), so the
+// receiving node records its spans under the caller's trace rather than a
+// fresh one. An empty id sends no header.
+func WithTrace(id string) SubmitOption {
+	return func(o *submitOptions) { o.trace = id }
+}
+
 // WithPriority sets the job's scheduling priority within its tenant;
 // higher is served strictly first. The default is 0.
 func WithPriority(p int) SubmitOption {
 	return func(o *submitOptions) { o.priority = &p }
 }
 
-// WithDeadline bounds the job's lifetime: if it has not settled after d
+// WithDeadline bounds the work's lifetime: if it has not settled after d
 // the server cancels it, its unfinished rows erroring with the deadline.
+// A zero or negative d sends no header.
 func WithDeadline(d time.Duration) SubmitOption {
 	return func(o *submitOptions) { o.deadline = d }
 }
 
-// headers renders the options as submission request headers.
-func (o *submitOptions) headers() map[string]string {
-	hdr := map[string]string{}
+// setHeaders renders the options as request headers.
+func (o *submitOptions) setHeaders(h http.Header) {
 	if o.tenantKey != "" {
-		hdr["Authorization"] = "Bearer " + o.tenantKey
+		h.Set("Authorization", "Bearer "+o.tenantKey)
+	}
+	if o.trace != "" {
+		h.Set(TraceHeader, o.trace)
 	}
 	if o.priority != nil {
-		hdr[PriorityHeader] = strconv.Itoa(*o.priority)
+		h.Set(PriorityHeader, strconv.Itoa(*o.priority))
 	}
 	if o.deadline > 0 {
-		hdr[DeadlineHeader] = o.deadline.String()
+		h.Set(DeadlineHeader, o.deadline.String())
 	}
-	return hdr
 }
 
 // SubmitSweep submits a grid and returns the new job's status. The job runs
 // on the server regardless of what happens to this client; cancel it with
 // CancelSweep.
 func (c *Client) SubmitSweep(ctx context.Context, spec SweepSpec, opts ...SubmitOption) (JobStatus, error) {
-	var so submitOptions
-	for _, opt := range opts {
-		opt(&so)
-	}
 	var st JobStatus
-	err := c.doTraced(ctx, http.MethodPost, "/v1/sweeps", "", so.headers(), spec, &st)
+	err := c.doWith(ctx, http.MethodPost, "/v1/sweeps", newSubmitOptions(opts), spec, &st)
 	return st, err
 }
 

@@ -105,34 +105,15 @@ func (c *Client) ClusterStatus(ctx context.Context) (ClusterStatus, error) {
 }
 
 // RunScenario executes one scenario on the node (or serves it from its
-// caches) via POST /v1/run, synchronously.
-func (c *Client) RunScenario(ctx context.Context, spec ScenarioSpec) (RunResponse, error) {
-	return c.RunScenarioTraced(ctx, spec, "")
-}
-
-// RunScenarioTraced is RunScenario carrying a trace ID: traceID (when
-// non-empty) is sent in TraceHeader so the receiving node records its span
-// under the caller's trace. The cluster proxy path uses this for every hop,
-// with the client's TenantKey identifying the originating tenant.
-func (c *Client) RunScenarioTraced(ctx context.Context, spec ScenarioSpec, traceID string) (RunResponse, error) {
-	return c.RunScenarioBudgeted(ctx, spec, traceID, 0)
-}
-
-// RunScenarioBudgeted is RunScenarioTraced carrying a remaining deadline
-// budget: budget (when positive) is sent in DeadlineHeader as a Go
-// duration, and the receiving node bounds its execution by it. The cluster
-// proxy path uses this to propagate a job's X-Dynring-Deadline across
-// hops — each hop forwards only what is left of the budget, so a sweep
-// with a 2s deadline can never hold a remote worker beyond those 2s no
-// matter how many nodes the scenario visits. A zero or negative budget
-// sends no header (the hop is bounded only by ctx).
-func (c *Client) RunScenarioBudgeted(ctx context.Context, spec ScenarioSpec, traceID string, budget time.Duration) (RunResponse, error) {
-	var hdr map[string]string
-	if budget > 0 {
-		hdr = map[string]string{DeadlineHeader: budget.String()}
-	}
+// caches) via POST /v1/run, synchronously. WithTrace records the node's
+// span under the caller's trace; WithDeadline sends the remaining budget,
+// and the node bounds its execution by it; WithTenant overrides the
+// client's TenantKey. The cluster proxy path sends its trace and remaining
+// budget on every hop, so a job's trace and deadline follow its scenarios
+// across nodes. WithPriority is ignored: a single scenario runs at once.
+func (c *Client) RunScenario(ctx context.Context, spec ScenarioSpec, opts ...SubmitOption) (RunResponse, error) {
 	var rr RunResponse
-	err := c.doTraced(ctx, http.MethodPost, "/v1/run", traceID, hdr, RunRequest{Scenario: spec}, &rr)
+	err := c.doWith(ctx, http.MethodPost, "/v1/run", newSubmitOptions(opts), RunRequest{Scenario: spec}, &rr)
 	return rr, err
 }
 

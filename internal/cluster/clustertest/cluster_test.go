@@ -15,6 +15,7 @@ import (
 
 	"dynring"
 	"dynring/internal/cluster"
+	"dynring/internal/service"
 )
 
 // grid is a small mixed sweep over the given seeds.
@@ -168,7 +169,7 @@ func TestClusterExactlyOnceUnderKill(t *testing.T) {
 	spec := grid(1, 2, 3)
 	fps := fingerprints(t, spec)
 
-	j, err := c.Node(0).Manager.Submit(spec)
+	j, err := c.Node(0).Manager.Submit(spec, service.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestClusterExactlyOnceUnderKill(t *testing.T) {
 	victim := 1 + c.Plan.Intn(2) // seeded choice of a non-coordinator
 	c.Crash(victim)
 
-	j2, err := c.Node(0).Manager.Submit(spec)
+	j2, err := c.Node(0).Manager.Submit(spec, service.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +228,7 @@ func TestClusterStealUnderLoad(t *testing.T) {
 		Seeds:       loadSeeds,
 		Adversaries: []dynring.AdversarySpec{{Kind: "random", P: 0.4}},
 	}
-	jLoad, err := c.Node(0).Manager.Submit(load)
+	jLoad, err := c.Node(0).Manager.Submit(load, service.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +277,7 @@ func TestClusterStealUnderLoad(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 
-	jBatch, err := c.Node(1).Manager.Submit(batch)
+	jBatch, err := c.Node(1).Manager.Submit(batch, service.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +321,7 @@ func TestClusterAntiEntropyRepairsCorruptEnvelope(t *testing.T) {
 	})
 	spec := grid(1, 2)
 	fps := fingerprints(t, spec)
-	j, err := c.Node(0).Manager.Submit(spec)
+	j, err := c.Node(0).Manager.Submit(spec, service.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +468,7 @@ func TestClusterAntiEntropyRaceHammer(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	for round := 0; round < 3; round++ {
-		j, err := c.Node(round % 2).Manager.Submit(grid(int64(100 + round)))
+		j, err := c.Node(round%2).Manager.Submit(grid(int64(100+round)), service.SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -87,7 +87,7 @@ func TestGrayFailureHedgeWinsUnderDeadline(t *testing.T) {
 
 	c.Plan.SlowNode(c.Node(1).URL, 500*time.Millisecond)
 	start := time.Now()
-	j, err := c.Node(0).Manager.SubmitJob(spec, service.SubmitOptions{Deadline: 20 * time.Second})
+	j, err := c.Node(0).Manager.Submit(spec, service.SubmitOptions{Deadline: 20 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestGrayFailureHedgeWinsUnderDeadline(t *testing.T) {
 	stream1 := readStream(t, c, c.Node(0).URL+"/v1/sweeps/"+j.ID+"/results")
 	c.Plan.SlowNode(c.Node(1).URL, 0)
 	execBefore := c.TotalExecutions()
-	j2, err := c.Node(0).Manager.Submit(spec)
+	j2, err := c.Node(0).Manager.Submit(spec, service.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestGrayFailureBreakerOpensAndRecovers(t *testing.T) {
 	// their replica (or local fallback) immediately — no errors, no
 	// executions on the gray node, exactly-once intact.
 	seeds := c.seedsOwnedBy(t, 2, 2, 1)
-	j, err := c.Node(0).Manager.Submit(seedSpec(seeds))
+	j, err := c.Node(0).Manager.Submit(seedSpec(seeds), service.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,13 +258,13 @@ func TestGrayFailureBrownoutShedsAnonymousNotPremium(t *testing.T) {
 		Seeds:       loadSeeds,
 		Adversaries: []dynring.AdversarySpec{{Kind: "random", P: 0.4}},
 	}
-	jLoad, err := m.SubmitJob(load, service.SubmitOptions{Tenant: "premium"})
+	jLoad, err := m.Submit(load, service.SubmitOptions{Tenant: "premium"})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Anonymous work is shed at the door...
-	if _, err := m.Submit(seedSpec([]int64{30001})); !errors.Is(err, service.ErrOverloaded) {
+	if _, err := m.Submit(seedSpec([]int64{30001}), service.SubmitOptions{}); !errors.Is(err, service.ErrOverloaded) {
 		t.Fatalf("anonymous submit under brownout: err %v, want ErrOverloaded", err)
 	}
 	// ...and over the wire a sheddable submission is 503 + Retry-After.
@@ -314,7 +314,7 @@ func TestGrayFailureBrownoutShedsAnonymousNotPremium(t *testing.T) {
 	if shedBefore < 2 {
 		t.Fatalf("shed_total = %v, want >= 2", shedBefore)
 	}
-	jCached, err := m.Submit(premium)
+	jCached, err := m.Submit(premium, service.SubmitOptions{})
 	if err != nil {
 		t.Fatalf("fully cached anonymous submit: %v", err)
 	}

@@ -138,10 +138,10 @@ func TestQuota429RetryAfter(t *testing.T) {
 	um := mustManager(t, Options{Workers: 1, CacheSize: 0, Tenants: []TenantConfig{
 		{Name: "carol", Key: "sk-carol", Weight: 1, MaxConcurrent: 1},
 	}})
-	if _, err := um.SubmitJob(testSpec(), SubmitOptions{Tenant: "carol"}); err != nil {
+	if _, err := um.Submit(testSpec(), SubmitOptions{Tenant: "carol"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := um.SubmitJob(testSpec(), SubmitOptions{Tenant: "carol"}); !errors.Is(err, ErrQuotaExceeded) {
+	if _, err := um.Submit(testSpec(), SubmitOptions{Tenant: "carol"}); !errors.Is(err, ErrQuotaExceeded) {
 		t.Fatalf("second concurrent job error = %v, want ErrQuotaExceeded", err)
 	}
 }
@@ -152,7 +152,7 @@ func TestQuota429RetryAfter(t *testing.T) {
 func TestDeadlineExpiry(t *testing.T) {
 	// No workers: the job can never complete, only expire.
 	m := mustManager(t, Options{Workers: 1, CacheSize: 0, Tenants: twoTenants()})
-	j, err := m.SubmitJob(testSpec(), SubmitOptions{Tenant: "alice", Deadline: 20 * time.Millisecond})
+	j, err := m.Submit(testSpec(), SubmitOptions{Tenant: "alice", Deadline: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestDeadlineExpiry(t *testing.T) {
 	}
 
 	// A job that settles first must not count as expired later.
-	j2, err := m.SubmitJob(testSpec(), SubmitOptions{Tenant: "bob", Deadline: 10 * time.Millisecond})
+	j2, err := m.Submit(testSpec(), SubmitOptions{Tenant: "bob", Deadline: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,12 +277,12 @@ func TestCrossTenantExactlyOnce(t *testing.T) {
 	m := mustNew(t, Options{Workers: 4, CacheSize: 1024, Tenants: twoTenants()})
 	defer m.Close()
 
-	ja, err := m.SubmitJob(testSpec(), SubmitOptions{Tenant: "alice"})
+	ja, err := m.Submit(testSpec(), SubmitOptions{Tenant: "alice"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitDone(t, ja)
-	jb, err := m.SubmitJob(testSpec(), SubmitOptions{Tenant: "bob"})
+	jb, err := m.Submit(testSpec(), SubmitOptions{Tenant: "bob"})
 	if err != nil {
 		t.Fatal(err)
 	}

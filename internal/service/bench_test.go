@@ -29,7 +29,7 @@ func benchSpec() dynring.SweepSpec {
 // submitAndWait pushes one grid through the manager.
 func submitAndWait(b *testing.B, m *Manager, spec dynring.SweepSpec) *Job {
 	b.Helper()
-	j, err := m.Submit(spec)
+	j, err := m.Submit(spec, SubmitOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

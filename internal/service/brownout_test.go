@@ -39,26 +39,26 @@ func TestBrownoutShedsOnQueueDepth(t *testing.T) {
 		ShedQueueDepth: 8, Tenants: twoTenants()})
 
 	// Below the threshold nothing is shed.
-	if _, err := m.Submit(testSpec()); err != nil {
+	if _, err := m.Submit(testSpec(), SubmitOptions{}); err != nil {
 		t.Fatalf("anonymous submit under threshold: %v", err)
 	}
 	// The 8-scenario grid put the backlog at the threshold: brownout.
-	if _, err := m.Submit(testSpec()); !errors.Is(err, ErrOverloaded) {
+	if _, err := m.Submit(testSpec(), SubmitOptions{}); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("anonymous submit at threshold: err %v, want ErrOverloaded", err)
 	}
-	if _, err := m.SubmitJob(testSpec(), SubmitOptions{Tenant: "alice", Priority: -1}); !errors.Is(err, ErrOverloaded) {
+	if _, err := m.Submit(testSpec(), SubmitOptions{Tenant: "alice", Priority: -1}); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("negative-priority submit under brownout: err %v, want ErrOverloaded", err)
 	}
 	if got := m.shed.Load(); got != 2 {
 		t.Fatalf("shed counter = %d, want 2", got)
 	}
 	// Identified tenant at default priority: never shed.
-	if _, err := m.SubmitJob(testSpec(), SubmitOptions{Tenant: "alice"}); err != nil {
+	if _, err := m.Submit(testSpec(), SubmitOptions{Tenant: "alice"}); err != nil {
 		t.Fatalf("premium submit under brownout: %v", err)
 	}
 	// Carve-out: the same grid, fully cached, is admitted anonymously.
 	primeCache(t, m, testSpec())
-	if _, err := m.Submit(testSpec()); err != nil {
+	if _, err := m.Submit(testSpec(), SubmitOptions{}); err != nil {
 		t.Fatalf("fully cached anonymous submit under brownout: %v", err)
 	}
 	if got := m.shed.Load(); got != 2 {
@@ -79,7 +79,7 @@ func TestBrownoutShedsOnOpenBreakers(t *testing.T) {
 			ProxyTimeout:     50 * time.Millisecond,
 		}})
 
-	if _, err := m.Submit(testSpec()); err != nil {
+	if _, err := m.Submit(testSpec(), SubmitOptions{}); err != nil {
 		t.Fatalf("submit with closed breakers: %v", err)
 	}
 	// Two slow proxy observations (RTT >= ProxyTimeout) open the peer's
@@ -89,10 +89,10 @@ func TestBrownoutShedsOnOpenBreakers(t *testing.T) {
 	if got := m.membership.OpenBreakers(); got != 1 {
 		t.Fatalf("OpenBreakers = %d, want 1", got)
 	}
-	if _, err := m.Submit(testSpec()); !errors.Is(err, ErrOverloaded) {
+	if _, err := m.Submit(testSpec(), SubmitOptions{}); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("anonymous submit with open breaker: err %v, want ErrOverloaded", err)
 	}
-	if _, err := m.SubmitJob(testSpec(), SubmitOptions{Tenant: "bob"}); err != nil {
+	if _, err := m.Submit(testSpec(), SubmitOptions{Tenant: "bob"}); err != nil {
 		t.Fatalf("premium submit with open breaker: %v", err)
 	}
 }

@@ -38,7 +38,7 @@ type Cache struct {
 // non-positive capacity disables the memory tier: every Get misses
 // (without counting) and Put is a no-op.
 func NewCache(capacity int) *Cache {
-	return &Cache{c: rescache.New(capacity, copyResult)}
+	return &Cache{c: rescache.New(capacity, dynring.Result.Clone)}
 }
 
 // NewTieredCache returns a cache with the durable tier rooted at diskDir
@@ -62,20 +62,6 @@ func NewTieredCache(capacity int, diskDir string, logf func(format string, args 
 	return c, nil
 }
 
-// copyResult deep-copies a Result's slice fields (TerminatedAt, Moves).
-// The cache stores and serves private copies: a Result aliased between the
-// cache and a caller would let any caller that mutates its (apparently
-// owned) slices silently poison every future hit of that fingerprint.
-func copyResult(res dynring.Result) dynring.Result {
-	if res.TerminatedAt != nil {
-		res.TerminatedAt = append([]int(nil), res.TerminatedAt...)
-	}
-	if res.Moves != nil {
-		res.Moves = append([]int(nil), res.Moves...)
-	}
-	return res
-}
-
 // Get returns a private copy of the cached Result for key, trying the
 // memory tier first and falling through to the durable tier; a disk hit is
 // promoted back into the LRU. Callers own the returned value outright;
@@ -96,7 +82,7 @@ func (c *Cache) Get(key string) (dynring.Result, bool) {
 	}
 	c.c.Put(key, res)
 	c.promotions.Add(1)
-	return copyResult(res), true
+	return res.Clone(), true
 }
 
 // Contains reports whether key is resident in the memory tier, without

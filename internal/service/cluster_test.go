@@ -103,7 +103,7 @@ func TestClusterExactlyOnce(t *testing.T) {
 	nodes := startCluster(t, 3, nil)
 	spec := testSpec()
 
-	j0, err := nodes[0].m.Submit(spec)
+	j0, err := nodes[0].m.Submit(spec, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestClusterExactlyOnce(t *testing.T) {
 
 	// The identical grid through a different coordinator: every row must be
 	// served from the owners' caches, zero new executions anywhere.
-	j1, err := nodes[1].m.Submit(spec)
+	j1, err := nodes[1].m.Submit(spec, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestClusterOwnerDeathFallsBackLocal(t *testing.T) {
 	nodes[1].srv.Close()
 
 	spec := testSpec()
-	j, err := nodes[0].m.Submit(spec)
+	j, err := nodes[0].m.Submit(spec, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestRunEndpointDeadlineHeader(t *testing.T) {
 func TestWarmStartZeroExecutions(t *testing.T) {
 	dir := t.TempDir()
 	m1 := mustNew(t, Options{Workers: 2, CacheSize: 64, DiskDir: dir})
-	j1, err := m1.Submit(testSpec())
+	j1, err := m1.Submit(testSpec(), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestWarmStartZeroExecutions(t *testing.T) {
 
 	m2 := mustNew(t, Options{Workers: 2, CacheSize: 64, DiskDir: dir})
 	defer m2.Close()
-	j2, err := m2.Submit(testSpec())
+	j2, err := m2.Submit(testSpec(), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestStatszShape(t *testing.T) {
 		}
 		return o
 	})
-	j, err := nodes[0].m.Submit(testSpec())
+	j, err := nodes[0].m.Submit(testSpec(), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +383,7 @@ func TestStatszShape(t *testing.T) {
 	// Queue depth reflects undispatched work: on a workerless manager the
 	// whole grid stays pending.
 	idle := mustManager(t, Options{Workers: 1, CacheSize: 0})
-	ij, err := idle.Submit(testSpec())
+	ij, err := idle.Submit(testSpec(), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

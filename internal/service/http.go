@@ -96,7 +96,7 @@ func NewHandler(m *Manager) http.Handler {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		j, err := m.SubmitJob(spec, opts)
+		j, err := m.Submit(spec, opts)
 		if err != nil {
 			code := http.StatusBadRequest
 			switch {

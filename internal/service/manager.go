@@ -13,6 +13,7 @@ import (
 
 	"dynring"
 	"dynring/internal/cluster"
+	"dynring/internal/rescache"
 	"dynring/internal/service/sched"
 	"dynring/internal/sweep"
 	"dynring/internal/telemetry"
@@ -178,14 +179,6 @@ type task struct {
 	i int
 }
 
-// flight is one in-progress execution of a fingerprint, deduplicating
-// concurrent requests for the same scenario (a pool worker and a /v1/run
-// proxy hop, or two jobs sharing grid cells).
-type flight struct {
-	done chan struct{} // closed when the leader settles
-	err  error
-}
-
 // Manager owns the admission layer, the shared worker pool, the job table,
 // the tiered result cache and (in cluster mode) the membership table. It is
 // split in two along the submit path:
@@ -212,7 +205,7 @@ type flight struct {
 // ring. A scenario owned elsewhere is proxied to its owner (POST /v1/run)
 // when that owner looks alive, and executed locally otherwise — the
 // cluster degrades to correct-but-duplicated work, never to unavailability.
-// All local executions funnel through a fingerprint-keyed singleflight, so
+// All local executions funnel through a fingerprint-keyed rescache.Group, so
 // the owner runs each fingerprint at most once no matter how many workers,
 // jobs or proxy hops ask for it concurrently: cluster-wide exactly-once is
 // routing (concentrate a fingerprint on its owner) plus this dedupe. The
@@ -280,9 +273,9 @@ type Manager struct {
 	// for its duration. Pooling keeps the engine's zero-alloc reuse across
 	// consecutive runs without pinning one Runner per worker.
 	runners sync.Pool
-
-	flightMu sync.Mutex
-	flights  map[string]*flight
+	// group deduplicates concurrent local executions of one fingerprint in
+	// front of the cache tiers.
+	group *rescache.Group[dynring.Result]
 
 	mu     sync.Mutex
 	cond   *sync.Cond // wakes idle workers on submit/close
@@ -349,7 +342,6 @@ func newManager(opts Options) (*Manager, error) {
 		registry: telemetry.NewRegistry(),
 		tracer:   telemetry.NewTracer(0, 0),
 		jobs:     make(map[string]*Job),
-		flights:  make(map[string]*flight),
 		sched:    sched.New[*Job](),
 		tenants:  make(map[string]*tenantState),
 		byKey:    make(map[string]*tenantState),
@@ -381,6 +373,7 @@ func newManager(opts Options) (*Manager, error) {
 		return nil, err
 	}
 	m.cache = cache
+	m.group = rescache.NewGroup(cache, dynring.Result.Clone)
 	m.runners.New = func() any { return dynring.NewRunner() }
 	m.shedQueueDepth = opts.ShedQueueDepth
 	m.shedOpenBreakers = opts.ShedOpenBreakers
@@ -492,26 +485,8 @@ func (m *Manager) Close() {
 	m.cache.Close()
 }
 
-// Submit expands and fingerprints the grid (axis form or explicit-list
-// form — the latter is how cluster peers ship grid shares), registers the
-// job and queues it on the shared pool. Expansion, validation and
-// fingerprint errors are reported here, before anything runs. The job gets
-// a fresh trace ID and runs as the anonymous tenant at default priority;
-// callers carrying a trace, tenant, priority or deadline use SubmitJob.
-func (m *Manager) Submit(spec dynring.SweepSpec) (*Job, error) {
-	return m.SubmitJob(spec, SubmitOptions{})
-}
-
-// SubmitTraced is Submit under a caller-supplied trace ID (empty: a fresh
-// one is generated). The ID binds every span the sweep causes — locally and
-// on nodes its scenarios are proxied to — into one trace.
-func (m *Manager) SubmitTraced(spec dynring.SweepSpec, traceID string) (*Job, error) {
-	return m.SubmitJob(spec, SubmitOptions{TraceID: traceID})
-}
-
-// SubmitOptions qualify one submission. The zero value reproduces the
-// historical Submit: fresh trace, anonymous tenant, priority 0, no
-// deadline.
+// SubmitOptions qualify one submission. The zero value is a fresh trace,
+// the anonymous tenant, priority 0 and no deadline.
 type SubmitOptions struct {
 	// TraceID binds the sweep's spans to an existing trace; empty means a
 	// fresh one.
@@ -529,12 +504,15 @@ type SubmitOptions struct {
 	Deadline time.Duration
 }
 
-// SubmitJob is the full submission path: expand and fingerprint the grid,
-// pass the brownout gate (ErrOverloaded — HTTP 503 — when the node is
-// shedding and this submission is sheddable), admit it against the
-// tenant's quotas (ErrQuotaExceeded — HTTP 429 — when over), register the
-// job, arm its deadline and queue it on the tenant's scheduler lane.
-func (m *Manager) SubmitJob(spec dynring.SweepSpec, opts SubmitOptions) (*Job, error) {
+// Submit is the submission path: expand and fingerprint the grid (axis
+// form or explicit-list form — the latter is how cluster peers ship grid
+// shares), pass the brownout gate (ErrOverloaded — HTTP 503 — when the
+// node is shedding and this submission is sheddable), admit it against
+// the tenant's quotas (ErrQuotaExceeded — HTTP 429 — when over), register
+// the job, arm its deadline and queue it on the tenant's scheduler lane.
+// Expansion, validation and fingerprint errors are reported here, before
+// anything runs.
+func (m *Manager) Submit(spec dynring.SweepSpec, opts SubmitOptions) (*Job, error) {
 	scenarios, err := spec.ScenarioList()
 	if err != nil {
 		return nil, err
@@ -955,7 +933,7 @@ type route struct {
 // replication push (or, if the owner dies before the push lands, by
 // anti-entropy on its recovery).
 func (m *Manager) routeFor(fp string) route {
-	if m.membership == nil || fp == "" {
+	if m.membership == nil {
 		return route{}
 	}
 	owners := m.membership.Ring().Owners(fp, m.replicas)
@@ -1122,7 +1100,7 @@ func (m *Manager) proxyRun(ctx context.Context, target string, sc dynring.Scenar
 	defer cancel()
 	c := &dynring.Client{BaseURL: target, HTTPClient: m.proxyHTTP, Retries: -1, TenantKey: m.TenantKey(tenant)}
 	hop := time.Now()
-	rr, err := c.RunScenarioBudgeted(hopCtx, sp, traceID, budget)
+	rr, err := c.RunScenario(hopCtx, sp, dynring.WithTrace(traceID), dynring.WithDeadline(budget))
 	rtt := time.Since(hop)
 	if err != nil {
 		if ctx.Err() != nil {
@@ -1202,61 +1180,27 @@ func (m *Manager) peerLatencyHigh(target string, threshold time.Duration) bool {
 
 // ExecuteLocal runs one scenario on this node — cache tiers first, then an
 // actual engine run — deduplicating concurrent executions of the same
-// fingerprint through a singleflight. It is the execution primitive shared
-// by the worker pool and the /v1/run handler; the handler calls it on its
-// own goroutine precisely so proxy hops never occupy pool workers (two
-// nodes whose pools were full of proxy hops to each other would deadlock).
+// fingerprint through the manager's rescache.Group. It is the execution
+// primitive shared by the worker pool and the /v1/run handler; the handler
+// calls it on its own goroutine precisely so proxy hops never occupy pool
+// workers (two nodes whose pools were full of proxy hops to each other
+// would deadlock).
 //
-// The returned bool reports the result was served without executing here
-// (a cache hit, or a concurrent flight's result read back through the
-// cache). Failures are never cached: validation errors are caught at
-// Submit, so what remains — cancellation, panic — must not poison later
-// runs of the fingerprint.
+// The returned bool reports the result was served without executing here:
+// a cache hit, or a copy of a concurrent execution's result — handed over
+// directly, so the dedupe holds even with the memory tier disabled. Only
+// the executing call replicates the result. Failures are never cached:
+// validation errors are caught at Submit, so what remains — cancellation,
+// panic — must not poison later runs of the fingerprint.
 func (m *Manager) ExecuteLocal(ctx context.Context, sc dynring.Scenario, fp string) (dynring.Result, bool, error) {
-	if fp == "" {
-		res, err := m.execute(ctx, sc)
-		return res, false, err
+	res, shared, err := m.group.Do(ctx, fp, func() (dynring.Result, error) { return m.execute(ctx, sc) })
+	if !shared && err == nil {
+		// Push the completed envelope toward fp's other replicas; the
+		// replication loop fans it out to each replica's disk tier through
+		// that node's own async write queue.
+		m.replicate(fp, res)
 	}
-	for {
-		if res, ok := m.cache.Get(fp); ok {
-			return res, true, nil
-		}
-		m.flightMu.Lock()
-		if f, ok := m.flights[fp]; ok {
-			m.flightMu.Unlock()
-			select {
-			case <-f.done:
-			case <-ctx.Done():
-				return dynring.Result{}, false, ctx.Err()
-			}
-			if f.err != nil {
-				// The leader failed (typically its job was cancelled).
-				// Its failure is not ours: loop and run as leader.
-				continue
-			}
-			// Success landed in the cache before done closed; the loop's
-			// cache probe serves a private copy.
-			continue
-		}
-		f := &flight{done: make(chan struct{})}
-		m.flights[fp] = f
-		m.flightMu.Unlock()
-
-		res, err := m.execute(ctx, sc)
-		if err == nil {
-			m.cache.Put(fp, res)
-			// Push the completed envelope toward fp's other replicas; the
-			// replication loop fans it out to each replica's disk tier
-			// through that node's own async write queue.
-			m.replicate(fp, res)
-		}
-		f.err = err
-		m.flightMu.Lock()
-		delete(m.flights, fp)
-		m.flightMu.Unlock()
-		close(f.done)
-		return res, false, err
-	}
+	return res, shared, err
 }
 
 // execute performs one engine run with a pooled Runner, converting panics
@@ -1273,10 +1217,12 @@ func (m *Manager) execute(ctx context.Context, sc dynring.Scenario) (res dynring
 			err = fmt.Errorf("scenario panicked: %v", r)
 			return
 		}
-		m.runners.Put(runner)
+		// Read the stats before repooling: once Put, another worker may
+		// check the Runner out and Run it concurrently.
 		if err == nil {
 			m.met.observeRun(runner.LastStats())
 		}
+		m.runners.Put(runner)
 	}()
 	m.executions.Add(1)
 	return runner.Run(ctx, sc)

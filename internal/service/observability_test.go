@@ -85,7 +85,7 @@ func waitRemote(t *testing.T, c *dynring.Client, id string) {
 // dynring_service_executions_total counters sum to exactly the grid size.
 func TestClusterMetricsExactlyOnce(t *testing.T) {
 	nodes := startCluster(t, 3, nil)
-	j, err := nodes[0].m.Submit(testSpec())
+	j, err := nodes[0].m.Submit(testSpec(), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestTracePropagatesCallerID(t *testing.T) {
 	m := mustNew(t, Options{Workers: 2, CacheSize: 64})
 	defer m.Close()
 	const want = "feedfacecafebeef"
-	j, err := m.SubmitTraced(testSpec(), want)
+	j, err := m.Submit(testSpec(), SubmitOptions{TraceID: want})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestStatszHitRatioZeroFresh(t *testing.T) {
 func TestMetricsEndpointShape(t *testing.T) {
 	m := mustNew(t, Options{Workers: 2, CacheSize: 64, DiskDir: t.TempDir()})
 	defer m.Close()
-	j, err := m.Submit(testSpec())
+	j, err := m.Submit(testSpec(), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

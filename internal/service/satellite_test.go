@@ -75,7 +75,7 @@ func TestStreamAbortEmitsTerminalRow(t *testing.T) {
 	// No workers: rows never settle, so WaitRow can only end via the
 	// request context.
 	m := mustManager(t, Options{Workers: 1, CacheSize: 0})
-	j, err := m.Submit(testSpec())
+	j, err := m.Submit(testSpec(), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestStreamAbortEmitsTerminalRow(t *testing.T) {
 func TestDeleteReturnsPostCancelStatus(t *testing.T) {
 	// No workers: the job stays fully pending until the cancel settles it.
 	m := mustManager(t, Options{Workers: 1, CacheSize: 0})
-	j, err := m.Submit(testSpec())
+	j, err := m.Submit(testSpec(), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,5 +200,40 @@ func TestConcurrentSubmitStreamRace(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestExecuteRunnerPoolNoRace: concurrent executions must never share a
+// pooled Runner. execute reads the Runner's stats before returning it to
+// the pool; read after, another worker may already be running it. Under
+// -race the reversed order reports a data race on the Runner's stats.
+func TestExecuteRunnerPoolNoRace(t *testing.T) {
+	m := mustManager(t, Options{})
+	const goroutines, perGoroutine = 8, 50
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range perGoroutine {
+				sc, err := dynring.ScenarioSpec{
+					Algorithm: "KnownNNoChirality", Size: 8, Landmark: 0,
+					Seed:      int64(g*perGoroutine + i),
+					Adversary: &dynring.AdversarySpec{Kind: "random", P: 0.4},
+				}.Scenario()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := m.execute(context.Background(), sc); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := m.Stats().Executions; got != goroutines*perGoroutine {
+		t.Fatalf("executions = %d, want %d", got, goroutines*perGoroutine)
 	}
 }

@@ -99,7 +99,7 @@ func TestRepeatedSubmissionServedFromCache(t *testing.T) {
 	m := mustNew(t, Options{Workers: 4, CacheSize: 1024})
 	defer m.Close()
 
-	j1, err := m.Submit(testSpec())
+	j1, err := m.Submit(testSpec(), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestRepeatedSubmissionServedFromCache(t *testing.T) {
 		t.Fatalf("first run cache hits/misses = %d/%d", st.Cache.Hits, st.Cache.Misses)
 	}
 
-	j2, err := m.Submit(testSpec())
+	j2, err := m.Submit(testSpec(), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,11 +154,11 @@ func TestFairRoundRobin(t *testing.T) {
 	spec.Algorithms = []string{"KnownNNoChirality"}
 	spec.Sizes = []int{6}
 	spec.Seeds = []int64{1, 2, 3}
-	j1, err := m.Submit(spec)
+	j1, err := m.Submit(spec, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2, err := m.Submit(spec)
+	j2, err := m.Submit(spec, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestWeightedFairnessUnderChurn(t *testing.T) {
 	spec.Sizes = []int{6}
 	spec.Seeds = []int64{1, 2, 3} // 3 scenarios per job
 	submit := func(tenant string) error {
-		_, err := m.SubmitJob(spec, SubmitOptions{Tenant: tenant})
+		_, err := m.Submit(spec, SubmitOptions{Tenant: tenant})
 		return err
 	}
 	// Exhaust capped's queue quota up front; every further submission for
@@ -263,7 +263,7 @@ func TestCancelSettlesPendingRows(t *testing.T) {
 	spec := testSpec()
 	spec.Sizes = []int{8, 10, 12, 14}
 	spec.Seeds = []int64{1, 2, 3, 4}
-	j, err := m.Submit(spec)
+	j, err := m.Submit(spec, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +484,7 @@ func TestHTTPErrorsAndLifecycle(t *testing.T) {
 func TestSubmitAfterClose(t *testing.T) {
 	m := mustNew(t, Options{Workers: 1, CacheSize: 0})
 	m.Close()
-	if _, err := m.Submit(testSpec()); err == nil {
+	if _, err := m.Submit(testSpec(), SubmitOptions{}); err == nil {
 		t.Fatal("Submit after Close succeeded")
 	}
 }
@@ -498,7 +498,7 @@ func TestConcurrentJobsAllSettle(t *testing.T) {
 	for k := 0; k < 6; k++ {
 		spec := testSpec()
 		spec.Seeds = []int64{int64(k), int64(k) + 10}
-		j, err := m.Submit(spec)
+		j, err := m.Submit(spec, SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -528,7 +528,7 @@ func TestJobHistoryEviction(t *testing.T) {
 
 	var ids []string
 	for k := 0; k < 4; k++ {
-		j, err := m.Submit(spec)
+		j, err := m.Submit(spec, SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -537,7 +537,7 @@ func TestJobHistoryEviction(t *testing.T) {
 	}
 	// After the 4th submission settles, only the newest history-bound jobs
 	// survive the next prune (prune runs on Submit).
-	j5, err := m.Submit(spec)
+	j5, err := m.Submit(spec, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -563,7 +563,7 @@ func TestOverlappingGridsShareCache(t *testing.T) {
 	defer m.Close()
 
 	wide := testSpec() // sizes [6 8] × algos × seeds
-	j1, err := m.Submit(wide)
+	j1, err := m.Submit(wide, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -572,7 +572,7 @@ func TestOverlappingGridsShareCache(t *testing.T) {
 
 	narrow := testSpec()
 	narrow.Sizes = []int{8} // strict subset, different axis shape
-	j2, err := m.Submit(narrow)
+	j2, err := m.Submit(narrow, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -596,7 +596,7 @@ func TestPanickingScenarioDoesNotKillDaemon(t *testing.T) {
 		Base:        dynring.ScenarioSpec{Landmark: 0, Size: 8, Algorithm: "KnownNNoChirality"},
 		Adversaries: []dynring.AdversarySpec{{Kind: "pin", Pin: 99}},
 	}
-	j, err := m.Submit(bad)
+	j, err := m.Submit(bad, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -611,7 +611,7 @@ func TestPanickingScenarioDoesNotKillDaemon(t *testing.T) {
 	}
 
 	// The pool is still alive: a good job completes afterwards.
-	good, err := m.Submit(testSpec())
+	good, err := m.Submit(testSpec(), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -623,7 +623,7 @@ func TestPanickingScenarioDoesNotKillDaemon(t *testing.T) {
 	// Negative parameters are rejected before submission.
 	neg := bad
 	neg.Adversaries = []dynring.AdversarySpec{{Kind: "pin", Pin: -1}}
-	if _, err := m.Submit(neg); err == nil {
+	if _, err := m.Submit(neg, SubmitOptions{}); err == nil {
 		t.Fatal("negative pin accepted")
 	}
 }

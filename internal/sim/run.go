@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"slices"
 )
 
 // Outcome classifies how a run ended.
@@ -77,6 +78,16 @@ type Result struct {
 	// CycleStart is the earlier round with an identical configuration when
 	// Outcome is OutcomeCycle.
 	CycleStart int
+}
+
+// Clone returns a deep copy of r: its slices are fresh, so mutating the
+// copy can never reach r. Result caches store and serve clones — a Result
+// aliased between a cache and a caller would let a caller that mutates its
+// apparently-owned slices poison every later hit of that key.
+func (r Result) Clone() Result {
+	r.TerminatedAt = slices.Clone(r.TerminatedAt)
+	r.Moves = slices.Clone(r.Moves)
+	return r
 }
 
 // RunStats accounts for how a run was executed, as opposed to what it

@@ -1,9 +1,7 @@
 package dynring
 
 import (
-	"context"
 	"strings"
-	"sync"
 
 	"dynring/internal/rescache"
 )
@@ -26,34 +24,25 @@ import (
 // (random, tinterval, any act() activation wrapper) and unknown custom
 // label kinds keep the Seed in the key and never collapse.
 //
-// Concurrent misses of one key are deduplicated (single-flight): the first
-// worker executes, the rest wait and replay its Result, so a seed axis
-// fanned out across workers still executes once. Failed executions are
-// never stored — waiters observe the leader's failure only when their own
-// context is also done; otherwise they retry as leaders, so a cancelled
-// sweep cannot poison a later one.
+// Concurrent misses of one key are deduplicated (single-flight, through
+// the same internal/rescache.Group the service's ExecuteLocal uses): the
+// first worker executes, the rest wait and replay a copy of its Result, so
+// a seed axis fanned out across workers still executes once — even with
+// storage disabled. Failed executions are never stored — waiters observe
+// the leader's failure only when their own context is also done; otherwise
+// they retry as leaders, so a cancelled sweep cannot poison a later one.
 type Memo struct {
 	cache *rescache.Cache[Result]
-
-	mu      sync.Mutex
-	flights map[string]*memoFlight
-}
-
-// memoFlight is one in-flight execution of a memo key.
-type memoFlight struct {
-	done chan struct{} // closed when the leader settles
-	res  Result
-	err  error
+	group *rescache.Group[Result]
 }
 
 // NewMemo returns a memo bounded to capacity entries (LRU-evicted). A
-// non-positive capacity disables storage — every scenario executes — which
-// makes Memo a no-op rather than an error, mirroring the service cache.
+// non-positive capacity disables storage — only concurrent duplicates are
+// deduplicated — which makes Memo a no-op rather than an error, mirroring
+// the service cache.
 func NewMemo(capacity int) *Memo {
-	return &Memo{
-		cache:   rescache.New(capacity, copyResult),
-		flights: make(map[string]*memoFlight),
-	}
+	cache := rescache.New(capacity, Result.Clone)
+	return &Memo{cache: cache, group: rescache.NewGroup(cache, Result.Clone)}
 }
 
 // Stats snapshots the memo's cache counters. Single-flight waiters count as
@@ -63,73 +52,6 @@ func NewMemo(capacity int) *Memo {
 func (m *Memo) Stats() CacheStats {
 	st := m.cache.Stats()
 	return CacheStats{Size: st.Size, Capacity: st.Capacity, Hits: st.Hits, Misses: st.Misses}
-}
-
-// copyResult deep-copies a Result's slice fields so memo entries and flight
-// results are never aliased with caller-visible values.
-func copyResult(res Result) Result {
-	if res.TerminatedAt != nil {
-		res.TerminatedAt = append([]int(nil), res.TerminatedAt...)
-	}
-	if res.Moves != nil {
-		res.Moves = append([]int(nil), res.Moves...)
-	}
-	return res
-}
-
-// do returns the memoized Result for key, executing exec on a miss. The
-// boolean reports whether the Result was replayed (cache hit or another
-// worker's in-flight execution) rather than produced by this call's exec.
-func (m *Memo) do(ctx context.Context, key string, exec func() (Result, error)) (Result, bool, error) {
-	for {
-		if res, ok := m.cache.Get(key); ok {
-			return res, true, nil
-		}
-		m.mu.Lock()
-		// Re-probe the cache under the flights lock: a leader stores its
-		// Result before retiring its flight, so a caller that missed before
-		// the store and arrives after the retirement finds the entry here
-		// instead of re-executing.
-		if res, ok := m.cache.Get(key); ok {
-			m.mu.Unlock()
-			return res, true, nil
-		}
-		if f, ok := m.flights[key]; ok {
-			m.mu.Unlock()
-			select {
-			case <-f.done:
-			case <-ctx.Done():
-				return Result{}, false, ctx.Err()
-			}
-			if f.err == nil {
-				return copyResult(f.res), true, nil
-			}
-			if ctx.Err() != nil {
-				return Result{}, false, ctx.Err()
-			}
-			// The leader failed (typically: its context was cancelled) but
-			// this caller is still live — retry as a leader.
-			continue
-		}
-		f := &memoFlight{done: make(chan struct{})}
-		m.flights[key] = f
-		m.mu.Unlock()
-
-		res, err := exec()
-		if err == nil {
-			m.cache.Put(key, res)
-			// The flight keeps its own deep copy: the value returned below
-			// is owned by this caller, which may mutate its slices before a
-			// parked waiter gets scheduled and takes its copy.
-			f.res = copyResult(res)
-		}
-		f.err = err
-		m.mu.Lock()
-		delete(m.flights, key)
-		m.mu.Unlock()
-		close(f.done)
-		return res, false, err
-	}
 }
 
 // seedInsensitiveAdversaryKinds names the canonical adversary label kinds

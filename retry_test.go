@@ -179,3 +179,85 @@ func TestClientRetryBackoffHonorsContext(t *testing.T) {
 		t.Fatalf("server saw %d calls, want 1 (context died during first backoff)", got)
 	}
 }
+
+// TestClientRunScenarioOptionHeaders: RunScenario renders its options as
+// the request headers POST /v1/run reads — on every attempt, so a retried
+// hop stays under the same trace, budget and tenant.
+func TestClientRunScenarioOptionHeaders(t *testing.T) {
+	cases := []struct {
+		name      string
+		tenantKey string // Client.TenantKey
+		opts      []dynring.SubmitOption
+		want      map[string]string // header → value; "" means absent
+	}{
+		{
+			name: "no options",
+			want: map[string]string{dynring.TraceHeader: "", dynring.DeadlineHeader: "", "Authorization": ""},
+		},
+		{
+			name: "trace",
+			opts: []dynring.SubmitOption{dynring.WithTrace("tr-1")},
+			want: map[string]string{dynring.TraceHeader: "tr-1", dynring.DeadlineHeader: ""},
+		},
+		{
+			name: "deadline budget",
+			opts: []dynring.SubmitOption{dynring.WithDeadline(1500 * time.Millisecond)},
+			want: map[string]string{dynring.DeadlineHeader: "1.5s", dynring.TraceHeader: ""},
+		},
+		{
+			name: "spent budget sends no header",
+			opts: []dynring.SubmitOption{dynring.WithTrace(""), dynring.WithDeadline(0)},
+			want: map[string]string{dynring.DeadlineHeader: "", dynring.TraceHeader: ""},
+		},
+		{
+			name:      "client tenant key",
+			tenantKey: "sk-client",
+			want:      map[string]string{"Authorization": "Bearer sk-client"},
+		},
+		{
+			name:      "tenant option overrides client key",
+			tenantKey: "sk-client",
+			opts: []dynring.SubmitOption{
+				dynring.WithTenant("sk-alice"), dynring.WithTrace("tr-2"), dynring.WithDeadline(2 * time.Second),
+			},
+			want: map[string]string{
+				"Authorization": "Bearer sk-alice", dynring.TraceHeader: "tr-2", dynring.DeadlineHeader: "2s",
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var seen []http.Header
+			record := func(r *http.Request) { seen = append(seen, r.Header.Clone()) }
+			h := &flakyHandler{until: 1,
+				fail: func(w http.ResponseWriter, r *http.Request) {
+					record(r)
+					http.Error(w, `{"error":"warming up"}`, http.StatusServiceUnavailable)
+				},
+				ok: func(w http.ResponseWriter, r *http.Request) {
+					record(r)
+					_ = json.NewEncoder(w).Encode(dynring.RunResponse{Fingerprint: "fp"})
+				}}
+			srv := httptest.NewServer(h)
+			defer srv.Close()
+
+			c := dynring.NewClient(srv.URL)
+			c.RetryBaseDelay = time.Millisecond
+			c.TenantKey = tc.tenantKey
+			rr, err := c.RunScenario(context.Background(), dynring.ScenarioSpec{Size: 8}, tc.opts...)
+			if err != nil || rr.Fingerprint != "fp" {
+				t.Fatalf("RunScenario = %+v, %v", rr, err)
+			}
+			if len(seen) != 2 {
+				t.Fatalf("server saw %d attempts, want 2 (one 503 + success)", len(seen))
+			}
+			for attempt, hdr := range seen {
+				for k, v := range tc.want {
+					if got := hdr.Get(k); got != v {
+						t.Errorf("attempt %d: %s = %q, want %q", attempt, k, got, v)
+					}
+				}
+			}
+		})
+	}
+}

@@ -138,7 +138,7 @@ func (r *Runner) RunCached(ctx context.Context, sc Scenario) (Result, bool, erro
 		// report the same error through resolve.
 		return Result{}, false, err
 	}
-	return r.Memo.do(ctx, key, func() (Result, error) { return r.run(ctx, sc) })
+	return r.Memo.group.Do(ctx, key, func() (Result, error) { return r.run(ctx, sc) })
 }
 
 // LastStats returns the execution accounting of the most recent Run (or
