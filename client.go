@@ -452,7 +452,7 @@ func remoteError(resp *http.Response) error {
 }
 
 // SubmitOption qualifies one request that creates work (SubmitSweep,
-// RunSweep, RunSweepFunc, RunSweepRouted, RunScenario).
+// RunSweep, RunSweepFunc, RunScenario).
 type SubmitOption func(*submitOptions)
 
 type submitOptions struct {

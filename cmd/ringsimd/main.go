@@ -8,6 +8,9 @@
 // which is plain fair round-robin between jobs. With -data the cache gains
 // a durable disk tier that survives restarts; with -self/-peers the node
 // joins a sharded cluster that routes each fingerprint to one owning node.
+// Any node accepts a sweep and coordinates it: routing is decided here, on
+// the server, never by clients, and the ring's vnode count is fixed so
+// every node computes the same placement.
 // With -replicas k (and -data) each fingerprint's envelope is further
 // replicated to the owner's next k-1 ring successors: completed results
 // are pushed to every replica's disk tier, routing falls over to replicas
@@ -119,7 +122,6 @@ func run(ctx context.Context, out io.Writer, args []string) error {
 		tenants     = fs.String("tenants", "", "tenant declarations: name:key:weight[:maxQueued[:maxConcurrent]],... or @file.json (empty = single anonymous tenant)")
 		self        = fs.String("self", "", "this node's advertised base URL (enables cluster mode)")
 		peers       = fs.String("peers", "", "comma-separated seed peer base URLs (same list on every node)")
-		vnodes      = fs.Int("vnodes", 0, "virtual nodes per member on the placement ring (0 = default; must match cluster-wide)")
 		probeIvl    = fs.Duration("probe-interval", 0, "peer health-probe period (0 = default 1s)")
 		replicas    = fs.Int("replicas", 0, "replica-set size k: each fingerprint's envelope lands on its owner plus the next k-1 ring successors (0 or 1 = unreplicated; must match cluster-wide)")
 		aeInterval  = fs.Duration("antientropy-interval", 0, "replica disk-tier reconciliation period (0 = default 30s; needs -replicas > 1 and -data)")
@@ -176,7 +178,6 @@ func run(ctx context.Context, out io.Writer, args []string) error {
 		Cluster: service.ClusterOptions{
 			Self:                strings.TrimRight(*self, "/"),
 			Peers:               seedPeers,
-			VNodes:              *vnodes,
 			ProbeInterval:       *probeIvl,
 			Replicas:            *replicas,
 			AntiEntropyInterval: *aeInterval,

@@ -164,9 +164,6 @@ func TestMembershipDegradedViewAndRoutable(t *testing.T) {
 	if m.Routable("http://a:1") {
 		t.Fatal("degraded peer with an open breaker must not be routable")
 	}
-	if got := m.OpenBreakers(); got != 1 {
-		t.Fatalf("OpenBreakers = %d, want 1", got)
-	}
 	if got := m.BreakerStates()[BreakerOpen]; got != 1 {
 		t.Fatalf("BreakerStates[open] = %d, want 1", got)
 	}
@@ -181,8 +178,8 @@ func TestMembershipDegradedViewAndRoutable(t *testing.T) {
 	if !m.Routable("http://a:1") {
 		t.Fatal("recovered peer not routable")
 	}
-	if got := m.OpenBreakers(); got != 0 {
-		t.Fatalf("OpenBreakers after recovery = %d, want 0", got)
+	if got := m.BreakerStates()[BreakerOpen]; got != 0 {
+		t.Fatalf("BreakerStates[open] after recovery = %d, want 0", got)
 	}
 }
 

@@ -74,88 +74,66 @@ func (c *Cluster) waitReplicated(fps []string, k int) {
 	}
 }
 
-// TestClusterReplicaRetryServesFromReplicas is the satellite-1 regression
-// test and the tentpole acceptance check in-process: when the owner of an
-// in-flight share dies, RunSweepRouted re-routes the share through the
-// rest of each fingerprint's replica set — which holds the replicated
-// envelopes — so the sweep finishes with zero errored rows, zero
-// re-executions of already-replicated fingerprints, and zero extra proxy
-// hops through the coordinator (the pre-replica retry re-ran the whole
-// share there).
+// TestClusterReplicaRetryServesFromReplicas: when a fingerprint's owner
+// dies, the serving node's proxy hop fails over to the rest of the replica
+// set — which holds the replicated envelope — so a sweep through a third
+// node finishes with zero errored rows and zero re-executions, and every
+// row whose owner sequence is (dead node, node 0) is counted as served by
+// a replica. The second sweep runs on a node that did not coordinate the
+// first, so nothing it needs is in its memory tier by accident.
 func TestClusterReplicaRetryServesFromReplicas(t *testing.T) {
 	c := Start(t, Options{
 		Nodes: 3, Replicas: 2, Disk: true,
-		// Slow probes keep the victim "alive" in the routing snapshot
-		// taken right after the crash, forcing the share onto the dead
-		// node so the retry path is actually exercised.
+		// Slow probes keep the victim "alive" in node 2's view right after
+		// the crash, so the first hop really goes to the dead owner and the
+		// failover — not a routing decision made from a fresh probe — is
+		// what serves the row.
 		ProbeInterval: 200 * time.Millisecond,
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	spec := grid(1, 2, 3)
+	// Placement depends on the nodes' ephemeral ports, so pin rows with
+	// known owner sequences rather than hope a small grid covers them.
+	seeds := append(c.seedsOwnedBy(t, 2, 3, 1, 0), c.seedsOwnedBy(t, 2, 3, 1, 2)...)
+	spec := seedSpec(append(seeds, 1, 2, 3, 4, 5, 6))
 	fps := fingerprints(t, spec)
-	cl := c.Client(0)
-
-	rows, err := cl.RunSweepRouted(ctx, spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		if r.Err != nil {
-			t.Fatalf("row %d errored: %v", r.Index, r.Err)
+	ring := c.placementRing()
+	failovers := 0
+	for _, fp := range fps {
+		if o := ring.Owners(fp, 2); o[0] == c.Node(1).URL && o[1] == c.Node(0).URL {
+			failovers++
 		}
 	}
+
+	runSweep := func(coordinator int) {
+		t.Helper()
+		j, err := c.Node(coordinator).Manager.Submit(spec, service.SubmitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if st := j.Status(); st.Errors != 0 {
+			t.Fatalf("sweep via node %d had %d errored rows", coordinator, st.Errors)
+		}
+	}
+	runSweep(0)
 	c.waitReplicated(fps, 2)
 	execBefore := c.TotalExecutions()
 	if execBefore != uint64(len(fps)) {
 		t.Fatalf("first sweep executed %d scenarios, want %d", execBefore, len(fps))
 	}
+	hitsBefore := scrapeCounter(t, c, 2, "dynring_cluster_replica_hits_total")
 
-	// The victim must head at least one fingerprint, or killing it proves
-	// nothing; with 12 rows over 3 nodes one of the non-coordinators does.
-	ring := c.placementRing()
-	victim := -1
-	for i := 1; i < c.Size(); i++ {
-		for _, fp := range fps {
-			if ring.Owner(fp) == c.Node(i).URL {
-				victim = i
-				break
-			}
-		}
-		if victim >= 0 {
-			break
-		}
-	}
-	if victim < 0 {
-		t.Fatal("no non-coordinator node heads any fingerprint")
-	}
-	proxiedBefore := c.Node(0).Manager.Stats().Proxied
-
-	c.Crash(victim)
-	cs, err := cl.ClusterStatus(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range cs.Peers {
-		if p.URL == c.Node(victim).URL && p.State != "alive" {
-			t.Fatalf("victim already marked %q before the sweep; the retry path would not be exercised", p.State)
-		}
-	}
-
-	rows, err = cl.RunSweepRouted(ctx, spec, nil)
-	if err != nil {
-		t.Fatalf("sweep after owner death: %v", err)
-	}
-	for _, r := range rows {
-		if r.Err != nil {
-			t.Fatalf("row %d errored after owner death: %v", r.Index, r.Err)
-		}
-	}
+	c.Crash(1)
+	runSweep(2)
 	if got := c.TotalExecutions(); got != execBefore {
 		t.Fatalf("owner death re-executed %d already-replicated scenarios", got-execBefore)
 	}
-	if got := c.Node(0).Manager.Stats().Proxied; got != proxiedBefore {
-		t.Fatalf("retry bounced %d scenarios through the coordinator instead of going to their replicas", got-proxiedBefore)
+	hits := scrapeCounter(t, c, 2, "dynring_cluster_replica_hits_total") - hitsBefore
+	if hits < float64(failovers) {
+		t.Fatalf("replica_hits_total rose by %v, want >= %d (rows owned by the dead node with node 0 as replica)", hits, failovers)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"dynring"
 	"dynring/internal/service"
 )
 
@@ -52,10 +51,9 @@ type Options struct {
 	// Tenants installs the same admission config on every node (nil = the
 	// open anonymous default).
 	Tenants []service.TenantConfig
-	// ShedQueueDepth and ShedOpenBreakers arm the overload brownout on
-	// every node (0 = shedding disabled, the service default).
-	ShedQueueDepth   int
-	ShedOpenBreakers int
+	// ShedQueueDepth arms the overload brownout on every node (0 =
+	// shedding disabled, the service default).
+	ShedQueueDepth int
 }
 
 // Cluster is a running in-process cluster and the fault plan every node's
@@ -120,8 +118,7 @@ func Start(t *testing.T, opts Options) *Cluster {
 	c := &Cluster{Plan: plan, t: t, nodes: make([]*Node, opts.Nodes)}
 	for i := range c.nodes {
 		o := service.Options{Workers: opts.Workers, CacheSize: opts.CacheSize,
-			Tenants: opts.Tenants, ShedQueueDepth: opts.ShedQueueDepth,
-			ShedOpenBreakers: opts.ShedOpenBreakers}
+			Tenants: opts.Tenants, ShedQueueDepth: opts.ShedQueueDepth}
 		if opts.Disk {
 			o.DiskDir = t.TempDir()
 		}
@@ -159,15 +156,6 @@ func (c *Cluster) Node(i int) *Node { return c.nodes[i] }
 
 // Size returns the cluster's member count, crashed nodes included.
 func (c *Cluster) Size() int { return len(c.nodes) }
-
-// Client returns a routed-sweep-capable client pointed at node i, with all
-// its traffic subject to the fault plan (as party "client").
-func (c *Cluster) Client(i int) *dynring.Client {
-	return &dynring.Client{
-		BaseURL:    c.nodes[i].URL,
-		HTTPClient: &http.Client{Transport: c.Plan.Transport("client")},
-	}
-}
 
 // Crash simulates SIGKILL of node i: its listener closes (in-flight
 // connections included) and the plan fails all traffic to or from it. The

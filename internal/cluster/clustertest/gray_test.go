@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,7 +21,7 @@ func (c *Cluster) seedsOwnedBy(t *testing.T, k int, want int, owners ...int) []i
 	t.Helper()
 	ring := c.placementRing()
 	var seeds []int64
-	for s := int64(9000); s < 12000 && len(seeds) < want; s++ {
+	for s := int64(9000); s < 21000 && len(seeds) < want; s++ {
 		spec := dynring.SweepSpec{
 			Algorithms:  []string{"KnownNNoChirality"},
 			Sizes:       []int{8},
@@ -200,6 +201,78 @@ func TestGrayFailureBreakerOpensAndRecovers(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// TestGrayFailureReplicationSkipsDegradedPeer: replication pushes consult
+// the breaker, not mere liveness. With the coordinator's breaker for a
+// slow replica open, a sweep of rows the coordinator owns makes zero
+// /v1/replicate requests to that replica: pushes drain serially, so each
+// one waiting out the proxy timeout on the gray peer would fill the
+// bounded push queue and stall every further execution behind it. The
+// missed envelopes reach the replica through anti-entropy once its
+// breaker closes.
+func TestGrayFailureReplicationSkipsDegradedPeer(t *testing.T) {
+	c := Start(t, Options{
+		Nodes: 3, Replicas: 2, Disk: true,
+		// SlowRTT rides ProxyTimeout: 250ms probes against a 100ms budget
+		// open the breaker after two. Each slow probe re-arms the cooldown,
+		// so the breaker stays open for as long as the fault lasts.
+		ProxyTimeout:        100 * time.Millisecond,
+		BreakerThreshold:    2,
+		BreakerCooldown:     time.Second,
+		AntiEntropyInterval: time.Hour, // the test drives the repair pass
+	})
+	n0, n1 := c.Node(0), c.Node(1)
+	// More rows than the 256-slot push queue holds: if pushes waited on
+	// the degraded replica, the queue would fill and stall executions.
+	const rows, queueDepth = 320, 256
+	seeds := c.seedsOwnedBy(t, 2, rows, 0, 1)
+	spec := seedSpec(seeds)
+
+	c.Plan.SlowNode(n1.URL, 250*time.Millisecond)
+	c.WaitPeerState(0, n1.URL, "degraded")
+	var pushes atomic.Int64
+	c.Plan.OnRequest(func(from, to, path string) {
+		if from == n0.URL && to == n1.URL && path == "/v1/replicate" {
+			pushes.Add(1)
+		}
+	})
+
+	start := time.Now()
+	j, err := n0.Manager.Submit(spec, service.SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := j.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	elapsed := time.Since(start)
+	if st := j.Status(); st.Errors != 0 {
+		t.Fatalf("sweep had %d errored rows", st.Errors)
+	}
+	c.Plan.OnRequest(nil)
+	if got := pushes.Load(); got != 0 {
+		t.Fatalf("coordinator sent %d replication pushes to the degraded replica, want 0", got)
+	}
+	// Half of what the stall would cost: every row past the queue's
+	// capacity waiting out one proxy timeout.
+	if stall := time.Duration(rows-queueDepth) * 100 * time.Millisecond; elapsed >= stall/2 {
+		t.Fatalf("sweep took %v — executions waited on pushes to the degraded replica (stall bound %v)", elapsed, stall)
+	}
+	if got := c.TotalExecutions(); got != uint64(rows) {
+		t.Fatalf("cluster executed %d scenarios, want %d", got, rows)
+	}
+
+	// Recovery: once the breaker closes, one anti-entropy pass lands every
+	// skipped envelope on the replica's disk tier.
+	c.Plan.SlowNode(n1.URL, 0)
+	c.WaitPeerState(0, n1.URL, "alive")
+	if repairs := n0.Manager.AntiEntropyNow(); repairs < rows {
+		t.Fatalf("anti-entropy repaired %d envelopes, want >= %d", repairs, rows)
+	}
+	c.WaitDurable(1, rows)
 }
 
 // postSweepHdr POSTs spec to node i with extra headers through the plan

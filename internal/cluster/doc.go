@@ -5,12 +5,12 @@
 // member discovery.
 //
 // The two halves are deliberately decoupled. Placement (Ring) is a pure
-// function of the configured member set and the vnode count — health never
-// moves keys, so two nodes that agree on the member list agree on every
-// owner, and a client can compute owners locally from a single
-// /v1/cluster snapshot. Health (Membership) only gates *routing*: a
-// request whose owner is not alive falls back to local execution on the
-// node that holds it, trading one duplicate execution for availability.
-// The package has no dependency on the rest of the module, so the root
-// dynring client and internal/service share one placement implementation.
+// function of the member set and the fixed vnode count (DefaultVNodes) —
+// health never moves keys, so two nodes that agree on the member list
+// agree on every owner. Health (Membership) only gates *routing*: a
+// request whose owner is not alive falls back to its replicas and then to
+// local execution on the node that holds it, trading one duplicate
+// execution for availability. internal/service is the package's only
+// user and the cluster's one routing authority; clients never compute
+// placement.
 package cluster

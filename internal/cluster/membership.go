@@ -99,9 +99,6 @@ type Config struct {
 	// Peers are the seed peers to bootstrap from; Self is filtered out, so
 	// every node of a cluster can be started with the identical list.
 	Peers []string
-	// VNodes is the per-member virtual-node count (non-positive:
-	// DefaultVNodes). Every node of a cluster must agree on it.
-	VNodes int
 	// ProbeInterval is the health-probe period (default 1s); ProbeTimeout
 	// bounds one probe (default ProbeInterval).
 	ProbeInterval time.Duration
@@ -495,9 +492,9 @@ func (m *Membership) Rejoin(url string) {
 
 // Alive reports whether url is this node (always alive) or a peer whose
 // state is alive. Degraded peers are alive — they answer probes — so
-// liveness-driven logic (steal evidence, replication targets) keeps
-// working against them; use Routable to decide whether to send them
-// latency-sensitive work.
+// liveness-driven logic (steal evidence) keeps working against them; use
+// Routable to decide whether to send them any request that waits on the
+// peer (proxy hops, replication pushes).
 func (m *Membership) Alive(url string) bool {
 	if url == m.cfg.Self {
 		return true
@@ -540,21 +537,6 @@ func (m *Membership) ObserveRTT(url string, rtt time.Duration) {
 	if ok {
 		p.breaker.Observe(rtt, nil)
 	}
-}
-
-// OpenBreakers counts peers whose breaker is currently open. Admission
-// brownout uses it as an overload signal: many simultaneously-gray peers
-// mean locally-enqueued work will drain slowly.
-func (m *Membership) OpenBreakers() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := 0
-	for _, p := range m.peers {
-		if p.breaker.State() == BreakerOpen {
-			n++
-		}
-	}
-	return n
 }
 
 // BreakerStates returns the count of peers in each breaker state. The
@@ -600,8 +582,8 @@ func (m *Membership) Snapshot() []PeerInfo {
 		st, bst := p.state, p.breaker.State()
 		// Degraded is the reported view of "alive but breaker not closed":
 		// the stored state stays alive (health never moves keys), but the
-		// snapshot — and through it /v1/cluster, gossip, and client-side
-		// routing — sees the gray verdict.
+		// snapshot — and through it /v1/cluster and gossip — sees the
+		// gray verdict.
 		if st == StateAlive && bst != BreakerClosed {
 			st = StateDegraded
 		}
@@ -631,7 +613,7 @@ func (m *Membership) Ring() *Ring {
 				members = append(members, url)
 			}
 		}
-		m.ring = NewRing(members, m.cfg.VNodes)
+		m.ring = NewRing(members, DefaultVNodes)
 	}
 	return m.ring
 }

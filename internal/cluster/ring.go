@@ -7,8 +7,10 @@ import (
 	"sort"
 )
 
-// DefaultVNodes is the virtual-node count per member when a Ring (or a
-// Membership) is built with a non-positive vnode count. 64 points per
+// DefaultVNodes is the virtual-node count per member when a Ring is built
+// with a non-positive vnode count, and the count every Membership ring
+// uses — it is fixed, not configurable, because nodes that disagreed on it
+// would disagree on placement and with it on exactly-once. 64 points per
 // member keeps the worst member's share within a few percent of fair for
 // small clusters while the ring stays tiny (a 16-node cluster is 1024
 // points).

@@ -43,8 +43,7 @@ var ErrUnknownTenant = errors.New("service: unknown or missing tenant key")
 
 // ErrOverloaded is the brownout rejection: the node is shedding
 // lowest-value work (anonymous or negative-priority submissions) because
-// its queue depth or open-breaker count crossed the configured shed
-// thresholds. Mapped to 503 with a Retry-After hint. Unlike
+// its queue depth crossed the configured shed threshold. Mapped to 503 with a Retry-After hint. Unlike
 // ErrQuotaExceeded this is the node's fault, not the tenant's — the
 // client did nothing wrong and should simply come back later.
 var ErrOverloaded = errors.New("service: overloaded, shedding low-priority work")
@@ -222,21 +221,11 @@ func (m *Manager) admitLocked(ts *tenantState, total int) error {
 	return nil
 }
 
-// brownoutLocked reports whether the node is shedding. Two independent
-// triggers, each disabled at zero: total scheduler backlog at or above
-// ShedQueueDepth (local overload — work is arriving faster than workers
-// drain it), or open circuit breakers at or above ShedOpenBreakers
-// (cluster gray failure — proxy targets are unroutable, so admitted work
-// would pile up behind failovers). Callers hold m.mu.
+// brownoutLocked reports whether the node is shedding: ShedQueueDepth is
+// armed and the total scheduler backlog has reached it (work is arriving
+// faster than workers drain it). Callers hold m.mu.
 func (m *Manager) brownoutLocked() bool {
-	if m.shedQueueDepth > 0 && m.sched.Len() >= m.shedQueueDepth {
-		return true
-	}
-	if m.shedOpenBreakers > 0 && m.membership != nil &&
-		m.membership.OpenBreakers() >= m.shedOpenBreakers {
-		return true
-	}
-	return false
+	return m.shedQueueDepth > 0 && m.sched.Len() >= m.shedQueueDepth
 }
 
 // shedLocked is the brownout gate ahead of quota admission: under

@@ -85,13 +85,16 @@ func (m *Manager) replicationLoop() {
 	}
 }
 
-// pushReplicas sends one envelope to every other currently-alive member of
-// its replica set. A dead or unreachable replica is skipped — anti-entropy
-// repairs it on recovery.
+// pushReplicas sends one envelope to every other currently-routable member
+// of its replica set. A dead, unreachable or degraded (open-breaker)
+// replica is skipped — anti-entropy repairs it on recovery. Routable, not
+// Alive: pushes run serially on one loop, each bounded by the proxy
+// timeout, so waiting on a gray peer would back the bounded queue up into
+// every execution on this node.
 func (m *Manager) pushReplicas(fp string, res dynring.Result) {
 	self := m.membership.Self()
 	for _, o := range m.membership.Ring().Owners(fp, m.replicas) {
-		if o == self || !m.membership.Alive(o) {
+		if o == self || !m.membership.Routable(o) {
 			continue
 		}
 		if err := m.postReplicate(o, fp, res); err != nil {
@@ -113,9 +116,6 @@ func (m *Manager) postReplicate(target, fp string, res dynring.Result) error {
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	// The push's budget rides along, so the receiver bounds its own side
-	// of the hop exactly as /v1/run does with a propagated job deadline.
-	req.Header.Set(DeadlineHeader, m.proxyTimeout.String())
 	resp, err := m.proxyHTTP.Do(req)
 	if err != nil {
 		return err

@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"dynring"
 )
@@ -63,37 +62,6 @@ func TestBrownoutShedsOnQueueDepth(t *testing.T) {
 	}
 	if got := m.shed.Load(); got != 2 {
 		t.Fatalf("shed counter after carve-out = %d, want 2 (unchanged)", got)
-	}
-}
-
-// TestBrownoutShedsOnOpenBreakers: the cluster trigger — open circuit
-// breakers at the threshold shed anonymous work even with an empty queue,
-// since admitted work would pile up behind failovers.
-func TestBrownoutShedsOnOpenBreakers(t *testing.T) {
-	m := mustManager(t, Options{Workers: 1, CacheSize: 0, ShedOpenBreakers: 1,
-		Tenants: twoTenants(),
-		Cluster: ClusterOptions{
-			Self:             "http://self:1",
-			Peers:            []string{"http://peer:2"},
-			BreakerThreshold: 2,
-			ProxyTimeout:     50 * time.Millisecond,
-		}})
-
-	if _, err := m.Submit(testSpec(), SubmitOptions{}); err != nil {
-		t.Fatalf("submit with closed breakers: %v", err)
-	}
-	// Two slow proxy observations (RTT >= ProxyTimeout) open the peer's
-	// breaker through the same evidence path proxyRun uses.
-	m.membership.ObserveRTT("http://peer:2", time.Second)
-	m.membership.ObserveRTT("http://peer:2", time.Second)
-	if got := m.membership.OpenBreakers(); got != 1 {
-		t.Fatalf("OpenBreakers = %d, want 1", got)
-	}
-	if _, err := m.Submit(testSpec(), SubmitOptions{}); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("anonymous submit with open breaker: err %v, want ErrOverloaded", err)
-	}
-	if _, err := m.Submit(testSpec(), SubmitOptions{Tenant: "bob"}); err != nil {
-		t.Fatalf("premium submit with open breaker: %v", err)
 	}
 }
 

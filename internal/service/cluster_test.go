@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -130,6 +131,31 @@ func TestClusterExactlyOnce(t *testing.T) {
 		}
 		if !row.Cached {
 			t.Fatalf("repeat row %d was executed, want cache-served", i)
+		}
+	}
+
+	// Server-side routing changes where a row runs, never what it returns:
+	// both coordinators' rows deep-equal a local sweep's, in grid order.
+	sw, err := spec.Sweep()
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := sw.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range []*Job{j0, j1} {
+		if j.Total() != len(local) {
+			t.Fatalf("job %s has %d rows, local sweep %d", j.ID, j.Total(), len(local))
+		}
+		for i := range local {
+			row, err := j.WaitRow(context.Background(), i)
+			if err != nil || row.Err != nil {
+				t.Fatalf("job %s row %d: %v / %v", j.ID, i, err, row.Err)
+			}
+			if !reflect.DeepEqual(row.Result, local[i].Result) {
+				t.Fatalf("job %s row %d differs from the local sweep:\n%+v\n%+v", j.ID, i, row.Result, local[i].Result)
+			}
 		}
 	}
 

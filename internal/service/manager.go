@@ -57,11 +57,6 @@ type Options struct {
 	// work, fully-cached grids, and every read endpoint keep being served.
 	// Zero disables queue-depth shedding (ringsimd -shed-queue-depth).
 	ShedQueueDepth int
-	// ShedOpenBreakers, when positive, adds a cluster-health brownout
-	// trigger: shedding also engages while at least this many peers have
-	// open circuit breakers — locally-admitted work would drain slowly
-	// when most of the ring is gray. Zero disables the trigger.
-	ShedOpenBreakers int
 	// Logger, when non-nil, receives structured operational records
 	// (cluster state transitions, skipped disk entries, proxy fallbacks,
 	// job lifecycle). The manager derives per-component child loggers
@@ -80,9 +75,6 @@ type ClusterOptions struct {
 	// can be started with the identical list. Further members are
 	// discovered by gossip.
 	Peers []string
-	// VNodes is the per-member virtual-node count on the placement ring
-	// (non-positive: cluster.DefaultVNodes). All nodes must agree on it.
-	VNodes int
 	// ProbeInterval and ProbeTimeout tune health probing; zero means the
 	// membership defaults (1s, and probe timeout = interval).
 	ProbeInterval time.Duration
@@ -215,7 +207,6 @@ type task struct {
 type Manager struct {
 	workers    int
 	history    int
-	vnodes     int
 	replicas   int // replica-set size k; 1 means unreplicated
 	cache      *Cache
 	membership *cluster.Membership // nil when standalone
@@ -247,17 +238,16 @@ type Manager struct {
 	// RPC; hedgeAfter is the hedged-read delay (0: hedging off); hedges
 	// and hedgeWins count fired hedges and hedges whose response was
 	// adopted. peerLat holds the per-peer proxy-RTT windows the hedging
-	// quantile reads. shedQueueDepth / shedOpenBreakers arm admission
-	// brownout, and shed counts submissions rejected by it.
-	proxyTimeout     time.Duration
-	hedgeAfter       time.Duration
-	hedges           atomic.Uint64
-	hedgeWins        atomic.Uint64
-	shedQueueDepth   int
-	shedOpenBreakers int
-	shed             atomic.Uint64
-	latMu            sync.Mutex
-	peerLat          map[string]*latWindow
+	// quantile reads. shedQueueDepth arms admission brownout, and shed
+	// counts submissions rejected by it.
+	proxyTimeout   time.Duration
+	hedgeAfter     time.Duration
+	hedges         atomic.Uint64
+	hedgeWins      atomic.Uint64
+	shedQueueDepth int
+	shed           atomic.Uint64
+	latMu          sync.Mutex
+	peerLat        map[string]*latWindow
 
 	// Admission state: tenants by name and by API key (both immutable
 	// after newManager; tenantList preserves declaration order for stats),
@@ -376,16 +366,11 @@ func newManager(opts Options) (*Manager, error) {
 	m.group = rescache.NewGroup(cache, dynring.Result.Clone)
 	m.runners.New = func() any { return dynring.NewRunner() }
 	m.shedQueueDepth = opts.ShedQueueDepth
-	m.shedOpenBreakers = opts.ShedOpenBreakers
 	m.proxyTimeout = opts.Cluster.ProxyTimeout
 	if m.proxyTimeout <= 0 {
 		m.proxyTimeout = defaultProxyTimeout
 	}
 	if opts.Cluster.Self != "" {
-		m.vnodes = opts.Cluster.VNodes
-		if m.vnodes <= 0 {
-			m.vnodes = cluster.DefaultVNodes
-		}
 		m.replicas = opts.Cluster.Replicas
 		if m.replicas < 1 {
 			m.replicas = 1
@@ -403,7 +388,6 @@ func newManager(opts Options) (*Manager, error) {
 		m.membership = cluster.NewMembership(cluster.Config{
 			Self:          opts.Cluster.Self,
 			Peers:         opts.Cluster.Peers,
-			VNodes:        m.vnodes,
 			ProbeInterval: opts.Cluster.ProbeInterval,
 			ProbeTimeout:  opts.Cluster.ProbeTimeout,
 			HTTPClient:    m.proxyHTTP,
@@ -712,7 +696,7 @@ func (m *Manager) ClusterStatus() dynring.ClusterStatus {
 	return dynring.ClusterStatus{
 		Enabled:  true,
 		Self:     m.membership.Self(),
-		VNodes:   m.vnodes,
+		VNodes:   cluster.DefaultVNodes,
 		Replicas: m.replicas,
 		Peers:    peers,
 	}

@@ -125,7 +125,7 @@ func newMetrics(m *Manager) *metrics {
 	// without a tenant config — and a flat zero is itself the signal that no
 	// brownout has occurred.
 	r.CounterFunc("dynring_admission_shed_total",
-		"Sweeps shed with 503 by the overload brownout (queue depth or open-breaker count over the shed thresholds).",
+		"Sweeps shed with 503 by the overload brownout (scheduler queue depth at or over the shed threshold).",
 		func() float64 { return float64(m.shed.Load()) })
 
 	// --- cache: the tiered result store ---
