@@ -43,9 +43,9 @@ func mustRows(b *testing.B, f func() ([]expt.Row, error)) []expt.Row {
 }
 
 // BenchmarkEngine_Step measures raw simulator throughput: one SSYNC/PT round
-// with three agents on a 64-node ring under a random adversary. The reported
-// allocs/op are the adversary's own (Activate building its id slice); the
-// engine contributes zero — see BenchmarkEngine_StepFSync.
+// with three agents on a 64-node ring under a random adversary. It reports 0
+// allocs/op: the stock adversary's Activate returns World.AgentIDs, and the
+// engine contributes nothing (gated by TestScenarioStepZeroAllocStockAdversaries).
 func BenchmarkEngine_Step(b *testing.B) {
 	newWorld := func(seed int64) *dynring.World {
 		w, err := dynring.Scenario{
@@ -92,6 +92,26 @@ func BenchmarkEngine_StepFSync(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := w.Step(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFingerprint measures Scenario.Fingerprint, which the sweep
+// service runs for every row of every submission (see
+// TestFingerprintAllocBound for its allocation gate).
+func BenchmarkFingerprint(b *testing.B) {
+	sc := dynring.Scenario{
+		Size:           16,
+		Landmark:       0,
+		Algorithm:      "LandmarkWithChirality",
+		AdversaryLabel: "random(p=0.5)",
+		NewAdversary:   dynring.RandomEdgesFactory(0.5),
+		Seed:           7,
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := sc.Fingerprint(); err != nil {
 			b.Fatal(err)
 		}
 	}

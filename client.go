@@ -659,7 +659,9 @@ func (c *Client) streamOnce(ctx context.Context, id string, total int, next *int
 		return remoteError(resp)
 	}
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
+	// Start from the scanner's small default buffer and grow only for a
+	// row that needs it; most rows are a few hundred bytes.
+	sc.Buffer(nil, 4<<20)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {

@@ -18,7 +18,7 @@ var _ sim.Adversary = Func{}
 // Activate implements sim.Adversary.
 func (f Func) Activate(t int, w *sim.World) []int {
 	if f.ActivateFunc == nil {
-		return allAgents(w)
+		return w.AgentIDs()
 	}
 	return f.ActivateFunc(t, w)
 }
@@ -31,21 +31,13 @@ func (f Func) MissingEdge(t int, w *sim.World, intents []sim.Intent) int {
 	return f.EdgeFunc(t, w, intents)
 }
 
-func allAgents(w *sim.World) []int {
-	ids := make([]int, w.NumAgents())
-	for i := range ids {
-		ids[i] = i
-	}
-	return ids
-}
-
 // None removes no edge and activates everyone: a static ring.
 type None struct{}
 
 var _ sim.Adversary = None{}
 
 // Activate implements sim.Adversary.
-func (None) Activate(_ int, w *sim.World) []int { return allAgents(w) }
+func (None) Activate(_ int, w *sim.World) []int { return w.AgentIDs() }
 
 // MissingEdge implements sim.Adversary.
 func (None) MissingEdge(int, *sim.World, []sim.Intent) int { return sim.NoEdge }
@@ -67,7 +59,7 @@ type PersistentEdge struct {
 var _ sim.Adversary = PersistentEdge{}
 
 // Activate implements sim.Adversary.
-func (p PersistentEdge) Activate(_ int, w *sim.World) []int { return allAgents(w) }
+func (p PersistentEdge) Activate(_ int, w *sim.World) []int { return w.AgentIDs() }
 
 // MissingEdge implements sim.Adversary.
 func (p PersistentEdge) MissingEdge(int, *sim.World, []sim.Intent) int { return p.Edge }
@@ -96,7 +88,7 @@ func NewRandomEdge(p float64, seed int64) *RandomEdge {
 var _ sim.Adversary = (*RandomEdge)(nil)
 
 // Activate implements sim.Adversary.
-func (r *RandomEdge) Activate(_ int, w *sim.World) []int { return allAgents(w) }
+func (r *RandomEdge) Activate(_ int, w *sim.World) []int { return w.AgentIDs() }
 
 // MissingEdge implements sim.Adversary.
 func (r *RandomEdge) MissingEdge(_ int, w *sim.World, _ []sim.Intent) int {
@@ -111,6 +103,7 @@ func (r *RandomEdge) MissingEdge(_ int, w *sim.World, _ []sim.Intent) int {
 // probability P, with a guaranteed non-empty set.
 type RandomActivation struct {
 	rng *rand.Rand
+	ids []int // Activate's result, reused across rounds
 	// Edges provides the missing-edge strategy (nil: never remove).
 	Edges sim.Adversary
 	// P is the per-agent activation probability in (0,1].
@@ -126,27 +119,32 @@ var _ sim.Adversary = (*RandomActivation)(nil)
 
 // Activate implements sim.Adversary.
 func (r *RandomActivation) Activate(_ int, w *sim.World) []int {
-	var ids []int
+	ids := r.ids[:0]
+	live := 0
 	for i := 0; i < w.NumAgents(); i++ {
 		if w.AgentTerminated(i) {
 			continue
 		}
+		live++
 		if r.rng.Float64() < r.P {
 			ids = append(ids, i)
 		}
 	}
-	if len(ids) == 0 {
+	if len(ids) == 0 && live > 0 {
 		// Guarantee progress: wake one live agent uniformly.
-		var live []int
-		for i := 0; i < w.NumAgents(); i++ {
-			if !w.AgentTerminated(i) {
-				live = append(live, i)
+		k := r.rng.Intn(live)
+		for i := 0; ; i++ {
+			if w.AgentTerminated(i) {
+				continue
 			}
-		}
-		if len(live) > 0 {
-			ids = append(ids, live[r.rng.Intn(len(live))])
+			if k == 0 {
+				ids = append(ids, i)
+				break
+			}
+			k--
 		}
 	}
+	r.ids = ids
 	return ids
 }
 
@@ -169,7 +167,7 @@ type TargetAgent struct {
 var _ sim.Adversary = TargetAgent{}
 
 // Activate implements sim.Adversary.
-func (a TargetAgent) Activate(_ int, w *sim.World) []int { return allAgents(w) }
+func (a TargetAgent) Activate(_ int, w *sim.World) []int { return w.AgentIDs() }
 
 // MissingEdge implements sim.Adversary.
 func (a TargetAgent) MissingEdge(_ int, w *sim.World, intents []sim.Intent) int {
@@ -202,7 +200,7 @@ type PreventMeeting struct{}
 var _ sim.Adversary = PreventMeeting{}
 
 // Activate implements sim.Adversary.
-func (PreventMeeting) Activate(_ int, w *sim.World) []int { return allAgents(w) }
+func (PreventMeeting) Activate(_ int, w *sim.World) []int { return w.AgentIDs() }
 
 // MissingEdge implements sim.Adversary.
 func (PreventMeeting) MissingEdge(_ int, w *sim.World, intents []sim.Intent) int {
@@ -270,7 +268,7 @@ type FrontierGuard struct{}
 var _ sim.Adversary = FrontierGuard{}
 
 // Activate implements sim.Adversary.
-func (FrontierGuard) Activate(_ int, w *sim.World) []int { return allAgents(w) }
+func (FrontierGuard) Activate(_ int, w *sim.World) []int { return w.AgentIDs() }
 
 // MissingEdge implements sim.Adversary.
 func (FrontierGuard) MissingEdge(_ int, w *sim.World, intents []sim.Intent) int {
@@ -304,7 +302,7 @@ type GreedyBlocker struct{}
 var _ sim.Adversary = GreedyBlocker{}
 
 // Activate implements sim.Adversary.
-func (GreedyBlocker) Activate(_ int, w *sim.World) []int { return allAgents(w) }
+func (GreedyBlocker) Activate(_ int, w *sim.World) []int { return w.AgentIDs() }
 
 // MissingEdge implements sim.Adversary.
 func (GreedyBlocker) MissingEdge(_ int, w *sim.World, intents []sim.Intent) int {

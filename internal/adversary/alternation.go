@@ -55,7 +55,7 @@ func (a *Alternation) Activate(_ int, w *sim.World) []int {
 	}
 	if a.lockEdge != sim.NoEdge {
 		a.blockNext = a.lockEdge
-		return allAgents(w)
+		return w.AgentIDs()
 	}
 	if w.AgentTerminated(a.turn) {
 		a.turn = a.other(w)
@@ -70,7 +70,7 @@ func (a *Alternation) Activate(_ int, w *sim.World) []int {
 		// Both agents want the same edge from opposite sides: lock it.
 		a.lockEdge = sleeperExit
 		a.blockNext = sleeperExit
-		return allAgents(w)
+		return w.AgentIDs()
 	case sleeperExit != sim.NoEdge && turnExit != sim.NoEdge:
 		// Cannot block both exits: keep the sleeper pinned and let it be
 		// the only active agent (it stays blocked); the pusher sleeps in

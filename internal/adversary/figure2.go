@@ -23,7 +23,7 @@ var _ sim.Adversary = Figure2{}
 func (Figure2) Starts() []int { return []int{0, 1} }
 
 // Activate implements sim.Adversary.
-func (Figure2) Activate(_ int, w *sim.World) []int { return allAgents(w) }
+func (Figure2) Activate(_ int, w *sim.World) []int { return w.AgentIDs() }
 
 // MissingEdge implements sim.Adversary.
 func (f Figure2) MissingEdge(t int, _ *sim.World, _ []sim.Intent) int {

@@ -37,7 +37,7 @@ var _ sim.Adversary = (*BoundedBlocking)(nil)
 // Activate implements sim.Adversary.
 func (b *BoundedBlocking) Activate(t int, w *sim.World) []int {
 	if b.Inner == nil {
-		return allAgents(w)
+		return w.AgentIDs()
 	}
 	return b.Inner.Activate(t, w)
 }

@@ -25,7 +25,7 @@ var _ sim.Adversary = (*Recording)(nil)
 // Activate implements sim.Adversary.
 func (r *Recording) Activate(t int, w *sim.World) []int {
 	if r.Inner == nil {
-		return allAgents(w)
+		return w.AgentIDs()
 	}
 	return r.Inner.Activate(t, w)
 }
@@ -63,7 +63,7 @@ type Replay struct {
 var _ sim.Adversary = (*Replay)(nil)
 
 // Activate implements sim.Adversary.
-func (r *Replay) Activate(_ int, w *sim.World) []int { return allAgents(w) }
+func (r *Replay) Activate(_ int, w *sim.World) []int { return w.AgentIDs() }
 
 // MissingEdge implements sim.Adversary.
 func (r *Replay) MissingEdge(t int, _ *sim.World, intents []sim.Intent) int {

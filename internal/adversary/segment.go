@@ -63,7 +63,7 @@ func (s *SegmentConfine) Activate(_ int, w *sim.World) []int {
 		// removed; in busy rounds alternate which endpoint group acts.
 		press := s.pressers(w, hiEdge)
 		if len(press) < 2 {
-			return allAgents(w)
+			return w.AgentIDs()
 		}
 		s.alt = !s.alt
 		dropFrom := w.Ring().Node(s.Hi)
@@ -82,9 +82,9 @@ func (s *SegmentConfine) Activate(_ int, w *sim.World) []int {
 		if s.alt {
 			drop = loPress
 		}
-		return without(allAgents(w), drop)
+		return without(w.AgentIDs(), drop)
 	}
-	return allAgents(w)
+	return w.AgentIDs()
 }
 
 // MissingEdge implements sim.Adversary.
@@ -125,7 +125,7 @@ func (s *SegmentConfine) allExceptPressersAt(w *sim.World, e, at int) []int {
 			drop = append(drop, id)
 		}
 	}
-	return without(allAgents(w), drop)
+	return without(w.AgentIDs(), drop)
 }
 
 func without(ids, drop []int) []int {

@@ -49,7 +49,7 @@ func NewTInterval(t int, seed int64) *TInterval {
 var _ sim.Adversary = (*TInterval)(nil)
 
 // Activate implements sim.Adversary.
-func (a *TInterval) Activate(_ int, w *sim.World) []int { return allAgents(w) }
+func (a *TInterval) Activate(_ int, w *sim.World) []int { return w.AgentIDs() }
 
 // MissingEdge implements sim.Adversary: the phase edge, re-drawn whenever
 // round t enters a new aligned phase.
@@ -85,7 +85,7 @@ type CappedRemoval struct {
 var _ sim.MultiAdversary = CappedRemoval{}
 
 // Activate implements sim.Adversary.
-func (c CappedRemoval) Activate(_ int, w *sim.World) []int { return allAgents(w) }
+func (c CappedRemoval) Activate(_ int, w *sim.World) []int { return w.AgentIDs() }
 
 // MissingEdge implements sim.Adversary (the r=1 behaviour); the engine
 // prefers MissingEdges.

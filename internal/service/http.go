@@ -59,9 +59,11 @@ const maxEnvelopeBytes = 8 << 20
 // the tenant) and DeadlineHeader (Go duration; the job is cancelled when
 // it expires).
 //
-// The results stream is live — rows are flushed as scenarios settle — and,
-// for a job that ran to completion, byte-identical across repeats and
-// worker counts: rows carry only deterministic fields.
+// The results stream is live — every settled row is written, and the
+// stream is flushed just before the handler waits on a pending row, so a
+// consumer never waits on a row the server already holds — and, for a job
+// that ran to completion, byte-identical across repeats and worker counts:
+// rows carry only deterministic fields.
 //
 // /v1/run is the cluster's proxy hop and deliberately executes on the
 // handler goroutine, never on the shared worker pool: if proxy hops queued
@@ -170,20 +172,31 @@ func NewHandler(m *Manager) http.Handler {
 		flusher, _ := w.(http.Flusher)
 		enc := json.NewEncoder(w)
 		for i := from; i < j.Total(); i++ {
-			row, err := j.WaitRow(r.Context(), i)
-			if err != nil {
-				// Aborted mid-stream (request context cancelled — client
-				// disconnect or a server-side deadline). A silent return
-				// would be indistinguishable from a complete stream, so
-				// best-effort emit a terminal error row; its negative index
-				// can never collide with a data row. Clients additionally
-				// guard with a row count (see Client.StreamResults), since
-				// this write is lost when the connection itself is dead.
-				_ = enc.Encode(dynring.ResultRow{
-					Index: dynring.StreamAbortedIndex,
-					Error: "stream aborted: " + err.Error(),
-				})
-				return
+			row, ok := j.SettledRow(i)
+			if !ok {
+				// About to wait on a pending row: push out everything
+				// written so far first, so the stream stays live. Settled
+				// rows go out back to back and share one flush; the last
+				// one is flushed by net/http when the handler returns.
+				if flusher != nil {
+					flusher.Flush()
+				}
+				var err error
+				if row, err = j.WaitRow(r.Context(), i); err != nil {
+					// Aborted mid-stream (request context cancelled —
+					// client disconnect or a server-side deadline). A
+					// silent return would be indistinguishable from a
+					// complete stream, so best-effort emit a terminal
+					// error row; its negative index can never collide with
+					// a data row. Clients additionally guard with a row
+					// count (see Client.StreamResults), since this write
+					// is lost when the connection itself is dead.
+					_ = enc.Encode(dynring.ResultRow{
+						Index: dynring.StreamAbortedIndex,
+						Error: "stream aborted: " + err.Error(),
+					})
+					return
+				}
 			}
 			wire := dynring.ResultRow{
 				Index:       i,
@@ -198,9 +211,6 @@ func NewHandler(m *Manager) http.Handler {
 			}
 			if err := enc.Encode(wire); err != nil {
 				return
-			}
-			if flusher != nil {
-				flusher.Flush()
 			}
 		}
 	})

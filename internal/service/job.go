@@ -189,6 +189,14 @@ func (j *Job) Status() dynring.JobStatus {
 	}
 }
 
+// SettledRow returns row i and true if it has settled, without blocking;
+// otherwise the zero Row and false.
+func (j *Job) SettledRow(i int) (Row, bool) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.rows[i], j.rows[i].Done
+}
+
 // WaitRow blocks until row i settles (returning it) or ctx is cancelled
 // (returning ctx's error). It is how the streaming results handler walks a
 // job in grid order while it is still executing.

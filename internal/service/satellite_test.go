@@ -4,10 +4,12 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"dynring"
 )
@@ -108,6 +110,61 @@ func TestStreamAbortEmitsTerminalRow(t *testing.T) {
 	}
 	if !strings.Contains(last.Error, "stream aborted") {
 		t.Fatalf("terminal row error = %q, want a stream-aborted message", last.Error)
+	}
+}
+
+// TestResultsStreamFlushesBeforeBlocking: with row 0 settled and row 1
+// pending, the client must receive row 0 while row 1 is still pending. The
+// handler writes settled rows without flushing each one, so this holds only
+// because it flushes before it waits on a pending row.
+func TestResultsStreamFlushesBeforeBlocking(t *testing.T) {
+	// No workers: rows settle only when the test settles them.
+	m := mustManager(t, Options{Workers: 1, CacheSize: 0})
+	j, err := m.Submit(testSpec(), SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.setRow(0, Row{Result: dynring.Result{Rounds: 3}})
+
+	srv := httptest.NewServer(NewHandler(m))
+	defer srv.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel() // ends the request, so the handler stops waiting on row 1
+
+	first := make(chan string, 1)
+	go func() {
+		req, err := http.NewRequestWithContext(ctx, "GET", srv.URL+"/v1/sweeps/"+j.ID+"/results", nil)
+		if err != nil {
+			first <- err.Error()
+			return
+		}
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			first <- err.Error()
+			return
+		}
+		defer resp.Body.Close()
+		line, err := bufio.NewReader(resp.Body).ReadString('\n')
+		if err != nil {
+			line = err.Error()
+		}
+		first <- line
+	}()
+
+	select {
+	case line := <-first:
+		var row dynring.ResultRow
+		if err := json.Unmarshal([]byte(line), &row); err != nil {
+			t.Fatalf("first line %q: %v", line, err)
+		}
+		if row.Index != 0 || row.Result == nil || row.Result.Rounds != 3 {
+			t.Fatalf("first row = %+v, want settled row 0", row)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("row 0 did not reach the client while row 1 was pending")
+	}
+	if _, ok := j.SettledRow(1); ok {
+		t.Fatal("row 1 settled during the test")
 	}
 }
 

@@ -23,6 +23,7 @@
 // once by Reset), so the steady state of Step performs zero heap allocations
 // on both the single-edge and multi-edge paths. The exceptions are opt-in:
 // an Observer costs one RoundRecord per round, DetectCycles costs one
-// fingerprint string per round, and SSYNC adversaries allocate whatever
-// their Activate implementations allocate.
+// fingerprint string per round, and a custom SSYNC adversary allocates
+// whatever its Activate allocates. The stock adversaries allocate nothing:
+// they activate everyone through World.AgentIDs, or reuse their own buffer.
 package sim

@@ -12,8 +12,9 @@ import (
 //
 // The steady state performs zero heap allocations: all per-round working
 // storage lives in the World's preallocated scratch (see Reset). Only the
-// opt-in paths allocate — an Observer's RoundRecord, and whatever an SSYNC
-// adversary's Activate returns.
+// opt-in paths allocate — an Observer's RoundRecord, and whatever a custom
+// SSYNC adversary's Activate allocates (the stock adversaries allocate
+// nothing; see AgentIDs).
 func (w *World) Step() error {
 	if w.AllTerminated() {
 		return ErrAllTerminated

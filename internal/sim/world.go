@@ -260,8 +260,8 @@ type portReq struct {
 }
 
 // scratch is Step's per-round working storage, sized once by Reset so the
-// steady state allocates nothing. Every field is valid only during the round
-// being resolved.
+// steady state allocates nothing. Every field but agentIDs is valid only
+// during the round being resolved.
 type scratch struct {
 	active     []int            // activation set, capacity = #agents
 	decisions  []agent.Decision // indexed by agent id; written for active ids only
@@ -270,6 +270,7 @@ type scratch struct {
 	activeBits []bool           // per-agent membership bits for transport accounting
 	reqs       []portReq        // port-grab requests in activation order
 	contenders []int            // contenders of the port being resolved
+	agentIDs   []int            // 0..m-1 until the next Reset, handed out read-only by AgentIDs
 
 	missingReq  []int  // adversary's raw missing-edge request, capacity = #edges
 	missing     []int  // validated, deduplicated missing edges of the round
@@ -310,6 +311,13 @@ func (s *scratch) grow(m, n int) {
 		s.contenders = make([]int, 0, m)
 	}
 	s.contenders = s.contenders[:0]
+	if cap(s.agentIDs) < m {
+		s.agentIDs = make([]int, m)
+	}
+	s.agentIDs = s.agentIDs[:m]
+	for i := range s.agentIDs {
+		s.agentIDs[i] = i
+	}
 }
 
 // growMissing sizes the missing-edge scratch for a ring of n edges.
@@ -473,6 +481,12 @@ func (w *World) Round() int { return w.round }
 
 // NumAgents returns the number of agents.
 func (w *World) NumAgents() int { return len(w.agents) }
+
+// AgentIDs returns the ids 0..NumAgents()-1 in order, from storage the World
+// owns: the full-activation set an SSYNC adversary's Activate can return
+// without allocating. The slice is read-only and valid until the next
+// Reset.
+func (w *World) AgentIDs() []int { return w.scratch.agentIDs[:len(w.agents):len(w.agents)] }
 
 // AgentNode returns agent i's current node.
 func (w *World) AgentNode(i int) int { return w.agents[i].node }

@@ -123,6 +123,53 @@ func TestScenarioStepZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// TestScenarioStepZeroAllocStockAdversaries extends the zero-allocation
+// contract to SSYNC under the stock adversaries: their Activate serves the
+// full activation set from the World's storage (World.AgentIDs) and
+// RandomActivation reuses its own buffer, so a round under random, greedy
+// or act(...)+random allocates nothing.
+func TestScenarioStepZeroAllocStockAdversaries(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; gate runs in the non-race pass")
+	}
+	for _, spec := range []dynring.AdversarySpec{
+		{Kind: "random", P: 0.5},
+		{Kind: "greedy"},
+		{Kind: "random", P: 0.5, Act: 0.6},
+	} {
+		t.Run(spec.Label(), func(t *testing.T) {
+			factory, err := spec.Factory()
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := dynring.Scenario{
+				Size:           16,
+				Landmark:       dynring.NoLandmark,
+				Algorithm:      "ETUnconscious",
+				AdversaryLabel: spec.Label(),
+				NewAdversary:   factory,
+				Seed:           7,
+			}.NewWorld()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 64; i++ {
+				if err := w.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			avg := testing.AllocsPerRun(200, func() {
+				if err := w.Step(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if avg != 0 {
+				t.Fatalf("SSYNC Step under %s allocates %.2f objects/round, want 0", spec.Label(), avg)
+			}
+		})
+	}
+}
+
 // TestRunnerBatchedAllocBound gates the Runner's batched-reuse economics:
 // executing the mixed 12-scenario bench batch through one warm Runner must
 // stay within a small allocation budget per batch (the measured cost is 120

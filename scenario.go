@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"dynring/internal/core"
@@ -397,24 +398,78 @@ func (s Scenario) Fingerprint() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	// A nil adversary is encoded as "adv=-", outside the "adv=<len>:<label>"
-	// value space, so no label (not even a literal "nil" or "none") can
-	// collide with adversary absence.
-	adv := "-"
-	if s.NewAdversary != nil {
-		adv = fmt.Sprintf("%d:%s", len(s.AdversaryLabel), s.AdversaryLabel)
+	// The buffer lives on Fingerprint's stack: appending into it, rather
+	// than allocating inside fingerprintPreimage, saves a heap allocation.
+	sum := sha256.Sum256(s.fingerprintPreimage(make([]byte, 0, 256), r))
+	return hex.EncodeToString(sum[:16]), nil
+}
+
+// fingerprintPreimage appends the hashed text of the resolved scenario to
+// b. The text is frozen — every byte of it is a cache key — and reads, in
+// fmt terms:
+//
+//	"%s\n" version
+//	"size=%d landmark=%d algo=%d:%s model=%d ub=%d es=%d\n"
+//	"starts=%v orients=%v\n"  ([]int and []GlobalDir, e.g. "[0 4]" and "[cw ccw]")
+//	"adv=%s seed=%d max=%d stop=%t fair=%d cycles=%t\n"
+//
+// Variable-length strings are length-prefixed so field boundaries stay
+// unambiguous; everything else is fixed-form text. A nil adversary is
+// encoded as "adv=-", outside the "adv=<len>:<label>" value space, so no
+// label (not even a literal "nil" or "none") can collide with adversary
+// absence.
+func (s Scenario) fingerprintPreimage(b []byte, r resolved) []byte {
+	b = append(b, s.fingerprintVersionFor(r)...)
+	b = append(b, "\nsize="...)
+	b = strconv.AppendInt(b, int64(s.Size), 10)
+	b = append(b, " landmark="...)
+	b = strconv.AppendInt(b, int64(s.Landmark), 10)
+	b = append(b, " algo="...)
+	b = appendLenPrefixed(b, r.spec.Name)
+	b = append(b, " model="...)
+	b = strconv.AppendInt(b, int64(r.model), 10)
+	b = append(b, " ub="...)
+	b = strconv.AppendInt(b, int64(r.params.UpperBound), 10)
+	b = append(b, " es="...)
+	b = strconv.AppendInt(b, int64(r.params.ExactSize), 10)
+	b = append(b, "\nstarts=["...)
+	for i, v := range r.starts {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(v), 10)
 	}
-	h := sha256.New()
-	// Variable-length strings are length-prefixed so field boundaries stay
-	// unambiguous; everything else is fixed-form text.
-	fmt.Fprintf(h, "%s\n", s.fingerprintVersionFor(r))
-	fmt.Fprintf(h, "size=%d landmark=%d algo=%d:%s model=%d ub=%d es=%d\n",
-		s.Size, s.Landmark, len(r.spec.Name), r.spec.Name, int(r.model),
-		r.params.UpperBound, r.params.ExactSize)
-	fmt.Fprintf(h, "starts=%v orients=%v\n", r.starts, r.orients)
-	fmt.Fprintf(h, "adv=%s seed=%d max=%d stop=%t fair=%d cycles=%t\n",
-		adv, s.Seed, r.maxRounds, s.StopWhenExplored, s.FairnessBound, s.DetectCycles)
-	return hex.EncodeToString(h.Sum(nil)[:16]), nil
+	b = append(b, "] orients=["...)
+	for i, d := range r.orients {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = append(b, d.String()...)
+	}
+	b = append(b, "]\nadv="...)
+	if s.NewAdversary != nil {
+		b = appendLenPrefixed(b, s.AdversaryLabel)
+	} else {
+		b = append(b, '-')
+	}
+	b = append(b, " seed="...)
+	b = strconv.AppendInt(b, s.Seed, 10)
+	b = append(b, " max="...)
+	b = strconv.AppendInt(b, int64(r.maxRounds), 10)
+	b = append(b, " stop="...)
+	b = strconv.AppendBool(b, s.StopWhenExplored)
+	b = append(b, " fair="...)
+	b = strconv.AppendInt(b, int64(s.FairnessBound), 10)
+	b = append(b, " cycles="...)
+	b = strconv.AppendBool(b, s.DetectCycles)
+	return append(b, '\n')
+}
+
+// appendLenPrefixed appends "<len>:<s>".
+func appendLenPrefixed(b []byte, s string) []byte {
+	b = strconv.AppendInt(b, int64(len(s)), 10)
+	b = append(b, ':')
+	return append(b, s...)
 }
 
 // simConfig assembles the engine configuration for a resolved scenario,

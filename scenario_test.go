@@ -313,6 +313,32 @@ func TestFingerprintGolden(t *testing.T) {
 	}
 }
 
+// TestFingerprintAllocBound gates Fingerprint's cost on the service's
+// admission path, where it runs for every row of every submission: resolve
+// plus one pre-image buffer and the hex digest, no fmt.
+func TestFingerprintAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; gate runs in the non-race pass")
+	}
+	sc := dynring.Scenario{
+		Size:           16,
+		Landmark:       0,
+		Algorithm:      "LandmarkWithChirality",
+		AdversaryLabel: "random(p=0.5)",
+		NewAdversary:   dynring.RandomEdgesFactory(0.5),
+		Seed:           7,
+	}
+	avg := testing.AllocsPerRun(200, func() {
+		if _, err := sc.Fingerprint(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const maxAllocs = 6
+	if avg > maxAllocs {
+		t.Fatalf("Fingerprint allocates %.1f objects per call, want ≤ %d", avg, maxAllocs)
+	}
+}
+
 func TestFingerprintErrors(t *testing.T) {
 	// Custom protocol factories have no canonical encoding.
 	custom := dynring.Scenario{
