@@ -32,10 +32,6 @@ type PeerStatus struct {
 	// successful one (zero: never probed successfully).
 	Failures int       `json:"failures,omitempty"`
 	LastSeen time.Time `json:"last_seen,omitempty"`
-	// QueueDepth is the peer's scheduler backlog: live for the reporting
-	// node's self entry, last-gossiped for everyone else. Replicas compare
-	// depths to decide when to steal an overloaded owner's work.
-	QueueDepth int `json:"queue_depth,omitempty"`
 }
 
 // ClusterStatus is the /v1/cluster document: this node's view of the

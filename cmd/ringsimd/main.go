@@ -14,9 +14,9 @@
 // With -replicas k (and -data) each fingerprint's envelope is further
 // replicated to the owner's next k-1 ring successors: completed results
 // are pushed to every replica's disk tier, routing falls over to replicas
-// when the owner dies, an overloaded owner's replicas steal its work, and
-// a background anti-entropy pass (-antientropy-interval) reconciles
-// replica -data directories to their set union.
+// when the owner dies, and a background anti-entropy pass
+// (-antientropy-interval) reconciles replica -data directories to their
+// set union.
 //
 // Gray failures — peers that stay alive but turn slow — are handled by
 // four cooperating knobs: every outbound replica RPC is bounded by

@@ -184,25 +184,24 @@ func TestClusterExactlyOnceUnderKill(t *testing.T) {
 	}
 }
 
-// TestClusterStealUnderLoad saturates one owner and checks that its
-// replica steals: the scenario executes on the replica (never proxied to
-// the overloaded owner), the steal counter moves, and the envelope still
-// lands on the owner's disk tier via the replication push.
-func TestClusterStealUnderLoad(t *testing.T) {
-	c := Start(t, Options{Nodes: 2, Replicas: 2, Disk: true, Workers: 1})
+// TestClusterExactlyOnceConcurrentCoordinators: both nodes coordinate the
+// same grid while node 0 works through a deep backlog on its single
+// worker. Every row owned elsewhere must be served by its owner (whose
+// singleflight and cache make it run once), however busy that owner is:
+// cluster-wide executions equal the distinct fingerprints, no row errors,
+// and the two coordinators stream byte-identical results.
+func TestClusterExactlyOnceConcurrentCoordinators(t *testing.T) {
+	c := Start(t, Options{Nodes: 2, Replicas: 2, Workers: 1})
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
-	// Brake the owner's proxy hops so its backlog outlives the window
-	// between submitting the load and running the stolen scenarios.
-	c.Plan.SlowProxy(500 * time.Microsecond)
 
-	loadSeeds := make([]int64, 600)
+	loadSeeds := make([]int64, 3000)
 	for i := range loadSeeds {
-		loadSeeds[i] = int64(1000 + i)
+		loadSeeds[i] = int64(100000 + i)
 	}
 	load := dynring.SweepSpec{
 		Algorithms:  []string{"KnownNNoChirality"},
-		Sizes:       []int{8},
+		Sizes:       []int{64},
 		Seeds:       loadSeeds,
 		Adversaries: []dynring.AdversarySpec{{Kind: "random", P: 0.4}},
 	}
@@ -210,82 +209,42 @@ func TestClusterStealUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Node 0 now holds a backlog in the thousands. Let ten probe rounds
+	// pass so node 1's view of the cluster has caught up with it before
+	// the grid arrives.
+	time.Sleep(10 * 25 * time.Millisecond)
 
-	// Small disjoint batch headed by the overloaded node 0: exactly what
-	// node 1, its replica, is allowed to steal.
-	ring := c.placementRing()
-	var stealSeeds []int64
-	for s := int64(5000); s < 5200 && len(stealSeeds) < 6; s++ {
-		spec := dynring.SweepSpec{
-			Algorithms:  []string{"KnownNNoChirality"},
-			Sizes:       []int{8},
-			Seeds:       []int64{s},
-			Adversaries: []dynring.AdversarySpec{{Kind: "random", P: 0.4}},
-		}
-		if ring.Owner(fingerprints(t, spec)[0]) == c.Node(0).URL {
-			stealSeeds = append(stealSeeds, s)
+	seeds := make([]int64, 50)
+	for i := range seeds {
+		seeds[i] = int64(1 + i)
+	}
+	spec := grid(seeds...) // 200 rows
+	jobs := make([]*service.Job, 2)
+	for i := range jobs {
+		if jobs[i], err = c.Node(i).Manager.Submit(spec, service.SubmitOptions{}); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if len(stealSeeds) == 0 {
-		t.Fatal("no candidate seeds hash to node 0")
-	}
-	batch := dynring.SweepSpec{
-		Algorithms:  []string{"KnownNNoChirality"},
-		Sizes:       []int{8},
-		Seeds:       stealSeeds,
-		Adversaries: []dynring.AdversarySpec{{Kind: "random", P: 0.4}},
-	}
-	batchFPs := fingerprints(t, batch)
-
-	// Wait until node 1's gossip view shows node 0 deep in backlog.
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		depth := 0
-		for _, p := range c.Node(1).Manager.ClusterStatus().Peers {
-			if p.URL == c.Node(0).URL {
-				depth = p.QueueDepth
-			}
+	for _, j := range append(jobs, jLoad) {
+		if err := j.Wait(ctx); err != nil {
+			t.Fatal(err)
 		}
-		if depth >= 100 {
-			break
+		if st := j.Status(); st.Errors != 0 {
+			t.Fatalf("job %s settled with %d errored rows", j.ID, st.Errors)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("node 1 never saw node 0's backlog (last depth %d) — load drained too fast", depth)
-		}
-		time.Sleep(2 * time.Millisecond)
 	}
 
-	jBatch, err := c.Node(1).Manager.Submit(batch, service.SubmitOptions{})
-	if err != nil {
-		t.Fatal(err)
+	distinct := make(map[string]bool)
+	for _, fp := range append(fingerprints(t, load), fingerprints(t, spec)...) {
+		distinct[fp] = true
 	}
-	if err := jBatch.Wait(ctx); err != nil {
-		t.Fatal(err)
+	if got, want := c.TotalExecutions(), uint64(len(distinct)); got != want {
+		t.Fatalf("cluster executed %d scenarios for %d distinct fingerprints (%d duplicated)", got, want, got-want)
 	}
-	if err := jLoad.Wait(ctx); err != nil {
-		t.Fatal(err)
-	}
-	c.Plan.SlowProxy(0)
-
-	if got, want := c.TotalExecutions(), uint64(len(loadSeeds)+len(stealSeeds)); got != want {
-		t.Fatalf("cluster executed %d scenarios, want %d (stealing must stay exactly-once)", got, want)
-	}
-	if steals := scrapeCounter(t, c, 1, "dynring_cluster_steals_total"); steals <= 0 {
-		t.Fatal("node 1 reports zero steals despite the saturated owner")
-	}
-	// Steal-then-reconcile: the stolen envelopes land back on the owner's
-	// disk tier through the replication push.
-	deadline = time.Now().Add(10 * time.Second)
-	for _, fp := range batchFPs {
-		for {
-			if _, ok := c.Node(0).Manager.DurableEnvelope(fp); ok {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("stolen envelope %s never reached the owner's disk tier", fp)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
+	streamA := readStream(t, c, c.Node(0).URL+"/v1/sweeps/"+jobs[0].ID+"/results")
+	streamB := readStream(t, c, c.Node(1).URL+"/v1/sweeps/"+jobs[1].ID+"/results")
+	if !bytes.Equal(streamA, streamB) {
+		t.Fatalf("coordinators streamed different results:\n--- node 0 ---\n%s\n--- node 1 ---\n%s", streamA, streamB)
 	}
 }
 

@@ -36,10 +36,10 @@ const (
 	// StateDegraded means the peer answers probes (it is alive) but its
 	// circuit breaker is not closed: recent proxy errors, timeouts, or slow
 	// probe RTTs marked it gray. Degraded is a reported view, not a stored
-	// state — internally the peer stays alive (placement and steal logic
-	// never shift on health), but routing skips it while its breaker
-	// refuses requests, and /v1/cluster gossips the degraded verdict so
-	// peers pull their own verification probes forward.
+	// state — internally the peer stays alive (placement never shifts on
+	// health), but routing skips it while its breaker refuses requests,
+	// and /v1/cluster gossips the degraded verdict so peers pull their own
+	// verification probes forward.
 	StateDegraded
 )
 
@@ -66,11 +66,6 @@ type PeerInfo struct {
 	State    State
 	Failures int       // consecutive probe failures
 	LastSeen time.Time // last successful probe (zero: never)
-	// QueueDepth is the peer's self-reported scheduler backlog from its
-	// last successful probe. It is gossip, not a measurement: stale by up
-	// to one probe interval, and 0 until the first probe lands. Replicas
-	// use it to decide when to steal an overloaded owner's work.
-	QueueDepth int
 	// Breaker is the peer's circuit-breaker state as held by this node.
 	// A non-closed breaker on an alive peer is what State reports as
 	// StateDegraded.
@@ -78,11 +73,10 @@ type PeerInfo struct {
 }
 
 // ProbeReport is what one successful probe learns about a peer: its member
-// list (the gossip payload), its self-reported scheduler backlog, and the
-// set of members the probed peer itself considers degraded.
+// list (the gossip payload) and the set of members the probed peer itself
+// considers degraded.
 type ProbeReport struct {
-	Members    []string
-	QueueDepth int
+	Members []string
 	// Degraded lists members the probed peer reports as gray (alive but
 	// breaker-open). The receiver treats it as advisory evidence only: it
 	// pulls its own verification probe of those members forward rather
@@ -107,7 +101,7 @@ type Config struct {
 	// suspect to dead (default 3).
 	DeadAfter int
 	// Probe overrides the prober: it returns the peer's own member list
-	// and queue depth (the gossip payload) or an error. Nil means the
+	// and degraded verdicts (the gossip payload) or an error. Nil means the
 	// default HTTP probe of GET <peer>/v1/cluster.
 	Probe func(ctx context.Context, peerURL string) (ProbeReport, error)
 	// OnRejoin, when non-nil, is invoked (without the membership lock
@@ -133,13 +127,12 @@ type Config struct {
 
 // peer is the mutable tracking record of one remote member.
 type peer struct {
-	state      State
-	failures   int
-	lastSeen   time.Time
-	nextProbe  time.Time
-	probing    bool // a probe goroutine is in flight
-	queueDepth int  // last gossiped scheduler backlog
-	breaker    *Breaker
+	state     State
+	failures  int
+	lastSeen  time.Time
+	nextProbe time.Time
+	probing   bool // a probe goroutine is in flight
+	breaker   *Breaker
 }
 
 // Membership tracks the health of a cluster's peers and owns the placement
@@ -294,7 +287,6 @@ func (m *Membership) probeOne(url string) {
 	p.failures = 0
 	p.lastSeen = m.now()
 	p.nextProbe = p.lastSeen.Add(m.cfg.ProbeInterval)
-	p.queueDepth = report.QueueDepth
 	m.mergeLocked(report.Members)
 	m.verifyDegradedLocked(report.Degraded)
 	m.mu.Unlock()
@@ -337,18 +329,16 @@ func (m *Membership) probe(ctx context.Context, url string) (ProbeReport, error)
 // field names match the dynring wire types.
 type clusterDoc struct {
 	Peers []struct {
-		URL        string `json:"url"`
-		Self       bool   `json:"self"`
-		State      string `json:"state"`
-		QueueDepth int    `json:"queue_depth"`
+		URL   string `json:"url"`
+		State string `json:"state"`
 	} `json:"peers"`
 }
 
 // httpProbe is the default prober: GET <peer>/v1/cluster. Any 2xx counts
 // as alive; the response's member list (minus peers the remote itself
-// considers left) is the gossip payload, and the remote's self entry
-// carries its queue depth. A 2xx whose body fails to parse still counts
-// as alive — health and gossip are separable.
+// considers left) is the gossip payload, together with the members it
+// reports degraded. A 2xx whose body fails to parse still counts as
+// alive — health and gossip are separable.
 func (m *Membership) httpProbe(ctx context.Context, url string) (ProbeReport, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/v1/cluster", nil)
 	if err != nil {
@@ -374,9 +364,6 @@ func (m *Membership) httpProbe(ctx context.Context, url string) (ProbeReport, er
 		}
 		if p.State == StateDegraded.String() {
 			report.Degraded = append(report.Degraded, p.URL)
-		}
-		if p.Self {
-			report.QueueDepth = p.QueueDepth
 		}
 	}
 	return report, nil
@@ -491,8 +478,7 @@ func (m *Membership) Rejoin(url string) {
 }
 
 // Alive reports whether url is this node (always alive) or a peer whose
-// state is alive. Degraded peers are alive — they answer probes — so
-// liveness-driven logic (steal evidence) keeps working against them; use
+// state is alive. Degraded peers are alive — they answer probes; use
 // Routable to decide whether to send them any request that waits on the
 // peer (proxy hops, replication pushes).
 func (m *Membership) Alive(url string) bool {
@@ -552,20 +538,6 @@ func (m *Membership) BreakerStates() map[BreakerState]int {
 	return out
 }
 
-// QueueDepth returns the last gossiped scheduler backlog of an alive peer.
-// It reports false for Self, unknown URLs, peers not currently alive, and
-// peers never successfully probed — stealing decisions must not act on
-// absent or dead-stale evidence.
-func (m *Membership) QueueDepth(url string) (int, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	p, ok := m.peers[url]
-	if !ok || p.state != StateAlive || p.lastSeen.IsZero() {
-		return 0, false
-	}
-	return p.queueDepth, true
-}
-
 // Snapshot returns every member — Self first, then peers sorted by URL.
 func (m *Membership) Snapshot() []PeerInfo {
 	m.mu.Lock()
@@ -588,12 +560,11 @@ func (m *Membership) Snapshot() []PeerInfo {
 			st = StateDegraded
 		}
 		out = append(out, PeerInfo{
-			URL:        url,
-			State:      st,
-			Failures:   p.failures,
-			LastSeen:   p.lastSeen,
-			QueueDepth: p.queueDepth,
-			Breaker:    bst,
+			URL:      url,
+			State:    st,
+			Failures: p.failures,
+			LastSeen: p.lastSeen,
+			Breaker:  bst,
 		})
 	}
 	return out

@@ -17,7 +17,6 @@ type fakeProbe struct {
 	mu       sync.Mutex
 	fail     map[string]bool
 	members  map[string][]string
-	depth    map[string]int
 	degraded map[string][]string
 	slow     map[string]time.Duration
 	calls    map[string]int
@@ -26,8 +25,8 @@ type fakeProbe struct {
 func newFakeProbe() *fakeProbe {
 	return &fakeProbe{
 		fail: map[string]bool{}, members: map[string][]string{},
-		depth: map[string]int{}, degraded: map[string][]string{},
-		slow: map[string]time.Duration{}, calls: map[string]int{},
+		degraded: map[string][]string{},
+		slow:     map[string]time.Duration{}, calls: map[string]int{},
 	}
 }
 
@@ -35,7 +34,7 @@ func (f *fakeProbe) probe(_ context.Context, url string) (ProbeReport, error) {
 	f.mu.Lock()
 	f.calls[url]++
 	fail, delay := f.fail[url], f.slow[url]
-	report := ProbeReport{Members: f.members[url], QueueDepth: f.depth[url], Degraded: f.degraded[url]}
+	report := ProbeReport{Members: f.members[url], Degraded: f.degraded[url]}
 	f.mu.Unlock()
 	if delay > 0 {
 		time.Sleep(delay)
@@ -260,6 +259,8 @@ func TestMembershipHTTPProbe(t *testing.T) {
 			http.NotFound(w, r)
 			return
 		}
+		// Older builds still gossip a queue_depth field; the probe must
+		// ignore it rather than reject the document.
 		fmt.Fprintf(w, `{"peers":[{"url":%q,"self":true,"state":"alive","queue_depth":7},{"url":%q,"state":"alive"},{"url":"http://gone:1","state":"left"}]}`, peerA.URL, peerB.URL)
 	}))
 	m := NewMembership(Config{
@@ -281,48 +282,10 @@ func TestMembershipHTTPProbe(t *testing.T) {
 		t.Fatalf("remote-left peer adopted with state %v", got)
 	}
 
-	// The self entry of peer A's /v1/cluster doc carries its queue depth;
-	// a successful probe gossips it into the table.
-	waitFor(t, func() bool {
-		d, ok := m.QueueDepth(peerA.URL)
-		return ok && d == 7
-	})
-
 	peerA.Close()
 	waitFor(t, func() bool { return state(m, peerA.URL) == StateDead })
 	if state(m, peerB.URL) != StateAlive {
 		t.Fatal("killing peer A must not affect peer B")
-	}
-	if _, ok := m.QueueDepth(peerA.URL); ok {
-		t.Fatal("dead peer's stale queue depth must not be offered to stealers")
-	}
-}
-
-// TestMembershipQueueDepthGossip: the scripted prober's queue depth lands
-// in the table and in snapshots; Self, unknown URLs, and never-probed
-// peers report no depth.
-func TestMembershipQueueDepthGossip(t *testing.T) {
-	probe := newFakeProbe()
-	probe.depth["http://a:1"] = 42
-	m := newTestMembership(t, probe, "http://a:1", "http://b:2")
-	if _, ok := m.QueueDepth("http://a:1"); ok {
-		t.Fatal("never-probed peer reported a queue depth")
-	}
-	m.probeDue()
-	settle(t, m, func() bool { return state(m, "http://a:1") == StateAlive })
-	if d, ok := m.QueueDepth("http://a:1"); !ok || d != 42 {
-		t.Fatalf("QueueDepth = %d, %v, want 42, true", d, ok)
-	}
-	if _, ok := m.QueueDepth("http://self:1"); ok {
-		t.Fatal("self must not report a gossiped depth")
-	}
-	if _, ok := m.QueueDepth("http://nope:9"); ok {
-		t.Fatal("unknown URL reported a queue depth")
-	}
-	for _, p := range m.Snapshot() {
-		if p.URL == "http://a:1" && p.QueueDepth != 42 {
-			t.Fatalf("snapshot depth = %d, want 42", p.QueueDepth)
-		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -81,11 +80,10 @@ type ClusterOptions struct {
 	ProbeTimeout  time.Duration
 	// Replicas is the replica-set size k: each fingerprint is placed on its
 	// ring owner plus the next k-1 distinct successors, completed envelopes
-	// are pushed to every replica's disk tier, proxying tries owner then
-	// replicas before the local fallback, and replicas may steal an
-	// overloaded owner's work. Non-positive or 1 means no replication —
-	// exactly the pre-replica single-owner behavior. All nodes must agree
-	// on it.
+	// are pushed to every replica's disk tier, and proxying tries owner
+	// then replicas before the local fallback. Non-positive or 1 means no
+	// replication — exactly the pre-replica single-owner behavior. All
+	// nodes must agree on it.
 	Replicas int
 	// Transport, when non-nil, underlies every outbound cluster request —
 	// probes, proxy hops, replication pushes, anti-entropy fetches, and
@@ -108,12 +106,10 @@ type ClusterOptions struct {
 	// HedgeAfter, when positive, arms hedged replica reads: a proxy hop to
 	// a fingerprint's owner that has not answered after this delay fires
 	// the same fingerprint at the next replica, first response wins, the
-	// loser is cancelled before its result could be adopted. When the
-	// owner's recently observed latency already exceeds the delay, the
-	// hedge fires immediately. Exactly-once stays structural — both sides
-	// serve through their own cache and singleflight, and the replication
-	// push reconciles the winner's envelope. Zero disables hedging
-	// (ringsimd -hedge-after).
+	// loser is cancelled before its result could be adopted. Exactly-once
+	// stays structural — both sides serve through their own cache and
+	// singleflight, and the replication push reconciles the winner's
+	// envelope. Zero disables hedging (ringsimd -hedge-after).
 	HedgeAfter time.Duration
 	// BreakerThreshold is the consecutive bad-observation count (proxy
 	// errors, timeouts, slow probe RTTs) that opens a peer's circuit
@@ -135,15 +131,6 @@ const defaultJobHistory = 1024
 // startup/shutdown; they are best-effort and must not stall either.
 const leaveTimeout = 2 * time.Second
 
-// stealThreshold is the minimum gossiped backlog advantage — owner queue
-// depth minus local queue depth — before a replica pulls an owned
-// fingerprint's work instead of proxying it. Stealing executes work the
-// owner never saw (the steal replaces the proxy hop, it does not race it),
-// so the only cost of stealing too eagerly is losing the owner's
-// singleflight concentration; the threshold keeps the steady state on the
-// owner and reserves stealing for genuine overload.
-const stealThreshold = 8
-
 // defaultAntiEntropyInterval paces replica disk-tier reconciliation when
 // ClusterOptions leaves it unset.
 const defaultAntiEntropyInterval = 30 * time.Second
@@ -158,12 +145,6 @@ const replicateQueueDepth = 256
 // is the historical replicaRPCTimeout value — generous enough for a slow
 // replica, finite so a gray one cannot pin goroutines forever.
 const defaultProxyTimeout = 10 * time.Second
-
-// latWindowSize is the per-peer latency window the hedging quantile is
-// computed over: the last 16 successful proxy RTTs. Small on purpose — a
-// peer turning gray should cross the hedge threshold within a handful of
-// observations, not after amortizing away an hour of healthy history.
-const latWindowSize = 16
 
 // task is one schedulable unit: scenario i of job j.
 type task struct {
@@ -220,11 +201,9 @@ type Manager struct {
 	settled    atomic.Int64 // retained settled jobs; guards prune scans
 
 	// Replication and anti-entropy state (cluster mode with Replicas > 1).
-	// steals counts owned-elsewhere scenarios executed locally because the
-	// owner's gossiped backlog exceeded ours; replicaHits counts scenarios
-	// served by proxying to a non-owner replica; aeRepairs counts envelopes
-	// copied between replica disk tiers by the anti-entropy pass.
-	steals      atomic.Uint64
+	// replicaHits counts scenarios served by proxying to a non-owner
+	// replica; aeRepairs counts envelopes copied between replica disk
+	// tiers by the anti-entropy pass.
 	replicaHits atomic.Uint64
 	aeRepairs   atomic.Uint64
 	aeInterval  time.Duration
@@ -237,17 +216,14 @@ type Manager struct {
 	// Gray-failure resilience state. proxyTimeout bounds every replica
 	// RPC; hedgeAfter is the hedged-read delay (0: hedging off); hedges
 	// and hedgeWins count fired hedges and hedges whose response was
-	// adopted. peerLat holds the per-peer proxy-RTT windows the hedging
-	// quantile reads. shedQueueDepth arms admission brownout, and shed
-	// counts submissions rejected by it.
+	// adopted. shedQueueDepth arms admission brownout, and shed counts
+	// submissions rejected by it.
 	proxyTimeout   time.Duration
 	hedgeAfter     time.Duration
 	hedges         atomic.Uint64
 	hedgeWins      atomic.Uint64
 	shedQueueDepth int
 	shed           atomic.Uint64
-	latMu          sync.Mutex
-	peerLat        map[string]*latWindow
 
 	// Admission state: tenants by name and by API key (both immutable
 	// after newManager; tenantList preserves declaration order for stats),
@@ -384,7 +360,6 @@ func newManager(opts Options) (*Manager, error) {
 		m.aeKick = make(chan string, 8)
 		m.auxStop = make(chan struct{})
 		m.replq = make(chan replItem, replicateQueueDepth)
-		m.peerLat = make(map[string]*latWindow)
 		m.membership = cluster.NewMembership(cluster.Config{
 			Self:          opts.Cluster.Self,
 			Peers:         opts.Cluster.Peers,
@@ -402,8 +377,8 @@ func newManager(opts Options) (*Manager, error) {
 			},
 			// A peer returning from the dead (never a transient flap — the
 			// membership fires this once per recovery) gets an immediate
-			// targeted anti-entropy sync, which is how envelopes stolen or
-			// re-homed while it was down land back on its disk tier.
+			// targeted anti-entropy sync, which is how envelopes executed
+			// elsewhere while it was down land back on its disk tier.
 			OnRejoin: func(url string) {
 				select {
 				case m.aeKick <- url:
@@ -676,18 +651,13 @@ func (m *Manager) ClusterStatus() dynring.ClusterStatus {
 	peers := make([]dynring.PeerStatus, len(snap))
 	for i, p := range snap {
 		peers[i] = dynring.PeerStatus{
-			URL:        p.URL,
-			Self:       p.Self,
-			State:      p.State.String(),
-			Failures:   p.Failures,
-			LastSeen:   p.LastSeen,
-			QueueDepth: p.QueueDepth,
+			URL:      p.URL,
+			Self:     p.Self,
+			State:    p.State.String(),
+			Failures: p.Failures,
+			LastSeen: p.LastSeen,
 		}
-		if p.Self {
-			// The self entry carries this node's live backlog — the gossip
-			// payload peers read for steal decisions.
-			peers[i].QueueDepth = m.backlog()
-		} else {
+		if !p.Self {
 			// This node's breaker verdict for the peer; a non-closed one is
 			// what the State field reports as "degraded".
 			peers[i].Breaker = p.Breaker.String()
@@ -838,8 +808,7 @@ func (m *Manager) runTask(t task) {
 		return
 	}
 	fp := j.fps[i]
-	rt := m.routeFor(fp)
-	if len(rt.targets) > 0 {
+	if owner, targets := m.routeFor(fp); len(targets) > 0 {
 		// Serve from our own tiers before hopping: adopted, replicated and
 		// previously proxied results answer repeats locally. (Standalone
 		// nodes skip straight to ExecuteLocal, whose own probe is then the
@@ -849,8 +818,8 @@ func (m *Manager) runTask(t task) {
 			span("cache-hit", nil)
 			return
 		}
-		if rr, target, ok := m.proxyHedged(j, i, rt); ok {
-			if target != rt.owner {
+		if rr, target, ok := m.proxyHedged(j, i, targets); ok {
+			if target != owner {
 				m.replicaHits.Add(1)
 			}
 			// Adopt the owner's span first: under one trace ID the sweep's
@@ -884,9 +853,6 @@ func (m *Manager) runTask(t task) {
 		}
 	}
 	res, cached, err := m.ExecuteLocal(j.ctx, j.scenarios[i], fp)
-	if rt.steal && err == nil && !cached {
-		m.steals.Add(1)
-	}
 	j.setRow(i, Row{Cached: cached, Result: res, Err: err})
 	switch {
 	case err != nil:
@@ -898,64 +864,29 @@ func (m *Manager) runTask(t task) {
 	}
 }
 
-// route is one scenario's dispatch decision: the fingerprint's ring owner,
-// the ordered alive proxy candidates (owner first, then replica
-// successors), and whether this node decided to steal the work instead.
-type route struct {
-	owner   string
-	targets []string
-	steal   bool
-}
-
-// routeFor decides where fp runs. Empty targets means execute locally —
-// standalone mode, we own it (or are stealing it), or no replica is alive
-// (placement never moves on health; availability comes from the local
-// fallback). When this node is in fp's replica set and the owner's
-// gossiped queue depth exceeds our own by stealThreshold, the scenario is
-// stolen: executed locally even though the owner looks alive, with the
-// envelope replicated back to the owner's disk tier by the usual
-// replication push (or, if the owner dies before the push lands, by
-// anti-entropy on its recovery).
-func (m *Manager) routeFor(fp string) route {
+// routeFor decides where fp runs: fp's ring owner, and the ordered proxy
+// candidates — the owner first, then its replica successors — skipping
+// this node and any peer that is not routable. Empty targets means
+// execute locally: standalone mode, we own fp, or no candidate is
+// routable (placement never moves on health; availability comes from the
+// local fallback). A routable peer is alive with a closed or half-open
+// breaker, so a gray peer is skipped at once instead of waiting out a
+// proxy timeout against it.
+func (m *Manager) routeFor(fp string) (owner string, targets []string) {
 	if m.membership == nil {
-		return route{}
+		return "", nil
 	}
 	owners := m.membership.Ring().Owners(fp, m.replicas)
 	self := m.membership.Self()
 	if len(owners) == 0 || owners[0] == self {
-		return route{}
-	}
-	rt := route{owner: owners[0]}
-	selfReplica := false
-	for _, o := range owners[1:] {
-		if o == self {
-			selfReplica = true
-		}
-	}
-	if selfReplica && m.membership.Alive(rt.owner) {
-		if depth, ok := m.membership.QueueDepth(rt.owner); ok && depth >= m.backlog()+stealThreshold {
-			rt.steal = true
-			return rt
-		}
+		return "", nil
 	}
 	for _, o := range owners {
-		// Routable, not Alive: an alive peer with an open breaker is gray,
-		// and the whole point of the breaker is to route to the next
-		// replica immediately instead of waiting out a proxy timeout
-		// against it.
 		if o != self && m.membership.Routable(o) {
-			rt.targets = append(rt.targets, o)
+			targets = append(targets, o)
 		}
 	}
-	return rt
-}
-
-// backlog is this node's undispatched scenario count — the queue depth it
-// gossips to peers and compares against theirs for steal decisions.
-func (m *Manager) backlog() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.sched.Len()
+	return owners[0], targets
 }
 
 // hopResult is one proxy attempt's outcome inside proxyHedged's race.
@@ -966,29 +897,27 @@ type hopResult struct {
 	hedge  bool // launched by the hedge timer, not primary or failover
 }
 
-// proxyHedged serves one routed scenario through rt.targets with hedged
+// proxyHedged serves one routed scenario through targets with hedged
 // replica reads. The primary request goes to the first target (the owner,
 // or the first routable replica). With hedging armed (ClusterOptions.
 // HedgeAfter > 0) and a second target available, a hedge fires the same
 // fingerprint at that replica once the primary has been silent for the
-// hedge delay — or immediately, when the primary's observed latency
-// quantile already exceeds the delay. First good response wins; the loser
-// is cancelled before its response could be adopted, which preserves
-// exactly-once structurally: each side serves through its own cache and
-// singleflight, the coordinator adopts exactly one result, and the
-// replication push reconciles the winner's envelope across the replica
-// set exactly as steal-then-reconcile does. A failed attempt (not a
-// cancellation) falls over to the next unused target, hedged or not, so
-// the pre-hedging sequential failover is the degenerate case. Returns
-// ok=false when every target failed — the caller's local execution is the
-// final fallback and cannot lose work.
-func (m *Manager) proxyHedged(j *Job, i int, rt route) (dynring.RunResponse, string, bool) {
+// hedge delay. First good response wins; the loser is cancelled before
+// its response could be adopted, which preserves exactly-once
+// structurally: each side serves through its own cache and singleflight,
+// the coordinator adopts exactly one result, and the replication push
+// reconciles the winner's envelope across the replica set. A failed
+// attempt (not a cancellation) falls over to the next unused target,
+// hedged or not, so the pre-hedging sequential failover is the degenerate
+// case. Returns ok=false when every target failed — the caller's local
+// execution is the final fallback and cannot lose work.
+func (m *Manager) proxyHedged(j *Job, i int, targets []string) (dynring.RunResponse, string, bool) {
 	ctx, cancel := context.WithCancel(j.ctx)
 	defer cancel()
-	results := make(chan hopResult, len(rt.targets))
+	results := make(chan hopResult, len(targets))
 	launched := 0
 	launch := func(hedge bool) {
-		target := rt.targets[launched]
+		target := targets[launched]
 		launched++
 		go func() {
 			rr, ok := m.proxyRun(ctx, target, j.scenarios[i], j.fps[i], j.traceID, j.Tenant, j.deadline)
@@ -998,14 +927,8 @@ func (m *Manager) proxyHedged(j *Job, i int, rt route) (dynring.RunResponse, str
 	launch(false)
 	pending := 1
 	var hedgeC <-chan time.Time
-	if m.hedgeAfter > 0 && len(rt.targets) > 1 {
-		delay := m.hedgeAfter
-		if m.peerLatencyHigh(rt.targets[0], delay) {
-			// The primary's recent p90 already exceeds the hedge delay:
-			// waiting it out again is pure tail latency, fire now.
-			delay = 0
-		}
-		t := time.NewTimer(delay)
+	if m.hedgeAfter > 0 && len(targets) > 1 {
+		t := time.NewTimer(m.hedgeAfter)
 		defer t.Stop()
 		hedgeC = t.C
 	}
@@ -1013,7 +936,7 @@ func (m *Manager) proxyHedged(j *Job, i int, rt route) (dynring.RunResponse, str
 		select {
 		case <-hedgeC:
 			hedgeC = nil
-			if launched < len(rt.targets) {
+			if launched < len(targets) {
 				m.hedges.Add(1)
 				launch(true)
 				pending++
@@ -1033,7 +956,7 @@ func (m *Manager) proxyHedged(j *Job, i int, rt route) (dynring.RunResponse, str
 			if j.ctx.Err() != nil {
 				return dynring.RunResponse{}, "", false
 			}
-			if pending == 0 && launched < len(rt.targets) {
+			if pending == 0 && launched < len(targets) {
 				// Plain failover: the attempt failed on its own (the peer,
 				// not our cancellation) — try the next replica.
 				launch(false)
@@ -1059,7 +982,7 @@ func (m *Manager) proxyHedged(j *Job, i int, rt route) (dynring.RunResponse, str
 // (and through it the peer's breaker), while a hop cancelled from our own
 // side (a hedge lost its race, the job was cancelled) is not evidence
 // against the peer and feeds nothing. Successful hops report their RTT to
-// the breaker and the hedging latency window. Retries are disabled on the
+// the breaker. Retries are disabled on the
 // hop: the local fallback IS the retry, and it cannot lose work. A tenant
 // the target does not know (config skew across the cluster) is rejected
 // there with 401, which lands here as a failed hop and degrades to the
@@ -1106,60 +1029,9 @@ func (m *Manager) proxyRun(ctx context.Context, target string, sc dynring.Scenar
 		return dynring.RunResponse{}, false
 	}
 	m.membership.ObserveRTT(target, rtt)
-	m.recordPeerLatency(target, rtt)
 	m.met.proxyRTT.Observe(rtt.Seconds())
 	m.proxied.Add(1)
 	return rr, true
-}
-
-// latWindow is a fixed-size ring of one peer's recent successful proxy
-// RTTs; the hedging decision reads its p90.
-type latWindow struct {
-	samples [latWindowSize]time.Duration
-	n       int // filled samples, ≤ latWindowSize
-	next    int
-}
-
-func (w *latWindow) add(d time.Duration) {
-	w.samples[w.next] = d
-	w.next = (w.next + 1) % latWindowSize
-	if w.n < latWindowSize {
-		w.n++
-	}
-}
-
-// p90 returns the window's 90th-percentile sample (0 when empty).
-func (w *latWindow) p90() time.Duration {
-	if w.n == 0 {
-		return 0
-	}
-	sorted := make([]time.Duration, w.n)
-	copy(sorted, w.samples[:w.n])
-	slices.Sort(sorted)
-	return sorted[w.n*9/10]
-}
-
-// recordPeerLatency adds one successful proxy RTT to target's window.
-func (m *Manager) recordPeerLatency(target string, rtt time.Duration) {
-	m.latMu.Lock()
-	defer m.latMu.Unlock()
-	w, ok := m.peerLat[target]
-	if !ok {
-		w = &latWindow{}
-		m.peerLat[target] = w
-	}
-	w.add(rtt)
-}
-
-// peerLatencyHigh reports whether target's observed p90 proxy RTT is at
-// or above threshold — the quantile signal that makes a hedge fire
-// immediately instead of waiting out the hedge delay. A peer with no
-// recorded RTTs reports false (no evidence, no haste).
-func (m *Manager) peerLatencyHigh(target string, threshold time.Duration) bool {
-	m.latMu.Lock()
-	defer m.latMu.Unlock()
-	w, ok := m.peerLat[target]
-	return ok && w.n > 0 && w.p90() >= threshold
 }
 
 // ExecuteLocal runs one scenario on this node — cache tiers first, then an

@@ -196,9 +196,6 @@ func newMetrics(m *Manager) *metrics {
 			"Proxy hops that failed and fell back to local execution.")
 		mt.proxyRTT = r.Histogram("dynring_cluster_proxy_rtt_seconds",
 			"Round-trip time of successful POST /v1/run proxy hops.", nil)
-		r.CounterFunc("dynring_cluster_steals_total",
-			"Owned-elsewhere scenarios executed locally because the owner's gossiped queue depth exceeded this replica's by the steal threshold.",
-			func() float64 { return float64(m.steals.Load()) })
 		r.CounterFunc("dynring_cluster_replica_hits_total",
 			"Scenarios served by proxying to a non-owner replica after the owner was unreachable.",
 			func() float64 { return float64(m.replicaHits.Load()) })

@@ -42,12 +42,11 @@ func main() {
 			problems = append(problems, "tenants: no dynring_admission_* families rendered")
 		}
 		// Likewise the cluster shape must carry the replication counters —
-		// steal, replica-hit, and anti-entropy-repair accounting is the
-		// observable half of the exactly-once argument under failover — plus
-		// the gray-failure families (breaker states, hedge accounting).
+		// replica-hit and anti-entropy-repair accounting is the observable
+		// half of the exactly-once argument under failover — plus the
+		// gray-failure families (breaker states, hedge accounting).
 		if shape == "cluster" {
 			for _, fam := range []string{
-				"dynring_cluster_steals_total",
 				"dynring_cluster_replica_hits_total",
 				"dynring_cluster_antientropy_repairs_total",
 				"dynring_cluster_breaker_state",

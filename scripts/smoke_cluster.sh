@@ -19,7 +19,7 @@
 # seed is printed up front and again on failure). After the loop it waits
 # for anti-entropy to union every replica's -data tier, asserts a re-POST
 # of the first grid adds zero executions cluster-wide, and checks the
-# dynring_cluster_{steals,replica_hits,antientropy_repairs}_total families
+# dynring_cluster_{replica_hits,antientropy_repairs}_total families
 # are exposed on every node's /metrics.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -173,7 +173,7 @@ if [ "${1:-}" = "chaos" ]; then
   echo "== replication metric families exposed on every node"
   for base in "${BASES[@]}"; do
     curl -fsS "$base/metrics" >"$WORKDIR/chaos-metrics.txt"
-    for fam in dynring_cluster_steals_total dynring_cluster_replica_hits_total dynring_cluster_antientropy_repairs_total; do
+    for fam in dynring_cluster_replica_hits_total dynring_cluster_antientropy_repairs_total; do
       grep -q "^# TYPE $fam counter$" "$WORKDIR/chaos-metrics.txt" \
         || die "$base/metrics missing the $fam family"
     done
