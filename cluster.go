@@ -13,21 +13,18 @@ import (
 // runs, so there is exactly one routing authority.
 
 // PeerStatus is one cluster member as reported by /v1/cluster (and
-// /statsz). State is "alive", "suspect", "dead", "left" or "degraded" as
-// seen by the reporting node; health is local opinion, placement is
-// global.
+// /statsz). State is "alive", "suspect", "dead" or "left" as seen by the
+// reporting node; health is local opinion, placement is global.
 type PeerStatus struct {
 	URL  string `json:"url"`
 	Self bool   `json:"self,omitempty"`
 	// State is the probe-derived health state. Peers in any state except
-	// "left" are ring members. "degraded" means alive-but-gray: the peer
-	// answers probes but the reporting node's circuit breaker for it is
-	// not closed (recent proxy errors, timeouts, or slow RTTs), so routed
-	// work skips it until the breaker recovers.
+	// "left" are ring members; only "alive" peers receive routed work. A
+	// gray peer — one that answers, but slower than the reporting node's
+	// probe timeout (capped at its proxy timeout) — reads "suspect" after
+	// one slow probe and "dead" after several, exactly like an
+	// unreachable one, and "alive" again at its first timely probe.
 	State string `json:"state"`
-	// Breaker is the reporting node's circuit-breaker state for this peer:
-	// "closed", "open" or "half_open". Absent for the self entry.
-	Breaker string `json:"breaker,omitempty"`
 	// Failures counts consecutive failed probes; LastSeen is the last
 	// successful one (zero: never probed successfully).
 	Failures int       `json:"failures,omitempty"`
@@ -47,7 +44,7 @@ type ClusterStatus struct {
 	// Replicas is the cluster's replica-set size k (0 or 1: unreplicated):
 	// each fingerprint's envelope lands on its owner and the next k-1 ring
 	// successors, and the serving node fails over along that set when the
-	// owner is dead or degraded.
+	// owner is not alive.
 	Replicas int          `json:"replicas,omitempty"`
 	Peers    []PeerStatus `json:"peers"`
 }

@@ -19,13 +19,14 @@
 // set union.
 //
 // Gray failures — peers that stay alive but turn slow — are handled by
-// four cooperating knobs: every outbound replica RPC is bounded by
+// three cooperating knobs. Every outbound replica RPC is bounded by
 // -proxy-timeout and by the submitting job's remaining deadline budget
-// (propagated hop to hop via X-Dynring-Deadline); per-peer circuit
-// breakers open after -breaker-threshold consecutive errors, timeouts, or
-// slow probes and route traffic to the next replica (open-breaker peers
-// show as "degraded" in /v1/cluster); -hedge-after arms hedged replica
-// reads that race a backup request when the owner is slow,
+// (propagated hop to hop via X-Dynring-Deadline). Every health probe is
+// bounded by -probe-interval, capped at -proxy-timeout, so a peer that
+// answers too slowly fails its probes: it reads "suspect" and then "dead"
+// in /v1/cluster, routing moves to the next replica, and its first timely
+// probe makes it routable again. -hedge-after arms hedged replica reads
+// that race a backup request when the owner is slow,
 // first-response-wins; and -shed-queue-depth arms an overload brownout
 // that sheds anonymous and negative-priority submissions with 503 +
 // Retry-After while the queue is over depth (fully cached requests are
@@ -127,7 +128,6 @@ func run(ctx context.Context, out io.Writer, args []string) error {
 		aeInterval  = fs.Duration("antientropy-interval", 0, "replica disk-tier reconciliation period (0 = default 30s; needs -replicas > 1 and -data)")
 		proxyTO     = fs.Duration("proxy-timeout", 0, "per-hop bound on outbound replica RPCs: proxy runs, replication pushes, anti-entropy fetches (0 = default 10s; a tighter job deadline bounds a hop further)")
 		hedgeAfter  = fs.Duration("hedge-after", 0, "fire a hedged replica read when the owner has been silent this long on a proxy hop (0 disables hedging)")
-		breakThresh = fs.Int("breaker-threshold", 0, "consecutive bad observations — errors, timeouts, slow probes — that open a peer's circuit breaker (0 = default 5)")
 		shedDepth   = fs.Int("shed-queue-depth", 0, "queue depth at which the overload brownout sheds anonymous and negative-priority submissions with 503 (0 disables shedding)")
 		drain       = fs.Duration("drain", 5*time.Second, "graceful shutdown timeout")
 		pprofAddr   = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty disables)")
@@ -183,7 +183,6 @@ func run(ctx context.Context, out io.Writer, args []string) error {
 			AntiEntropyInterval: *aeInterval,
 			ProxyTimeout:        *proxyTO,
 			HedgeAfter:          *hedgeAfter,
-			BreakerThreshold:    *breakThresh,
 		},
 		Logger: logger,
 	})

@@ -44,10 +44,6 @@ type Options struct {
 	// HedgeAfter arms hedged replica reads on every node (0 = disabled,
 	// the service default).
 	HedgeAfter time.Duration
-	// BreakerThreshold and BreakerCooldown tune every node's per-peer
-	// circuit breakers (0 = the breaker defaults of 5 and 5s).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 	// Tenants installs the same admission config on every node (nil = the
 	// open anonymous default).
 	Tenants []service.TenantConfig
@@ -132,8 +128,6 @@ func Start(t *testing.T, opts Options) *Cluster {
 			AntiEntropyInterval: opts.AntiEntropyInterval,
 			ProxyTimeout:        opts.ProxyTimeout,
 			HedgeAfter:          opts.HedgeAfter,
-			BreakerThreshold:    opts.BreakerThreshold,
-			BreakerCooldown:     opts.BreakerCooldown,
 		}
 		m, err := service.New(o)
 		if err != nil {
@@ -203,8 +197,7 @@ func (c *Cluster) WaitAlive() {
 }
 
 // WaitPeerState blocks until node viewer reports peer in one of the given
-// wire states ("alive", "suspect", "dead", "left", "degraded"), failing
-// after 10s.
+// wire states ("alive", "suspect", "dead", "left"), failing after 10s.
 func (c *Cluster) WaitPeerState(viewer int, peer string, states ...string) {
 	c.t.Helper()
 	deadline := time.Now().Add(10 * time.Second)

@@ -73,12 +73,11 @@ func TestGrayFailureHedgeWinsUnderDeadline(t *testing.T) {
 	c := Start(t, Options{
 		Nodes: 3, Replicas: 2,
 		// ProxyTimeout (2s) far above the hedge delay: the hedge, not the
-		// hop timeout, must be what rescues the rows. Breakers are left at
-		// their effectively-inert defaults for the same reason (threshold
-		// high enough that the short test never opens one).
-		ProxyTimeout:     2 * time.Second,
-		HedgeAfter:       250 * time.Millisecond,
-		BreakerThreshold: 1000,
+		// hop timeout, must be what rescues the rows. It also caps the
+		// probe timeout well above the 500ms delay, so the slow owner
+		// stays alive and routable throughout.
+		ProxyTimeout: 2 * time.Second,
+		HedgeAfter:   250 * time.Millisecond,
 	})
 	// Every row owned by node 1 with node 2 as the surviving replica;
 	// node 0 coordinates and holds no replica of them.
@@ -146,30 +145,25 @@ func TestGrayFailureHedgeWinsUnderDeadline(t *testing.T) {
 	}
 }
 
-// TestGrayFailureBreakerOpensAndRecovers: sustained slow probes against a
-// gray peer open its breaker on every observer — the peer's reported
-// state turns "degraded" while it stays alive — and routing serves its
-// fingerprints from the next replica without a single errored row or an
-// execution on the gray node. Lifting the fault lets a post-cooldown good
-// probe close the breaker and restore the alive view.
-func TestGrayFailureBreakerOpensAndRecovers(t *testing.T) {
+// TestGrayFailureSlowPeerDemotedAndRecovers: a gray peer — alive, but
+// answering probes more slowly than the proxy timeout that caps every
+// probe — fails its probes on every observer and goes suspect, then dead.
+// Routing serves its fingerprints from the next replica without a single
+// errored row or an execution on the gray node. Lifting the fault lets the
+// next timely probe (after the dead-peer backoff) restore alive.
+func TestGrayFailureSlowPeerDemotedAndRecovers(t *testing.T) {
 	c := Start(t, Options{
 		Nodes: 3, Replicas: 2,
-		// SlowRTT rides ProxyTimeout: a 250ms answer against a 100ms hop
-		// budget is gray by definition, and two in a row open the breaker.
-		ProxyTimeout:     100 * time.Millisecond,
-		BreakerThreshold: 2,
-		BreakerCooldown:  300 * time.Millisecond,
+		// The probe timeout is capped at ProxyTimeout: a 250ms answer
+		// against a 100ms budget is a failed probe.
+		ProxyTimeout: 100 * time.Millisecond,
 	})
 	c.Plan.SlowNode(c.Node(1).URL, 250*time.Millisecond)
-	c.WaitPeerState(0, c.Node(1).URL, "degraded")
-	if open := scrapeCounter(t, c, 0, `dynring_cluster_breaker_state{state="open"}`); open < 1 {
-		t.Fatalf("breaker_state{open} = %v, want >= 1", open)
-	}
+	c.WaitPeerState(0, c.Node(1).URL, "dead")
 
-	// Rows owned by the degraded node: the open breaker routes them to
-	// their replica (or local fallback) immediately — no errors, no
-	// executions on the gray node, exactly-once intact.
+	// Rows owned by the dead node: routing skips it for their replica (or
+	// local fallback) immediately — no errors, no executions on the gray
+	// node, exactly-once intact.
 	seeds := c.seedsOwnedBy(t, 2, 2, 1)
 	j, err := c.Node(0).Manager.Submit(seedSpec(seeds), service.SubmitOptions{})
 	if err != nil {
@@ -181,56 +175,47 @@ func TestGrayFailureBreakerOpensAndRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st := j.Status(); st.Errors != 0 {
-		t.Fatalf("sweep around degraded owner had %d errored rows", st.Errors)
+		t.Fatalf("sweep around slow owner had %d errored rows", st.Errors)
 	}
 	if got := c.Node(1).Manager.Stats().Executions; got != 0 {
-		t.Fatalf("degraded owner executed %d scenarios, want 0 (breaker must route around it)", got)
+		t.Fatalf("slow owner executed %d scenarios, want 0 (routing must skip it)", got)
 	}
 	if got := c.TotalExecutions(); got != uint64(len(seeds)) {
 		t.Fatalf("cluster executed %d scenarios, want %d", got, len(seeds))
 	}
 
-	// Recovery: fast probes again; after the cooldown one good probe
-	// closes the breaker and the view returns to alive.
+	// Recovery: fast probes again; the first one past the backoff
+	// returns the peer to alive.
 	c.Plan.SlowNode(c.Node(1).URL, 0)
 	c.WaitPeerState(0, c.Node(1).URL, "alive")
-	deadline := time.Now().Add(10 * time.Second)
-	for scrapeCounter(t, c, 0, `dynring_cluster_breaker_state{state="open"}`) != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("open breaker count never returned to 0 after recovery")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
 }
 
 // TestGrayFailureReplicationSkipsDegradedPeer: replication pushes consult
-// the breaker, not mere liveness. With the coordinator's breaker for a
-// slow replica open, a sweep of rows the coordinator owns makes zero
-// /v1/replicate requests to that replica: pushes drain serially, so each
-// one waiting out the proxy timeout on the gray peer would fill the
-// bounded push queue and stall every further execution behind it. The
-// missed envelopes reach the replica through anti-entropy once its
-// breaker closes.
+// routability, so they skip a slow replica. With the coordinator's probes
+// of a slow replica timing out (it is dead to the coordinator), a sweep of
+// rows the coordinator owns makes zero /v1/replicate requests to that
+// replica: pushes drain serially, so each one waiting out the proxy
+// timeout on the gray peer would fill the bounded push queue and stall
+// every further execution behind it. The missed envelopes reach the
+// replica through anti-entropy once it answers probes in time again.
 func TestGrayFailureReplicationSkipsDegradedPeer(t *testing.T) {
 	c := Start(t, Options{
 		Nodes: 3, Replicas: 2, Disk: true,
-		// SlowRTT rides ProxyTimeout: 250ms probes against a 100ms budget
-		// open the breaker after two. Each slow probe re-arms the cooldown,
-		// so the breaker stays open for as long as the fault lasts.
+		// The probe timeout is capped at ProxyTimeout: 250ms probes
+		// against a 100ms budget fail, and the replica goes dead for as
+		// long as the fault lasts.
 		ProxyTimeout:        100 * time.Millisecond,
-		BreakerThreshold:    2,
-		BreakerCooldown:     time.Second,
 		AntiEntropyInterval: time.Hour, // the test drives the repair pass
 	})
 	n0, n1 := c.Node(0), c.Node(1)
 	// More rows than the 256-slot push queue holds: if pushes waited on
-	// the degraded replica, the queue would fill and stall executions.
+	// the slow replica, the queue would fill and stall executions.
 	const rows, queueDepth = 320, 256
 	seeds := c.seedsOwnedBy(t, 2, rows, 0, 1)
 	spec := seedSpec(seeds)
 
 	c.Plan.SlowNode(n1.URL, 250*time.Millisecond)
-	c.WaitPeerState(0, n1.URL, "degraded")
+	c.WaitPeerState(0, n1.URL, "dead")
 	var pushes atomic.Int64
 	c.Plan.OnRequest(func(from, to, path string) {
 		if from == n0.URL && to == n1.URL && path == "/v1/replicate" {
@@ -254,25 +239,32 @@ func TestGrayFailureReplicationSkipsDegradedPeer(t *testing.T) {
 	}
 	c.Plan.OnRequest(nil)
 	if got := pushes.Load(); got != 0 {
-		t.Fatalf("coordinator sent %d replication pushes to the degraded replica, want 0", got)
+		t.Fatalf("coordinator sent %d replication pushes to the slow replica, want 0", got)
 	}
 	// Half of what the stall would cost: every row past the queue's
 	// capacity waiting out one proxy timeout.
 	if stall := time.Duration(rows-queueDepth) * 100 * time.Millisecond; elapsed >= stall/2 {
-		t.Fatalf("sweep took %v — executions waited on pushes to the degraded replica (stall bound %v)", elapsed, stall)
+		t.Fatalf("sweep took %v — executions waited on pushes to the slow replica (stall bound %v)", elapsed, stall)
 	}
 	if got := c.TotalExecutions(); got != uint64(rows) {
 		t.Fatalf("cluster executed %d scenarios, want %d", got, rows)
 	}
 
-	// Recovery: once the breaker closes, one anti-entropy pass lands every
-	// skipped envelope on the replica's disk tier.
+	// Recovery: once the replica is alive again, anti-entropy lands every
+	// skipped envelope on its disk tier. Recovery from dead also fires the
+	// rejoin sync and lets queued pushes drain toward the replica, so a
+	// single pass races them (and a push that fails after it leaves a
+	// gap); drive passes until the replica holds every envelope.
 	c.Plan.SlowNode(n1.URL, 0)
 	c.WaitPeerState(0, n1.URL, "alive")
-	if repairs := n0.Manager.AntiEntropyNow(); repairs < rows {
-		t.Fatalf("anti-entropy repaired %d envelopes, want >= %d", repairs, rows)
+	deadline := time.Now().Add(10 * time.Second)
+	for len(n1.Manager.DurableKeys()) < rows {
+		if time.Now().After(deadline) {
+			t.Fatalf("replica holds %d/%d envelopes 10s after recovery", len(n1.Manager.DurableKeys()), rows)
+		}
+		n0.Manager.AntiEntropyNow()
+		time.Sleep(20 * time.Millisecond)
 	}
-	c.WaitDurable(1, rows)
 }
 
 // postSweepHdr POSTs spec to node i with extra headers through the plan

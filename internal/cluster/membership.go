@@ -33,14 +33,6 @@ const (
 	// are removed from the ring — unlike death, leaving is deliberate and
 	// permanent until a fresh join — and are no longer probed.
 	StateLeft
-	// StateDegraded means the peer answers probes (it is alive) but its
-	// circuit breaker is not closed: recent proxy errors, timeouts, or slow
-	// probe RTTs marked it gray. Degraded is a reported view, not a stored
-	// state — internally the peer stays alive (placement never shifts on
-	// health), but routing skips it while its breaker refuses requests,
-	// and /v1/cluster gossips the degraded verdict so peers pull their own
-	// verification probes forward.
-	StateDegraded
 )
 
 // String implements fmt.Stringer with the wire names used by /v1/cluster.
@@ -52,8 +44,6 @@ func (s State) String() string {
 		return "dead"
 	case StateLeft:
 		return "left"
-	case StateDegraded:
-		return "degraded"
 	default:
 		return "suspect"
 	}
@@ -66,23 +56,6 @@ type PeerInfo struct {
 	State    State
 	Failures int       // consecutive probe failures
 	LastSeen time.Time // last successful probe (zero: never)
-	// Breaker is the peer's circuit-breaker state as held by this node.
-	// A non-closed breaker on an alive peer is what State reports as
-	// StateDegraded.
-	Breaker BreakerState
-}
-
-// ProbeReport is what one successful probe learns about a peer: its member
-// list (the gossip payload) and the set of members the probed peer itself
-// considers degraded.
-type ProbeReport struct {
-	Members []string
-	// Degraded lists members the probed peer reports as gray (alive but
-	// breaker-open). The receiver treats it as advisory evidence only: it
-	// pulls its own verification probe of those members forward rather
-	// than adopting the verdict — one peer's slow path to a member is not
-	// proof the member is slow for everyone.
-	Degraded []string
 }
 
 // Config configures a Membership.
@@ -94,16 +67,19 @@ type Config struct {
 	// every node of a cluster can be started with the identical list.
 	Peers []string
 	// ProbeInterval is the health-probe period (default 1s); ProbeTimeout
-	// bounds one probe (default ProbeInterval).
+	// bounds one probe (default ProbeInterval). A probe that outlives
+	// ProbeTimeout is a failed probe, so a peer that answers but answers
+	// too slowly (a gray failure) goes suspect and then dead exactly like
+	// one that does not answer at all.
 	ProbeInterval time.Duration
 	ProbeTimeout  time.Duration
 	// DeadAfter is the consecutive-failure count that flips a peer from
 	// suspect to dead (default 3).
 	DeadAfter int
 	// Probe overrides the prober: it returns the peer's own member list
-	// and degraded verdicts (the gossip payload) or an error. Nil means the
-	// default HTTP probe of GET <peer>/v1/cluster.
-	Probe func(ctx context.Context, peerURL string) (ProbeReport, error)
+	// (the gossip payload) or an error, and must honour ctx's deadline.
+	// Nil means the default HTTP probe of GET <peer>/v1/cluster.
+	Probe func(ctx context.Context, peerURL string) ([]string, error)
 	// OnRejoin, when non-nil, is invoked (without the membership lock
 	// held) each time a peer returns from the dead — a successful probe of
 	// a peer in StateDead — or re-enters after a graceful leave. It fires
@@ -112,11 +88,6 @@ type Config struct {
 	// which is what keeps rejoin-triggered work (anti-entropy pushes,
 	// Rejoin broadcasts) from doubling on a transient probe loss.
 	OnRejoin func(peerURL string)
-	// Breaker configures the per-peer circuit breakers (zero fields take
-	// the BreakerConfig defaults). Every observation about a peer — probe
-	// outcomes and RTTs, proxy results reported via Observe/MarkFailed —
-	// feeds its breaker; Routable consults it.
-	Breaker BreakerConfig
 	// HTTPClient backs the default prober and Leave broadcasts; nil means
 	// a private client (per-probe timeouts come from ProbeTimeout).
 	HTTPClient *http.Client
@@ -132,7 +103,6 @@ type peer struct {
 	lastSeen  time.Time
 	nextProbe time.Time
 	probing   bool // a probe goroutine is in flight
-	breaker   *Breaker
 }
 
 // Membership tracks the health of a cluster's peers and owns the placement
@@ -189,15 +159,10 @@ func NewMembership(cfg Config) *Membership {
 	}
 	for _, p := range cfg.Peers {
 		if p != "" && p != cfg.Self {
-			m.peers[p] = m.newPeer()
+			m.peers[p] = &peer{state: StateSuspect}
 		}
 	}
 	return m
-}
-
-// newPeer builds a fresh tracking record: suspect, with a closed breaker.
-func (m *Membership) newPeer() *peer {
-	return &peer{state: StateSuspect, breaker: NewBreaker(m.cfg.Breaker)}
 }
 
 // Self is this node's advertised URL.
@@ -250,17 +215,13 @@ func (m *Membership) probeDue() {
 }
 
 // probeOne runs a single health probe against url and applies the result.
-// The probe's round-trip time is breaker evidence: a probe that succeeds
-// slowly is the defining signature of gray failure, so it feeds the
-// peer's breaker exactly as an error would (when BreakerConfig.SlowRTT is
-// configured). Probes are never gated by Allow — they are the detector
-// that eventually closes an open breaker.
+// The probe is bounded by ProbeTimeout: a peer too slow to answer inside
+// it fails the probe, which is how a gray (slow but alive) peer is
+// detected and routed around.
 func (m *Membership) probeOne(url string) {
 	ctx, cancel := context.WithTimeout(context.Background(), m.cfg.ProbeTimeout)
 	defer cancel()
-	start := m.now()
-	report, err := m.probe(ctx, url)
-	rtt := m.now().Sub(start)
+	members, err := m.probe(ctx, url)
 	m.mu.Lock()
 	p, ok := m.peers[url]
 	if !ok || p.state == StateLeft {
@@ -276,7 +237,6 @@ func (m *Membership) probeOne(url string) {
 		m.mu.Unlock()
 		return
 	}
-	p.breaker.Observe(rtt, nil)
 	if p.state != StateAlive {
 		m.log.Info("peer alive", "peer", url)
 	}
@@ -287,38 +247,15 @@ func (m *Membership) probeOne(url string) {
 	p.failures = 0
 	p.lastSeen = m.now()
 	p.nextProbe = p.lastSeen.Add(m.cfg.ProbeInterval)
-	m.mergeLocked(report.Members)
-	m.verifyDegradedLocked(report.Degraded)
+	m.mergeLocked(members)
 	m.mu.Unlock()
 	if rejoined && m.cfg.OnRejoin != nil {
 		m.cfg.OnRejoin(url)
 	}
 }
 
-// verifyDegradedLocked applies gossiped degraded verdicts: for every
-// listed member this node currently trusts (alive, breaker closed, no
-// probe in flight), the next probe is pulled forward so this node forms
-// its own opinion within one probe round instead of one interval. The
-// verdict itself is never adopted — degradation is per-path, and this
-// node's path to the member may be fine. Callers hold m.mu.
-func (m *Membership) verifyDegradedLocked(degraded []string) {
-	now := m.now()
-	for _, url := range degraded {
-		if url == "" || url == m.cfg.Self {
-			continue
-		}
-		p, ok := m.peers[url]
-		if !ok || p.probing || p.state != StateAlive || p.breaker.State() != BreakerClosed {
-			continue
-		}
-		if p.nextProbe.After(now) {
-			p.nextProbe = now
-		}
-	}
-}
-
 // probe dispatches to the configured prober or the default HTTP one.
-func (m *Membership) probe(ctx context.Context, url string) (ProbeReport, error) {
+func (m *Membership) probe(ctx context.Context, url string) ([]string, error) {
 	if m.cfg.Probe != nil {
 		return m.cfg.Probe(ctx, url)
 	}
@@ -336,37 +273,33 @@ type clusterDoc struct {
 
 // httpProbe is the default prober: GET <peer>/v1/cluster. Any 2xx counts
 // as alive; the response's member list (minus peers the remote itself
-// considers left) is the gossip payload, together with the members it
-// reports degraded. A 2xx whose body fails to parse still counts as
-// alive — health and gossip are separable.
-func (m *Membership) httpProbe(ctx context.Context, url string) (ProbeReport, error) {
+// considers left) is the gossip payload. A 2xx whose body fails to parse
+// still counts as alive — health and gossip are separable.
+func (m *Membership) httpProbe(ctx context.Context, url string) ([]string, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/v1/cluster", nil)
 	if err != nil {
-		return ProbeReport{}, err
+		return nil, err
 	}
 	resp, err := m.client.Do(req)
 	if err != nil {
-		return ProbeReport{}, err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return ProbeReport{}, fmt.Errorf("probe %s: %s", url, resp.Status)
+		return nil, fmt.Errorf("probe %s: %s", url, resp.Status)
 	}
 	var doc clusterDoc
 	if json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&doc) != nil {
-		return ProbeReport{}, nil
+		return nil, nil
 	}
-	var report ProbeReport
+	var members []string
 	for _, p := range doc.Peers {
 		if p.State != StateLeft.String() {
-			report.Members = append(report.Members, p.URL)
-		}
-		if p.State == StateDegraded.String() {
-			report.Degraded = append(report.Degraded, p.URL)
+			members = append(members, p.URL)
 		}
 	}
-	return report, nil
+	return members, nil
 }
 
 // recordFailureLocked applies one probe (or routing) failure: suspect on
@@ -375,7 +308,6 @@ func (m *Membership) httpProbe(ctx context.Context, url string) (ProbeReport, er
 // a trickle, not a stream, of timeouts. Callers hold m.mu.
 func (m *Membership) recordFailureLocked(url string, p *peer, err error) {
 	m.probeFailures.Add(1)
-	p.breaker.Observe(0, err)
 	p.failures++
 	prev := p.state
 	if p.failures >= m.cfg.DeadAfter {
@@ -403,7 +335,7 @@ func (m *Membership) mergeLocked(members []string) {
 		if _, ok := m.peers[url]; ok {
 			continue
 		}
-		m.peers[url] = m.newPeer()
+		m.peers[url] = &peer{state: StateSuspect}
 		m.ring = nil
 		m.log.Info("peer discovered via gossip", "peer", url)
 	}
@@ -468,7 +400,7 @@ func (m *Membership) Rejoin(url string) {
 	// Readmitting a previously-left peer is a genuine recovery; a
 	// brand-new join is not (there is nothing to reconcile yet).
 	rejoined := ok && p.state == StateLeft
-	m.peers[url] = m.newPeer()
+	m.peers[url] = &peer{state: StateSuspect}
 	m.ring = nil
 	m.log.Info("peer joined", "peer", url)
 	m.mu.Unlock()
@@ -477,11 +409,12 @@ func (m *Membership) Rejoin(url string) {
 	}
 }
 
-// Alive reports whether url is this node (always alive) or a peer whose
-// state is alive. Degraded peers are alive — they answer probes; use
-// Routable to decide whether to send them any request that waits on the
-// peer (proxy hops, replication pushes).
-func (m *Membership) Alive(url string) bool {
+// Routable reports whether url should receive a routed request right now
+// (proxy hops, replication pushes): it is this node, or a peer whose last
+// probe succeeded inside ProbeTimeout. Suspect, dead and left peers are
+// skipped, so routing moves to the next replica instead of waiting out a
+// proxy timeout against them.
+func (m *Membership) Routable(url string) bool {
 	if url == m.cfg.Self {
 		return true
 	}
@@ -489,53 +422,6 @@ func (m *Membership) Alive(url string) bool {
 	defer m.mu.Unlock()
 	p, ok := m.peers[url]
 	return ok && p.state == StateAlive
-}
-
-// Routable reports whether url should receive a routed request right now:
-// it is this node (always routable), or an alive peer whose circuit
-// breaker admits traffic. An open breaker makes Routable false even
-// though the peer is alive — that is the gray-failure cutoff that routes
-// a fingerprint to the next replica immediately instead of waiting out a
-// proxy timeout against a slow peer.
-func (m *Membership) Routable(url string) bool {
-	if url == m.cfg.Self {
-		return true
-	}
-	m.mu.Lock()
-	p, ok := m.peers[url]
-	alive := ok && p.state == StateAlive
-	m.mu.Unlock()
-	// The breaker consult stays outside m.mu: Breaker has its own lock,
-	// and Allow's half-open transition must not run under the membership
-	// lock routing's hot path contends on.
-	return alive && p.breaker.Allow()
-}
-
-// ObserveRTT records the round-trip time of one successful routed request
-// against url as breaker evidence. Failures go through MarkFailed
-// instead (they are also membership-level evidence); successes come here
-// so a slow-but-succeeding peer still trips its breaker when
-// BreakerConfig.SlowRTT is configured. Unknown URLs are ignored.
-func (m *Membership) ObserveRTT(url string, rtt time.Duration) {
-	m.mu.Lock()
-	p, ok := m.peers[url]
-	m.mu.Unlock()
-	if ok {
-		p.breaker.Observe(rtt, nil)
-	}
-}
-
-// BreakerStates returns the count of peers in each breaker state. The
-// dynring_cluster_breaker_state gauge family exposes these counts —
-// per-state, never per-peer, keeping metric cardinality constant.
-func (m *Membership) BreakerStates() map[BreakerState]int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := map[BreakerState]int{BreakerClosed: 0, BreakerOpen: 0, BreakerHalfOpen: 0}
-	for _, p := range m.peers {
-		out[p.breaker.State()]++
-	}
-	return out
 }
 
 // Snapshot returns every member — Self first, then peers sorted by URL.
@@ -551,20 +437,11 @@ func (m *Membership) Snapshot() []PeerInfo {
 	sort.Strings(urls)
 	for _, url := range urls {
 		p := m.peers[url]
-		st, bst := p.state, p.breaker.State()
-		// Degraded is the reported view of "alive but breaker not closed":
-		// the stored state stays alive (health never moves keys), but the
-		// snapshot — and through it /v1/cluster and gossip — sees the
-		// gray verdict.
-		if st == StateAlive && bst != BreakerClosed {
-			st = StateDegraded
-		}
 		out = append(out, PeerInfo{
 			URL:      url,
-			State:    st,
+			State:    p.state,
 			Failures: p.failures,
 			LastSeen: p.lastSeen,
-			Breaker:  bst,
 		})
 	}
 	return out

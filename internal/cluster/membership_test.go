@@ -12,37 +12,41 @@ import (
 )
 
 // fakeProbe is a scriptable prober: per-URL responses, call counting, and
-// an optional per-URL artificial RTT (the gray-failure knob).
+// an optional per-URL artificial RTT (the gray-failure knob). Like the
+// HTTP prober it honours ctx, so an RTT past the probe timeout fails the
+// probe.
 type fakeProbe struct {
-	mu       sync.Mutex
-	fail     map[string]bool
-	members  map[string][]string
-	degraded map[string][]string
-	slow     map[string]time.Duration
-	calls    map[string]int
+	mu      sync.Mutex
+	fail    map[string]bool
+	members map[string][]string
+	slow    map[string]time.Duration
+	calls   map[string]int
 }
 
 func newFakeProbe() *fakeProbe {
 	return &fakeProbe{
 		fail: map[string]bool{}, members: map[string][]string{},
-		degraded: map[string][]string{},
-		slow:     map[string]time.Duration{}, calls: map[string]int{},
+		slow: map[string]time.Duration{}, calls: map[string]int{},
 	}
 }
 
-func (f *fakeProbe) probe(_ context.Context, url string) (ProbeReport, error) {
+func (f *fakeProbe) probe(ctx context.Context, url string) ([]string, error) {
 	f.mu.Lock()
 	f.calls[url]++
 	fail, delay := f.fail[url], f.slow[url]
-	report := ProbeReport{Members: f.members[url], Degraded: f.degraded[url]}
+	members := f.members[url]
 	f.mu.Unlock()
 	if delay > 0 {
-		time.Sleep(delay)
+		select {
+		case <-time.After(delay):
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
 	}
 	if fail {
-		return ProbeReport{}, errors.New("connection refused")
+		return nil, errors.New("connection refused")
 	}
-	return report, nil
+	return members, nil
 }
 
 func (f *fakeProbe) setSlow(url string, d time.Duration) {
@@ -134,14 +138,173 @@ func TestMembershipBootstrapAndStates(t *testing.T) {
 	advance(m, time.Hour)
 	m.probeDue()
 	settle(t, m, func() bool { return state(m, "http://a:1") == StateDead })
-	if m.Alive("http://a:1") {
-		t.Fatal("dead peer reported alive")
+	if m.Routable("http://a:1") {
+		t.Fatal("dead peer reported routable")
 	}
 
 	probe.setFail("http://a:1", false)
 	advance(m, time.Hour)
 	m.probeDue()
 	settle(t, m, func() bool { return state(m, "http://a:1") == StateAlive })
+}
+
+// TestMembershipSlowProbeDemotes pins the gray-failure detector: a probe
+// that answers, but slower than ProbeTimeout, is a failed probe. One makes
+// the peer suspect and unroutable, DeadAfter of them make it dead, and a
+// timely probe restores alive — firing OnRejoin exactly once when the
+// peer was dead, and not at all when it was only suspect.
+func TestMembershipSlowProbeDemotes(t *testing.T) {
+	const peer = "http://a:1"
+	cases := []struct {
+		name     string
+		slow     int  // consecutive slow probes after the first good one
+		recover  bool // then one timely probe
+		want     State
+		routable bool
+		rejoins  int
+	}{
+		{name: "one slow probe", slow: 1, want: StateSuspect},
+		{name: "DeadAfter slow probes", slow: 3, want: StateDead},
+		{name: "timely probe after suspect", slow: 1, recover: true, want: StateAlive, routable: true},
+		{name: "timely probe after dead", slow: 3, recover: true, want: StateAlive, routable: true, rejoins: 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			probe := newFakeProbe()
+			var mu sync.Mutex
+			rejoins := 0
+			m := NewMembership(Config{
+				Self:          "http://self:1",
+				Peers:         []string{peer},
+				ProbeInterval: 10 * time.Millisecond,
+				ProbeTimeout:  20 * time.Millisecond,
+				DeadAfter:     3,
+				Probe:         probe.probe,
+				OnRejoin: func(string) {
+					mu.Lock()
+					rejoins++
+					mu.Unlock()
+				},
+			})
+			tick := func() {
+				advance(m, time.Hour)
+				m.probeDue()
+				settle(t, m, func() bool { return true })
+			}
+			tick()
+			if got := state(m, peer); got != StateAlive || !m.Routable(peer) {
+				t.Fatalf("after a timely probe state = %v routable = %v, want alive and routable", got, m.Routable(peer))
+			}
+			probe.setSlow(peer, 200*time.Millisecond)
+			for i := 0; i < tc.slow; i++ {
+				tick()
+			}
+			if tc.recover {
+				probe.setSlow(peer, 0)
+				tick()
+			}
+			if got := state(m, peer); got != tc.want {
+				t.Fatalf("state = %v, want %v", got, tc.want)
+			}
+			if got := m.Routable(peer); got != tc.routable {
+				t.Fatalf("routable = %v, want %v", got, tc.routable)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if rejoins != tc.rejoins {
+				t.Fatalf("OnRejoin fired %d times, want %d", rejoins, tc.rejoins)
+			}
+		})
+	}
+}
+
+// TestBreakerSlowRTTCountsAsFailure keeps its name from the deleted
+// per-peer breaker, whose SlowRTT turned a slow success into a failure.
+// The probe timeout now carries that signal: a probe answering past it is
+// a failure, a fast one is not, and with ProbeTimeout unset the probe
+// interval is the bound, so latency is always evidence.
+func TestBreakerSlowRTTCountsAsFailure(t *testing.T) {
+	const peer = "http://a:1"
+	cases := []struct {
+		name    string
+		timeout time.Duration // Config.ProbeTimeout; 0 = default to the interval
+		rtt     time.Duration
+		want    State
+	}{
+		{name: "fast probe", timeout: 50 * time.Millisecond, rtt: 5 * time.Millisecond, want: StateAlive},
+		{name: "probe past the timeout", timeout: 20 * time.Millisecond, rtt: 200 * time.Millisecond, want: StateSuspect},
+		{name: "probe past the default interval bound", rtt: 200 * time.Millisecond, want: StateSuspect},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			probe := newFakeProbe()
+			m := NewMembership(Config{
+				Self:          "http://self:1",
+				Peers:         []string{peer},
+				ProbeInterval: 20 * time.Millisecond,
+				ProbeTimeout:  tc.timeout,
+				DeadAfter:     3,
+				Probe:         probe.probe,
+			})
+			m.probeDue()
+			settle(t, m, func() bool { return state(m, peer) == StateAlive })
+			probe.setSlow(peer, tc.rtt)
+			advance(m, time.Hour)
+			m.probeDue()
+			settle(t, m, func() bool { return true })
+			if got := state(m, peer); got != tc.want {
+				t.Fatalf("state after a %v probe = %v, want %v", tc.rtt, got, tc.want)
+			}
+		})
+	}
+}
+
+// TestMembershipDegradedViewAndRoutable keeps its name from the deleted
+// degraded state. The verdict is per peer: a slow peer reads suspect in
+// the snapshot (there is no separate gray state) and drops out of
+// Routable while a healthy peer stays routable, and timely probes put the
+// slow peer back in the routable view.
+func TestMembershipDegradedViewAndRoutable(t *testing.T) {
+	const slow, fast = "http://a:1", "http://b:1"
+	probe := newFakeProbe()
+	m := NewMembership(Config{
+		Self:          "http://self:1",
+		Peers:         []string{slow, fast},
+		ProbeInterval: 10 * time.Millisecond,
+		ProbeTimeout:  30 * time.Millisecond,
+		DeadAfter:     3,
+		Probe:         probe.probe,
+	})
+	m.probeDue()
+	settle(t, m, func() bool { return m.Routable(slow) && m.Routable(fast) })
+
+	probe.setSlow(slow, 200*time.Millisecond)
+	for i := 0; i < 2; i++ {
+		advance(m, time.Hour)
+		m.probeDue()
+		settle(t, m, func() bool { return true })
+	}
+	views := map[string]string{}
+	for _, p := range m.Snapshot() {
+		views[p.URL] = p.State.String()
+	}
+	if views[slow] != "suspect" || views[fast] != "alive" {
+		t.Fatalf("snapshot states = %v, want %s suspect and %s alive", views, slow, fast)
+	}
+	if m.Routable(slow) {
+		t.Fatal("slow peer reported routable")
+	}
+	if !m.Routable(fast) {
+		t.Fatal("healthy peer lost routability to its slow neighbour")
+	}
+
+	probe.setSlow(slow, 0)
+	advance(m, time.Hour)
+	m.probeDue()
+	settle(t, m, func() bool { return true })
+	if !m.Routable(slow) || !m.Routable(fast) {
+		t.Fatalf("after timely probes routable = %v/%v, want both", m.Routable(slow), m.Routable(fast))
+	}
 }
 
 // advance shifts the membership clock forward so backoff windows expire

@@ -86,11 +86,11 @@ func (m *Manager) replicationLoop() {
 }
 
 // pushReplicas sends one envelope to every other currently-routable member
-// of its replica set. A dead, unreachable or degraded (open-breaker)
-// replica is skipped — anti-entropy repairs it on recovery. Routable, not
-// Alive: pushes run serially on one loop, each bounded by the proxy
-// timeout, so waiting on a gray peer would back the bounded queue up into
-// every execution on this node.
+// of its replica set. A replica that is not alive — unreachable, or too
+// slow to answer its probes inside the probe timeout — is skipped, and
+// anti-entropy repairs it on recovery. Pushes run serially on one loop,
+// each bounded by the proxy timeout, so waiting on a gray peer would back
+// the bounded queue up into every execution on this node.
 func (m *Manager) pushReplicas(fp string, res dynring.Result) {
 	self := m.membership.Self()
 	for _, o := range m.membership.Ring().Owners(fp, m.replicas) {

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -75,7 +76,10 @@ type ClusterOptions struct {
 	// discovered by gossip.
 	Peers []string
 	// ProbeInterval and ProbeTimeout tune health probing; zero means the
-	// membership defaults (1s, and probe timeout = interval).
+	// membership defaults (1s, and probe timeout = interval). The probe
+	// timeout is further capped at ProxyTimeout: a peer whose cheap health
+	// probe takes longer than we would wait for real work fails the probe,
+	// goes suspect (unroutable) and, after repeated slow probes, dead.
 	ProbeInterval time.Duration
 	ProbeTimeout  time.Duration
 	// Replicas is the replica-set size k: each fingerprint is placed on its
@@ -111,15 +115,6 @@ type ClusterOptions struct {
 	// singleflight, and the replication push reconciles the winner's
 	// envelope. Zero disables hedging (ringsimd -hedge-after).
 	HedgeAfter time.Duration
-	// BreakerThreshold is the consecutive bad-observation count (proxy
-	// errors, timeouts, slow probe RTTs) that opens a peer's circuit
-	// breaker; an open breaker routes work to the next replica immediately
-	// and reports the peer "degraded". Zero means the breaker default of 5
-	// (ringsimd -breaker-threshold).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker refuses a peer before
-	// admitting a half-open trial (zero: the breaker default of 5s).
-	BreakerCooldown time.Duration
 }
 
 // defaultJobHistory is the settled-job retention bound when Options leaves
@@ -360,21 +355,16 @@ func newManager(opts Options) (*Manager, error) {
 		m.aeKick = make(chan string, 8)
 		m.auxStop = make(chan struct{})
 		m.replq = make(chan replItem, replicateQueueDepth)
+		// Cap the probe timeout at the proxy budget (see ClusterOptions.
+		// ProbeTimeout); unset values take the membership defaults first.
+		probeTimeout := cmp.Or(max(opts.Cluster.ProbeTimeout, 0), max(opts.Cluster.ProbeInterval, 0), time.Second)
 		m.membership = cluster.NewMembership(cluster.Config{
 			Self:          opts.Cluster.Self,
 			Peers:         opts.Cluster.Peers,
 			ProbeInterval: opts.Cluster.ProbeInterval,
-			ProbeTimeout:  opts.Cluster.ProbeTimeout,
+			ProbeTimeout:  min(probeTimeout, m.proxyTimeout),
 			HTTPClient:    m.proxyHTTP,
 			Logger:        base.With("component", "cluster"),
-			// The breaker's slow-RTT cutoff is the per-hop proxy budget: a
-			// peer whose cheap health probe takes longer than we would wait
-			// for real work is gray by definition.
-			Breaker: cluster.BreakerConfig{
-				Threshold: opts.Cluster.BreakerThreshold,
-				Cooldown:  opts.Cluster.BreakerCooldown,
-				SlowRTT:   m.proxyTimeout,
-			},
 			// A peer returning from the dead (never a transient flap — the
 			// membership fires this once per recovery) gets an immediate
 			// targeted anti-entropy sync, which is how envelopes executed
@@ -657,11 +647,6 @@ func (m *Manager) ClusterStatus() dynring.ClusterStatus {
 			Failures: p.Failures,
 			LastSeen: p.LastSeen,
 		}
-		if !p.Self {
-			// This node's breaker verdict for the peer; a non-closed one is
-			// what the State field reports as "degraded".
-			peers[i].Breaker = p.Breaker.String()
-		}
 	}
 	return dynring.ClusterStatus{
 		Enabled:  true,
@@ -869,9 +854,9 @@ func (m *Manager) runTask(t task) {
 // this node and any peer that is not routable. Empty targets means
 // execute locally: standalone mode, we own fp, or no candidate is
 // routable (placement never moves on health; availability comes from the
-// local fallback). A routable peer is alive with a closed or half-open
-// breaker, so a gray peer is skipped at once instead of waiting out a
-// proxy timeout against it.
+// local fallback). A routable peer is alive: its last probe answered
+// inside the probe timeout, so a gray peer is skipped at once instead of
+// waiting out a proxy timeout against it.
 func (m *Manager) routeFor(fp string) (owner string, targets []string) {
 	if m.membership == nil {
 		return "", nil
@@ -978,15 +963,13 @@ func (m *Manager) proxyHedged(j *Job, i int, targets []string) (dynring.RunRespo
 // hop it takes. The second return is false when the caller should fall
 // back (next replica, then local execution): the scenario has no wire
 // form (custom factory), the budget is already spent, or the target
-// failed — a genuine failure also feeds the membership's failure evidence
-// (and through it the peer's breaker), while a hop cancelled from our own
-// side (a hedge lost its race, the job was cancelled) is not evidence
-// against the peer and feeds nothing. Successful hops report their RTT to
-// the breaker. Retries are disabled on the
-// hop: the local fallback IS the retry, and it cannot lose work. A tenant
-// the target does not know (config skew across the cluster) is rejected
-// there with 401, which lands here as a failed hop and degrades to the
-// same fallback.
+// failed — a genuine failure also feeds the membership's failure evidence,
+// while a hop cancelled from our own side (a hedge lost its race, the job
+// was cancelled) is not evidence against the peer and feeds nothing.
+// Retries are disabled on the hop: the local fallback IS the retry, and it
+// cannot lose work. A tenant the target does not know (config skew across
+// the cluster) is rejected there with 401, which lands here as a failed
+// hop and degrades to the same fallback.
 func (m *Manager) proxyRun(ctx context.Context, target string, sc dynring.Scenario, fp, traceID, tenant string, deadline time.Time) (dynring.RunResponse, bool) {
 	sp, err := sc.WireSpec()
 	if err != nil {
@@ -1028,7 +1011,6 @@ func (m *Manager) proxyRun(ctx context.Context, target string, sc dynring.Scenar
 			"fingerprint", fp, "target", target, "trace", traceID)
 		return dynring.RunResponse{}, false
 	}
-	m.membership.ObserveRTT(target, rtt)
 	m.met.proxyRTT.Observe(rtt.Seconds())
 	m.proxied.Add(1)
 	return rr, true

@@ -172,7 +172,7 @@ func newMetrics(m *Manager) *metrics {
 
 	// --- cluster: membership and the proxy path ---
 	if m.membership != nil {
-		for _, state := range []cluster.State{cluster.StateAlive, cluster.StateSuspect, cluster.StateDead, cluster.StateLeft, cluster.StateDegraded} {
+		for _, state := range []cluster.State{cluster.StateAlive, cluster.StateSuspect, cluster.StateDead, cluster.StateLeft} {
 			state := state
 			r.GaugeFunc("dynring_cluster_peers",
 				"Cluster members by probe-derived health state, as seen by this node (self counts as alive).",
@@ -197,23 +197,13 @@ func newMetrics(m *Manager) *metrics {
 		mt.proxyRTT = r.Histogram("dynring_cluster_proxy_rtt_seconds",
 			"Round-trip time of successful POST /v1/run proxy hops.", nil)
 		r.CounterFunc("dynring_cluster_replica_hits_total",
-			"Scenarios served by proxying to a non-owner replica after the owner was unreachable.",
+			"Scenarios served by a non-owner replica: failover past an unroutable or failed owner, or a hedged read that beat the owner.",
 			func() float64 { return float64(m.replicaHits.Load()) })
 		r.CounterFunc("dynring_cluster_antientropy_repairs_total",
 			"Envelopes copied between replica disk tiers by the anti-entropy pass (pulled repairs plus pushes to lagging peers).",
 			func() float64 { return float64(m.aeRepairs.Load()) })
-		// Per-state peer counts, not per-peer series: breaker state is a
-		// constant-cardinality label (three states) where peer URLs would be
-		// unbounded.
-		for _, bst := range []cluster.BreakerState{cluster.BreakerClosed, cluster.BreakerOpen, cluster.BreakerHalfOpen} {
-			bst := bst
-			r.GaugeFunc("dynring_cluster_breaker_state",
-				"Peers by circuit-breaker state as seen by this node (open and half_open peers are not routable until a trial succeeds).",
-				func() float64 { return float64(m.membership.BreakerStates()[bst]) },
-				telemetry.Label{Name: "state", Value: bst.String()})
-		}
 		r.CounterFunc("dynring_cluster_hedges_total",
-			"Hedged replica requests fired because the owner's observed latency crossed the hedge threshold.",
+			"Hedged replica requests fired because the owner's proxy hop was still unanswered after the hedge delay.",
 			func() float64 { return float64(m.hedges.Load()) })
 		r.CounterFunc("dynring_cluster_hedge_wins_total",
 			"Hedged requests whose replica answered before the slow owner (the owner's in-flight hop is cancelled, never adopted).",
