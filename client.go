@@ -14,6 +14,9 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"dynring/internal/sim"
+	"dynring/internal/wire"
 )
 
 // This file is the Go client of the ringsimd sweep service
@@ -94,6 +97,72 @@ type ResultRow struct {
 	// or cancellation failures.
 	Result *Result `json:"result,omitempty"`
 	Error  string  `json:"error,omitempty"`
+}
+
+// AppendJSON appends the row's JSON form to dst: exactly the bytes
+// encoding/json emits for the row (omitempty result and error, HTML-escaped
+// strings), without a trailing newline. Appending into a reused buffer
+// does not allocate for rows whose strings need no escaping.
+func (r ResultRow) AppendJSON(dst []byte) []byte {
+	dst = append(dst, `{"index":`...)
+	dst = strconv.AppendInt(dst, int64(r.Index), 10)
+	dst = append(dst, `,"name":`...)
+	dst = wire.AppendString(dst, r.Name)
+	dst = append(dst, `,"fingerprint":`...)
+	dst = wire.AppendString(dst, r.Fingerprint)
+	if r.Result != nil {
+		dst = append(dst, `,"result":`...)
+		dst = sim.AppendResult(dst, r.Result)
+	}
+	if r.Error != "" {
+		dst = append(dst, `,"error":`...)
+		dst = wire.AppendString(dst, r.Error)
+	}
+	return append(dst, '}')
+}
+
+// ParseResultRow decodes one results-stream row into *row, which it
+// overwrites. Rows in the canonical form AppendJSON emits take a fast
+// path; any other input is decoded by json.Unmarshal, which defines what
+// is accepted (unknown fields are ignored) and the error for what is not.
+func ParseResultRow(data []byte, row *ResultRow) error {
+	*row = ResultRow{}
+	if readResultRow(data, row) {
+		return nil
+	}
+	*row = ResultRow{}
+	return json.Unmarshal(data, row)
+}
+
+// readResultRow is ParseResultRow's fast path; it reports whether data was
+// canonical and fully read.
+func readResultRow(data []byte, row *ResultRow) bool {
+	l := wire.NewLexer(data)
+	var seen uint64
+	l.Expect('{')
+	for i := 0; l.Next(i, '}'); i++ {
+		switch string(l.Key()) {
+		case "index":
+			l.Field(&seen, 0)
+			row.Index = l.Int()
+		case "name":
+			l.Field(&seen, 1)
+			row.Name = l.String()
+		case "fingerprint":
+			l.Field(&seen, 2)
+			row.Fingerprint = l.String()
+		case "result":
+			l.Field(&seen, 3)
+			row.Result = new(Result)
+			sim.ReadResult(&l, row.Result)
+		case "error":
+			l.Field(&seen, 4)
+			row.Error = l.String()
+		default:
+			l.Fail()
+		}
+	}
+	return l.End()
 }
 
 // TraceSpan is one traced scenario of a sweep as exposed by
@@ -325,6 +394,9 @@ func (c *Client) doWith(ctx context.Context, method, path string, so *submitOpti
 	var buf []byte
 	if body != nil {
 		var err error
+		// Request bodies (specs) stay on encoding/json: they are a small
+		// share of the client's time and carry floats; the server's fast
+		// spec parser reads this output as-is.
 		if buf, err = json.Marshal(body); err != nil {
 			return err
 		}
@@ -386,6 +458,8 @@ func (c *Client) doOnce(ctx context.Context, method, path string, so *submitOpti
 		_, err = io.Copy(io.Discard, resp.Body)
 		return err
 	}
+	// Response documents (statuses, traces, stats, RunResponse) are one
+	// per request, not per row: they stay on encoding/json.
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
@@ -668,7 +742,7 @@ func (c *Client) streamOnce(ctx context.Context, id string, total int, next *int
 			continue
 		}
 		var row ResultRow
-		if err := json.Unmarshal(line, &row); err != nil {
+		if err := ParseResultRow(line, &row); err != nil {
 			// Typically a line cut mid-write by a dying connection; the
 			// resume re-fetches it whole.
 			return fmt.Errorf("dynring: bad result row: %w", err)

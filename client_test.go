@@ -318,3 +318,23 @@ func TestClientRejectsTruncatedStream(t *testing.T) {
 		})
 	}
 }
+
+// TestResultRowCodecAllocs bounds the per-row cost: appending into a
+// reused buffer never allocates, and a fast-path parse allocates only the
+// name, the fingerprint, the Result and its two slices.
+func TestResultRowCodecAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	row := dynring.ResultRow{Index: 17, Name: "KnownNNoChirality/n=8/random(p=0.5)/seed=3", Fingerprint: "v2-0123456789abcdef",
+		Result: &dynring.Result{Outcome: dynring.OutcomeAllTerminated, Rounds: 120, Explored: true, ExploredRound: 40,
+			TerminatedAt: []int{100, 120}, Terminated: 2, Moves: []int{57, 61}, TotalMoves: 118}}
+	buf := make([]byte, 0, 1024)
+	if n := testing.AllocsPerRun(200, func() { buf = row.AppendJSON(buf[:0]) }); n != 0 {
+		t.Errorf("AppendJSON into a reused buffer: %v allocs, want 0", n)
+	}
+	var back dynring.ResultRow
+	if n := testing.AllocsPerRun(200, func() { _ = dynring.ParseResultRow(buf, &back) }); n > 5 {
+		t.Errorf("fast-path ParseResultRow: %v allocs, want ≤ 5", n)
+	}
+}

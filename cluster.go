@@ -4,6 +4,8 @@ import (
 	"context"
 	"net/http"
 	"time"
+
+	"dynring/internal/wire"
 )
 
 // This file is the client side of a sharded ringsimd cluster: the wire
@@ -57,7 +59,30 @@ type RunRequest struct {
 	Scenario ScenarioSpec `json:"scenario"`
 }
 
-// RunResponse is the document POST /v1/run answers with.
+// DecodeRunRequest decodes a POST /v1/run body with the same fast path and
+// encoding/json definition as DecodeSweepSpec.
+func DecodeRunRequest(data []byte) (RunRequest, error) {
+	var req RunRequest
+	l := wire.NewLexer(data)
+	var seen uint64
+	l.Expect('{')
+	for i := 0; l.Next(i, '}'); i++ {
+		if string(l.Key()) != "scenario" {
+			l.Fail()
+		}
+		l.Field(&seen, 0)
+		readScenarioSpec(&l, &req.Scenario)
+	}
+	if l.End() {
+		return req, nil
+	}
+	req = RunRequest{}
+	return req, decodeStrict(data, &req)
+}
+
+// RunResponse is the document POST /v1/run answers with. It stays on
+// encoding/json: it carries TraceSpan times, and the per-scenario hop it
+// answers is slated to become a batched one.
 type RunResponse struct {
 	Fingerprint string `json:"fingerprint"`
 	// Cached reports the result was served from the node's cache tiers

@@ -1,0 +1,355 @@
+package dynring
+
+import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"math/rand/v2"
+	"reflect"
+	"strings"
+	"testing"
+
+	"dynring/internal/wire"
+)
+
+// codecStrings are the strings the codec tests draw from: plain ones take
+// the inline path, the rest exercise every escaping rule encoding/json
+// applies (quotes, backslashes, HTML characters, control bytes, U+2028,
+// non-ASCII) and invalid UTF-8, which encoding/json replaces lossily.
+var codecStrings = []string{
+	"", "KnownNNoChirality/n=8/random(p=0.5)/seed=3", "fp-0123abcd", "plain text",
+	`say "hi"`, `C:\path`, "<b>&amp;</b>", "x<y", "y>x", "r&d", "tab\tnewline\n", "\x00\x1f\x7f",
+	"line\xe2\x80\xa8sep\xe2\x80\xa9", "h\xc3\xa9llo", "bad \xff\xfe utf-8",
+}
+
+// lossy reports whether s does not survive a JSON round trip unchanged.
+func lossy(s string) bool { return strings.Contains(s, "\xff") }
+
+func randString(rng *rand.Rand, lossless *bool) string {
+	s := codecStrings[rng.IntN(len(codecStrings))]
+	if lossy(s) {
+		*lossless = false
+	}
+	return s
+}
+
+func randInts(rng *rand.Rand) []int {
+	switch rng.IntN(4) {
+	case 0:
+		return nil
+	case 1:
+		return []int{}
+	}
+	out := make([]int, 1+rng.IntN(5))
+	for i := range out {
+		out[i] = rng.IntN(2000) - 1000
+		if rng.IntN(8) == 0 {
+			out[i] = int(rng.Int64()) - int(rng.Int64())
+		}
+	}
+	return out
+}
+
+// randRow draws a result-stream row: data rows with and without a result
+// (every Outcome, invalid 0 included), error rows, and the abort row.
+func randRow(rng *rand.Rand) (ResultRow, bool) {
+	lossless := true
+	row := ResultRow{Index: rng.IntN(5000)}
+	if rng.IntN(10) == 0 {
+		row.Index = StreamAbortedIndex
+	}
+	row.Name = randString(rng, &lossless)
+	row.Fingerprint = randString(rng, &lossless)
+	if rng.IntN(3) == 0 {
+		row.Error = randString(rng, &lossless)
+	}
+	if row.Error == "" || rng.IntN(4) == 0 {
+		row.Result = &Result{
+			Outcome:       Outcome(rng.IntN(6)),
+			Rounds:        rng.IntN(1 << 20),
+			Explored:      rng.IntN(2) == 0,
+			ExploredRound: rng.IntN(100) - 1,
+			TerminatedAt:  randInts(rng),
+			Terminated:    rng.IntN(4),
+			Moves:         randInts(rng),
+			TotalMoves:    rng.IntN(1 << 30),
+			CycleStart:    rng.IntN(3) - 1,
+		}
+	}
+	return row, lossless
+}
+
+// codecFloats are the adversary parameters the spec tests draw from,
+// including the ones encoding/json prints in exponent form.
+var codecFloats = []float64{0, 0.5, 0.1, 1, 1e-07, 1e-06, 1e21, 123456.789, 5e-324, -0.25}
+
+func randAdversary(rng *rand.Rand, lossless *bool) AdversarySpec {
+	a := AdversarySpec{Kind: randString(rng, lossless)}
+	if rng.IntN(2) == 0 {
+		a.Kind = []string{"random", "greedy", "pin", "tinterval"}[rng.IntN(4)]
+	}
+	a.P = codecFloats[rng.IntN(len(codecFloats))]
+	a.Act = codecFloats[rng.IntN(len(codecFloats))]
+	a.Edge, a.Pin = rng.IntN(5)-1, rng.IntN(3)
+	a.T, a.R, a.W = rng.IntN(4), rng.IntN(4), rng.IntN(4)
+	return a
+}
+
+func randScenarioSpec(rng *rand.Rand, lossless *bool) ScenarioSpec {
+	sp := ScenarioSpec{
+		Name:             randString(rng, lossless),
+		Size:             rng.IntN(40) - 2,
+		Landmark:         rng.IntN(3) - 1,
+		Algorithm:        []string{"KnownNNoChirality", "LandmarkWithChirality", ""}[rng.IntN(3)],
+		Model:            []string{"", "fsync", "ssync-pt"}[rng.IntN(3)],
+		UpperBound:       rng.IntN(3) * 16,
+		ExactSize:        rng.IntN(2) * 12,
+		Starts:           randInts(rng),
+		Seed:             rng.Int64() - rng.Int64(),
+		MaxRounds:        rng.IntN(3) * 1000,
+		StopWhenExplored: rng.IntN(2) == 0,
+		FairnessBound:    rng.IntN(3),
+		DetectCycles:     rng.IntN(2) == 0,
+	}
+	if rng.IntN(3) == 0 {
+		sp.Orients = []string{"cw", "ccw", randString(rng, lossless)}[:rng.IntN(4)]
+	}
+	if rng.IntN(2) == 0 {
+		a := randAdversary(rng, lossless)
+		sp.Adversary = &a
+	}
+	return sp
+}
+
+// randSweepSpec draws a spec in axis form or explicit-list form.
+func randSweepSpec(rng *rand.Rand) (SweepSpec, bool) {
+	lossless := true
+	var sp SweepSpec
+	if rng.IntN(2) == 0 {
+		for range rng.IntN(4) {
+			sp.Scenarios = append(sp.Scenarios, randScenarioSpec(rng, &lossless))
+		}
+		return sp, lossless
+	}
+	sp.Base = randScenarioSpec(rng, &lossless)
+	for range rng.IntN(3) {
+		sp.Algorithms = append(sp.Algorithms, randString(rng, &lossless))
+	}
+	sp.Sizes = randInts(rng)
+	if rng.IntN(2) == 0 {
+		sp.Seeds = []int64{rng.Int64(), -rng.Int64(), 0}[:rng.IntN(4)]
+	}
+	for range rng.IntN(3) {
+		sp.Adversaries = append(sp.Adversaries, randAdversary(rng, &lossless))
+	}
+	return sp, lossless
+}
+
+// escaped reports whether JSON text holds an escape or non-ASCII byte:
+// the only canonical input the fast paths may leave to encoding/json.
+func escaped(b []byte) bool {
+	for _, c := range b {
+		if c == '\\' || c > 0x7e {
+			return true
+		}
+	}
+	return false
+}
+
+// TestResultRowCodecMatchesEncodingJSON: over seeded random rows,
+// AppendJSON emits exactly json.Marshal's bytes, and ParseResultRow reads
+// them — on the fast path unless they hold escapes — to the value
+// json.Unmarshal produces, which is the original row whenever its strings
+// survive JSON.
+func TestResultRowCodecMatchesEncodingJSON(t *testing.T) {
+	rng := rand.New(rand.NewPCG(18, 2))
+	for i := 0; i < 3000; i++ {
+		row, lossless := randRow(rng)
+		want, err := json.Marshal(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := row.AppendJSON(nil)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("AppendJSON(%+v)\n got %s\nwant %s", row, got, want)
+		}
+		var fast ResultRow
+		if !readResultRow(got, &fast) && !escaped(got) {
+			t.Fatalf("fast path rejected canonical row %s", got)
+		}
+		var back, oracle ResultRow
+		if err := ParseResultRow(got, &back); err != nil {
+			t.Fatalf("ParseResultRow(%s): %v", got, err)
+		}
+		if err := json.Unmarshal(got, &oracle); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(back, oracle) {
+			t.Fatalf("ParseResultRow(%s) = %+v, encoding/json %+v", got, back, oracle)
+		}
+		if lossless && !reflect.DeepEqual(back, row) {
+			t.Fatalf("round trip of %+v gave %+v", row, back)
+		}
+	}
+}
+
+// decodeSweepSpecOracle is the definition DecodeSweepSpec must match:
+// encoding/json with unknown fields disallowed, and nothing but whitespace
+// after the value.
+func decodeSweepSpecOracle(data []byte) (SweepSpec, error) {
+	var sp SweepSpec
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&sp); err != nil {
+		return SweepSpec{}, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return SweepSpec{}, io.ErrUnexpectedEOF // any error: trailing data
+	}
+	return sp, nil
+}
+
+// TestSpecDecodersMatchEncodingJSON: json.Marshal output of seeded random
+// specs — both forms, exponent-form floats, escaped and invalid-UTF-8
+// strings — decodes through DecodeSweepSpec and DecodeRunRequest to the
+// oracle's value, on the fast path unless it holds escapes, and
+// re-encodes to the same bytes when its strings survive JSON.
+func TestSpecDecodersMatchEncodingJSON(t *testing.T) {
+	rng := rand.New(rand.NewPCG(18, 3))
+	for i := 0; i < 3000; i++ {
+		sp, lossless := randSweepSpec(rng)
+		data, err := json.Marshal(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := wire.NewLexer(data)
+		var fast SweepSpec
+		if readSweepSpec(&l, &fast); !l.End() && !escaped(data) {
+			t.Fatalf("fast path rejected canonical spec %s", data)
+		}
+		got, err := DecodeSweepSpec(data)
+		if err != nil {
+			t.Fatalf("DecodeSweepSpec(%s): %v", data, err)
+		}
+		want, err := decodeSweepSpecOracle(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("DecodeSweepSpec(%s)\n = %+v\nwant %+v", data, got, want)
+		}
+		// omitempty drops empty slices, so compare re-encodings.
+		if again, _ := json.Marshal(got); lossless && !bytes.Equal(again, data) {
+			t.Fatalf("round trip of %s gave %s", data, again)
+		}
+
+		req := RunRequest{Scenario: randScenarioSpec(rng, new(bool))}
+		data, _ = json.Marshal(req)
+		gotReq, err := DecodeRunRequest(data)
+		var wantReq RunRequest
+		if werr := json.Unmarshal(data, &wantReq); err != nil || werr != nil || !reflect.DeepEqual(gotReq, wantReq) {
+			t.Fatalf("DecodeRunRequest(%s) = %+v, %v; encoding/json %+v, %v", data, gotReq, err, wantReq, werr)
+		}
+	}
+}
+
+// TestSpecDecodersRejectWhatEncodingJSONRejects pins the strict contract
+// both request decoders share: unknown fields and trailing bytes are
+// errors with encoding/json's wording, trailing whitespace is not.
+func TestSpecDecodersRejectWhatEncodingJSONRejects(t *testing.T) {
+	body := `{"base":{"size":8,"landmark":0,"algorithm":"KnownNNoChirality"},"seeds":[1,2]}`
+	for in, wantErr := range map[string]string{
+		body:                           "",
+		body + " \n\t":                 "",
+		body + "junk":                  "invalid character 'j' after top-level value",
+		body + body:                    "invalid character '{' after top-level value",
+		`{"base":{},"bogus":1}`:        `json: unknown field "bogus"`,
+		`{"BASE":{"size":8}}`:          "",
+		`{"sizes":[8],"sizes":[9,10]}`: "",
+		`{"seeds":[1e2]}`:              "json: cannot unmarshal number 1e2 into Go struct field SweepSpec.seeds of type int64",
+		``:                             "EOF",
+	} {
+		_, err := DecodeSweepSpec([]byte(in))
+		if (err == nil) != (wantErr == "") || (err != nil && err.Error() != wantErr) {
+			t.Errorf("DecodeSweepSpec(%q) error = %v, want %q", in, err, wantErr)
+		}
+		if _, oerr := decodeSweepSpecOracle([]byte(in)); (oerr == nil) != (err == nil) {
+			t.Errorf("DecodeSweepSpec(%q) error = %v, oracle %v", in, err, oerr)
+		}
+	}
+	if _, err := DecodeRunRequest([]byte(`{"scenario":{"size":6}}x`)); err == nil {
+		t.Error("DecodeRunRequest accepted trailing bytes")
+	}
+	if _, err := DecodeRunRequest([]byte(`{"scenario":{"size":6},"extra":1}`)); err == nil {
+		t.Error("DecodeRunRequest accepted an unknown field")
+	}
+}
+
+// FuzzParseResultRow: ParseResultRow never panics, accepts exactly what
+// json.Unmarshal accepts, agrees with it on every accepted input, and the
+// accepted row re-encodes to json.Marshal's bytes.
+func FuzzParseResultRow(f *testing.F) {
+	rng := rand.New(rand.NewPCG(18, 4))
+	for range 16 {
+		row, _ := randRow(rng)
+		f.Add(row.AppendJSON(nil))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var got, want ResultRow
+		err := ParseResultRow(data, &got)
+		werr := json.Unmarshal(data, &want)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("ParseResultRow(%q) error %v, encoding/json %v", data, err, werr)
+		}
+		if err != nil {
+			return
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("ParseResultRow(%q) = %+v, encoding/json %+v", data, got, want)
+		}
+		enc, _ := json.Marshal(got)
+		if app := got.AppendJSON(nil); !bytes.Equal(app, enc) {
+			t.Fatalf("AppendJSON = %s, json.Marshal %s", app, enc)
+		}
+	})
+}
+
+// FuzzDecodeSweepSpec: DecodeSweepSpec never panics, accepts exactly what
+// the strict encoding/json oracle accepts and agrees with it, and an
+// accepted spec expands, validates and fingerprints without panicking.
+func FuzzDecodeSweepSpec(f *testing.F) {
+	rng := rand.New(rand.NewPCG(18, 5))
+	for range 16 {
+		sp, _ := randSweepSpec(rng)
+		data, _ := json.Marshal(sp)
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := DecodeSweepSpec(data)
+		want, werr := decodeSweepSpecOracle(data)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("DecodeSweepSpec(%q) error %v, oracle %v", data, err, werr)
+		}
+		if err != nil {
+			return
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("DecodeSweepSpec(%q) = %+v, oracle %+v", data, got, want)
+		}
+		// Bound the grid so a short input cannot expand to millions of rows.
+		grid := max(len(got.Algorithms), 1) * max(len(got.Sizes), 1) *
+			max(len(got.Seeds), 1) * max(len(got.Adversaries), 1)
+		if grid > 256 || len(got.Scenarios) > 256 {
+			return
+		}
+		scs, err := got.ScenarioList()
+		if err != nil {
+			return
+		}
+		for _, sc := range scs {
+			if sc.Validate() == nil {
+				_, _ = sc.Fingerprint()
+			}
+		}
+	})
+}

@@ -127,15 +127,16 @@ func OpenDisk[V any](dir string, logf func(format string, args ...any), warm fun
 	return d, nil
 }
 
-// readEntry decodes one entry file, rejecting trailing garbage.
+// readEntry decodes one entry file, rejecting trailing garbage. The
+// envelope is generic over V, so it stays on encoding/json rather than the
+// hand-written wire codec; disk reads are off the hot path.
 func readEntry[V any](path string) (envelope[V], int64, error) {
 	var env envelope[V]
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		return env, 0, err
 	}
-	dec := json.NewDecoder(strings.NewReader(string(buf)))
-	if err := dec.Decode(&env); err != nil {
+	if err := json.Unmarshal(buf, &env); err != nil {
 		return env, 0, err
 	}
 	if env.Key == "" {

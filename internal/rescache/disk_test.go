@@ -56,19 +56,29 @@ func TestDiskPutGetFlush(t *testing.T) {
 	}
 }
 
-// TestDiskCorruptEntriesSkipped: truncated and garbage entries — and an
-// entry whose embedded key disagrees with its filename — are logged and
-// skipped on open and on Get, never fatal, and a re-Put repairs the key.
+// TestDiskCorruptEntriesSkipped: truncated, garbage and trailing-junk
+// entries — and an entry whose embedded key disagrees with its filename —
+// are logged and skipped on open and on Get, never fatal, and a re-Put
+// repairs the key.
 func TestDiskCorruptEntriesSkipped(t *testing.T) {
 	dir := t.TempDir()
 	d := openDisk(t, dir, nil)
 	d.Put("goodkey", dval{N: 1})
 	d.Put("truncated", dval{N: 2})
 	d.Put("garbage", dval{N: 3})
+	d.Put("trailing", dval{N: 4})
 	d.Close()
 
-	// Sabotage two entries the way a crash or bitrot would.
+	// Sabotage three entries the way a crash or bitrot would: garbage, a
+	// truncated file, and a valid entry followed by junk.
 	if err := os.WriteFile(filepath.Join(dir, "garbage.json"), []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tail, err := os.ReadFile(filepath.Join(dir, "trailing.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "trailing.json"), append(tail, "junk"...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	full, err := os.ReadFile(filepath.Join(dir, "truncated.json"))
@@ -90,10 +100,10 @@ func TestDiskCorruptEntriesSkipped(t *testing.T) {
 	if len(warmed) != 1 || warmed["goodkey"].N != 1 {
 		t.Fatalf("warm start = %v, want only goodkey", warmed)
 	}
-	if st := d2.Stats(); st.Skipped != 2 {
-		t.Fatalf("skipped = %d, want 2", st.Skipped)
+	if st := d2.Stats(); st.Skipped != 3 {
+		t.Fatalf("skipped = %d, want 3", st.Skipped)
 	}
-	if len(logged) != 2 {
+	if len(logged) != 3 {
 		t.Fatalf("corruption must be logged, got %q", logged)
 	}
 	if _, ok := d2.Get("garbage"); ok {

@@ -12,6 +12,8 @@ import (
 
 	"dynring"
 	"dynring/internal/cluster"
+	"dynring/internal/sim"
+	"dynring/internal/wire"
 )
 
 // This file is the replication write path and the anti-entropy read-repair
@@ -48,6 +50,42 @@ type replItem struct {
 type replicateRequest struct {
 	Fingerprint string         `json:"fingerprint"`
 	Result      dynring.Result `json:"result"`
+}
+
+// appendReplicate appends the replicateRequest for fp and res to dst, in
+// exactly the bytes encoding/json emits for it.
+func appendReplicate(dst []byte, fp string, res *dynring.Result) []byte {
+	dst = append(dst, `{"fingerprint":`...)
+	dst = wire.AppendString(dst, fp)
+	dst = append(dst, `,"result":`...)
+	dst = sim.AppendResult(dst, res)
+	return append(dst, '}')
+}
+
+// decodeReplicate decodes a POST /v1/replicate body: a fast path over the
+// canonical form appendReplicate emits, json.Unmarshal for anything else.
+func decodeReplicate(data []byte) (replicateRequest, error) {
+	var req replicateRequest
+	l := wire.NewLexer(data)
+	var seen uint64
+	l.Expect('{')
+	for i := 0; l.Next(i, '}'); i++ {
+		switch string(l.Key()) {
+		case "fingerprint":
+			l.Field(&seen, 0)
+			req.Fingerprint = l.String()
+		case "result":
+			l.Field(&seen, 1)
+			sim.ReadResult(&l, &req.Result)
+		default:
+			l.Fail()
+		}
+	}
+	if l.End() {
+		return req, nil
+	}
+	req = replicateRequest{}
+	return req, json.Unmarshal(data, &req)
 }
 
 // antiEntropyKeys is the wire body of GET /v1/antientropy/keys.
@@ -105,10 +143,7 @@ func (m *Manager) pushReplicas(fp string, res dynring.Result) {
 
 // postReplicate POSTs one envelope to target's /v1/replicate.
 func (m *Manager) postReplicate(target, fp string, res dynring.Result) error {
-	body, err := json.Marshal(replicateRequest{Fingerprint: fp, Result: res})
-	if err != nil {
-		return err
-	}
+	body := appendReplicate(nil, fp, &res)
 	ctx, cancel := context.WithTimeout(context.Background(), m.proxyTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target+"/v1/replicate", bytes.NewReader(body))
@@ -272,6 +307,8 @@ func (m *Manager) fetchKeys(peer string) ([]string, error) {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 		return nil, fmt.Errorf("keys from %s: %s", peer, resp.Status)
 	}
+	// Anti-entropy fetches stay on encoding/json: they run on a slow
+	// background cadence, far off the sweep path.
 	var doc antiEntropyKeys
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&doc); err != nil {
 		return nil, err
@@ -299,6 +336,8 @@ func (m *Manager) fetchEntry(peer, fp string) (dynring.Result, error) {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 		return dynring.Result{}, fmt.Errorf("entry %s from %s: %s", fp, peer, resp.Status)
 	}
+	// Like the key listing, the entry fetch is a background repair path
+	// and stays on encoding/json.
 	var doc replicateRequest
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&doc); err != nil {
 		return dynring.Result{}, err

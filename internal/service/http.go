@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -91,10 +92,13 @@ func NewHandler(m *Manager) http.Handler {
 				return
 			}
 		}
-		var spec dynring.SweepSpec
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
+		body, err := readBody(w, r, maxSpecBytes)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		spec, err := dynring.DecodeSweepSpec(body)
+		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
@@ -170,7 +174,14 @@ func NewHandler(m *Manager) http.Handler {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		w.WriteHeader(http.StatusOK)
 		flusher, _ := w.(http.Flusher)
-		enc := json.NewEncoder(w)
+		// Each row is appended into one reused buffer and written with one
+		// Write, as json.Encoder did, and in exactly its bytes.
+		var buf []byte
+		write := func(row dynring.ResultRow) error {
+			buf = append(row.AppendJSON(buf[:0]), '\n')
+			_, err := w.Write(buf)
+			return err
+		}
 		for i := from; i < j.Total(); i++ {
 			row, ok := j.SettledRow(i)
 			if !ok {
@@ -191,7 +202,7 @@ func NewHandler(m *Manager) http.Handler {
 					// a data row. Clients additionally guard with a row
 					// count (see Client.StreamResults), since this write
 					// is lost when the connection itself is dead.
-					_ = enc.Encode(dynring.ResultRow{
+					_ = write(dynring.ResultRow{
 						Index: dynring.StreamAbortedIndex,
 						Error: "stream aborted: " + err.Error(),
 					})
@@ -206,10 +217,9 @@ func NewHandler(m *Manager) http.Handler {
 			if row.Err != nil {
 				wire.Error = row.Err.Error()
 			} else {
-				res := row.Result
-				wire.Result = &res
+				wire.Result = &row.Result
 			}
-			if err := enc.Encode(wire); err != nil {
+			if err := write(wire); err != nil {
 				return
 			}
 		}
@@ -224,10 +234,13 @@ func NewHandler(m *Manager) http.Handler {
 			return
 		}
 		m.countRunRequest(tenant)
-		var req dynring.RunRequest
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
+		body, err := readBody(w, r, maxSpecBytes)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		req, err := dynring.DecodeRunRequest(body)
+		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
@@ -310,9 +323,13 @@ func NewHandler(m *Manager) http.Handler {
 			writeError(w, http.StatusNotFound, errors.New("replication not enabled"))
 			return
 		}
-		var req replicateRequest
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxEnvelopeBytes))
-		if err := dec.Decode(&req); err != nil {
+		body, err := readBody(w, r, maxEnvelopeBytes)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		req, err := decodeReplicate(body)
+		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
@@ -389,7 +406,8 @@ func NewHandler(m *Manager) http.Handler {
 }
 
 // decodePeerURL reads the {"url": ...} body of the cluster announcement
-// endpoints.
+// endpoints. Announcements are rare membership events, so they stay on
+// encoding/json.
 func decodePeerURL(w http.ResponseWriter, r *http.Request) (string, error) {
 	var body struct {
 		URL string `json:"url"`
@@ -404,7 +422,20 @@ func decodePeerURL(w http.ResponseWriter, r *http.Request) (string, error) {
 	return body.URL, nil
 }
 
-// writeJSON writes v as a JSON response.
+// readBody reads a request body whole, failing past limit bytes. A body
+// of known length is read into one buffer of exactly its size.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	body := http.MaxBytesReader(w, r.Body, limit)
+	if n := r.ContentLength; n >= 0 && n <= limit {
+		buf := make([]byte, n)
+		_, err := io.ReadFull(body, buf)
+		return buf, err
+	}
+	return io.ReadAll(body)
+}
+
+// writeJSON writes v as a JSON response. Status and error documents stay
+// on encoding/json: they are small, varied and off the per-row path.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)

@@ -4,6 +4,9 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strconv"
+
+	"dynring/internal/wire"
 )
 
 // Outcome classifies how a run ended.
@@ -88,6 +91,74 @@ func (r Result) Clone() Result {
 	r.TerminatedAt = slices.Clone(r.TerminatedAt)
 	r.Moves = slices.Clone(r.Moves)
 	return r
+}
+
+// AppendResult appends r's JSON form to dst: exactly the bytes
+// encoding/json emits for a Result (Go field names, Outcome as a number,
+// null for a nil slice and [] for an empty one). It is the Result half of
+// the hot-path wire codec (see internal/wire).
+func AppendResult(dst []byte, r *Result) []byte {
+	dst = append(dst, `{"Outcome":`...)
+	dst = strconv.AppendInt(dst, int64(r.Outcome), 10)
+	dst = append(dst, `,"Rounds":`...)
+	dst = strconv.AppendInt(dst, int64(r.Rounds), 10)
+	dst = append(dst, `,"Explored":`...)
+	dst = strconv.AppendBool(dst, r.Explored)
+	dst = append(dst, `,"ExploredRound":`...)
+	dst = strconv.AppendInt(dst, int64(r.ExploredRound), 10)
+	dst = append(dst, `,"TerminatedAt":`...)
+	dst = wire.AppendInts(dst, r.TerminatedAt)
+	dst = append(dst, `,"Terminated":`...)
+	dst = strconv.AppendInt(dst, int64(r.Terminated), 10)
+	dst = append(dst, `,"Moves":`...)
+	dst = wire.AppendInts(dst, r.Moves)
+	dst = append(dst, `,"TotalMoves":`...)
+	dst = strconv.AppendInt(dst, int64(r.TotalMoves), 10)
+	dst = append(dst, `,"CycleStart":`...)
+	dst = strconv.AppendInt(dst, int64(r.CycleStart), 10)
+	return append(dst, '}')
+}
+
+// ReadResult reads one Result object from l into r, the fast-path inverse
+// of AppendResult. Anything outside the canonical form — a key that is
+// not an exact field name, a repeated key, escapes, non-integer numbers —
+// fails l, and the caller decodes the whole input with encoding/json.
+func ReadResult(l *wire.Lexer, r *Result) {
+	var seen uint64
+	l.Expect('{')
+	for i := 0; l.Next(i, '}'); i++ {
+		switch string(l.Key()) {
+		case "Outcome":
+			l.Field(&seen, 0)
+			r.Outcome = Outcome(l.Int())
+		case "Rounds":
+			l.Field(&seen, 1)
+			r.Rounds = l.Int()
+		case "Explored":
+			l.Field(&seen, 2)
+			r.Explored = l.Bool()
+		case "ExploredRound":
+			l.Field(&seen, 3)
+			r.ExploredRound = l.Int()
+		case "TerminatedAt":
+			l.Field(&seen, 4)
+			r.TerminatedAt = l.Ints()
+		case "Terminated":
+			l.Field(&seen, 5)
+			r.Terminated = l.Int()
+		case "Moves":
+			l.Field(&seen, 6)
+			r.Moves = l.Ints()
+		case "TotalMoves":
+			l.Field(&seen, 7)
+			r.TotalMoves = l.Int()
+		case "CycleStart":
+			l.Field(&seen, 8)
+			r.CycleStart = l.Int()
+		default:
+			l.Fail()
+		}
+	}
 }
 
 // RunStats accounts for how a run was executed, as opposed to what it

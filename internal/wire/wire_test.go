@@ -1,0 +1,134 @@
+package wire
+
+import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"strconv"
+	"testing"
+)
+
+// TestAppendStringMatchesEncodingJSON: plain strings are copied inline and
+// everything else is escaped exactly as json.Marshal escapes it.
+func TestAppendStringMatchesEncodingJSON(t *testing.T) {
+	for _, s := range []string{
+		"", "plain", "KnownNNoChirality/n=8/random(p=0.5)/seed=3",
+		`quote"`, `back\slash`, "<script>", "a<b", "a>b", "a&b", "tab\t", "nl\n", "\x00", "\x7f",
+		"line\u2028sep\u2029", "héllo", "\xff\xfe invalid utf-8", "emoji 🙂",
+	} {
+		want, _ := json.Marshal(s)
+		if got := AppendString([]byte("x"), s); !bytes.Equal(got, append([]byte("x"), want...)) {
+			t.Errorf("AppendString(%q) = %s, want x%s", s, got, want)
+		}
+	}
+}
+
+// TestAppendInts: null for nil, [] for empty, as encoding/json.
+func TestAppendInts(t *testing.T) {
+	for _, v := range [][]int{nil, {}, {0}, {-1, 2, math.MinInt64, math.MaxInt64}} {
+		want, _ := json.Marshal(v)
+		if got := AppendInts(nil, v); !bytes.Equal(got, want) {
+			t.Errorf("AppendInts(%#v) = %s, want %s", v, got, want)
+		}
+	}
+}
+
+// TestLexerNumbers: on these literals the fast path reads exactly the
+// numbers encoding/json reads, to the same value, and fails every other
+// one.
+func TestLexerNumbers(t *testing.T) {
+	ints := []string{
+		"0", "-0", "7", "-7", "10", "123456789012345678", "-123456789012345678",
+		strconv.FormatInt(math.MaxInt64, 10), strconv.FormatInt(math.MinInt64, 10),
+		"9223372036854775808", "-9223372036854775809", "99999999999999999999",
+		"01", "-", "1.5", "1e3", "1E3", "+1", " 5 ", "0x10", "",
+	}
+	for _, in := range ints {
+		var want int64
+		werr := json.Unmarshal([]byte(in), &want)
+		l := NewLexer([]byte(in))
+		got := l.Int64()
+		if l.End() != (werr == nil) {
+			t.Errorf("Int64(%q): fast ok=%v, encoding/json err=%v", in, l.End(), werr)
+		} else if werr == nil && got != want {
+			t.Errorf("Int64(%q) = %d, encoding/json %d", in, got, want)
+		}
+	}
+	floats := []string{
+		"0", "0.5", "-0.5", "1e-7", "1E-7", "1e+21", "1.5e300", "1e400", "-1e400",
+		"0.1", "123", "4.9e-324", ".5", "5.", "1e", "1e+", "-", "00.5", "NaN", "Inf",
+	}
+	for _, in := range floats {
+		var want float64
+		werr := json.Unmarshal([]byte(in), &want)
+		l := NewLexer([]byte(in))
+		got := l.Float()
+		if l.End() != (werr == nil) {
+			t.Errorf("Float(%q): fast ok=%v, encoding/json err=%v", in, l.End(), werr)
+		} else if werr == nil && math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("Float(%q) = %v, encoding/json %v", in, got, want)
+		}
+	}
+}
+
+// TestLexerStrings: escapes, control and non-ASCII bytes leave the fast
+// path; plain strings read back unchanged.
+func TestLexerStrings(t *testing.T) {
+	for in, ok := range map[string]bool{
+		`"plain <&> text"`: true,
+		`""`:               true,
+		`"a\"b"`:           false,
+		`"a\u0041"`:        false,
+		"\"h\xc3\xa9\"":    false,
+		"\"tab\t\"":        false,
+		`"unterminated`:    false,
+		`plain`:            false,
+	} {
+		l := NewLexer([]byte(in))
+		got := l.String()
+		if l.End() != ok {
+			t.Errorf("String(%s): fast ok=%v, want %v", in, l.End(), ok)
+			continue
+		}
+		if ok {
+			var want string
+			if err := json.Unmarshal([]byte(in), &want); err != nil || got != want {
+				t.Errorf("String(%s) = %q, encoding/json %q (%v)", in, got, want, err)
+			}
+		}
+	}
+}
+
+// TestLexerContainers: separators, empty and null arrays, and trailing
+// commas.
+func TestLexerContainers(t *testing.T) {
+	for in, want := range map[string][]int{
+		`[]`:        {},
+		`null`:      nil,
+		`[1,2, 3 ]`: {1, 2, 3},
+	} {
+		l := NewLexer([]byte(in))
+		got := l.Ints()
+		if !l.End() || (got == nil) != (want == nil) || len(got) != len(want) {
+			t.Errorf("Ints(%s) = %#v ok=%v, want %#v", in, got, l.End(), want)
+		}
+	}
+	for _, in := range []string{`[1,]`, `[,1]`, `[1 2]`, `[1`, `{}`} {
+		l := NewLexer([]byte(in))
+		l.Ints()
+		if l.End() {
+			t.Errorf("Ints(%s) accepted", in)
+		}
+	}
+	var seen uint64
+	l := NewLexer([]byte(`{"a":1,"a":2}`))
+	l.Expect('{')
+	for i := 0; l.Next(i, '}'); i++ {
+		l.Key()
+		l.Field(&seen, 0)
+		l.Int()
+	}
+	if l.End() {
+		t.Error("repeated key accepted")
+	}
+}

@@ -1,10 +1,14 @@
 package dynring
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"strconv"
 	"strings"
+
+	"dynring/internal/wire"
 )
 
 // This file defines the serializable counterparts of Scenario and Sweep.
@@ -471,4 +475,170 @@ func (sp SweepSpec) Sweep() (Sweep, error) {
 		sw.Adversaries = append(sw.Adversaries, SweepAdversary{Name: as.Label(), New: f})
 	}
 	return sw, nil
+}
+
+// DecodeSweepSpec decodes a POST /v1/sweeps body. Specs in the canonical
+// form json.Marshal emits take a fast path; any other input is decoded by
+// encoding/json with unknown fields disallowed, which defines what is
+// accepted and the error for what is not. Either way only whitespace may
+// follow the spec.
+func DecodeSweepSpec(data []byte) (SweepSpec, error) {
+	var sp SweepSpec
+	l := wire.NewLexer(data)
+	readSweepSpec(&l, &sp)
+	if l.End() {
+		return sp, nil
+	}
+	sp = SweepSpec{}
+	return sp, decodeStrict(data, &sp)
+}
+
+// decodeStrict is the spec decoders' slow path and definition: one JSON
+// value with no unknown fields, followed by nothing but whitespace.
+func decodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if len(bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n")) > 0 {
+		// Let encoding/json word the trailing-data error exactly as
+		// json.Unmarshal does.
+		return json.Unmarshal(data, new(struct{}))
+	}
+	return nil
+}
+
+// readSweepSpec, readScenarioSpec and readAdversarySpec are the spec
+// decoders' fast path over the form json.Marshal emits; anything else
+// fails l.
+func readSweepSpec(l *wire.Lexer, sp *SweepSpec) {
+	var seen uint64
+	l.Expect('{')
+	for i := 0; l.Next(i, '}'); i++ {
+		switch string(l.Key()) {
+		case "base":
+			l.Field(&seen, 0)
+			readScenarioSpec(l, &sp.Base)
+		case "algorithms":
+			l.Field(&seen, 1)
+			sp.Algorithms = l.Strings()
+		case "sizes":
+			l.Field(&seen, 2)
+			sp.Sizes = l.Ints()
+		case "seeds":
+			l.Field(&seen, 3)
+			sp.Seeds = l.Int64s()
+		case "adversaries":
+			l.Field(&seen, 4)
+			l.Expect('[')
+			sp.Adversaries = []AdversarySpec{}
+			for j := 0; l.Next(j, ']'); j++ {
+				sp.Adversaries = append(sp.Adversaries, AdversarySpec{})
+				readAdversarySpec(l, &sp.Adversaries[j])
+			}
+		case "scenarios":
+			l.Field(&seen, 5)
+			l.Expect('[')
+			sp.Scenarios = []ScenarioSpec{}
+			for j := 0; l.Next(j, ']'); j++ {
+				sp.Scenarios = append(sp.Scenarios, ScenarioSpec{})
+				readScenarioSpec(l, &sp.Scenarios[j])
+			}
+		default:
+			l.Fail()
+		}
+	}
+}
+
+func readScenarioSpec(l *wire.Lexer, sp *ScenarioSpec) {
+	var seen uint64
+	l.Expect('{')
+	for i := 0; l.Next(i, '}'); i++ {
+		switch string(l.Key()) {
+		case "name":
+			l.Field(&seen, 0)
+			sp.Name = l.String()
+		case "size":
+			l.Field(&seen, 1)
+			sp.Size = l.Int()
+		case "landmark":
+			l.Field(&seen, 2)
+			sp.Landmark = l.Int()
+		case "algorithm":
+			l.Field(&seen, 3)
+			sp.Algorithm = l.String()
+		case "model":
+			l.Field(&seen, 4)
+			sp.Model = l.String()
+		case "upper_bound":
+			l.Field(&seen, 5)
+			sp.UpperBound = l.Int()
+		case "exact_size":
+			l.Field(&seen, 6)
+			sp.ExactSize = l.Int()
+		case "starts":
+			l.Field(&seen, 7)
+			sp.Starts = l.Ints()
+		case "orients":
+			l.Field(&seen, 8)
+			sp.Orients = l.Strings()
+		case "adversary":
+			l.Field(&seen, 9)
+			sp.Adversary = new(AdversarySpec)
+			readAdversarySpec(l, sp.Adversary)
+		case "seed":
+			l.Field(&seen, 10)
+			sp.Seed = l.Int64()
+		case "max_rounds":
+			l.Field(&seen, 11)
+			sp.MaxRounds = l.Int()
+		case "stop_when_explored":
+			l.Field(&seen, 12)
+			sp.StopWhenExplored = l.Bool()
+		case "fairness_bound":
+			l.Field(&seen, 13)
+			sp.FairnessBound = l.Int()
+		case "detect_cycles":
+			l.Field(&seen, 14)
+			sp.DetectCycles = l.Bool()
+		default:
+			l.Fail()
+		}
+	}
+}
+
+func readAdversarySpec(l *wire.Lexer, a *AdversarySpec) {
+	var seen uint64
+	l.Expect('{')
+	for i := 0; l.Next(i, '}'); i++ {
+		switch string(l.Key()) {
+		case "kind":
+			l.Field(&seen, 0)
+			a.Kind = l.String()
+		case "p":
+			l.Field(&seen, 1)
+			a.P = l.Float()
+		case "edge":
+			l.Field(&seen, 2)
+			a.Edge = l.Int()
+		case "pin":
+			l.Field(&seen, 3)
+			a.Pin = l.Int()
+		case "t":
+			l.Field(&seen, 4)
+			a.T = l.Int()
+		case "r":
+			l.Field(&seen, 5)
+			a.R = l.Int()
+		case "w":
+			l.Field(&seen, 6)
+			a.W = l.Int()
+		case "act":
+			l.Field(&seen, 7)
+			a.Act = l.Float()
+		default:
+			l.Fail()
+		}
+	}
 }
