@@ -2,9 +2,12 @@ package dynring
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
+	"strconv"
 	"time"
 
+	"dynring/internal/sim"
 	"dynring/internal/wire"
 )
 
@@ -80,9 +83,9 @@ func DecodeRunRequest(data []byte) (RunRequest, error) {
 	return req, decodeStrict(data, &req)
 }
 
-// RunResponse is the document POST /v1/run answers with. It stays on
-// encoding/json: it carries TraceSpan times, and the per-scenario hop it
-// answers is slated to become a batched one.
+// RunResponse is the document POST /v1/run answers with: the whole body
+// of a single-JSON request, one NDJSON line per row of a batch. Both are
+// written by AppendJSON and read back by ParseRunResponse.
 type RunResponse struct {
 	Fingerprint string `json:"fingerprint"`
 	// Cached reports the result was served from the node's cache tiers
@@ -95,6 +98,130 @@ type RunResponse struct {
 	// adopts it into the sweep's trace, which is how one trace ID ends up
 	// spanning multiple nodes.
 	Span *TraceSpan `json:"span,omitempty"`
+}
+
+// AppendJSON appends the response's JSON form to dst: exactly the bytes
+// encoding/json emits for it, without a trailing newline. A span time
+// encoding/json refuses to encode (see wire.AppendTime) is written as null.
+func (r RunResponse) AppendJSON(dst []byte) []byte {
+	dst = append(dst, `{"fingerprint":`...)
+	dst = wire.AppendString(dst, r.Fingerprint)
+	dst = append(dst, `,"cached":`...)
+	dst = strconv.AppendBool(dst, r.Cached)
+	if r.Result != nil {
+		dst = append(dst, `,"result":`...)
+		dst = sim.AppendResult(dst, r.Result)
+	}
+	if r.Error != "" {
+		dst = append(dst, `,"error":`...)
+		dst = wire.AppendString(dst, r.Error)
+	}
+	if s := r.Span; s != nil {
+		dst = append(dst, `,"span":{"index":`...)
+		dst = strconv.AppendInt(dst, int64(s.Index), 10)
+		if s.Name != "" {
+			dst = append(dst, `,"name":`...)
+			dst = wire.AppendString(dst, s.Name)
+		}
+		dst = append(dst, `,"node":`...)
+		dst = wire.AppendString(dst, s.Node)
+		dst = append(dst, `,"kind":`...)
+		dst = wire.AppendString(dst, s.Kind)
+		// omitempty never omits a struct, so enqueued_at is always there.
+		dst = append(dst, `,"enqueued_at":`...)
+		dst = wire.AppendTime(dst, s.EnqueuedAt)
+		dst = append(dst, `,"started_at":`...)
+		dst = wire.AppendTime(dst, s.StartedAt)
+		dst = append(dst, `,"finished_at":`...)
+		dst = wire.AppendTime(dst, s.FinishedAt)
+		if s.Error != "" {
+			dst = append(dst, `,"error":`...)
+			dst = wire.AppendString(dst, s.Error)
+		}
+		dst = append(dst, '}')
+	}
+	return append(dst, '}')
+}
+
+// ParseRunResponse decodes one RunResponse into *rr, which it overwrites.
+// Documents in the canonical form AppendJSON emits take a fast path; any
+// other input is decoded by json.Unmarshal, which defines what is accepted
+// (unknown fields are ignored) and the error for what is not.
+func ParseRunResponse(data []byte, rr *RunResponse) error {
+	*rr = RunResponse{}
+	if readRunResponse(data, rr) {
+		return nil
+	}
+	*rr = RunResponse{}
+	return json.Unmarshal(data, rr)
+}
+
+// readRunResponse is ParseRunResponse's fast path; it reports whether data
+// was canonical and fully read.
+func readRunResponse(data []byte, rr *RunResponse) bool {
+	l := wire.NewLexer(data)
+	var seen uint64
+	l.Expect('{')
+	for i := 0; l.Next(i, '}'); i++ {
+		switch string(l.Key()) {
+		case "fingerprint":
+			l.Field(&seen, 0)
+			rr.Fingerprint = l.String()
+		case "cached":
+			l.Field(&seen, 1)
+			rr.Cached = l.Bool()
+		case "result":
+			l.Field(&seen, 2)
+			rr.Result = new(Result)
+			sim.ReadResult(&l, rr.Result)
+		case "error":
+			l.Field(&seen, 3)
+			rr.Error = l.String()
+		case "span":
+			l.Field(&seen, 4)
+			rr.Span = new(TraceSpan)
+			readTraceSpan(&l, rr.Span)
+		default:
+			l.Fail()
+		}
+	}
+	return l.End()
+}
+
+// readTraceSpan reads one canonical TraceSpan object.
+func readTraceSpan(l *wire.Lexer, s *TraceSpan) {
+	var seen uint64
+	l.Expect('{')
+	for i := 0; l.Next(i, '}'); i++ {
+		switch string(l.Key()) {
+		case "index":
+			l.Field(&seen, 0)
+			s.Index = l.Int()
+		case "name":
+			l.Field(&seen, 1)
+			s.Name = l.String()
+		case "node":
+			l.Field(&seen, 2)
+			s.Node = l.String()
+		case "kind":
+			l.Field(&seen, 3)
+			s.Kind = l.String()
+		case "enqueued_at":
+			l.Field(&seen, 4)
+			s.EnqueuedAt = l.Time()
+		case "started_at":
+			l.Field(&seen, 5)
+			s.StartedAt = l.Time()
+		case "finished_at":
+			l.Field(&seen, 6)
+			s.FinishedAt = l.Time()
+		case "error":
+			l.Field(&seen, 7)
+			s.Error = l.String()
+		default:
+			l.Fail()
+		}
+	}
 }
 
 // ClusterStatus fetches the node's /v1/cluster document.

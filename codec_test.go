@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"dynring/internal/wire"
 )
@@ -350,6 +351,157 @@ func FuzzDecodeSweepSpec(f *testing.F) {
 			if sc.Validate() == nil {
 				_, _ = sc.Fingerprint()
 			}
+		}
+	})
+}
+
+// codecZones are the span time zones the RunResponse tests draw from:
+// UTC, whole-hour and fractional-hour offsets both ways, and a named zone
+// (whose name JSON drops).
+var codecZones = []*time.Location{
+	time.UTC, time.FixedZone("", 5*3600+30*60), time.FixedZone("", -8*3600),
+	time.FixedZone("EST", -5*3600), time.FixedZone("", 14*3600), time.FixedZone("", -(9*3600 + 30*60)),
+}
+
+// randTime draws a time MarshalJSON can encode: the zero time, or an
+// instant in years 0..9999, with or without nanoseconds, in a random zone.
+func randTime(rng *rand.Rand) time.Time {
+	if rng.IntN(6) == 0 {
+		return time.Time{}
+	}
+	// Year 0 to 9999 in seconds relative to the Unix epoch.
+	const lo, hi = -62167219200, 253402300799
+	t := time.Unix(lo+rng.Int64N(hi-lo-16*3600)+15*3600, 0)
+	if rng.IntN(2) == 0 {
+		t = t.Add(time.Duration(rng.IntN(1e9)))
+	}
+	return t.In(codecZones[rng.IntN(len(codecZones))])
+}
+
+// randRunResponse draws a POST /v1/run response: executed, cached and
+// error rows, with and without a result and a span, spans with and
+// without an error.
+func randRunResponse(rng *rand.Rand) (RunResponse, bool) {
+	lossless := true
+	row, _ := randRow(rng)
+	rr := RunResponse{
+		Fingerprint: randString(rng, &lossless),
+		Cached:      rng.IntN(2) == 0,
+		Result:      row.Result,
+	}
+	if rng.IntN(3) == 0 {
+		rr.Error = randString(rng, &lossless)
+	}
+	if rng.IntN(4) != 0 {
+		rr.Span = &TraceSpan{
+			Index:      rng.IntN(5000),
+			Node:       randString(rng, &lossless),
+			Kind:       []string{"executed", "cache-hit", "error", randString(rng, &lossless)}[rng.IntN(4)],
+			EnqueuedAt: randTime(rng),
+			StartedAt:  randTime(rng),
+			FinishedAt: randTime(rng),
+		}
+		if rng.IntN(3) == 0 {
+			rr.Span.Name = randString(rng, &lossless)
+		}
+		if rng.IntN(3) == 0 {
+			rr.Span.Error = randString(rng, &lossless)
+		}
+	}
+	return rr, lossless
+}
+
+// TestRunResponseCodecMatchesEncodingJSON: over seeded random responses,
+// AppendJSON emits exactly json.Marshal's bytes — span times included,
+// byte for byte as time.Time.MarshalJSON writes them — and
+// ParseRunResponse reads them, on the fast path unless they hold escapes,
+// to the value json.Unmarshal produces, which re-encodes to the same
+// bytes whenever the strings survive JSON.
+func TestRunResponseCodecMatchesEncodingJSON(t *testing.T) {
+	rng := rand.New(rand.NewPCG(19, 1))
+	for i := 0; i < 3000; i++ {
+		rr, lossless := randRunResponse(rng)
+		want, err := json.Marshal(rr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := rr.AppendJSON(nil)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("AppendJSON(%+v)\n got %s\nwant %s", rr, got, want)
+		}
+		var fast RunResponse
+		if !readRunResponse(got, &fast) && !escaped(got) {
+			t.Fatalf("fast path rejected canonical response %s", got)
+		}
+		var back, oracle RunResponse
+		if err := ParseRunResponse(got, &back); err != nil {
+			t.Fatalf("ParseRunResponse(%s): %v", got, err)
+		}
+		if err := json.Unmarshal(got, &oracle); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(back, oracle) {
+			t.Fatalf("ParseRunResponse(%s) = %+v, encoding/json %+v", got, back, oracle)
+		}
+		// Zone names do not survive JSON, so compare re-encodings.
+		if again := back.AppendJSON(nil); lossless && !bytes.Equal(again, got) {
+			t.Fatalf("round trip of %s gave %s", got, again)
+		}
+	}
+}
+
+// TestRunResponseTimesOutsideJSON: a span time encoding/json refuses to
+// encode is written as null, which encoding/json reads back as the zero
+// time.
+func TestRunResponseTimesOutsideJSON(t *testing.T) {
+	for _, ts := range []time.Time{
+		time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC),
+		time.Date(-1, 1, 1, 0, 0, 0, 0, time.UTC),
+		time.Date(2024, 1, 1, 0, 0, 0, 0, time.FixedZone("", 25*3600)),
+	} {
+		rr := RunResponse{Fingerprint: "fp", Span: &TraceSpan{Node: "n", Kind: "executed", StartedAt: ts}}
+		if _, err := json.Marshal(rr); err == nil {
+			t.Fatalf("encoding/json encodes %v; the test expects a refusal", ts)
+		}
+		got := rr.AppendJSON(nil)
+		if !bytes.Contains(got, []byte(`"started_at":null`)) {
+			t.Fatalf("AppendJSON with %v = %s, want started_at null", ts, got)
+		}
+		var back RunResponse
+		if err := ParseRunResponse(got, &back); err != nil || !back.Span.StartedAt.IsZero() {
+			t.Fatalf("ParseRunResponse(%s) = %+v, %v; want a zero started_at", got, back.Span, err)
+		}
+	}
+}
+
+// FuzzParseRunResponse: ParseRunResponse never panics, accepts exactly
+// what json.Unmarshal accepts, agrees with it on every accepted input, and
+// an accepted response re-encodes to json.Marshal's bytes.
+func FuzzParseRunResponse(f *testing.F) {
+	rng := rand.New(rand.NewPCG(19, 2))
+	for range 16 {
+		rr, _ := randRunResponse(rng)
+		f.Add(rr.AppendJSON(nil))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var got, want RunResponse
+		err := ParseRunResponse(data, &got)
+		werr := json.Unmarshal(data, &want)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("ParseRunResponse(%q) error %v, encoding/json %v", data, err, werr)
+		}
+		if err != nil {
+			return
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("ParseRunResponse(%q) = %+v, encoding/json %+v", data, got, want)
+		}
+		enc, merr := json.Marshal(got)
+		if merr != nil {
+			return // a parsed time encoding/json cannot encode back
+		}
+		if app := got.AppendJSON(nil); !bytes.Equal(app, enc) {
+			t.Fatalf("AppendJSON = %s, json.Marshal %s", app, enc)
 		}
 	})
 }

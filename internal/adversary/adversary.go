@@ -1,10 +1,6 @@
 package adversary
 
-import (
-	"math/rand"
-
-	"dynring/internal/sim"
-)
+import "dynring/internal/sim"
 
 // Func adapts plain functions to sim.Adversary. Nil fields mean "activate
 // everyone" and "remove nothing".
@@ -75,14 +71,14 @@ func (p PersistentEdge) NextChange(int) int { return sim.NeverChanges }
 // (otherwise none). It activates every agent; combine with RandomActivation
 // for SSYNC stress tests.
 type RandomEdge struct {
-	rng *rand.Rand
+	stream
 	// P is the per-round removal probability in [0,1].
 	P float64
 }
 
 // NewRandomEdge returns a seeded random-edge adversary.
 func NewRandomEdge(p float64, seed int64) *RandomEdge {
-	return &RandomEdge{P: p, rng: rand.New(rand.NewSource(seed))}
+	return &RandomEdge{P: p, stream: stream{seed: seed}}
 }
 
 var _ sim.Adversary = (*RandomEdge)(nil)
@@ -92,17 +88,18 @@ func (r *RandomEdge) Activate(_ int, w *sim.World) []int { return w.AgentIDs() }
 
 // MissingEdge implements sim.Adversary.
 func (r *RandomEdge) MissingEdge(_ int, w *sim.World, _ []sim.Intent) int {
-	if r.rng.Float64() >= r.P {
+	rng := r.rand()
+	if rng.Float64() >= r.P {
 		return sim.NoEdge
 	}
-	return r.rng.Intn(w.Ring().Size())
+	return rng.Intn(w.Ring().Size())
 }
 
 // RandomActivation wraps another adversary's edge strategy with a random
 // fair activation schedule: each agent is active independently with
 // probability P, with a guaranteed non-empty set.
 type RandomActivation struct {
-	rng *rand.Rand
+	stream
 	ids []int // Activate's result, reused across rounds
 	// Edges provides the missing-edge strategy (nil: never remove).
 	Edges sim.Adversary
@@ -112,13 +109,14 @@ type RandomActivation struct {
 
 // NewRandomActivation returns a seeded random activation wrapper.
 func NewRandomActivation(p float64, seed int64, edges sim.Adversary) *RandomActivation {
-	return &RandomActivation{P: p, rng: rand.New(rand.NewSource(seed)), Edges: edges}
+	return &RandomActivation{P: p, stream: stream{seed: seed}, Edges: edges}
 }
 
 var _ sim.Adversary = (*RandomActivation)(nil)
 
 // Activate implements sim.Adversary.
 func (r *RandomActivation) Activate(_ int, w *sim.World) []int {
+	rng := r.rand()
 	ids := r.ids[:0]
 	live := 0
 	for i := 0; i < w.NumAgents(); i++ {
@@ -126,13 +124,13 @@ func (r *RandomActivation) Activate(_ int, w *sim.World) []int {
 			continue
 		}
 		live++
-		if r.rng.Float64() < r.P {
+		if rng.Float64() < r.P {
 			ids = append(ids, i)
 		}
 	}
 	if len(ids) == 0 && live > 0 {
 		// Guarantee progress: wake one live agent uniformly.
-		k := r.rng.Intn(live)
+		k := rng.Intn(live)
 		for i := 0; ; i++ {
 			if w.AgentTerminated(i) {
 				continue

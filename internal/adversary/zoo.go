@@ -1,7 +1,6 @@
 package adversary
 
 import (
-	"math/rand"
 	"strconv"
 
 	"dynring/internal/sim"
@@ -29,7 +28,7 @@ import (
 // path is stable for the T rounds of each phase. T = 1 degenerates to an
 // always-removing single-edge adversary re-drawn every round.
 type TInterval struct {
-	rng *rand.Rand
+	stream
 	// T is the phase length in rounds; it must be ≥ 1.
 	T int
 
@@ -43,7 +42,7 @@ func NewTInterval(t int, seed int64) *TInterval {
 	if t < 1 {
 		t = 1
 	}
-	return &TInterval{T: t, rng: rand.New(rand.NewSource(seed)), edge: sim.NoEdge}
+	return &TInterval{T: t, stream: stream{seed: seed}, edge: sim.NoEdge}
 }
 
 var _ sim.Adversary = (*TInterval)(nil)
@@ -56,7 +55,7 @@ func (a *TInterval) Activate(_ int, w *sim.World) []int { return w.AgentIDs() }
 func (a *TInterval) MissingEdge(t int, w *sim.World, _ []sim.Intent) int {
 	if p := t/a.T + 1; p != a.phase {
 		a.phase = p
-		a.edge = a.rng.Intn(w.Ring().Size())
+		a.edge = a.rand().Intn(w.Ring().Size())
 	}
 	return a.edge
 }

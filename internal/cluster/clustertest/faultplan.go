@@ -37,6 +37,7 @@ type FaultPlan struct {
 	slowNode map[string]time.Duration
 	dropN    int
 	seen     int // requests considered by DropEveryN
+	drop     func(from, to, path string) bool
 	watch    func(from, to, path string)
 }
 
@@ -142,6 +143,16 @@ func (p *FaultPlan) DropEveryN(n int) {
 	p.seen = 0
 }
 
+// Drop fails every request fn selects by sender, target base URL and URL
+// path — after any SlowProxy or SlowNode delay, so a slowed drop is a
+// request that hangs and then fails. fn runs under the plan's lock and
+// must not call back into the plan. nil lifts the fault.
+func (p *FaultPlan) Drop(fn func(from, to, path string) bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.drop = fn
+}
+
 // OnRequest registers fn to observe every admitted (not injected-failed)
 // request: sender identity, target base URL, and URL path. Tests use it to
 // count specific traffic — e.g. anti-entropy kicks after a rejoin. nil
@@ -197,6 +208,13 @@ func (p *FaultPlan) admit(from, to, path string) (time.Duration, error) {
 	return delay, nil
 }
 
+// dropped reports whether Drop selects the request.
+func (p *FaultPlan) dropped(from, to, path string) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.drop != nil && p.drop(from, to, path)
+}
+
 // pair canonicalizes an unordered link so Partition(a,b) and a b→a request
 // agree on the key.
 func pair(a, b string) [2]string {
@@ -229,6 +247,9 @@ func (t *planTripper) RoundTrip(req *http.Request) (*http.Response, error) {
 		case <-req.Context().Done():
 			return nil, req.Context().Err()
 		}
+	}
+	if t.plan.dropped(t.from, to, req.URL.Path) {
+		return nil, fmt.Errorf("clustertest: dropped %s %s -> %s", req.URL.Path, t.from, to)
 	}
 	return t.next.RoundTrip(req)
 }

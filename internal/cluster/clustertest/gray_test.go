@@ -19,16 +19,17 @@ import (
 // index), so a test can build a spec whose every row takes a known route.
 func (c *Cluster) seedsOwnedBy(t *testing.T, k int, want int, owners ...int) []int64 {
 	t.Helper()
+	return c.seedsOwnedByIn(t, seedSpec, k, want, owners...)
+}
+
+// seedsOwnedByIn is seedsOwnedBy for the rows of spec(seeds), which must
+// have one row per seed.
+func (c *Cluster) seedsOwnedByIn(t *testing.T, spec func([]int64) dynring.SweepSpec, k int, want int, owners ...int) []int64 {
+	t.Helper()
 	ring := c.placementRing()
 	var seeds []int64
 	for s := int64(9000); s < 21000 && len(seeds) < want; s++ {
-		spec := dynring.SweepSpec{
-			Algorithms:  []string{"KnownNNoChirality"},
-			Sizes:       []int{8},
-			Seeds:       []int64{s},
-			Adversaries: []dynring.AdversarySpec{{Kind: "random", P: 0.4}},
-		}
-		got := ring.Owners(fingerprints(t, spec)[0], k)
+		got := ring.Owners(fingerprints(t, spec([]int64{s}))[0], k)
 		if len(got) < len(owners) {
 			continue
 		}

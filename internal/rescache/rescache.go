@@ -22,8 +22,12 @@ type Cache[V any] struct {
 	copyVal  func(V) V
 	ll       *list.List // front = most recently used
 	items    map[string]*list.Element
-	hits     uint64
-	misses   uint64
+	// holds counts Hold pins by key, resident or not; held keeps the
+	// resident held entries, outside ll and the capacity (see Hold).
+	holds  map[string]int
+	held   map[string]*entry[V]
+	hits   uint64
+	misses uint64
 }
 
 // entry is one LRU node.
@@ -71,14 +75,17 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		c.misses++
-		return zero, false
+	if el, ok := c.items[key]; ok {
+		c.hits++
+		c.ll.MoveToFront(el)
+		return c.copy(el.Value.(*entry[V]).val), true
 	}
-	c.hits++
-	c.ll.MoveToFront(el)
-	return c.copy(el.Value.(*entry[V]).val), true
+	if e, ok := c.held[key]; ok {
+		c.hits++
+		return c.copy(e.val), true
+	}
+	c.misses++
+	return zero, false
 }
 
 // Contains reports whether key is resident, without counting a hit or a
@@ -92,6 +99,9 @@ func (c *Cache[V]) Contains(key string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	_, ok := c.items[key]
+	if !ok {
+		_, ok = c.held[key]
+	}
 	return ok
 }
 
@@ -109,11 +119,68 @@ func (c *Cache[V]) Put(key string, val V) {
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[key] = c.ll.PushFront(&entry[V]{key: key, val: c.copy(val)})
+	if _, ok := c.held[key]; ok {
+		return
+	}
+	e := &entry[V]{key: key, val: c.copy(val)}
+	if c.holds[key] > 0 {
+		c.held[key] = e
+		return
+	}
+	c.insertLocked(e)
+}
+
+// insertLocked makes e the most recently used entry, evicting the least
+// recently used one past the capacity.
+func (c *Cache[V]) insertLocked(e *entry[V]) {
+	c.items[e.key] = c.ll.PushFront(e)
 	if c.ll.Len() > c.capacity {
 		last := c.ll.Back()
 		c.ll.Remove(last)
 		delete(c.items, last.Value.(*entry[V]).key)
+	}
+}
+
+// Hold pins each key until a matching Release. While a key holds a pin,
+// its entry — resident now or stored later — stays out of the LRU order:
+// it is never evicted and does not count against the capacity, so held
+// entries can take the cache past it. Releasing the last pin returns the
+// entry to the LRU as its most recently used one. No-op on a disabled
+// cache.
+func (c *Cache[V]) Hold(keys ...string) {
+	if c.capacity == 0 {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.holds == nil {
+		c.holds = make(map[string]int)
+		c.held = make(map[string]*entry[V])
+	}
+	for _, key := range keys {
+		c.holds[key]++
+		if el, ok := c.items[key]; ok {
+			c.ll.Remove(el)
+			delete(c.items, key)
+			c.held[key] = el.Value.(*entry[V])
+		}
+	}
+}
+
+// Release drops one pin Hold placed on key.
+func (c *Cache[V]) Release(key string) {
+	if c.capacity == 0 {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.holds[key]--; c.holds[key] > 0 {
+		return
+	}
+	delete(c.holds, key)
+	if e, ok := c.held[key]; ok {
+		delete(c.held, key)
+		c.insertLocked(e)
 	}
 }
 
@@ -134,7 +201,7 @@ func (c *Cache[V]) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{
-		Size:     c.ll.Len(),
+		Size:     c.ll.Len() + len(c.held),
 		Capacity: c.capacity,
 		Hits:     c.hits,
 		Misses:   c.misses,

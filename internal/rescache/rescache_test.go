@@ -146,3 +146,43 @@ func TestConcurrentGetPutStats(t *testing.T) {
 		t.Fatalf("hits+misses = %d, want %d", st.Hits+st.Misses, workers*rounds)
 	}
 }
+
+// TestCacheHoldRelease: a held entry — held before or after it is stored —
+// survives any number of evictions and does not count against the
+// capacity; releasing its last pin returns it as the most recently used
+// entry, after which the LRU evicts as before.
+func TestCacheHoldRelease(t *testing.T) {
+	c := New[int](2, nil)
+	c.Put("a", 1)
+	c.Hold("a", "b", "b")
+	c.Put("b", 2)
+	for i := range 10 {
+		c.Put(fmt.Sprint("x", i), i)
+	}
+	for _, k := range []string{"a", "b", "x8", "x9"} {
+		if !c.Contains(k) {
+			t.Fatalf("%s evicted; held entries and the 2 newest should stay", k)
+		}
+	}
+	if st := c.Stats(); st.Size != 4 {
+		t.Fatalf("size %d, want 2 held + capacity 2", st.Size)
+	}
+	if v, ok := c.Get("b"); !ok || v != 2 {
+		t.Fatalf("Get(held b) = %d, %v", v, ok)
+	}
+	c.Release("a")
+	c.Release("b") // b still holds one pin
+	if !c.Contains("a") || c.Contains("x8") {
+		t.Fatal("released a should displace the LRU entry x8")
+	}
+	c.Put("y", 0)
+	if c.Contains("x9") || !c.Contains("a") || !c.Contains("b") {
+		t.Fatal("after release the LRU should evict x9 before a, and b stays held")
+	}
+	c.Release("b")
+	c.Put("z", 0)
+	c.Put("w", 0)
+	if c.Contains("a") || c.Contains("b") {
+		t.Fatal("released entries must be evictable again")
+	}
+}

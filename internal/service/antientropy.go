@@ -105,9 +105,15 @@ func (m *Manager) replicate(fp string, res dynring.Result) {
 	if m.membership == nil || m.replicas < 2 {
 		return
 	}
+	// The envelope stays resident here until its replicas have it, and
+	// then starts a fresh stay in the LRU: a peer asking for fp meanwhile,
+	// or with a request that crossed the push, finds it on one node or the
+	// other.
+	m.cache.hold(fp)
 	select {
 	case m.replq <- replItem{fp: fp, res: res}:
 	case <-m.auxStop:
+		m.cache.release(fp)
 	}
 }
 
@@ -119,6 +125,7 @@ func (m *Manager) replicationLoop() {
 			return
 		case it := <-m.replq:
 			m.pushReplicas(it.fp, it.res)
+			m.cache.release(it.fp)
 		}
 	}
 }

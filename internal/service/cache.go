@@ -34,6 +34,17 @@ type Cache struct {
 	promotions atomic.Uint64
 }
 
+// hold pins fps in the memory tier until each is released as many times
+// (see rescache.Cache.Hold). In cluster mode the manager holds what its
+// running jobs still wait for and what it executed but has not yet pushed
+// to the replicas, so a result that lands early (served to a peer's batch,
+// pushed by a replica) is still resident when the row that wants it comes
+// round, however far the cluster's coordinators drift apart.
+func (c *Cache) hold(fps ...string) { c.c.Hold(fps...) }
+
+// release drops one pin hold placed on fp.
+func (c *Cache) release(fp string) { c.c.Release(fp) }
+
 // NewCache returns a memory-only cache bounded to capacity entries. A
 // non-positive capacity disables the memory tier: every Get misses
 // (without counting) and Put is a no-op.

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,13 +9,21 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"dynring"
 )
 
-// maxSpecBytes bounds a POST /v1/sweeps body.
+// maxSpecBytes bounds a POST /v1/sweeps or POST /v1/run body; the proxy
+// dispatcher splits batches to stay under it.
 const maxSpecBytes = 1 << 20
+
+// ndjsonType is the media type of the results stream and of the batch
+// form of POST /v1/run.
+const ndjsonType = "application/x-ndjson"
 
 // maxEnvelopeBytes bounds a POST /v1/replicate body: one result envelope,
 // whose Moves/TerminatedAt slices scale with ring size.
@@ -27,7 +36,9 @@ const maxEnvelopeBytes = 8 << 20
 //	GET    /v1/sweeps/{id}/results  NDJSON dynring.ResultRow stream in grid order (?from=N resumes)
 //	GET    /v1/sweeps/{id}/trace    dynring.SweepTrace (per-scenario spans)
 //	DELETE /v1/sweeps/{id}          cancel, returns post-cancellation JobStatus
-//	POST   /v1/run                  execute one scenario synchronously, returns RunResponse
+//	POST   /v1/run                  execute one scenario synchronously, returns RunResponse;
+//	                                with Content-Type application/x-ndjson, a batch: one RunRequest
+//	                                per line in, one RunResponse line per row out as rows settle
 //	GET    /v1/cluster              dynring.ClusterStatus (this node's cluster view)
 //	POST   /v1/cluster/leave        peer announces graceful shutdown ({"url": ...})
 //	POST   /v1/cluster/join         peer announces (re)join ({"url": ...})
@@ -41,8 +52,8 @@ const maxEnvelopeBytes = 8 << 20
 // Trace propagation: POST /v1/sweeps accepts a caller-supplied trace ID in
 // dynring.TraceHeader (generating one otherwise) and stamps the job's ID
 // back on the response; POST /v1/run reads the same header so a proxy
-// hop's span is recorded under the originating sweep's trace and returned
-// in RunResponse.Span for the coordinator to adopt. POST /v1/run also
+// hop's spans are recorded under the originating sweep's trace and returned
+// in RunResponse.Span, one per row, for the coordinator to adopt. POST /v1/run also
 // honors DeadlineHeader as a remaining-budget bound: the coordinator
 // forwards the job's unexpired deadline budget on each hop and the owner
 // caps its execution context to it, so work whose answer can no longer
@@ -67,9 +78,10 @@ const maxEnvelopeBytes = 8 << 20
 // rows carry only deterministic fields.
 //
 // /v1/run is the cluster's proxy hop and deliberately executes on the
-// handler goroutine, never on the shared worker pool: if proxy hops queued
-// on the pool, two nodes whose workers were all blocked proxying to each
-// other could deadlock. Request-level errors (bad spec) are 4xx; scenario
+// handler goroutine (a batch on goroutines of its request), never on the
+// shared worker pool: if proxy hops queued on the pool, two nodes whose
+// workers were all blocked proxying to each other could deadlock.
+// Request-level errors (a bad spec on any line) are 4xx; scenario
 // execution errors travel inside a 200 RunResponse, mirroring result rows.
 func NewHandler(m *Manager) http.Handler {
 	mux := http.NewServeMux()
@@ -171,7 +183,7 @@ func NewHandler(m *Manager) http.Handler {
 				return
 			}
 		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
+		w.Header().Set("Content-Type", ndjsonType)
 		w.WriteHeader(http.StatusOK)
 		flusher, _ := w.(http.Flusher)
 		// Each row is appended into one reused buffer and written with one
@@ -228,31 +240,18 @@ func NewHandler(m *Manager) http.Handler {
 	mux.HandleFunc("POST /v1/run", func(w http.ResponseWriter, r *http.Request) {
 		tenant, err := m.ResolveTenant(r)
 		if err != nil {
-			// Config skew on a proxy hop lands here; the coordinator's
-			// local-execution fallback absorbs the rejection.
+			// Config skew on a proxy hop lands here; the coordinator fails
+			// the batch over, and after the last replica runs it locally.
 			writeError(w, http.StatusUnauthorized, err)
 			return
 		}
-		m.countRunRequest(tenant)
 		body, err := readBody(w, r, maxSpecBytes)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		req, err := dynring.DecodeRunRequest(body)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		sc, err := req.Scenario.Scenario()
-		if err == nil {
-			err = sc.Validate()
-		}
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		fp, err := sc.Fingerprint()
+		batch := strings.HasPrefix(r.Header.Get("Content-Type"), ndjsonType)
+		items, err := decodeRunBody(body, batch)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
@@ -273,29 +272,17 @@ func NewHandler(m *Manager) http.Handler {
 			runCtx, cancel = context.WithTimeout(runCtx, budget)
 			defer cancel()
 		}
-		started := time.Now()
-		res, cached, err := m.ExecuteLocal(runCtx, sc, fp)
-		resp := dynring.RunResponse{Fingerprint: fp, Cached: cached}
-		// This node's side of the hop, for the coordinator to adopt into
-		// its sweep trace: what happened here, under whose name.
-		span := &dynring.TraceSpan{
-			Node:       m.NodeName(),
-			Kind:       "executed",
-			StartedAt:  started,
-			FinishedAt: time.Now(),
+		for range items {
+			m.countRunRequest(tenant)
 		}
-		if cached {
-			span.Kind = "cache-hit"
+		if !batch {
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusOK)
+			// A failed write means the caller is gone; there is no one to tell.
+			_, _ = w.Write(append(m.serveRun(runCtx, items[0]).AppendJSON(nil), '\n'))
+			return
 		}
-		if err != nil {
-			resp.Error = err.Error()
-			span.Kind = "error"
-			span.Error = err.Error()
-		} else {
-			resp.Result = &res
-		}
-		resp.Span = span
-		writeJSON(w, http.StatusOK, resp)
+		m.serveRunBatch(runCtx, w, items)
 	})
 
 	mux.HandleFunc("GET /v1/sweeps/{id}/trace", func(w http.ResponseWriter, r *http.Request) {
@@ -403,6 +390,121 @@ func NewHandler(m *Manager) http.Handler {
 	mux.Handle("GET /metrics", m.Registry())
 
 	return mux
+}
+
+// runItem is one validated, fingerprinted row of a POST /v1/run body.
+type runItem struct {
+	sc dynring.Scenario
+	fp string
+}
+
+// decodeRunBody decodes a POST /v1/run body: one RunRequest, or with batch
+// one per non-blank line. Every row is validated and fingerprinted before
+// anything runs, so a bad row fails the whole request with a 400.
+func decodeRunBody(body []byte, batch bool) ([]runItem, error) {
+	lines := [][]byte{body}
+	if batch {
+		lines = bytes.Split(body, []byte{'\n'})
+	}
+	items := make([]runItem, 0, len(lines))
+	for _, line := range lines {
+		if batch && len(bytes.TrimSpace(line)) == 0 {
+			continue
+		}
+		req, err := dynring.DecodeRunRequest(line)
+		if err != nil {
+			return nil, err
+		}
+		sc, err := req.Scenario.Scenario()
+		if err == nil {
+			err = sc.Validate()
+		}
+		if err != nil {
+			return nil, err
+		}
+		fp, err := sc.Fingerprint()
+		if err != nil {
+			return nil, err
+		}
+		items = append(items, runItem{sc: sc, fp: fp})
+	}
+	if len(items) == 0 {
+		return nil, errors.New("empty batch")
+	}
+	return items, nil
+}
+
+// serveRun is the core both forms of POST /v1/run share: serve one row
+// through ExecuteLocal and describe it, with this node's span for the
+// coordinator to adopt into its sweep trace.
+func (m *Manager) serveRun(ctx context.Context, it runItem) dynring.RunResponse {
+	started := time.Now()
+	res, cached, err := m.ExecuteLocal(ctx, it.sc, it.fp)
+	resp := dynring.RunResponse{Fingerprint: it.fp, Cached: cached}
+	span := &dynring.TraceSpan{
+		Node:       m.NodeName(),
+		Kind:       "executed",
+		StartedAt:  started,
+		FinishedAt: time.Now(),
+	}
+	if cached {
+		span.Kind = "cache-hit"
+	}
+	if err != nil {
+		resp.Error = err.Error()
+		span.Kind = "error"
+		span.Error = err.Error()
+	} else {
+		resp.Result = &res
+	}
+	resp.Span = span
+	return resp
+}
+
+// serveRunBatch answers an NDJSON batch with one RunResponse line per row,
+// in the order rows settle. It runs up to Workers rows of the batch at a
+// time on goroutines of this request, never on the worker pool, so a cold
+// batch keeps the parallelism per-row hops had. Like the results stream,
+// it flushes only before it would block on the next row, and only when it
+// has written a line since the last flush: the header rides with the
+// first line.
+func (m *Manager) serveRunBatch(ctx context.Context, w http.ResponseWriter, items []runItem) {
+	w.Header().Set("Content-Type", ndjsonType)
+	w.WriteHeader(http.StatusOK)
+	flusher, _ := w.(http.Flusher)
+	// Buffered for every row, so no runner blocks once the writer is gone.
+	lines := make(chan dynring.RunResponse, len(items))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	for range min(m.workers, len(items)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := next.Add(1) - 1; k < int64(len(items)); k = next.Add(1) - 1 {
+				lines <- m.serveRun(ctx, items[k])
+			}
+		}()
+	}
+	var buf []byte
+	unflushed := false // lines written since the last flush
+	for range items {
+		var rr dynring.RunResponse
+		select {
+		case rr = <-lines:
+		default:
+			if unflushed && flusher != nil {
+				flusher.Flush()
+				unflushed = false
+			}
+			rr = <-lines
+		}
+		buf = append(rr.AppendJSON(buf[:0]), '\n')
+		if _, err := w.Write(buf); err != nil {
+			return
+		}
+		unflushed = true
+	}
 }
 
 // decodePeerURL reads the {"url": ...} body of the cluster announcement

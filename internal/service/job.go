@@ -72,15 +72,20 @@ type Job struct {
 	scenarios []dynring.Scenario
 	fps       []string
 
+	// hops is the job's proxy dispatcher (nil when standalone).
+	hops *hops
+
 	// ctx is cancelled by Cancel (or Manager.Close); in-flight runs abort
 	// through it.
 	ctx    context.Context
 	cancel context.CancelFunc
 
 	// onSettle, when set (by the Manager, before the job is queued), is
-	// called exactly once when the job leaves StateRunning. It runs under
-	// mu and must not take the Manager's mutex.
+	// called exactly once when the job leaves StateRunning; onRow, when
+	// set, once per row as it settles. Both run under mu and must not take
+	// the Manager's mutex.
 	onSettle func()
+	onRow    func(i int)
 
 	mu        sync.Mutex
 	cond      *sync.Cond // broadcast on every row settling / state change
@@ -121,6 +126,9 @@ func (j *Job) setRow(i int, r Row) {
 		return
 	}
 	j.rows[i] = r
+	if j.onRow != nil {
+		j.onRow(i)
+	}
 	j.completed++
 	if r.Err != nil {
 		j.errors++
@@ -157,6 +165,9 @@ func (j *Job) settleAbort(err error) bool {
 	}
 	for i := range j.rows {
 		if !j.rows[i].Done {
+			if j.onRow != nil {
+				j.onRow(i)
+			}
 			j.rows[i] = Row{Done: true, Err: err}
 			j.completed++
 			j.errors++

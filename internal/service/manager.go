@@ -98,20 +98,20 @@ type ClusterOptions struct {
 	// disk tiers (zero: a 30s default). Only meaningful with Replicas > 1
 	// and a DiskDir.
 	AntiEntropyInterval time.Duration
-	// ProxyTimeout bounds every outbound replica RPC: proxy hops
-	// (POST /v1/run), replication pushes (POST /v1/replicate), and
-	// anti-entropy fetches. It is the gray-failure backstop — without it a
-	// slow-but-alive owner holds the coordinator's handler goroutine for
+	// ProxyTimeout bounds every outbound replica RPC: replication pushes
+	// (POST /v1/replicate) and anti-entropy fetches as a whole, and proxy
+	// batches (POST /v1/run) per streamed line — a batch fails once it has
+	// streamed nothing for this long. It is the gray-failure backstop:
+	// without it a slow-but-alive owner holds the coordinator's rows for
 	// as long as the peer cares to stall. Zero means the 10s default
-	// (ringsimd -proxy-timeout). A job deadline tighter than the timeout
-	// bounds the hop further: each hop gets min(ProxyTimeout, remaining
-	// budget).
+	// (ringsimd -proxy-timeout). A job deadline bounds each batch further.
 	ProxyTimeout time.Duration
-	// HedgeAfter, when positive, arms hedged replica reads: a proxy hop to
-	// a fingerprint's owner that has not answered after this delay fires
-	// the same fingerprint at the next replica, first response wins, the
-	// loser is cancelled before its result could be adopted. Exactly-once
-	// stays structural — both sides serve through their own cache and
+	// HedgeAfter, when positive, arms hedged replica reads: a proxy batch
+	// that has streamed nothing for this long sends its unsettled rows to
+	// their next replica, with the rows its outbox holds; the first line
+	// for a row wins, and a batch whose rows all settled elsewhere is
+	// cancelled before its lines could be adopted. Exactly-once stays
+	// structural — both sides serve through their own cache and
 	// singleflight, and the replication push reconciles the winner's
 	// envelope. Zero disables hedging (ringsimd -hedge-after).
 	HedgeAfter time.Duration
@@ -170,9 +170,10 @@ type task struct {
 // disturbing other jobs.
 //
 // In cluster mode each fingerprint has one owning node on the placement
-// ring. A scenario owned elsewhere is proxied to its owner (POST /v1/run)
-// when that owner looks alive, and executed locally otherwise — the
-// cluster degrades to correct-but-duplicated work, never to unavailability.
+// ring. A scenario owned elsewhere is proxied to its owner (batched
+// POST /v1/run, see hop.go) when that owner looks alive, and executed
+// locally otherwise — the cluster degrades to correct-but-duplicated work,
+// never to unavailability.
 // All local executions funnel through a fingerprint-keyed rescache.Group, so
 // the owner runs each fingerprint at most once no matter how many workers,
 // jobs or proxy hops ask for it concurrently: cluster-wide exactly-once is
@@ -247,6 +248,8 @@ type Manager struct {
 	closed bool
 
 	wg sync.WaitGroup
+	// hopWG counts the proxy dispatcher's sender goroutines (hop.go).
+	hopWG sync.WaitGroup
 }
 
 // New starts a manager and its worker pool. The only construction failure
@@ -431,6 +434,9 @@ func (m *Manager) Close() {
 		j.markCancelled()
 	}
 	m.wg.Wait()
+	// Cancelled jobs end their batches promptly; the last of them may still
+	// adopt into the cache, so it closes after them.
+	m.hopWG.Wait()
 	m.cache.Close()
 }
 
@@ -500,6 +506,11 @@ func (m *Manager) Submit(spec dynring.SweepSpec, opts SubmitOptions) (*Job, erro
 	j := newJob(fmt.Sprintf("sw-%d", m.nextID), traceID, scenarios, fps, time.Now())
 	j.Tenant = ts.cfg.Name
 	j.Priority = opts.Priority
+	if m.membership != nil {
+		j.hops = newHops(m, j)
+		m.cache.hold(fps...)
+		j.onRow = func(i int) { m.cache.release(fps[i]) }
+	}
 	ts.admitted.Add(1)
 	ts.running.Add(1)
 	// onSettle runs under j.mu (never m.mu): atomics and a timer stop only.
@@ -760,36 +771,20 @@ func (m *Manager) nextTask() (task, bool) {
 	}
 }
 
-// runTask settles one scenario: cache hit, proxy to the fingerprint's
-// owner (cluster mode, owner elsewhere and alive), or local execution.
-// A failed proxy marks the owner failed for the prober and falls back to
-// local execution — a dying peer costs one extra hop, never the sweep.
-// Every settle records one span in the sweep's trace (proxied scenarios
-// record two: the owner's span, adopted from the hop response, plus this
-// node's hop record).
+// runTask settles one scenario: a cache hit, a release to the proxy
+// dispatcher (cluster mode, routed to a routable peer; see hop.go), or a
+// local execution. A released row settles when its batch streams the row
+// back; the worker waits for that only when the row is the first of its
+// (job, target) outbox. Every settle records one span in the sweep's
+// trace (proxied scenarios record two: the owner's span, adopted from the
+// hop response, plus this node's hop record).
 func (m *Manager) runTask(t task) {
 	j, i := t.j, t.i
 	start := time.Now()
 	m.met.queueWait.Observe(start.Sub(j.created).Seconds())
-	span := func(kind string, err error) {
-		s := telemetry.Span{
-			Index:    i,
-			Name:     j.scenarios[i].Name,
-			Node:     m.NodeName(),
-			Kind:     kind,
-			Enqueued: j.created,
-			Started:  start,
-			Finished: time.Now(),
-		}
-		if err != nil {
-			s.Kind = "error"
-			s.Err = err.Error()
-		}
-		m.tracer.Record(j.ID, s)
-	}
 	if err := j.ctx.Err(); err != nil {
 		j.setRow(i, Row{Err: err})
-		span("error", err)
+		m.recordSpan(j, i, start, "error", err)
 		return
 	}
 	fp := j.fps[i]
@@ -799,53 +794,64 @@ func (m *Manager) runTask(t task) {
 		// nodes skip straight to ExecuteLocal, whose own probe is then the
 		// only lookup — each scheduled scenario counts one hit or miss.)
 		if res, ok := m.cache.Get(fp); ok {
+			j.hops.skip()
 			j.setRow(i, Row{Cached: true, Result: res})
-			span("cache-hit", nil)
+			m.recordSpan(j, i, start, "cache-hit", nil)
 			return
 		}
-		if rr, target, ok := m.proxyHedged(j, i, targets); ok {
-			if target != owner {
-				m.replicaHits.Add(1)
-			}
-			// Adopt the owner's span first: under one trace ID the sweep's
-			// trace then shows both the hop (this node) and the work (the
-			// owner), which is the cross-node view /v1/sweeps/{id}/trace
-			// exists for.
-			if rr.Span != nil {
-				m.tracer.Record(j.ID, telemetry.Span{
-					Index:    i,
-					Name:     j.scenarios[i].Name,
-					Node:     rr.Span.Node,
-					Kind:     rr.Span.Kind,
-					Started:  rr.Span.StartedAt,
-					Finished: rr.Span.FinishedAt,
-					Err:      rr.Span.Error,
-				})
-			}
-			if rr.Error != "" {
-				j.setRow(i, Row{Err: errors.New(rr.Error)})
-				span("error", errors.New(rr.Error))
-				return
-			}
-			res := *rr.Result
-			// Adopt the owner's result into our own tiers: the fingerprint
-			// contract makes cross-node reuse safe, and the local copy
-			// serves repeats without another hop.
-			m.cache.Put(fp, res)
-			j.setRow(i, Row{Cached: rr.Cached, Result: res})
-			span("proxied", nil)
+		if j.hops.release(i, owner, targets, start) {
 			return
 		}
+	} else if j.hops != nil {
+		j.hops.skip()
 	}
-	res, cached, err := m.ExecuteLocal(j.ctx, j.scenarios[i], fp)
+	m.runLocal(j, i, start)
+}
+
+// runLocal settles row i of j through ExecuteLocal; start is when a worker
+// picked the row up.
+func (m *Manager) runLocal(j *Job, i int, start time.Time) {
+	res, cached, err := m.ExecuteLocal(j.ctx, j.scenarios[i], j.fps[i])
 	j.setRow(i, Row{Cached: cached, Result: res, Err: err})
 	switch {
 	case err != nil:
-		span("error", err)
+		m.recordSpan(j, i, start, "error", err)
 	case cached:
-		span("cache-hit", nil)
+		m.recordSpan(j, i, start, "cache-hit", nil)
 	default:
-		span("executed", nil)
+		m.recordSpan(j, i, start, "executed", nil)
+	}
+}
+
+// recordSpan records this node's span for row i of j, from start to now.
+func (m *Manager) recordSpan(j *Job, i int, start time.Time, kind string, err error) {
+	s := telemetry.Span{
+		Index:    i,
+		Name:     j.scenarios[i].Name,
+		Node:     m.NodeName(),
+		Kind:     kind,
+		Enqueued: j.created,
+		Started:  start,
+		Finished: time.Now(),
+	}
+	if err != nil {
+		s.Kind = "error"
+		s.Err = err.Error()
+	}
+	m.tracer.Record(j.ID, s)
+}
+
+// telemetrySpan converts an owner's span, adopted from a hop response,
+// into row i's trace record.
+func telemetrySpan(j *Job, i int, s *dynring.TraceSpan) telemetry.Span {
+	return telemetry.Span{
+		Index:    i,
+		Name:     j.scenarios[i].Name,
+		Node:     s.Node,
+		Kind:     s.Kind,
+		Started:  s.StartedAt,
+		Finished: s.FinishedAt,
+		Err:      s.Error,
 	}
 }
 
@@ -872,148 +878,6 @@ func (m *Manager) routeFor(fp string) (owner string, targets []string) {
 		}
 	}
 	return owners[0], targets
-}
-
-// hopResult is one proxy attempt's outcome inside proxyHedged's race.
-type hopResult struct {
-	rr     dynring.RunResponse
-	ok     bool
-	target string
-	hedge  bool // launched by the hedge timer, not primary or failover
-}
-
-// proxyHedged serves one routed scenario through targets with hedged
-// replica reads. The primary request goes to the first target (the owner,
-// or the first routable replica). With hedging armed (ClusterOptions.
-// HedgeAfter > 0) and a second target available, a hedge fires the same
-// fingerprint at that replica once the primary has been silent for the
-// hedge delay. First good response wins; the loser is cancelled before
-// its response could be adopted, which preserves exactly-once
-// structurally: each side serves through its own cache and singleflight,
-// the coordinator adopts exactly one result, and the replication push
-// reconciles the winner's envelope across the replica set. A failed
-// attempt (not a cancellation) falls over to the next unused target,
-// hedged or not, so the pre-hedging sequential failover is the degenerate
-// case. Returns ok=false when every target failed — the caller's local
-// execution is the final fallback and cannot lose work.
-func (m *Manager) proxyHedged(j *Job, i int, targets []string) (dynring.RunResponse, string, bool) {
-	ctx, cancel := context.WithCancel(j.ctx)
-	defer cancel()
-	results := make(chan hopResult, len(targets))
-	launched := 0
-	launch := func(hedge bool) {
-		target := targets[launched]
-		launched++
-		go func() {
-			rr, ok := m.proxyRun(ctx, target, j.scenarios[i], j.fps[i], j.traceID, j.Tenant, j.deadline)
-			results <- hopResult{rr: rr, ok: ok, target: target, hedge: hedge}
-		}()
-	}
-	launch(false)
-	pending := 1
-	var hedgeC <-chan time.Time
-	if m.hedgeAfter > 0 && len(targets) > 1 {
-		t := time.NewTimer(m.hedgeAfter)
-		defer t.Stop()
-		hedgeC = t.C
-	}
-	for pending > 0 {
-		select {
-		case <-hedgeC:
-			hedgeC = nil
-			if launched < len(targets) {
-				m.hedges.Add(1)
-				launch(true)
-				pending++
-			}
-		case r := <-results:
-			pending--
-			if r.ok {
-				if r.hedge {
-					m.hedgeWins.Add(1)
-				}
-				// Cancel the losing attempt before adoption: its response,
-				// if any, is discarded unread, so exactly one result is
-				// ever adopted for this row.
-				cancel()
-				return r.rr, r.target, true
-			}
-			if j.ctx.Err() != nil {
-				return dynring.RunResponse{}, "", false
-			}
-			if pending == 0 && launched < len(targets) {
-				// Plain failover: the attempt failed on its own (the peer,
-				// not our cancellation) — try the next replica.
-				launch(false)
-				pending++
-			}
-		}
-	}
-	return dynring.RunResponse{}, "", false
-}
-
-// proxyRun forwards one scenario to target via POST /v1/run, carrying the
-// sweep's trace ID in TraceHeader so the target's span lands in the same
-// trace, and the originating tenant's API key so the target accounts the
-// execution to that tenant rather than to the proxying node. Every hop is
-// bounded: its context times out after min(ProxyTimeout, the job's
-// remaining deadline budget), and that remaining budget is forwarded in
-// DeadlineHeader so the target bounds its own execution too — the
-// deadline a client set on POST /v1/sweeps follows the work across every
-// hop it takes. The second return is false when the caller should fall
-// back (next replica, then local execution): the scenario has no wire
-// form (custom factory), the budget is already spent, or the target
-// failed — a genuine failure also feeds the membership's failure evidence,
-// while a hop cancelled from our own side (a hedge lost its race, the job
-// was cancelled) is not evidence against the peer and feeds nothing.
-// Retries are disabled on the hop: the local fallback IS the retry, and it
-// cannot lose work. A tenant the target does not know (config skew across
-// the cluster) is rejected there with 401, which lands here as a failed
-// hop and degrades to the same fallback.
-func (m *Manager) proxyRun(ctx context.Context, target string, sc dynring.Scenario, fp, traceID, tenant string, deadline time.Time) (dynring.RunResponse, bool) {
-	sp, err := sc.WireSpec()
-	if err != nil {
-		return dynring.RunResponse{}, false
-	}
-	timeout := m.proxyTimeout
-	var budget time.Duration
-	if !deadline.IsZero() {
-		budget = time.Until(deadline)
-		if budget <= 0 {
-			return dynring.RunResponse{}, false
-		}
-		if budget < timeout {
-			timeout = budget
-		}
-	}
-	hopCtx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	c := &dynring.Client{BaseURL: target, HTTPClient: m.proxyHTTP, Retries: -1, TenantKey: m.TenantKey(tenant)}
-	hop := time.Now()
-	rr, err := c.RunScenario(hopCtx, sp, dynring.WithTrace(traceID), dynring.WithDeadline(budget))
-	rtt := time.Since(hop)
-	if err != nil {
-		if ctx.Err() != nil {
-			// Our side ended the hop (hedge race decided, job cancelled or
-			// expired). The peer did nothing wrong: no failure evidence, no
-			// fallback noise.
-			return dynring.RunResponse{}, false
-		}
-		m.membership.MarkFailed(target, err)
-		m.met.proxyFallbacks.Inc()
-		m.log.Warn("proxy failed, executing locally",
-			"fingerprint", fp, "target", target, "trace", traceID, "error", err)
-		return dynring.RunResponse{}, false
-	}
-	if rr.Error == "" && rr.Result == nil {
-		m.met.proxyFallbacks.Inc()
-		m.log.Warn("proxy returned no result, executing locally",
-			"fingerprint", fp, "target", target, "trace", traceID)
-		return dynring.RunResponse{}, false
-	}
-	m.met.proxyRTT.Observe(rtt.Seconds())
-	m.proxied.Add(1)
-	return rr, true
 }
 
 // ExecuteLocal runs one scenario on this node — cache tiers first, then an

@@ -18,9 +18,11 @@ type metrics struct {
 	queueWait  *telemetry.Histogram
 	runSeconds *telemetry.Histogram
 
-	// proxyRTT times successful proxy hops; proxyFallbacks counts hops that
-	// failed over to local execution. Nil/unregistered when standalone.
+	// proxyRTT times successful proxy batches and hopRows counts their
+	// rows; proxyFallbacks counts rows that ran locally after every
+	// routable target failed. Nil/unregistered when standalone.
 	proxyRTT       *telemetry.Histogram
+	hopRows        *telemetry.Histogram
 	proxyFallbacks *telemetry.Counter
 
 	// Engine accounting, accumulated from Runner.LastStats after each
@@ -33,6 +35,10 @@ type metrics struct {
 	engineLeapDisq      *telemetry.Counter
 	engineCycles        *telemetry.Counter
 }
+
+// hopRowBuckets are the dynring_cluster_hop_rows bounds: powers of two up
+// to the rows a maxSpecBytes batch can carry.
+var hopRowBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096}
 
 // observeRun folds one successful execution's engine stats into the
 // counters.
@@ -193,9 +199,11 @@ func newMetrics(m *Manager) *metrics {
 			"Failed health probes (including out-of-band proxy-failure evidence).",
 			func() float64 { return float64(m.membership.ProbeFailures()) })
 		mt.proxyFallbacks = r.Counter("dynring_cluster_proxy_fallbacks_total",
-			"Proxy hops that failed and fell back to local execution.")
+			"Routed scenarios executed locally because every routable proxy target failed.")
 		mt.proxyRTT = r.Histogram("dynring_cluster_proxy_rtt_seconds",
-			"Round-trip time of successful POST /v1/run proxy hops.", nil)
+			"Round-trip time of successful POST /v1/run proxy batches, from send to the last streamed row.", nil)
+		mt.hopRows = r.Histogram("dynring_cluster_hop_rows",
+			"Rows carried per successful POST /v1/run proxy batch.", hopRowBuckets)
 		r.CounterFunc("dynring_cluster_replica_hits_total",
 			"Scenarios served by a non-owner replica: failover past an unroutable or failed owner, or a hedged read that beat the owner.",
 			func() float64 { return float64(m.replicaHits.Load()) })

@@ -6,7 +6,7 @@
 //
 // The registry enforces the repo's metric naming convention at registration
 // time — dynring_<subsystem>_<name>, counters ending in _total, histograms
-// in _seconds or _bytes — so a misnamed metric fails the first test that
+// in a unit (_seconds, _bytes or _rows) — so a misnamed metric fails the first test that
 // touches it instead of surviving until a dashboard breaks; the
 // scripts/metricscheck lint applies the same rules to the rendered output
 // of a live registry.

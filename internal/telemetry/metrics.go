@@ -168,7 +168,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 
 // Histogram registers and returns a histogram series with the given bucket
 // upper bounds (strictly increasing; nil means DefBuckets). The name must
-// end in _seconds or _bytes — histograms carry units by convention.
+// end in _seconds, _bytes or _rows — histograms carry units by convention.
 func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Label) *Histogram {
 	if buckets == nil {
 		buckets = DefBuckets
@@ -201,8 +201,8 @@ func (r *Registry) add(name, help, kind string, s series) {
 			panic(fmt.Sprintf("telemetry: counter %q must end in _total", name))
 		}
 	case "histogram":
-		if !strings.HasSuffix(name, "_seconds") && !strings.HasSuffix(name, "_bytes") {
-			panic(fmt.Sprintf("telemetry: histogram %q must end in _seconds or _bytes", name))
+		if !strings.HasSuffix(name, "_seconds") && !strings.HasSuffix(name, "_bytes") && !strings.HasSuffix(name, "_rows") {
+			panic(fmt.Sprintf("telemetry: histogram %q must end in _seconds, _bytes or _rows", name))
 		}
 	case "gauge":
 		for _, suffix := range []string{"_total", "_seconds", "_bytes"} {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"time"
 )
 
 // AppendString appends s as encoding/json encodes a string. Plain printable
@@ -320,4 +321,27 @@ func (l *Lexer) Strings() []string {
 		out = append(out, l.String())
 	}
 	return out
+}
+
+// AppendTime appends t as time.Time.MarshalJSON encodes it: an RFC 3339
+// timestamp with nanoseconds and the zone offset, quoted. encoding/json
+// refuses times MarshalJSON cannot represent (a year outside [0,9999], a
+// zone offset of a day or more); AppendTime writes null for those.
+func AppendTime(dst []byte, t time.Time) []byte {
+	out, err := t.AppendText(append(dst, '"'))
+	if err != nil {
+		return append(dst, "null"...)
+	}
+	return append(out, '"')
+}
+
+// Time consumes a string holding an RFC 3339 timestamp and parses it as
+// time.Time.UnmarshalJSON does. null, strings with escapes and timestamps
+// UnmarshalJSON rejects fail the lexer.
+func (l *Lexer) Time() time.Time {
+	var t time.Time
+	if b := l.raw(); !l.bad && t.UnmarshalText(b) != nil {
+		l.bad = true
+	}
+	return t
 }

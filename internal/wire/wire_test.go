@@ -6,6 +6,7 @@ import (
 	"math"
 	"strconv"
 	"testing"
+	"time"
 )
 
 // TestAppendStringMatchesEncodingJSON: plain strings are copied inline and
@@ -130,5 +131,33 @@ func TestLexerContainers(t *testing.T) {
 	}
 	if l.End() {
 		t.Error("repeated key accepted")
+	}
+}
+
+// TestTimeMatchesEncodingJSON: AppendTime writes MarshalJSON's bytes, and
+// Lexer.Time reads them back to UnmarshalJSON's value.
+func TestTimeMatchesEncodingJSON(t *testing.T) {
+	for _, ts := range []time.Time{
+		{}, time.Date(2026, 10, 17, 8, 30, 1, 123456789, time.UTC),
+		time.Date(2026, 10, 17, 8, 30, 1, 500, time.FixedZone("", 5*3600+30*60)),
+		time.Date(1, 2, 3, 4, 5, 6, 0, time.FixedZone("EST", -5*3600)),
+		time.Date(9999, 12, 31, 23, 59, 59, 999999999, time.UTC),
+	} {
+		want, err := json.Marshal(ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := AppendTime(nil, ts)
+		if !bytes.Equal(got, want) {
+			t.Errorf("AppendTime(%v) = %s, want %s", ts, got, want)
+		}
+		var oracle time.Time
+		if err := json.Unmarshal(got, &oracle); err != nil {
+			t.Fatal(err)
+		}
+		l := NewLexer(got)
+		if back := l.Time(); !l.End() || !back.Equal(oracle) || back.Location().String() != oracle.Location().String() {
+			t.Errorf("Time(%s) = %v (ok=%v), encoding/json %v", got, back, l.End(), oracle)
+		}
 	}
 }

@@ -3,7 +3,9 @@ package dynring
 import (
 	"context"
 	"errors"
+	"math/rand"
 
+	"dynring/internal/adversary"
 	"dynring/internal/ring"
 	"dynring/internal/sim"
 )
@@ -33,6 +35,10 @@ type Runner struct {
 	world     sim.World
 	rings     map[ringKey]*ring.Ring
 	lastStats RunStats
+	// rngs are the seeded adversaries' sources, lent afresh to every run
+	// (adversary.Seed); lent counts those the current run holds.
+	rngs []*rand.Rand
+	lent int
 
 	// Memo optionally attaches an in-process result memo: scenarios whose
 	// memo keys match a cached entry replay the stored Result instead of
@@ -141,6 +147,15 @@ func (r *Runner) RunCached(ctx context.Context, sc Scenario) (Result, bool, erro
 	return r.Memo.group.Do(ctx, key, func() (Result, error) { return r.run(ctx, sc) })
 }
 
+// nextRand lends the current run the Runner's next unused source.
+func (r *Runner) nextRand() *rand.Rand {
+	if r.lent == len(r.rngs) {
+		r.rngs = append(r.rngs, rand.New(rand.NewSource(1)))
+	}
+	r.lent++
+	return r.rngs[r.lent-1]
+}
+
 // LastStats returns the execution accounting of the most recent Run (or
 // RunCached) call. It is zero before the first run, after an error, and for
 // results replayed from the Memo — replay executes no rounds. A Runner is
@@ -154,7 +169,10 @@ func (r *Runner) run(ctx context.Context, sc Scenario) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	if err := r.world.Reset(sc.simConfig(rv)); err != nil {
+	cfg := sc.simConfig(rv)
+	r.lent = 0
+	adversary.Seed(cfg.Adversary, r.nextRand)
+	if err := r.world.Reset(cfg); err != nil {
 		return Result{}, err
 	}
 	res, st, err := sim.RunContextStats(ctx, &r.world, sim.RunOptions{

@@ -172,9 +172,10 @@ func TestScenarioStepZeroAllocStockAdversaries(t *testing.T) {
 
 // TestRunnerBatchedAllocBound gates the Runner's batched-reuse economics:
 // executing the mixed 12-scenario bench batch through one warm Runner must
-// stay within a small allocation budget per batch (the measured cost is 120
-// allocs — fresh per-run protocols, adversaries and Results — against ~300
-// for fresh Scenario.RunContext executions). A regression here means world
+// stay within a small allocation budget per batch (the measured cost is 96
+// allocs — fresh per-run protocols, adversaries and Results; the random
+// adversaries' sources are the Runner's own — against ~300 for fresh
+// Scenario.RunContext executions). A regression here means world
 // or ring reuse silently broke.
 func TestRunnerBatchedAllocBound(t *testing.T) {
 	if raceEnabled {
@@ -208,8 +209,8 @@ func TestRunnerBatchedAllocBound(t *testing.T) {
 			}
 		}
 	})
-	// 120 measured + headroom for toolchain drift; 12 scenarios per batch.
-	const maxBatchAllocs = 132
+	// 96 measured + headroom for toolchain drift; 12 scenarios per batch.
+	const maxBatchAllocs = 106
 	if avg > maxBatchAllocs {
 		t.Fatalf("batched Runner.Run allocates %.1f objects per %d-scenario batch, want ≤ %d",
 			avg, len(scs), maxBatchAllocs)

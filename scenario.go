@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 
+	"dynring/internal/adversary"
 	"dynring/internal/core"
 	"dynring/internal/ring"
 	"dynring/internal/sim"
@@ -35,9 +36,11 @@ func Fixed(a Adversary) AdversaryFactory {
 }
 
 // RandomEdgesFactory is the seeded-per-run counterpart of RandomEdges: each
-// run draws its edge removals from the scenario's own seed.
+// run draws its edge removals from the scenario's own seed. Like every
+// seeded factory here, it builds an adversary for exactly one run, which
+// a Runner seeds from a source it reuses across runs.
 func RandomEdgesFactory(p float64) AdversaryFactory {
-	return func(seed int64) Adversary { return RandomEdges(p, seed) }
+	return func(seed int64) Adversary { return adversary.RunScoped(RandomEdges(p, seed)) }
 }
 
 // RandomActivationFactory is the seeded-per-run counterpart of
@@ -49,14 +52,14 @@ func RandomActivationFactory(p float64, edges AdversaryFactory) AdversaryFactory
 		if edges != nil {
 			inner = edges(seed + 1)
 		}
-		return RandomActivation(p, seed, inner)
+		return adversary.RunScoped(RandomActivation(p, seed, inner))
 	}
 }
 
 // TIntervalFactory is the seeded-per-run counterpart of TIntervalConnected:
 // each run draws its phase edges from the scenario's own seed.
 func TIntervalFactory(t int) AdversaryFactory {
-	return func(seed int64) Adversary { return TIntervalConnected(t, seed) }
+	return func(seed int64) Adversary { return adversary.RunScoped(TIntervalConnected(t, seed)) }
 }
 
 // RecurrentFactory builds a fresh RecurrentBlocking instance per run. The
@@ -495,7 +498,9 @@ func (s Scenario) simConfig(r resolved) sim.Config {
 
 // newWorld assembles a World from a resolved scenario.
 func (s Scenario) newWorld(r resolved) (*World, error) {
-	return sim.NewWorld(s.simConfig(r))
+	cfg := s.simConfig(r)
+	adversary.Seed(cfg.Adversary, nil)
+	return sim.NewWorld(cfg)
 }
 
 // NewWorld validates s and assembles a World without running it, for callers

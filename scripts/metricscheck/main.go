@@ -4,10 +4,10 @@
 // registry's Prometheus text exposition, and fails on any family whose name
 // violates the repository convention
 //
-//	dynring_<subsystem>_<name>[_total|_seconds|_bytes]
+//	dynring_<subsystem>_<name>[_total|_seconds|_bytes|_rows]
 //
-// with counters required to end in _total, histograms in _seconds or
-// _bytes, and gauges in neither. Linting the rendered output rather than
+// with counters required to end in _total, histograms in a unit (_seconds,
+// _bytes or _rows), and gauges in neither _total, _seconds nor _bytes. Linting the rendered output rather than
 // the source means a metric registered anywhere — including behind a
 // cluster-only branch — is checked exactly as a scraper would see it.
 package main
@@ -54,6 +54,7 @@ func main() {
 				"dynring_cluster_probe_failures_total",
 				"dynring_cluster_hedges_total",
 				"dynring_cluster_hedge_wins_total",
+				"dynring_cluster_hop_rows",
 			} {
 				if !strings.Contains(text, fam) {
 					problems = append(problems, "cluster: family "+fam+" not rendered")
@@ -134,8 +135,8 @@ func lint(shape, text string) []string {
 				problems = append(problems, fmt.Sprintf("%s: counter %s must end in _total", shape, name))
 			}
 		case "histogram":
-			if !strings.HasSuffix(name, "_seconds") && !strings.HasSuffix(name, "_bytes") {
-				problems = append(problems, fmt.Sprintf("%s: histogram %s must end in _seconds or _bytes", shape, name))
+			if !strings.HasSuffix(name, "_seconds") && !strings.HasSuffix(name, "_bytes") && !strings.HasSuffix(name, "_rows") {
+				problems = append(problems, fmt.Sprintf("%s: histogram %s must end in _seconds, _bytes or _rows", shape, name))
 			}
 		case "gauge":
 			for _, suffix := range []string{"_total", "_seconds", "_bytes"} {
