@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -245,6 +246,41 @@ func TestClusterExactlyOnceConcurrentCoordinators(t *testing.T) {
 	streamB := readStream(t, c, c.Node(1).URL+"/v1/sweeps/"+jobs[1].ID+"/results")
 	if !bytes.Equal(streamA, streamB) {
 		t.Fatalf("coordinators streamed different results:\n--- node 0 ---\n%s\n--- node 1 ---\n%s", streamA, streamB)
+	}
+}
+
+// TestClusterReplicationOnePushPerReplica: on a 3-node cluster with 3
+// replicas, every execution makes exactly one /v1/replicate round trip to
+// each of its two other replicas — the count perfbench's drain waits for.
+func TestClusterReplicationOnePushPerReplica(t *testing.T) {
+	c := Start(t, Options{
+		Nodes: 3, Replicas: 3, Disk: true,
+		AntiEntropyInterval: time.Hour, // anti-entropy pushes would add to the count
+	})
+	var pushes atomic.Int64
+	c.Plan.OnRequest(func(from, to, path string) {
+		if path == "/v1/replicate" {
+			pushes.Add(1)
+		}
+	})
+	a, b := grid(1, 2, 3, 4, 5, 6), grid(5, 6, 7, 8, 9, 10)
+	c.runOn(t, 0, a)
+	c.runOn(t, 1, b)
+	fps := append(fingerprints(t, a), fingerprints(t, b)...)
+	slices.Sort(fps)
+	fps = slices.Compact(fps) // the grids share seeds 5 and 6
+	want := 2 * int64(c.TotalExecutions())
+	if c.TotalExecutions() != uint64(len(fps)) {
+		t.Fatalf("%d executions for %d distinct rows", c.TotalExecutions(), len(fps))
+	}
+	for start := time.Now(); pushes.Load() < want; time.Sleep(5 * time.Millisecond) {
+		if time.Since(start) > 10*time.Second {
+			t.Fatalf("%d replication round trips for %d executions, want %d", pushes.Load(), want/2, want)
+		}
+	}
+	c.waitReplicated(fps, 3)
+	if got := pushes.Load(); got != want {
+		t.Fatalf("%d replication round trips for %d executions, want %d", got, want/2, want)
 	}
 }
 

@@ -232,9 +232,8 @@ type planTripper struct {
 }
 
 // RoundTrip consults the plan before forwarding; injected failures surface
-// to callers exactly like transport errors (wrapped in *url.Error by
-// http.Client), so retry and failover code cannot tell them from real
-// network faults.
+// to callers exactly like transport errors, so retry and failover code
+// cannot tell them from real network faults.
 func (t *planTripper) RoundTrip(req *http.Request) (*http.Response, error) {
 	to := req.URL.Scheme + "://" + req.URL.Host
 	delay, err := t.plan.admit(t.from, to, req.URL.Path)

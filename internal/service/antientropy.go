@@ -1,12 +1,9 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
 	"net/url"
 	"time"
 
@@ -62,8 +59,10 @@ func appendReplicate(dst []byte, fp string, res *dynring.Result) []byte {
 	return append(dst, '}')
 }
 
-// decodeReplicate decodes a POST /v1/replicate body: a fast path over the
-// canonical form appendReplicate emits, json.Unmarshal for anything else.
+// decodeReplicate decodes a POST /v1/replicate body or a GET
+// /v1/antientropy/entry answer: a fast path over the canonical form
+// appendReplicate emits, json.Unmarshal for anything else. Both copy every
+// string and slice out of data, so the caller may reuse it.
 func decodeReplicate(data []byte) (replicateRequest, error) {
 	var req replicateRequest
 	l := wire.NewLexer(data)
@@ -131,43 +130,33 @@ func (m *Manager) replicationLoop() {
 }
 
 // pushReplicas sends one envelope to every other currently-routable member
-// of its replica set. A replica that is not alive — unreachable, or too
-// slow to answer its probes inside the probe timeout — is skipped, and
-// anti-entropy repairs it on recovery. Pushes run serially on one loop,
-// each bounded by the proxy timeout, so waiting on a gray peer would back
-// the bounded queue up into every execution on this node.
+// of its replica set, encoding it once for all of them. A replica that is
+// not alive — unreachable, or too slow to answer its probes inside the
+// probe timeout — is skipped, and anti-entropy repairs it on recovery.
+// Pushes run serially on one loop, each bounded by the proxy timeout, so
+// waiting on a gray peer would back the bounded queue up into every
+// execution on this node.
 func (m *Manager) pushReplicas(fp string, res dynring.Result) {
 	self := m.membership.Self()
+	var body []byte
 	for _, o := range m.membership.Ring().Owners(fp, m.replicas) {
 		if o == self || !m.membership.Routable(o) {
 			continue
 		}
-		if err := m.postReplicate(o, fp, res); err != nil {
+		if body == nil {
+			body = appendReplicate(nil, fp, &res)
+		}
+		if err := m.postReplicate(o, body); err != nil {
 			m.log.Warn("replication push failed", "fingerprint", fp, "target", o, "error", err)
 		}
 	}
 }
 
-// postReplicate POSTs one envelope to target's /v1/replicate.
-func (m *Manager) postReplicate(target, fp string, res dynring.Result) error {
-	body := appendReplicate(nil, fp, &res)
+// postReplicate POSTs one encoded envelope to target's /v1/replicate.
+func (m *Manager) postReplicate(target string, body []byte) error {
 	ctx, cancel := context.WithTimeout(context.Background(), m.proxyTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target+"/v1/replicate", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := m.proxyHTTP.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		return fmt.Errorf("replicate to %s: %s", target, resp.Status)
-	}
-	return nil
+	return m.peers.push(ctx, target, "/v1/replicate", body)
 }
 
 // AdoptEnvelope lands a replicated envelope in this node's cache tiers
@@ -285,7 +274,7 @@ func (m *Manager) antiEntropySync(peer string) int {
 		if !ok {
 			continue // our own copy is corrupt; it must not propagate
 		}
-		if err := m.postReplicate(peer, fp, res); err != nil {
+		if err := m.postReplicate(peer, appendReplicate(nil, fp, &res)); err != nil {
 			continue
 		}
 		repairs++
@@ -301,24 +290,15 @@ func (m *Manager) antiEntropySync(peer string) int {
 func (m *Manager) fetchKeys(peer string) ([]string, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), m.proxyTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/v1/antientropy/keys", nil)
+	body, err := m.peers.get(ctx, peer, "/v1/antientropy/keys", "", 64<<20)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := m.proxyHTTP.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, fmt.Errorf("keys from %s: %s", peer, resp.Status)
-	}
-	// Anti-entropy fetches stay on encoding/json: they run on a slow
+	// The key listing stays on encoding/json: it runs on a slow
 	// background cadence, far off the sweep path.
 	var doc antiEntropyKeys
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&doc); err != nil {
-		return nil, err
+	if err := json.Unmarshal(body, &doc); err != nil {
+		return nil, fmt.Errorf("keys from %s: %w", peer, err)
 	}
 	return doc.Keys, nil
 }
@@ -329,25 +309,13 @@ func (m *Manager) fetchKeys(peer string) ([]string, error) {
 func (m *Manager) fetchEntry(peer, fp string) (dynring.Result, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), m.proxyTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		peer+"/v1/antientropy/entry?fp="+url.QueryEscape(fp), nil)
+	body, err := m.peers.get(ctx, peer, "/v1/antientropy/entry", "fp="+url.QueryEscape(fp), maxEnvelopeBytes)
 	if err != nil {
 		return dynring.Result{}, err
 	}
-	resp, err := m.proxyHTTP.Do(req)
+	doc, err := decodeReplicate(body)
 	if err != nil {
-		return dynring.Result{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return dynring.Result{}, fmt.Errorf("entry %s from %s: %s", fp, peer, resp.Status)
-	}
-	// Like the key listing, the entry fetch is a background repair path
-	// and stays on encoding/json.
-	var doc replicateRequest
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&doc); err != nil {
-		return dynring.Result{}, err
+		return dynring.Result{}, fmt.Errorf("entry %s from %s: %w", fp, peer, err)
 	}
 	if doc.Fingerprint != fp {
 		return dynring.Result{}, fmt.Errorf("entry %s from %s: body carries fingerprint %q", fp, peer, doc.Fingerprint)

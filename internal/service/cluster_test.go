@@ -47,12 +47,9 @@ func startCluster(t *testing.T, n int, opts func(i int) Options) []*testNode {
 		// timeout: under -race a loaded handler can take longer than one
 		// interval, and a timed-out probe would flap the peer to suspect
 		// and divert its keys to local execution mid-test.
-		o.Cluster = ClusterOptions{
-			Self:          urls[i],
-			Peers:         urls,
-			ProbeInterval: 25 * time.Millisecond,
-			ProbeTimeout:  5 * time.Second,
-		}
+		// opts may set the other cluster fields (Replicas, Transport, ...).
+		o.Cluster.Self, o.Cluster.Peers = urls[i], urls
+		o.Cluster.ProbeInterval, o.Cluster.ProbeTimeout = 25*time.Millisecond, 5*time.Second
 		m, err := New(o)
 		if err != nil {
 			t.Fatal(err)

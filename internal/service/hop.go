@@ -302,17 +302,16 @@ func (h *hops) post(b *batch, size int) error {
 	for _, r := range b.rows {
 		body = append(body, r.line...)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.box.target+"/v1/run", bytes.NewReader(body))
+	u, err := m.peers.url(b.box.target, "/v1/run")
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", ndjsonType)
-	req.Header.Set(dynring.TraceHeader, j.traceID)
+	hdr := http.Header{"Content-Type": {ndjsonType}, "User-Agent": noUserAgent, dynring.TraceHeader: {j.traceID}}
 	if key := m.TenantKey(j.Tenant); key != "" {
-		req.Header.Set("Authorization", "Bearer "+key)
+		hdr["Authorization"] = []string{"Bearer " + key}
 	}
 	if budget > 0 {
-		req.Header.Set(DeadlineHeader, budget.String())
+		hdr[DeadlineHeader] = []string{budget.String()}
 	}
 	idle := time.AfterFunc(m.proxyTimeout, func() { b.cancel(errHopTimeout) })
 	defer idle.Stop()
@@ -322,15 +321,11 @@ func (h *hops) post(b *batch, size int) error {
 		defer hedge.Stop()
 	}
 	sent := time.Now()
-	resp, err := m.proxyHTTP.Do(req)
+	resp, err := m.peers.send(ctx, http.MethodPost, u, hdr, body)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(msg))
-	}
 	br := lineReaders.Get().(*bufio.Reader)
 	br.Reset(resp.Body)
 	defer func() {

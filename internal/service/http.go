@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -29,6 +30,15 @@ const ndjsonType = "application/x-ndjson"
 // whose Moves/TerminatedAt slices scale with ring size.
 const maxEnvelopeBytes = 8 << 20
 
+// envelopeBufs recycles /v1/replicate body buffers up to
+// maxPooledEnvelope bytes; a rare larger one is left to the collector.
+var envelopeBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledEnvelope = 64 << 10
+
+// replicateAck is the whole body of a successful /v1/replicate answer.
+var replicateAck = []byte("{\"status\":\"ok\"}\n")
+
 // NewHandler serves the ringsimd HTTP API on top of a Manager:
 //
 //	POST   /v1/sweeps               submit a dynring.SweepSpec, returns JobStatus (201)
@@ -42,7 +52,8 @@ const maxEnvelopeBytes = 8 << 20
 //	GET    /v1/cluster              dynring.ClusterStatus (this node's cluster view)
 //	POST   /v1/cluster/leave        peer announces graceful shutdown ({"url": ...})
 //	POST   /v1/cluster/join         peer announces (re)join ({"url": ...})
-//	POST   /v1/replicate            peer pushes one completed envelope (replicated clusters only)
+//	POST   /v1/replicate            peer pushes one completed envelope, answered by a constant
+//	                                {"status":"ok"} (replicated clusters only)
 //	GET    /v1/antientropy/keys     durable-tier fingerprint listing (replicated clusters only)
 //	GET    /v1/antientropy/entry    one validated envelope, ?fp=... (replicated clusters only)
 //	GET    /healthz                 liveness
@@ -104,7 +115,7 @@ func NewHandler(m *Manager) http.Handler {
 				return
 			}
 		}
-		body, err := readBody(w, r, maxSpecBytes)
+		body, err := readBody(nil, w, r, maxSpecBytes)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
@@ -245,7 +256,7 @@ func NewHandler(m *Manager) http.Handler {
 			writeError(w, http.StatusUnauthorized, err)
 			return
 		}
-		body, err := readBody(w, r, maxSpecBytes)
+		body, err := readBody(nil, w, r, maxSpecBytes)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
@@ -304,18 +315,27 @@ func NewHandler(m *Manager) http.Handler {
 	// announcements they are peer-to-peer and stay outside tenant auth:
 	// they create no work, and envelopes are content-addressed (the
 	// receiver re-keys by the embedded fingerprint, so the worst a bogus
-	// push can do is cache a result nobody asks for).
+	// push can do is cache a result nobody asks for). A push is most of a
+	// replicated cluster's requests — one per other replica per execution
+	// — so its body is read into a pooled buffer and its answer is a
+	// constant, with no Date header.
 	mux.HandleFunc("POST /v1/replicate", func(w http.ResponseWriter, r *http.Request) {
 		if !m.Replicated() {
 			writeError(w, http.StatusNotFound, errors.New("replication not enabled"))
 			return
 		}
-		body, err := readBody(w, r, maxEnvelopeBytes)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
+		buf := envelopeBufs.Get().(*[]byte)
+		body, err := readBody(*buf, w, r, maxEnvelopeBytes)
+		var req replicateRequest
+		if err == nil {
+			// decodeReplicate copies everything out of body, so its buffer
+			// goes back to the pool before the envelope is adopted.
+			req, err = decodeReplicate(body)
 		}
-		req, err := decodeReplicate(body)
+		if cap(body) <= maxPooledEnvelope {
+			*buf = body[:0]
+			envelopeBufs.Put(buf)
+		}
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
@@ -325,7 +345,12 @@ func NewHandler(m *Manager) http.Handler {
 			return
 		}
 		m.AdoptEnvelope(req.Fingerprint, req.Result)
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		// The bytes writeJSON writes for {"status":"ok"}, without the
+		// encoder or a Date header.
+		h := w.Header()
+		h["Content-Type"] = ctJSON
+		h["Date"] = nil
+		w.Write(replicateAck)
 	})
 
 	mux.HandleFunc("GET /v1/antientropy/keys", func(w http.ResponseWriter, r *http.Request) {
@@ -524,16 +549,19 @@ func decodePeerURL(w http.ResponseWriter, r *http.Request) (string, error) {
 	return body.URL, nil
 }
 
-// readBody reads a request body whole, failing past limit bytes. A body
-// of known length is read into one buffer of exactly its size.
-func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
-	body := http.MaxBytesReader(w, r.Body, limit)
+// readBody reads a request body whole, failing past limit bytes, reusing
+// dst's storage where it is large enough. A body of known length is read
+// into one buffer of at least its size.
+func readBody(dst []byte, w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
 	if n := r.ContentLength; n >= 0 && n <= limit {
-		buf := make([]byte, n)
-		_, err := io.ReadFull(body, buf)
+		// The server stops a body of known length at its length.
+		buf := slices.Grow(dst[:0], int(n))[:n]
+		_, err := io.ReadFull(r.Body, buf)
 		return buf, err
 	}
-	return io.ReadAll(body)
+	buf := bytes.NewBuffer(dst[:0])
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	return buf.Bytes(), err
 }
 
 // writeJSON writes v as a JSON response. Status and error documents stay

@@ -187,7 +187,7 @@ type Manager struct {
 	replicas   int // replica-set size k; 1 means unreplicated
 	cache      *Cache
 	membership *cluster.Membership // nil when standalone
-	proxyHTTP  *http.Client
+	peers      *peerClient         // nil when standalone
 	log        *slog.Logger
 	registry   *telemetry.Registry
 	tracer     *telemetry.Tracer
@@ -354,7 +354,7 @@ func newManager(opts Options) (*Manager, error) {
 			m.aeInterval = defaultAntiEntropyInterval
 		}
 		m.hedgeAfter = opts.Cluster.HedgeAfter
-		m.proxyHTTP = &http.Client{Transport: opts.Cluster.Transport}
+		m.peers = newPeerClient(opts.Cluster.Transport)
 		m.aeKick = make(chan string, 8)
 		m.auxStop = make(chan struct{})
 		m.replq = make(chan replItem, replicateQueueDepth)
@@ -366,7 +366,7 @@ func newManager(opts Options) (*Manager, error) {
 			Peers:         opts.Cluster.Peers,
 			ProbeInterval: opts.Cluster.ProbeInterval,
 			ProbeTimeout:  min(probeTimeout, m.proxyTimeout),
-			HTTPClient:    m.proxyHTTP,
+			HTTPClient:    &http.Client{Transport: m.peers.rt},
 			Logger:        base.With("component", "cluster"),
 			// A peer returning from the dead (never a transient flap — the
 			// membership fires this once per recovery) gets an immediate
@@ -523,7 +523,7 @@ func (m *Manager) Submit(spec dynring.SweepSpec, opts SubmitOptions) (*Job, erro
 	}
 	m.jobs[j.ID] = j
 	m.order = append(m.order, j)
-	m.tracer.Register(j.ID, traceID)
+	m.tracer.Register(j.ID, traceID, j.Total())
 	m.pruneLocked()
 	if j.Total() == 0 {
 		// Unreachable through Sweep expansion (empty axes collapse to the

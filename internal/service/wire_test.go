@@ -140,3 +140,28 @@ func TestReplicateCodecMatchesEncodingJSON(t *testing.T) {
 		}
 	}
 }
+
+// FuzzDecodeReplicate: decodeReplicate never panics, accepts exactly what
+// json.Unmarshal accepts, agrees with it on every accepted input, and an
+// accepted envelope re-encodes through appendReplicate to json.Marshal's
+// bytes.
+func FuzzDecodeReplicate(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := decodeReplicate(data)
+		var want replicateRequest
+		werr := json.Unmarshal(data, &want)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("decodeReplicate(%q) error %v, encoding/json %v", data, err, werr)
+		}
+		if err != nil {
+			return
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("decodeReplicate(%q) = %+v, encoding/json %+v", data, got, want)
+		}
+		enc, _ := json.Marshal(got)
+		if app := appendReplicate(nil, got.Fingerprint, &got.Result); !bytes.Equal(app, enc) {
+			t.Fatalf("appendReplicate = %s, json.Marshal %s", app, enc)
+		}
+	})
+}

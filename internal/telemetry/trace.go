@@ -81,8 +81,10 @@ func NewTraceID() string {
 }
 
 // Register starts tracking sweepID under traceID, evicting the oldest
-// tracked sweep beyond the bound. Re-registering an ID is a no-op.
-func (t *Tracer) Register(sweepID, traceID string) {
+// tracked sweep beyond the bound, with room for rows spans (at most the
+// span cap): one span per row records without growing the buffer.
+// Re-registering an ID is a no-op.
+func (t *Tracer) Register(sweepID, traceID string, rows int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if _, ok := t.sweeps[sweepID]; ok {
@@ -92,7 +94,7 @@ func (t *Tracer) Register(sweepID, traceID string) {
 		delete(t.sweeps, t.order[0])
 		t.order = t.order[1:]
 	}
-	t.sweeps[sweepID] = &sweepTrace{traceID: traceID}
+	t.sweeps[sweepID] = &sweepTrace{traceID: traceID, spans: make([]Span, 0, min(max(rows, 0), t.spanCap))}
 	t.order = append(t.order, sweepID)
 }
 

@@ -25,7 +25,7 @@ func TestTraceIDFormat(t *testing.T) {
 
 func TestRecordAndSnapshot(t *testing.T) {
 	tr := NewTracer(4, 8)
-	tr.Register("sw-1", "abc")
+	tr.Register("sw-1", "abc", 0)
 	if got := tr.TraceID("sw-1"); got != "abc" {
 		t.Fatalf("TraceID = %q, want abc", got)
 	}
@@ -57,7 +57,7 @@ func TestRecordAndSnapshot(t *testing.T) {
 func TestSpanCapEviction(t *testing.T) {
 	const cap = 8
 	tr := NewTracer(4, cap)
-	tr.Register("sw-1", "abc")
+	tr.Register("sw-1", "abc", 0)
 	for i := 0; i < cap+5; i++ {
 		tr.Record("sw-1", span(i))
 	}
@@ -81,9 +81,9 @@ func TestSpanCapEviction(t *testing.T) {
 
 func TestSweepCapEviction(t *testing.T) {
 	tr := NewTracer(2, 8)
-	tr.Register("sw-1", "a")
-	tr.Register("sw-2", "b")
-	tr.Register("sw-3", "c") // evicts sw-1, the oldest
+	tr.Register("sw-1", "a", 0)
+	tr.Register("sw-2", "b", 0)
+	tr.Register("sw-3", "c", 0) // evicts sw-1, the oldest
 	if _, _, _, ok := tr.Snapshot("sw-1"); ok {
 		t.Fatal("oldest sweep not evicted at sweep cap")
 	}
@@ -96,17 +96,40 @@ func TestSweepCapEviction(t *testing.T) {
 
 func TestDrop(t *testing.T) {
 	tr := NewTracer(2, 8)
-	tr.Register("sw-1", "a")
+	tr.Register("sw-1", "a", 0)
 	tr.Drop("sw-1")
 	if _, _, _, ok := tr.Snapshot("sw-1"); ok {
 		t.Fatal("dropped sweep still snapshottable")
 	}
 	// The freed slot must not count against the sweep cap.
-	tr.Register("sw-2", "b")
-	tr.Register("sw-3", "c")
+	tr.Register("sw-2", "b", 0)
+	tr.Register("sw-3", "c", 0)
 	for _, id := range []string{"sw-2", "sw-3"} {
 		if _, _, _, ok := tr.Snapshot(id); !ok {
 			t.Fatalf("sweep %s missing after Drop freed a slot", id)
 		}
+	}
+}
+
+// TestRegisterSizesSpanBuffer: a sweep registered with its row count
+// records one span per row without growing its buffer, and the buffer
+// never starts larger than the span cap.
+func TestRegisterSizesSpanBuffer(t *testing.T) {
+	tr := NewTracer(4, 8)
+	tr.Register("sw-big", "a", 1<<20)
+	if got := cap(tr.sweeps["sw-big"].spans); got != 8 {
+		t.Fatalf("a huge grid's buffer starts at %d spans, want the cap 8", got)
+	}
+	// AllocsPerRun calls its function twice: 2 x 12 Records fill the 24
+	// rows registered.
+	tr = NewTracer(4, 64)
+	tr.Register("sw-1", "a", 24)
+	s := span(1)
+	if n := testing.AllocsPerRun(1, func() {
+		for range 12 {
+			tr.Record("sw-1", s)
+		}
+	}); n != 0 {
+		t.Fatalf("Record allocated %.0f times within the registered row count", n)
 	}
 }
