@@ -190,15 +190,15 @@ type TraceSpan struct {
 	Error string `json:"error,omitempty"`
 }
 
-// SweepTrace is the GET /v1/sweeps/{id}/trace document: the spans recorded
-// for one sweep, oldest first, under its trace ID. The server's span buffer
-// is bounded per sweep; Dropped counts spans evicted once the cap was hit,
-// so consumers can tell a complete trace from an elided one.
+// SweepTrace is the GET /v1/sweeps/{id}/trace document: the spans of one
+// sweep under its trace ID, in grid order. Each row that settled on the
+// coordinator has one span; a proxied row has the owner's span before it.
+// Rows settled by cancellation or deadline have none. A trace is bounded
+// by its grid and retained exactly as long as its job.
 type SweepTrace struct {
 	SweepID string      `json:"sweep_id"`
 	TraceID string      `json:"trace_id"`
 	Spans   []TraceSpan `json:"spans"`
-	Dropped int         `json:"dropped,omitempty"`
 }
 
 // CacheStats snapshots the service's result cache.

@@ -275,8 +275,7 @@ func (h *hops) settleCachedLocked(box *outbox) {
 		}
 		r.copies--
 		h.claimLocked(r, nil)
-		j.setRow(r.i, Row{Cached: true, Result: res})
-		m.recordSpan(j, r.i, r.start, "cache-hit", nil)
+		j.setRow(r.i, Row{Cached: true, Result: res, started: r.start})
 	}
 	clear(box.queued[len(waiting):])
 	box.queued = waiting
@@ -410,23 +409,19 @@ func (h *hops) settle(b *batch, rr dynring.RunResponse) {
 	if target == r.hedgedTo {
 		m.hedgeWins.Add(1)
 	}
-	// Adopt the owner's span first: under one trace ID the sweep's trace
+	// The row keeps the owner's span: under one trace ID the sweep's trace
 	// then shows both the hop (this node) and the work (the owner).
-	if s := rr.Span; s != nil {
-		m.tracer.Record(j.ID, telemetrySpan(j, i, s))
-	}
+	row := Row{started: r.start, proxied: true, owner: rr.Span}
 	if rr.Error != "" {
-		err := errors.New(rr.Error)
-		j.setRow(i, Row{Err: err})
-		m.recordSpan(j, i, r.start, "error", err)
-		return
+		row.Err = errors.New(rr.Error)
+	} else {
+		// Adopt the owner's result into our own tiers: the fingerprint
+		// contract makes cross-node reuse safe, and the local copy serves
+		// repeats without another hop.
+		m.cache.Put(j.fps[i], *rr.Result)
+		row.Cached, row.Result = rr.Cached, *rr.Result
 	}
-	// Adopt the owner's result into our own tiers: the fingerprint
-	// contract makes cross-node reuse safe, and the local copy serves
-	// repeats without another hop.
-	m.cache.Put(j.fps[i], *rr.Result)
-	j.setRow(i, Row{Cached: rr.Cached, Result: *rr.Result})
-	m.recordSpan(j, i, r.start, "proxied", nil)
+	j.setRow(i, row)
 }
 
 // claimLocked marks r settled and cancels every other batch that carried

@@ -43,6 +43,14 @@ type Row struct {
 	Cached bool
 	Result dynring.Result
 	Err    error
+
+	// How the row settled on this node, for the sweep trace: when a worker
+	// picked it up (zero for rows settled by cancel or deadline, which have
+	// no span) and when it settled; whether a peer served it, and that
+	// peer's span from the hop response (nil if none came back).
+	started, finished time.Time
+	proxied           bool
+	owner             *dynring.TraceSpan
 }
 
 // Job is one submitted sweep: the expanded grid plus per-row completion
@@ -116,10 +124,11 @@ func newJob(id, traceID string, scenarios []dynring.Scenario, fps []string, now 
 // Total is the grid size.
 func (j *Job) Total() int { return len(j.scenarios) }
 
-// setRow settles row i. Late results racing a cancellation are dropped: the
-// first settle wins.
+// setRow settles row i, stamping when it settled. Late results racing a
+// cancellation are dropped, spans and all: the first settle wins.
 func (j *Job) setRow(i int, r Row) {
 	r.Done = true
+	r.finished = time.Now()
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.rows[i].Done {
@@ -198,6 +207,37 @@ func (j *Job) Status() dynring.JobStatus {
 		CacheHits: j.hits,
 		Created:   j.created,
 	}
+}
+
+// trace builds the sweep's trace document from its rows, in grid order:
+// for each row that settled on this node (named node), the owner's span
+// first when a peer served the row, then this node's own span.
+func (j *Job) trace(node string) dynring.SweepTrace {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	out := dynring.SweepTrace{SweepID: j.ID, TraceID: j.traceID, Spans: make([]dynring.TraceSpan, 0, j.completed)}
+	for i, r := range j.rows {
+		if r.started.IsZero() {
+			continue
+		}
+		name := j.scenarios[i].Name
+		if o := r.owner; o != nil {
+			out.Spans = append(out.Spans, dynring.TraceSpan{Index: i, Name: name, Node: o.Node, Kind: o.Kind,
+				StartedAt: o.StartedAt, FinishedAt: o.FinishedAt, Error: o.Error})
+		}
+		s := dynring.TraceSpan{Index: i, Name: name, Node: node, Kind: "executed",
+			EnqueuedAt: j.created, StartedAt: r.started, FinishedAt: r.finished}
+		switch {
+		case r.Err != nil:
+			s.Kind, s.Error = "error", r.Err.Error()
+		case r.proxied:
+			s.Kind = "proxied"
+		case r.Cached:
+			s.Kind = "cache-hit"
+		}
+		out.Spans = append(out.Spans, s)
+	}
+	return out
 }
 
 // SettledRow returns row i and true if it has settled, without blocking;

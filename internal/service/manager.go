@@ -190,7 +190,6 @@ type Manager struct {
 	peers      *peerClient         // nil when standalone
 	log        *slog.Logger
 	registry   *telemetry.Registry
-	tracer     *telemetry.Tracer
 	met        *metrics
 	executions atomic.Uint64
 	proxied    atomic.Uint64
@@ -304,7 +303,6 @@ func newManager(opts Options) (*Manager, error) {
 		history:  opts.JobHistory,
 		log:      base.With("component", "service"),
 		registry: telemetry.NewRegistry(),
-		tracer:   telemetry.NewTracer(0, 0),
 		jobs:     make(map[string]*Job),
 		sched:    sched.New[*Job](),
 		tenants:  make(map[string]*tenantState),
@@ -523,7 +521,6 @@ func (m *Manager) Submit(spec dynring.SweepSpec, opts SubmitOptions) (*Job, erro
 	}
 	m.jobs[j.ID] = j
 	m.order = append(m.order, j)
-	m.tracer.Register(j.ID, traceID, j.Total())
 	m.pruneLocked()
 	if j.Total() == 0 {
 		// Unreachable through Sweep expansion (empty axes collapse to the
@@ -559,32 +556,16 @@ func (m *Manager) expireJob(j *Job, ts *tenantState) {
 	}
 }
 
-// Trace snapshots a job's trace view as the wire document, or ok=false when
-// the sweep is unknown (never submitted, or evicted with its job).
+// Trace snapshots a sweep's trace as the wire document, built from its
+// job's rows: ok is false exactly when Job(id) is (never submitted, or
+// evicted from the job history). Once the job settles, every row that
+// settled on this node has its span.
 func (m *Manager) Trace(id string) (dynring.SweepTrace, bool) {
-	traceID, spans, dropped, ok := m.tracer.Snapshot(id)
+	j, ok := m.Job(id)
 	if !ok {
 		return dynring.SweepTrace{}, false
 	}
-	out := dynring.SweepTrace{
-		SweepID: id,
-		TraceID: traceID,
-		Spans:   make([]dynring.TraceSpan, len(spans)),
-		Dropped: dropped,
-	}
-	for i, s := range spans {
-		out.Spans[i] = dynring.TraceSpan{
-			Index:      s.Index,
-			Name:       s.Name,
-			Node:       s.Node,
-			Kind:       s.Kind,
-			EnqueuedAt: s.Enqueued,
-			StartedAt:  s.Started,
-			FinishedAt: s.Finished,
-			Error:      s.Err,
-		}
-	}
-	return out, true
+	return j.trace(m.NodeName()), true
 }
 
 // Job looks up a job by ID.
@@ -628,7 +609,6 @@ func (m *Manager) pruneLocked() {
 	for _, j := range m.order {
 		if m.settled.Load() > int64(m.history) && j.Status().State != "running" {
 			delete(m.jobs, j.ID)
-			m.tracer.Drop(j.ID)
 			m.settled.Add(-1)
 			continue
 		}
@@ -775,16 +755,14 @@ func (m *Manager) nextTask() (task, bool) {
 // dispatcher (cluster mode, routed to a routable peer; see hop.go), or a
 // local execution. A released row settles when its batch streams the row
 // back; the worker waits for that only when the row is the first of its
-// (job, target) outbox. Every settle records one span in the sweep's
-// trace (proxied scenarios record two: the owner's span, adopted from the
-// hop response, plus this node's hop record).
+// (job, target) outbox. Every settle stamps the row with its span on this
+// node (a proxied row also keeps the owner's span from the hop response).
 func (m *Manager) runTask(t task) {
 	j, i := t.j, t.i
 	start := time.Now()
 	m.met.queueWait.Observe(start.Sub(j.created).Seconds())
 	if err := j.ctx.Err(); err != nil {
-		j.setRow(i, Row{Err: err})
-		m.recordSpan(j, i, start, "error", err)
+		j.setRow(i, Row{Err: err, started: start})
 		return
 	}
 	fp := j.fps[i]
@@ -795,8 +773,7 @@ func (m *Manager) runTask(t task) {
 		// only lookup — each scheduled scenario counts one hit or miss.)
 		if res, ok := m.cache.Get(fp); ok {
 			j.hops.skip()
-			j.setRow(i, Row{Cached: true, Result: res})
-			m.recordSpan(j, i, start, "cache-hit", nil)
+			j.setRow(i, Row{Cached: true, Result: res, started: start})
 			return
 		}
 		if j.hops.release(i, owner, targets, start) {
@@ -812,47 +789,7 @@ func (m *Manager) runTask(t task) {
 // picked the row up.
 func (m *Manager) runLocal(j *Job, i int, start time.Time) {
 	res, cached, err := m.ExecuteLocal(j.ctx, j.scenarios[i], j.fps[i])
-	j.setRow(i, Row{Cached: cached, Result: res, Err: err})
-	switch {
-	case err != nil:
-		m.recordSpan(j, i, start, "error", err)
-	case cached:
-		m.recordSpan(j, i, start, "cache-hit", nil)
-	default:
-		m.recordSpan(j, i, start, "executed", nil)
-	}
-}
-
-// recordSpan records this node's span for row i of j, from start to now.
-func (m *Manager) recordSpan(j *Job, i int, start time.Time, kind string, err error) {
-	s := telemetry.Span{
-		Index:    i,
-		Name:     j.scenarios[i].Name,
-		Node:     m.NodeName(),
-		Kind:     kind,
-		Enqueued: j.created,
-		Started:  start,
-		Finished: time.Now(),
-	}
-	if err != nil {
-		s.Kind = "error"
-		s.Err = err.Error()
-	}
-	m.tracer.Record(j.ID, s)
-}
-
-// telemetrySpan converts an owner's span, adopted from a hop response,
-// into row i's trace record.
-func telemetrySpan(j *Job, i int, s *dynring.TraceSpan) telemetry.Span {
-	return telemetry.Span{
-		Index:    i,
-		Name:     j.scenarios[i].Name,
-		Node:     s.Node,
-		Kind:     s.Kind,
-		Started:  s.StartedAt,
-		Finished: s.FinishedAt,
-		Err:      s.Error,
-	}
+	j.setRow(i, Row{Cached: cached, Result: res, Err: err, started: start})
 }
 
 // routeFor decides where fp runs: fp's ring owner, and the ordered proxy

@@ -3,9 +3,12 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -223,6 +226,152 @@ func TestTracePropagatesCallerID(t *testing.T) {
 	tr, ok := m.Trace(j.ID)
 	if !ok || tr.TraceID != want {
 		t.Fatalf("Trace = (%+v, %v), want trace ID %q", tr, ok, want)
+	}
+}
+
+// TestTraceCompleteOnceJobSettles: a row's span is written with the row,
+// under the job's lock, so once Wait returns the trace holds exactly one
+// span per row, in grid order. A span recorded after its row settled could
+// miss a trace read right after Wait; with four workers racing two-row
+// sweeps, 3000 sweeps give that window many chances to show.
+func TestTraceCompleteOnceJobSettles(t *testing.T) {
+	m := mustNew(t, Options{Workers: 4, CacheSize: 0})
+	defer m.Close()
+	spec := testSpec()
+	spec.Algorithms = []string{"KnownNNoChirality"}
+	spec.Sizes = []int{6}
+	for range 3000 {
+		j, err := m.Submit(spec, SubmitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, j)
+		tr, ok := m.Trace(j.ID)
+		if !ok {
+			t.Fatalf("settled job %s has no trace", j.ID)
+		}
+		seen := make(map[int]bool)
+		for _, s := range tr.Spans {
+			seen[s.Index] = true
+		}
+		if len(tr.Spans) != j.Total() || len(seen) != j.Total() {
+			t.Fatalf("job %s settled with %d spans over %d rows, want one per row: %+v",
+				j.ID, len(tr.Spans), j.Total(), tr.Spans)
+		}
+	}
+}
+
+// TestTraceFromRows pins how a trace is read off a job's rows: grid order,
+// a proxied row's owner span before this node's span, the kind precedence
+// (error, proxied, cache-hit, executed), no span for a row settled by
+// cancellation, and no span from a result that lost the race to it.
+func TestTraceFromRows(t *testing.T) {
+	scs := make([]dynring.Scenario, 5)
+	for i := range scs {
+		scs[i].Name = fmt.Sprintf("s%d", i)
+	}
+	created := time.Unix(100, 0)
+	j := newJob("sw-1", "abc", scs, make([]string, len(scs)), created)
+	at := func(s int64) time.Time { return time.Unix(100+s, 0) }
+	owner := &dynring.TraceSpan{Node: "http://b", Kind: "executed", StartedAt: at(3), FinishedAt: at(4)}
+	j.setRow(3, Row{Cached: true, started: at(1)})
+	j.setRow(1, Row{Cached: true, started: at(2), proxied: true, owner: owner})
+	j.setRow(0, Row{Err: errors.New("boom"), started: at(1), proxied: true})
+	j.setRow(2, Row{started: at(1)})
+	j.markCancelled()
+	j.setRow(4, Row{started: at(5), proxied: true, owner: owner}) // late: dropped
+
+	tr := j.trace("http://a")
+	if tr.SweepID != "sw-1" || tr.TraceID != "abc" {
+		t.Fatalf("trace identifies %q/%q", tr.SweepID, tr.TraceID)
+	}
+	want := []struct {
+		index      int
+		node, kind string
+	}{
+		{0, "http://a", "error"},
+		{1, "http://b", "executed"},
+		{1, "http://a", "proxied"},
+		{2, "http://a", "executed"},
+		{3, "http://a", "cache-hit"},
+	}
+	if len(tr.Spans) != len(want) {
+		t.Fatalf("%d spans, want %d: %+v", len(tr.Spans), len(want), tr.Spans)
+	}
+	for k, w := range want {
+		s := tr.Spans[k]
+		if s.Index != w.index || s.Node != w.node || s.Kind != w.kind || s.Name != scs[w.index].Name {
+			t.Fatalf("span %d = %+v, want row %d on %s as %s", k, s, w.index, w.node, w.kind)
+		}
+		if own := s.Node == "http://a"; own != s.EnqueuedAt.Equal(created) {
+			t.Fatalf("span %d: EnqueuedAt %v; only this node's spans carry the job's creation", k, s.EnqueuedAt)
+		}
+		if s.FinishedAt.Before(s.StartedAt) {
+			t.Fatalf("span %d finished before it started: %+v", k, s)
+		}
+	}
+	if tr.Spans[0].Error != "boom" {
+		t.Fatalf("error span carries %q, want the row's error", tr.Spans[0].Error)
+	}
+}
+
+// TestHeapPlateauThroughHandler: sweeps driven through the HTTP API (submit,
+// stream the results, fetch the trace) far past JobHistory leave the heap
+// where it stood once the history first filled. Job, row and span retention
+// are all bounded by JobHistory, so anything that grows per sweep shows here.
+func TestHeapPlateauThroughHandler(t *testing.T) {
+	const history = 64
+	sweeps := 40 * history
+	if raceEnabled {
+		// Instrumented runs are slow and their shadow memory is not the
+		// heap this gate is about: just exercise the path.
+		sweeps = 8 * history
+	}
+	m := mustNew(t, Options{Workers: 2, CacheSize: 64, JobHistory: history})
+	defer m.Close()
+	srv := httptest.NewServer(NewHandler(m))
+	defer srv.Close()
+	c := dynring.NewClient(srv.URL)
+	ctx := context.Background()
+	spec := testSpec()
+	spec.Algorithms = []string{"KnownNNoChirality"}
+	spec.Sizes = []int{6}
+
+	heapInuse := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapInuse
+	}
+	var warm uint64
+	for k := range sweeps {
+		// Fresh seeds, so rows execute and the cache turns over too.
+		spec.Seeds = []int64{int64(2 * k), int64(2*k + 1)}
+		st, err := c.SubmitSweep(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := 0
+		if err := c.StreamResults(ctx, st.ID, func(dynring.ResultRow) error { rows++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		tr, err := c.SweepTrace(ctx, st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows != st.Total || len(tr.Spans) != st.Total {
+			t.Fatalf("sweep %s: %d rows streamed, %d spans, want %d", st.ID, rows, len(tr.Spans), st.Total)
+		}
+		if k+1 == 4*history {
+			warm = heapInuse()
+		}
+	}
+	final := heapInuse()
+	t.Logf("HeapInuse %d B after %d sweeps, %d B after %d", warm, 4*history, final, sweeps)
+	if !raceEnabled && float64(final) > 1.25*float64(warm) {
+		t.Fatalf("heap grew from %d B after %d sweeps to %d B after %d: per-sweep state outlives JobHistory=%d",
+			warm, 4*history, final, sweeps, history)
 	}
 }
 

@@ -553,6 +553,33 @@ func TestJobHistoryEviction(t *testing.T) {
 	if st.Jobs > 3 {
 		t.Fatalf("job table not bounded: %d jobs", st.Jobs)
 	}
+	sameLife := func(m *Manager, id string) {
+		t.Helper()
+		_, job := m.Job(id)
+		_, trace := m.Trace(id)
+		if job != trace {
+			t.Fatalf("sweep %s: Job answers %v but Trace answers %v", id, job, trace)
+		}
+	}
+	for _, id := range append(ids, j5.ID) {
+		sameLife(m, id)
+	}
+
+	// Past 256 sweeps at the default history: the oldest sweep keeps its
+	// trace as long as it keeps its job.
+	md := mustNew(t, Options{Workers: 2, CacheSize: 64})
+	defer md.Close()
+	for k := 0; k < 300; k++ {
+		j, err := md.Submit(spec, SubmitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, j)
+	}
+	if _, ok := md.Job("sw-1"); !ok {
+		t.Fatal("sw-1 evicted under the default history")
+	}
+	sameLife(md, "sw-1")
 }
 
 // TestOverlappingGridsShareCache: seeds derive from scenario identity, not

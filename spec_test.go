@@ -234,25 +234,43 @@ func TestAdversarySpecParameterValidation(t *testing.T) {
 	}
 }
 
+// parseAdversaryGood is every adversary kind, the zoo families and the
+// activation wrapper included, as specs whose labels must round-trip.
+var parseAdversaryGood = []dynring.AdversarySpec{
+	{Kind: "none"},
+	{Kind: "greedy"},
+	{Kind: "frontier"},
+	{Kind: "prevent"},
+	{Kind: "random", P: 0.5},
+	{Kind: "pin", Pin: 2},
+	{Kind: "persistent", Edge: 3},
+	{Kind: "tinterval", T: 2},
+	{Kind: "capped", R: 2},
+	{Kind: "recurrent", W: 3},
+	{Kind: "capped", R: 1, Act: 0.7},
+	{Kind: "greedy", Act: 0.9},
+}
+
+// parseAdversaryBad are labels ParseAdversary must reject.
+var parseAdversaryBad = []string{
+	"",
+	"bogus",
+	"random(q=0.5)",       // wrong parameter key
+	"tinterval(T=0)",      // parameter out of range
+	"capped(r=0)",         // parameter out of range
+	"recurrent(w=-1)",     // parameter out of range
+	"tinterval",           // zoo kinds need their parameter
+	"capped(r=2",          // unbalanced parentheses
+	"act(0.5)capped(r=2)", // act wrapper not closed with )+
+	"act(2)+greedy",       // activation probability out of range
+	"random(p=x)",         // unparseable value
+}
+
 // TestParseAdversary: the label grammar round-trips through
 // AdversarySpec.Label for every kind, including the zoo families and the
 // activation wrapper, and rejects malformed or invalid labels.
 func TestParseAdversary(t *testing.T) {
-	good := []dynring.AdversarySpec{
-		{Kind: "none"},
-		{Kind: "greedy"},
-		{Kind: "frontier"},
-		{Kind: "prevent"},
-		{Kind: "random", P: 0.5},
-		{Kind: "pin", Pin: 2},
-		{Kind: "persistent", Edge: 3},
-		{Kind: "tinterval", T: 2},
-		{Kind: "capped", R: 2},
-		{Kind: "recurrent", W: 3},
-		{Kind: "capped", R: 1, Act: 0.7},
-		{Kind: "greedy", Act: 0.9},
-	}
-	for _, spec := range good {
+	for _, spec := range parseAdversaryGood {
 		got, err := dynring.ParseAdversary(spec.Label())
 		if err != nil {
 			t.Errorf("ParseAdversary(%q): %v", spec.Label(), err)
@@ -272,24 +290,40 @@ func TestParseAdversary(t *testing.T) {
 		t.Errorf("bare pin value rejected: %+v, %v", sp, err)
 	}
 
-	bad := []string{
-		"",
-		"bogus",
-		"random(q=0.5)",       // wrong parameter key
-		"tinterval(T=0)",      // parameter out of range
-		"capped(r=0)",         // parameter out of range
-		"recurrent(w=-1)",     // parameter out of range
-		"tinterval",           // zoo kinds need their parameter
-		"capped(r=2",          // unbalanced parentheses
-		"act(0.5)capped(r=2)", // act wrapper not closed with )+
-		"act(2)+greedy",       // activation probability out of range
-		"random(p=x)",         // unparseable value
-	}
-	for _, label := range bad {
+	for _, label := range parseAdversaryBad {
 		if _, err := dynring.ParseAdversary(label); err == nil {
 			t.Errorf("ParseAdversary(%q) accepted", label)
 		}
 	}
+}
+
+// FuzzParseAdversary: every label ParseAdversary accepts has a canonical
+// label that parses back to the same label. The property is on labels,
+// not specs: "act(1)+x" and "x" are one adversary with different Act
+// values, and the label is what feeds the scenario fingerprint.
+func FuzzParseAdversary(f *testing.F) {
+	for _, spec := range parseAdversaryGood {
+		f.Add(spec.Label())
+	}
+	for _, label := range parseAdversaryBad {
+		f.Add(label)
+	}
+	f.Add("tinterval(t=4)")
+	f.Add("pin(1)")
+	f.Fuzz(func(t *testing.T, label string) {
+		spec, err := dynring.ParseAdversary(label)
+		if err != nil {
+			return
+		}
+		canon := spec.Label()
+		back, err := dynring.ParseAdversary(canon)
+		if err != nil {
+			t.Fatalf("ParseAdversary(%q) accepted as %+v, but its label %q does not parse: %v", label, spec, canon, err)
+		}
+		if got := back.Label(); got != canon {
+			t.Fatalf("ParseAdversary(%q): label %q reparses to label %q", label, canon, got)
+		}
+	})
 }
 
 // TestZooSpecsAreWireSafe: the zoo kinds survive the JSON round trip that
