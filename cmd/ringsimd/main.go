@@ -19,18 +19,18 @@
 // set union.
 //
 // Gray failures — peers that stay alive but turn slow — are handled by
-// three cooperating knobs. Every outbound replica RPC is bounded by
-// -proxy-timeout and by the submitting job's remaining deadline budget
-// (propagated hop to hop via X-Dynring-Deadline). Every health probe is
+// two knobs. -proxy-timeout is how long this node waits on a slow peer:
+// it bounds every outbound replica RPC, together with the submitting
+// job's remaining deadline budget (propagated hop to hop via
+// X-Dynring-Deadline), and a proxy batch that streams nothing for that
+// long fails its rows over to the next replica. Every health probe is
 // bounded by -probe-interval, capped at -proxy-timeout, so a peer that
 // answers too slowly fails its probes: it reads "suspect" and then "dead"
 // in /v1/cluster, routing moves to the next replica, and its first timely
-// probe makes it routable again. -hedge-after arms hedged replica reads
-// that race a backup request when the owner is slow,
-// first-response-wins; and -shed-queue-depth arms an overload brownout
-// that sheds anonymous and negative-priority submissions with 503 +
-// Retry-After while the queue is over depth (fully cached requests are
-// always admitted).
+// probe makes it routable again. -shed-queue-depth arms an overload
+// brownout that sheds anonymous and negative-priority submissions with
+// 503 + Retry-After while the queue is over depth (fully cached requests
+// are always admitted).
 //
 // Usage:
 //
@@ -127,7 +127,6 @@ func run(ctx context.Context, out io.Writer, args []string) error {
 		replicas    = fs.Int("replicas", 0, "replica-set size k: each fingerprint's envelope lands on its owner plus the next k-1 ring successors (0 or 1 = unreplicated; must match cluster-wide)")
 		aeInterval  = fs.Duration("antientropy-interval", 0, "replica disk-tier reconciliation period (0 = default 30s; needs -replicas > 1 and -data)")
 		proxyTO     = fs.Duration("proxy-timeout", 0, "per-hop bound on outbound replica RPCs: proxy runs, replication pushes, anti-entropy fetches (0 = default 10s; a tighter job deadline bounds a hop further)")
-		hedgeAfter  = fs.Duration("hedge-after", 0, "fire a hedged replica read when the owner has been silent this long on a proxy hop (0 disables hedging)")
 		shedDepth   = fs.Int("shed-queue-depth", 0, "queue depth at which the overload brownout sheds anonymous and negative-priority submissions with 503 (0 disables shedding)")
 		drain       = fs.Duration("drain", 5*time.Second, "graceful shutdown timeout")
 		pprofAddr   = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty disables)")
@@ -182,7 +181,6 @@ func run(ctx context.Context, out io.Writer, args []string) error {
 			Replicas:            *replicas,
 			AntiEntropyInterval: *aeInterval,
 			ProxyTimeout:        *proxyTO,
-			HedgeAfter:          *hedgeAfter,
 		},
 		Logger: logger,
 	})

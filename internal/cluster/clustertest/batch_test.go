@@ -229,65 +229,3 @@ func TestClusterBatchKeepsOwnerParallelism(t *testing.T) {
 	}
 	t.Fatal("the owner ran the batch's rows one at a time")
 }
-
-// TestClusterBatchHedgeIntoBusyOutbox: a hedge copies a slow owner's rows
-// into the outbox of a replica whose own batch is still in flight, so the
-// copies wait there; the owner then answers first. The waiting copies
-// must be dropped, never sent and never settled twice: every fingerprint
-// runs once, on its owner, each row gets one coordinator span, and
-// neither peer is marked failed.
-func TestClusterBatchHedgeIntoBusyOutbox(t *testing.T) {
-	c := Start(t, Options{
-		Nodes: 3, Replicas: 2,
-		// Far above every delay below: probes stay answered and no batch
-		// times out.
-		ProxyTimeout: 5 * time.Second,
-		HedgeAfter:   40 * time.Millisecond,
-	})
-	n0, n1, n2 := c.Node(0), c.Node(1), c.Node(2)
-	// Rows [a, b, a, b]: a rows are owned by node 2 with the coordinator
-	// as their replica, so they have no hedge target; b rows are owned by
-	// node 1 with node 2 as their replica.
-	a := c.seedsOwnedBy(t, 2, 2, 2, 0)
-	b := c.seedsOwnedBy(t, 2, 2, 1, 2)
-	spec := seedSpec([]int64{a[0], b[0], a[1], b[1]})
-	fps := fingerprints(t, spec)
-
-	// Node 1 answers after 150ms, node 2 after 600ms. The second b row's
-	// batch hedges at 40ms into node 2's outbox, whose batch of the second
-	// a row holds it until 750ms: node 1 has answered long before.
-	c.Plan.SlowNode(n1.URL, 150*time.Millisecond)
-	c.Plan.SlowNode(n2.URL, 600*time.Millisecond)
-	j := c.runOn(t, 0, spec)
-
-	if got := scrapeCounter(t, c, 0, "dynring_cluster_hedges_total"); got < 2 {
-		t.Fatalf("hedges_total = %v, want both b rows hedged", got)
-	}
-	if got := c.TotalExecutions(); got != uint64(len(fps)) {
-		t.Fatalf("cluster executed %d scenarios for %d fingerprints", got, len(fps))
-	}
-	if got := n2.Manager.Stats().Executions; got != 2 {
-		t.Fatalf("replica executed %d scenarios, want only its own 2", got)
-	}
-	if got := scrapeCounter(t, c, 0, "dynring_cluster_probe_failures_total"); got != 0 {
-		t.Fatalf("probe_failures_total = %v: a peer was marked failed", got)
-	}
-	if got := scrapeCounter(t, c, 0, "dynring_cluster_proxy_fallbacks_total"); got != 0 {
-		t.Fatalf("proxy_fallbacks_total = %v, want 0", got)
-	}
-	tr, ok := n0.Manager.Trace(j.ID)
-	if !ok {
-		t.Fatal("no trace")
-	}
-	own := make(map[int]int)
-	for _, s := range tr.Spans {
-		if s.Node == n0.URL {
-			own[s.Index]++
-		}
-	}
-	for i := range fps {
-		if own[i] != 1 {
-			t.Fatalf("row %d has %d coordinator spans, want 1", i, own[i])
-		}
-	}
-}

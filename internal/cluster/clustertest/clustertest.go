@@ -41,9 +41,6 @@ type Options struct {
 	// the service's 10s default). Gray-failure tests lower it so a slowed
 	// node trips timeouts in test time.
 	ProxyTimeout time.Duration
-	// HedgeAfter arms hedged replica reads on every node (0 = disabled,
-	// the service default).
-	HedgeAfter time.Duration
 	// Tenants installs the same admission config on every node (nil = the
 	// open anonymous default).
 	Tenants []service.TenantConfig
@@ -127,7 +124,6 @@ func Start(t *testing.T, opts Options) *Cluster {
 			Transport:           plan.Transport(urls[i]),
 			AntiEntropyInterval: opts.AntiEntropyInterval,
 			ProxyTimeout:        opts.ProxyTimeout,
-			HedgeAfter:          opts.HedgeAfter,
 		}
 		m, err := service.New(o)
 		if err != nil {

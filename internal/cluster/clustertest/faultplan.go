@@ -121,8 +121,8 @@ func (p *FaultPlan) SlowProxy(d time.Duration) {
 // slowed parties, or a slowed party under SlowProxy too, are delayed by
 // the largest applicable value, not the sum (one shared slow event, not
 // stacked ones). The delay honors the request context, so a caller whose
-// hedge or timeout fires mid-delay gets its cancellation immediately and
-// the request never reaches the node.
+// timeout fires mid-delay gets its cancellation immediately and the
+// request never reaches the node.
 func (p *FaultPlan) SlowNode(node string, d time.Duration) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -190,8 +190,8 @@ func TestFaultPlanSlowPrecedence(t *testing.T) {
 
 // TestFaultPlanSlowNodeHonorsContext: a request cancelled mid-delay
 // returns the context's error without ever reaching the server — the
-// property hedged replica reads lean on (a cancelled primary must never
-// be delivered to the slow owner).
+// property slow-owner failover leans on (a timed-out batch must never be
+// delivered to the slow owner).
 func TestFaultPlanSlowNodeHonorsContext(t *testing.T) {
 	var hits atomic.Int32
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

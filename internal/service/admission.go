@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -74,8 +75,12 @@ type TenantConfig struct {
 //
 //	alice:sk-alice:3:500:8,bob:sk-bob:1
 //
-// An empty value means no tenants (the anonymous default).
+// An empty value means no tenants (the anonymous default). Whitespace
+// around the whole value, around each entry and around each number is
+// ignored. An inline name may not start with '@', so a value is the file
+// form exactly when it starts with '@'.
 func ParseTenants(v string) ([]TenantConfig, error) {
+	v = strings.TrimSpace(v)
 	if v == "" {
 		return nil, nil
 	}
@@ -108,18 +113,24 @@ func ParseTenants(v string) ([]TenantConfig, error) {
 }
 
 // parseInlineTenant parses one name:key:weight[:maxQueued[:maxConcurrent]]
-// entry.
+// entry. Each number must be a whole decimal integer: "3x", "3.5" and
+// "0x10" are errors, not 3, 3 and 0.
 func parseInlineTenant(entry string) (TenantConfig, error) {
 	parts := strings.Split(entry, ":")
 	if len(parts) < 2 || len(parts) > 5 {
 		return TenantConfig{}, fmt.Errorf("tenant %q: want name:key:weight[:maxQueued[:maxConcurrent]]", entry)
 	}
+	if strings.HasPrefix(parts[0], "@") {
+		return TenantConfig{}, fmt.Errorf("tenant %q: an inline name may not start with '@'", entry)
+	}
 	tc := TenantConfig{Name: parts[0], Key: parts[1]}
 	ints := []*int{&tc.Weight, &tc.MaxQueued, &tc.MaxConcurrent}
 	for i, p := range parts[2:] {
-		if _, err := fmt.Sscanf(p, "%d", ints[i]); err != nil {
+		n, err := strconv.Atoi(strings.TrimSpace(p))
+		if err != nil {
 			return TenantConfig{}, fmt.Errorf("tenant %q: field %d: %w", entry, i+3, err)
 		}
+		*ints[i] = n
 	}
 	return tc, nil
 }

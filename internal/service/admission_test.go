@@ -9,6 +9,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -391,4 +393,83 @@ func TestStatszTenantsSection(t *testing.T) {
 	if bytes.Contains(doc, []byte(`"tenants"`)) {
 		t.Fatalf("anonymous /statsz leaks a tenants section: %s", doc)
 	}
+}
+
+// TestParseTenants pins the -tenants grammar: inline entries with two to
+// five fields, whole decimal numbers only (whitespace around them is
+// ignored), no inline name starting with '@', and the @file form; every
+// parsed set passes ValidateTenants.
+func TestParseTenants(t *testing.T) {
+	file := t.TempDir() + "/tenants.json"
+	if err := os.WriteFile(file, []byte(`[{"name":"gold","key":"k","weight":2,"max_queued":9}]`), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	ok := []struct {
+		in   string
+		want []TenantConfig
+	}{
+		{"", nil},
+		{" , ", nil},
+		{"gold:k", []TenantConfig{{Name: "gold", Key: "k"}}},
+		{"gold:k:3", []TenantConfig{{Name: "gold", Key: "k", Weight: 3}}},
+		{"alice:sk-alice:3:500:8, bob:sk-bob:1", []TenantConfig{
+			{Name: "alice", Key: "sk-alice", Weight: 3, MaxQueued: 500, MaxConcurrent: 8},
+			{Name: "bob", Key: "sk-bob", Weight: 1},
+		}},
+		{"gold:k:-1:+2:007", []TenantConfig{{Name: "gold", Key: "k", Weight: -1, MaxQueued: 2, MaxConcurrent: 7}}},
+		{"alice:sk:3, bob:sk2: 1", []TenantConfig{{Name: "alice", Key: "sk", Weight: 3}, {Name: "bob", Key: "sk2", Weight: 1}}},
+		{"gold:k: 3 :\t4", []TenantConfig{{Name: "gold", Key: "k", Weight: 3, MaxQueued: 4}}},
+		{"@" + file, []TenantConfig{{Name: "gold", Key: "k", Weight: 2, MaxQueued: 9}}},
+	}
+	for _, c := range ok {
+		got, err := ParseTenants(c.in)
+		if err != nil || !reflect.DeepEqual(got, c.want) {
+			t.Errorf("ParseTenants(%q) = %+v, %v; want %+v", c.in, got, err, c.want)
+		}
+	}
+	for _, in := range []string{
+		"gold:k:3x", "gold:k:3.5", "gold:k:3 4", "gold:k:0x10", "gold:k: ", "gold:k:",
+		"gold:k:1:2:3:4", "gold", "gold:k:99999999999999999999",
+		":k", "gold:", "anonymous:k", "gold:k,gold:k2", "gold:k,silver:k",
+		"gold:k:1:-1", "gold:k:1:0:-1",
+		",@b:k", "a:k,@b:k2", "a:k, @b:k2",
+		"@" + file + ".missing",
+	} {
+		if got, err := ParseTenants(in); err == nil {
+			t.Errorf("ParseTenants(%q) = %+v, want an error", in, got)
+		}
+	}
+}
+
+// FuzzParseTenants: every inline -tenants value ParseTenants accepts
+// re-renders as name:key:weight:maxQueued:maxConcurrent entries that
+// parse back to an equal tenant set.
+func FuzzParseTenants(f *testing.F) {
+	for _, seed := range []string{
+		"alice:sk-alice:3:500:8,bob:sk-bob:1", "gold:k", " a b : c d :-2", "x:y:+0:00,,z:w",
+		"gold:k:3x", "gold:k:0x10", " @x:k", "a:k,@b:k2", ",@b:k", "a:k: 3 ",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, v string) {
+		if strings.HasPrefix(strings.TrimSpace(v), "@") {
+			return // a file path, not an inline value
+		}
+		tenants, err := ParseTenants(v)
+		if err != nil {
+			return
+		}
+		entries := make([]string, len(tenants))
+		for i, tc := range tenants {
+			entries[i] = fmt.Sprintf("%s:%s:%d:%d:%d", tc.Name, tc.Key, tc.Weight, tc.MaxQueued, tc.MaxConcurrent)
+		}
+		rendered := strings.Join(entries, ",")
+		again, err := ParseTenants(rendered)
+		if err != nil {
+			t.Fatalf("ParseTenants(%q) accepted %+v, but its rendering %q fails: %v", v, tenants, rendered, err)
+		}
+		if !reflect.DeepEqual(again, tenants) {
+			t.Fatalf("ParseTenants(%q) = %+v, but its rendering %q parses to %+v", v, tenants, rendered, again)
+		}
+	})
 }

@@ -27,26 +27,17 @@ import (
 // flush window and no size knob. A batch is one POST /v1/run in NDJSON form; the owner
 // streams a RunResponse line back per row as it settles.
 //
-// Exactly-once stays structural. The owner serves every fingerprint
-// through its rescache.Group, and the dispatcher adopts one line per row:
-// the claim is taken under the dispatcher's lock before the cache put, the
-// counters and the spans, so each of those happens once per row however
-// many batches carried it.
+// A routed row is in exactly one place at a time: one outbox queue, one
+// in-flight batch, or settled. Exactly-once stays structural: the owner
+// serves every fingerprint through its rescache.Group, and a row settles
+// once, from the one outbox or batch that holds it, before the cache put,
+// the counters and the span.
 //
-// A batch silent for HedgeAfter sends its unsettled rows to their next
-// routable replica, together with the rows its outbox holds. A batch
-// whose rows have all settled elsewhere is cancelled and its late lines
-// are discarded unread. A batch that fails because of the peer (not
-// because we cancelled it) fails its unsettled rows over to their next
-// replica, and after the last one they run locally through ExecuteLocal.
-// Rows the dispatcher moves on like this are sent at once.
-
-var (
-	// errHopSettled cancels a batch whose every row settled elsewhere.
-	errHopSettled = errors.New("every row of the batch settled elsewhere")
-	// errHopTimeout cancels a batch that streamed nothing for ProxyTimeout.
-	errHopTimeout = errors.New("proxy hop timed out")
-)
+// A batch that fails because of the peer — an error, a stream that ends
+// early, or nothing streamed for ProxyTimeout — fails its unsettled rows
+// over to their next routable replica, together with the rows its outbox
+// holds, and after the last replica they run locally through
+// ExecuteLocal. Rows the dispatcher moves on like this are sent at once.
 
 // hops is one job's proxy dispatcher. Everything below mu is guarded by
 // it.
@@ -66,18 +57,12 @@ type hopRow struct {
 	i     int
 	line  []byte    // the row's RunRequest as one NDJSON line
 	start time.Time // when a worker released it, for its span
-	owner string    // fp's ring owner; a winner elsewhere is a replica hit
+	owner string    // fp's ring owner; a row served elsewhere is a replica hit
 	// targets lists the owner, if routable, then its routable replicas;
 	// targets[next] is the next one to try.
 	targets []string
 	next    int
-	// batches are the batches that carried the row; copies counts its
-	// copies still held in an outbox or in flight in a batch.
-	batches []*batch
-	copies  int
-	// hedgedTo is the replica a hedge duplicated the row to ("" if none).
-	hedgedTo string
-	settled  bool
+	settled bool // an in-flight batch adopted a line for it
 }
 
 // outbox holds the rows bound for one target peer.
@@ -92,11 +77,9 @@ type outbox struct {
 type batch struct {
 	box    *outbox
 	rows   []*hopRow
-	open   int  // rows not yet settled
-	lo     int  // rows[:lo] are settled; where the line lookup starts
-	done   bool // finish has retired it
+	lo     int // rows[:lo] are settled; where the line lookup starts
 	ctx    context.Context
-	cancel context.CancelCauseFunc
+	cancel context.CancelFunc
 }
 
 func newHops(m *Manager, j *Job) *hops {
@@ -183,12 +166,11 @@ func (h *hops) pushLocked(r *hopRow) *outbox {
 		h.boxes[target] = box
 	}
 	box.queued = append(box.queued, r)
-	r.copies++
 	return box
 }
 
 // moveLocked queues r for its next target and sends it at once: the
-// dispatcher moves rows on by itself only after a hedge or a failure.
+// dispatcher moves rows on by itself only after a failure.
 func (h *hops) moveLocked(r *hopRow) {
 	box := h.pushLocked(r)
 	box.opened = true
@@ -218,11 +200,11 @@ func (h *hops) sendLocked(box *outbox) {
 // send posts b and retires it.
 func (h *hops) send(b *batch, size int) {
 	h.finish(b, h.post(b, size))
-	b.cancel(nil) // detach from the job's context, which outlives b
+	b.cancel() // detach from the job's context, which outlives b
 }
 
 // next takes box's next batch for its sender goroutine. When box holds no
-// unsettled row or the job is over, it ends the sender and returns nil.
+// row or the job is over, it ends the sender and returns nil.
 func (h *hops) next(box *outbox) (*batch, int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -242,27 +224,19 @@ func (h *hops) takeLocked(box *outbox) (*batch, int) {
 		size += len(box.queued[n].line)
 		n++
 	}
-	b := &batch{box: box, rows: box.queued[:n:n], open: n}
+	b := &batch{box: box, rows: box.queued[:n:n]}
 	box.queued = append([]*hopRow(nil), box.queued[n:]...)
-	for _, r := range b.rows {
-		r.batches = append(r.batches, b)
-	}
-	b.ctx, b.cancel = context.WithCancelCause(h.j.ctx)
+	b.ctx, b.cancel = context.WithCancel(h.j.ctx)
 	return b, size
 }
 
-// settleCachedLocked drops the rows queued in box that settled elsewhere
-// meanwhile, and settles as cache hits the ones whose result reached this
-// node while they waited — a replica's push, most often. Sending those
+// settleCachedLocked settles as cache hits the rows queued in box whose
+// result reached this node while they waited — a replica's push, most often. Sending those
 // would make the owner run them again if it has evicted them since.
 func (h *hops) settleCachedLocked(box *outbox) {
 	m, j := h.m, h.j
 	waiting := box.queued[:0]
 	for _, r := range box.queued {
-		if r.settled {
-			r.copies--
-			continue
-		}
 		// Contains first: a miss here must not count against the hit rate.
 		var res dynring.Result
 		ok := m.cache.Contains(j.fps[r.i])
@@ -273,8 +247,6 @@ func (h *hops) settleCachedLocked(box *outbox) {
 			waiting = append(waiting, r)
 			continue
 		}
-		r.copies--
-		h.claimLocked(r, nil)
 		j.setRow(r.i, Row{Cached: true, Result: res, started: r.start})
 	}
 	clear(box.queued[len(waiting):])
@@ -282,7 +254,7 @@ func (h *hops) settleCachedLocked(box *outbox) {
 }
 
 // post sends b and settles its rows from the streamed lines as they
-// arrive. Each line restarts the ProxyTimeout and the hedge timers. The
+// arrive. Each line restarts the ProxyTimeout timer. The
 // request carries the sweep's trace ID, the job's tenant key and the job's
 // remaining deadline budget, which also bounds the batch here.
 func (h *hops) post(b *batch, size int) error {
@@ -312,13 +284,8 @@ func (h *hops) post(b *batch, size int) error {
 	if budget > 0 {
 		hdr[DeadlineHeader] = []string{budget.String()}
 	}
-	idle := time.AfterFunc(m.proxyTimeout, func() { b.cancel(errHopTimeout) })
+	idle := time.AfterFunc(m.proxyTimeout, b.cancel)
 	defer idle.Stop()
-	var hedge *time.Timer
-	if m.hedgeAfter > 0 {
-		hedge = time.AfterFunc(m.hedgeAfter, func() { h.hedge(b) })
-		defer hedge.Stop()
-	}
 	sent := time.Now()
 	resp, err := m.peers.send(ctx, http.MethodPost, u, hdr, body)
 	if err != nil {
@@ -335,9 +302,6 @@ func (h *hops) post(b *batch, size int) error {
 		line, err := readLine(br)
 		if len(bytes.TrimSpace(line)) > 0 {
 			idle.Reset(m.proxyTimeout)
-			if hedge != nil {
-				hedge.Reset(m.hedgeAfter)
-			}
 			var rr dynring.RunResponse
 			if perr := dynring.ParseRunResponse(line, &rr); perr != nil {
 				return perr
@@ -377,12 +341,13 @@ func readLine(br *bufio.Reader) ([]byte, error) {
 
 // settle adopts rr for the first unsettled row of b with its fingerprint.
 // A line carrying neither result nor error adopts nothing: the row stays
-// unsettled and fails over with the batch's remainder.
+// unsettled and fails over with the batch's remainder. A row in flight
+// belongs to its batch alone, so only b's own goroutine reads or sets its
+// settled flag and settle needs no lock.
 func (h *hops) settle(b *batch, rr dynring.RunResponse) {
 	if rr.Error == "" && rr.Result == nil {
 		return
 	}
-	h.mu.Lock()
 	for b.lo < len(b.rows) && b.rows[b.lo].settled {
 		b.lo++
 	}
@@ -394,20 +359,15 @@ func (h *hops) settle(b *batch, rr dynring.RunResponse) {
 		}
 	}
 	if r == nil {
-		h.mu.Unlock()
 		return
 	}
-	h.claimLocked(r, b)
-	h.mu.Unlock()
+	r.settled = true
 
 	m, j, i := h.m, h.j, r.i
 	target := b.box.target
 	m.proxied.Add(1)
 	if target != r.owner {
 		m.replicaHits.Add(1)
-	}
-	if target == r.hedgedTo {
-		m.hedgeWins.Add(1)
 	}
 	// The row keeps the owner's span: under one trace ID the sweep's trace
 	// then shows both the hop (this node) and the work (the owner).
@@ -424,85 +384,36 @@ func (h *hops) settle(b *batch, rr dynring.RunResponse) {
 	j.setRow(i, row)
 }
 
-// claimLocked marks r settled and cancels every other batch that carried
-// it and now has nothing left to settle (not: the batch settling it,
-// which streams to its end so its connection is reused). A row settles
-// once: claiming a settled row does nothing.
-func (h *hops) claimLocked(r *hopRow, by *batch) {
-	if r.settled {
-		return
-	}
-	r.settled = true
-	for _, b := range r.batches {
-		if b.open--; b.open == 0 && b != by {
-			b.cancel(errHopSettled)
-		}
-	}
-}
-
-// hedge fires when b has streamed nothing for HedgeAfter: its unsettled
-// rows are duplicated to their next target (once per row), and the rows
-// its outbox holds move on to theirs. A batch that already finished is
-// left alone.
-func (h *hops) hedge(b *batch) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if b.done || h.j.ctx.Err() != nil {
-		return
-	}
-	for _, r := range b.rows {
-		if !r.settled && r.hedgedTo == "" && r.next < len(r.targets) {
-			r.hedgedTo = r.targets[r.next]
-			h.m.hedges.Add(1)
-			h.moveLocked(r)
-		}
-	}
-	h.moveOnLocked(b.box)
-}
-
-// moveOnLocked sends the rows queued in box on to their next targets,
-// drops the settled ones and leaves the rest queued.
-func (h *hops) moveOnLocked(box *outbox) {
-	stuck := box.queued[:0]
-	for _, r := range box.queued {
-		switch {
-		case r.settled:
-			r.copies--
-		case r.next < len(r.targets):
-			r.copies--
-			h.moveLocked(r)
-		default:
-			stuck = append(stuck, r)
-		}
-	}
-	clear(box.queued[len(stuck):])
-	box.queued = stuck
-}
-
 // finish retires b after post returned err. A failure caused by the peer
-// marks it failed and moves b's uncovered remainder, and the rows queued
+// marks it failed and moves b's unsettled remainder, and the rows queued
 // behind b, on to their next targets; rows with none left run locally.
-// Our own cancellations (job cancelled or expired, batch settled
-// elsewhere) are no evidence against the peer.
+// Our own cancellations (job cancelled or expired) are no evidence
+// against the peer.
 func (h *hops) finish(b *batch, err error) {
 	m, j := h.m, h.j
 	h.mu.Lock()
 	box := b.box
-	b.done = true
 	if j.ctx.Err() != nil {
 		// The job is over: its pending rows are settled by the abort.
 		h.mu.Unlock()
 		return
 	}
-	fault := err != nil && context.Cause(b.ctx) != errHopSettled && !errors.Is(err, context.DeadlineExceeded)
-	if err == nil && b.open > 0 {
-		fault, err = true, fmt.Errorf("stream ended with %d of %d rows unanswered", b.open, len(b.rows))
+	var rest []*hopRow
+	for _, r := range b.rows[b.lo:] {
+		if !r.settled {
+			rest = append(rest, r)
+		}
+	}
+	fault := err != nil && !errors.Is(err, context.DeadlineExceeded)
+	if err == nil && len(rest) > 0 {
+		fault, err = true, fmt.Errorf("stream ended with %d of %d rows unanswered", len(rest), len(b.rows))
+	}
+	if fault {
+		rest = append(rest, box.queued...)
+		box.queued = nil
 	}
 	var local, fallback []*hopRow
-	for _, r := range b.rows {
-		if r.copies--; r.settled || r.copies > 0 {
-			continue
-		}
+	for _, r := range rest {
 		switch {
 		case !fault:
 			// The deadline budget ran out, not the peer: ExecuteLocal
@@ -513,20 +424,6 @@ func (h *hops) finish(b *batch, err error) {
 		default:
 			fallback = append(fallback, r)
 		}
-	}
-	if fault {
-		// The rows box still holds have no target left: they run here,
-		// unless a copy is on its way elsewhere.
-		h.moveOnLocked(box)
-		for _, r := range box.queued {
-			if r.copies--; r.copies == 0 {
-				fallback = append(fallback, r)
-			}
-		}
-		box.queued = nil
-	}
-	for _, r := range append(local, fallback...) {
-		h.claimLocked(r, nil)
 	}
 	h.mu.Unlock()
 

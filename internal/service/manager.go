@@ -106,15 +106,6 @@ type ClusterOptions struct {
 	// as long as the peer cares to stall. Zero means the 10s default
 	// (ringsimd -proxy-timeout). A job deadline bounds each batch further.
 	ProxyTimeout time.Duration
-	// HedgeAfter, when positive, arms hedged replica reads: a proxy batch
-	// that has streamed nothing for this long sends its unsettled rows to
-	// their next replica, with the rows its outbox holds; the first line
-	// for a row wins, and a batch whose rows all settled elsewhere is
-	// cancelled before its lines could be adopted. Exactly-once stays
-	// structural — both sides serve through their own cache and
-	// singleflight, and the replication push reconciles the winner's
-	// envelope. Zero disables hedging (ringsimd -hedge-after).
-	HedgeAfter time.Duration
 }
 
 // defaultJobHistory is the settled-job retention bound when Options leaves
@@ -209,14 +200,9 @@ type Manager struct {
 	replq       chan replItem
 
 	// Gray-failure resilience state. proxyTimeout bounds every replica
-	// RPC; hedgeAfter is the hedged-read delay (0: hedging off); hedges
-	// and hedgeWins count fired hedges and hedges whose response was
-	// adopted. shedQueueDepth arms admission brownout, and shed counts
+	// RPC; shedQueueDepth arms admission brownout, and shed counts
 	// submissions rejected by it.
 	proxyTimeout   time.Duration
-	hedgeAfter     time.Duration
-	hedges         atomic.Uint64
-	hedgeWins      atomic.Uint64
 	shedQueueDepth int
 	shed           atomic.Uint64
 
@@ -351,7 +337,6 @@ func newManager(opts Options) (*Manager, error) {
 		if m.aeInterval <= 0 {
 			m.aeInterval = defaultAntiEntropyInterval
 		}
-		m.hedgeAfter = opts.Cluster.HedgeAfter
 		m.peers = newPeerClient(opts.Cluster.Transport)
 		m.aeKick = make(chan string, 8)
 		m.auxStop = make(chan struct{})

@@ -205,17 +205,11 @@ func newMetrics(m *Manager) *metrics {
 		mt.hopRows = r.Histogram("dynring_cluster_hop_rows",
 			"Rows carried per successful POST /v1/run proxy batch.", hopRowBuckets)
 		r.CounterFunc("dynring_cluster_replica_hits_total",
-			"Scenarios served by a non-owner replica: failover past an unroutable or failed owner, or a hedged read that beat the owner.",
+			"Scenarios served by a non-owner replica: failover past an unroutable or failed owner.",
 			func() float64 { return float64(m.replicaHits.Load()) })
 		r.CounterFunc("dynring_cluster_antientropy_repairs_total",
 			"Envelopes copied between replica disk tiers by the anti-entropy pass (pulled repairs plus pushes to lagging peers).",
 			func() float64 { return float64(m.aeRepairs.Load()) })
-		r.CounterFunc("dynring_cluster_hedges_total",
-			"Hedged replica requests fired because the owner's proxy hop was still unanswered after the hedge delay.",
-			func() float64 { return float64(m.hedges.Load()) })
-		r.CounterFunc("dynring_cluster_hedge_wins_total",
-			"Hedged requests whose replica answered before the slow owner (the owner's in-flight hop is cancelled, never adopted).",
-			func() float64 { return float64(m.hedgeWins.Load()) })
 	}
 
 	// --- engine: per-run execution accounting ---

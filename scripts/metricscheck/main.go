@@ -44,16 +44,14 @@ func main() {
 		// Likewise the cluster shape must carry the replication counters —
 		// replica-hit and anti-entropy-repair accounting is the observable
 		// half of the exactly-once argument under failover — plus the
-		// gray-failure families (peer health states, probe failures, hedge
-		// accounting).
+		// gray-failure families (peer health states, probe failures) and
+		// the hop batch sizes.
 		if shape == "cluster" {
 			for _, fam := range []string{
 				"dynring_cluster_replica_hits_total",
 				"dynring_cluster_antientropy_repairs_total",
 				"dynring_cluster_peers",
 				"dynring_cluster_probe_failures_total",
-				"dynring_cluster_hedges_total",
-				"dynring_cluster_hedge_wins_total",
 				"dynring_cluster_hop_rows",
 			} {
 				if !strings.Contains(text, fam) {
