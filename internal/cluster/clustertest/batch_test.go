@@ -77,6 +77,64 @@ func TestClusterProxyFallbacksCountOnlyLocalRuns(t *testing.T) {
 	}
 }
 
+// TestClusterFailoverSkipsUnroutableReplica: failover reads peer health
+// again at each step. The owner's batches hang and then fail; while they
+// hang, the coordinator loses its link to the only replica, which goes
+// suspect. When the owner's batches fail, the replica gets no /v1/run:
+// every row runs on the coordinator as a counted fallback.
+func TestClusterFailoverSkipsUnroutableReplica(t *testing.T) {
+	c := Start(t, Options{Nodes: 3, Replicas: 2})
+	n0, n1, n2 := c.Node(0), c.Node(1), c.Node(2)
+	spec := seedSpec(c.seedsOwnedBy(t, 2, 4, 1, 2))
+
+	// The first row rides a batch of its own and the other three one
+	// more: once both reach the owner, cut the coordinator off the
+	// replica.
+	var toOwner, toReplica atomic.Int64
+	var cut atomic.Bool
+	c.Plan.OnRequest(func(from, to, path string) {
+		if from != n0.URL || path != "/v1/run" {
+			return
+		}
+		switch to {
+		case n1.URL:
+			if toOwner.Add(1) == 2 {
+				cut.Store(true)
+			}
+		case n2.URL:
+			toReplica.Add(1)
+		}
+	})
+	c.Plan.SlowNode(n1.URL, 2*time.Second)
+	c.Plan.Drop(func(from, to, path string) bool {
+		return (to == n1.URL && path == "/v1/run") || (cut.Load() && from == n0.URL && to == n2.URL)
+	})
+
+	j, err := n0.Manager.Submit(spec, service.SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Only the cut can make the replica suspect.
+	c.WaitPeerState(0, n2.URL, "suspect", "dead")
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := j.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	// Lift the delay for the replication pushes the fallbacks queued.
+	c.Plan.SlowNode(n1.URL, 0)
+	c.Plan.OnRequest(nil)
+	if st := j.Status(); st.State != "done" || st.Errors != 0 {
+		t.Fatalf("sweep %s with %d errored rows, want done with 0", st.State, st.Errors)
+	}
+	if got := toReplica.Load(); got != 0 {
+		t.Fatalf("coordinator sent %d POST /v1/run to the unroutable replica, want 0", got)
+	}
+	if got := scrapeCounter(t, c, 0, "dynring_cluster_proxy_fallbacks_total"); got != 4 {
+		t.Fatalf("proxy_fallbacks_total = %v, want 4 (every row ran on the coordinator)", got)
+	}
+}
+
 // TestClusterBatchOwnerDiesMidBatch: the owner dies while a batch is
 // streaming, after some of its rows have settled. The remainder fails
 // over to the replica: every row settles exactly once, none errors, and

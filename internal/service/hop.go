@@ -33,11 +33,17 @@ import (
 // once, from the one outbox or batch that holds it, before the cache put,
 // the counters and the span.
 //
-// A batch that fails because of the peer — an error, a stream that ends
-// early, or nothing streamed for ProxyTimeout — fails its unsettled rows
-// over to their next routable replica, together with the rows its outbox
-// holds, and after the last replica they run locally through
-// ExecuteLocal. Rows the dispatcher moves on like this are sent at once.
+// Each routed row walks one list: its replica set in ring order, then
+// this node. step takes the walk's next stop, skipping this node's own
+// place in the set and every peer that is not routable at that moment, so
+// placement stays a pure function and health is read at every step. A
+// worker takes the first step when it releases the row. A batch that
+// fails because of the peer — an error, a stream that ends early, or
+// nothing streamed for ProxyTimeout — takes the next step for each of its
+// unsettled rows and for the rows its outbox holds; rows moved on like
+// this are sent at once, and a row whose walk is used up runs here
+// through ExecuteLocal as a proxy fallback. A batch the job's cancel or
+// expiry interrupts is no fault: the abort settles its rows.
 
 // hops is one job's proxy dispatcher. Everything below mu is guarded by
 // it.
@@ -57,10 +63,10 @@ type hopRow struct {
 	i     int
 	line  []byte    // the row's RunRequest as one NDJSON line
 	start time.Time // when a worker released it, for its span
-	owner string    // fp's ring owner; a row served elsewhere is a replica hit
-	// targets lists the owner, if routable, then its routable replicas;
-	// targets[next] is the next one to try.
-	targets []string
+	// owners is fp's replica set in ring order, owners[0] its owner; the
+	// walk goes on at owners[next]. A row served by any other peer is a
+	// replica hit.
+	owners  []string
 	next    int
 	settled bool // an in-flight batch adopted a line for it
 }
@@ -86,60 +92,82 @@ func newHops(m *Manager, j *Job) *hops {
 	return &hops{m: m, j: j, boxes: make(map[string]*outbox), unreleased: j.Total()}
 }
 
-// release hands row i, routed to targets, to the dispatcher. It reports
-// false when the row must run locally instead: it has no wire form
-// (a custom factory), or the job's deadline budget is already spent.
-// Every row a worker routes goes through release or skip exactly once.
-func (h *hops) release(i int, owner string, targets []string, start time.Time) bool {
-	line, ok := h.line(i)
-	if !ok {
-		h.skip()
-		return false
+// route settles row i, which a worker picked up at start, or hands it on.
+// When the row's first step reaches a peer, a result already in this
+// node's tiers settles it — adopted, replicated and previously proxied
+// results answer repeats here — and otherwise it joins that peer's
+// outbox. A row whose walk reaches this node at once, or that has no wire
+// form (a custom factory), runs here; ExecuteLocal's own probe is then
+// its only lookup, so each scheduled row counts one hit or miss. Every
+// row a worker picks up goes through route exactly once.
+func (h *hops) route(i int, start time.Time) {
+	m, j := h.m, h.j
+	r := &hopRow{i: i, start: start, owners: m.membership.Ring().Owners(j.fps[i], m.replicas)}
+	target := h.step(r)
+	var res dynring.Result
+	var cached bool
+	if target != "" {
+		if res, cached = m.cache.Get(j.fps[i]); !cached {
+			r.line = h.line(i)
+		}
 	}
-	r := &hopRow{i: i, line: line, start: start, owner: owner, targets: targets}
-	h.mu.Lock()
-	box := h.pushLocked(r)
 	var first *batch
 	var size int
-	if !box.opened {
-		box.opened = true
-		first, size = h.takeLocked(box)
+	h.mu.Lock()
+	if r.line != nil {
+		box := h.queueLocked(r, target)
+		if !box.opened {
+			box.opened = true
+			first, size = h.takeLocked(box)
+		}
 	}
 	h.releasedLocked()
 	h.mu.Unlock()
-	// The worker carries an outbox's first row itself and waits for it,
-	// like the per-row hop: releasing every row at once kept the
-	// processors busy with workers while the first answers waited for one
-	// (perfbench trio first_row_p50_ms +30%, bound 24%).
-	if first != nil {
+	switch {
+	case cached:
+		j.setRow(i, Row{Cached: true, Result: res, started: start})
+	case r.line == nil:
+		m.runLocal(j, i, start)
+	case first != nil:
+		// The worker carries an outbox's first row itself and waits for
+		// it, like the per-row hop: releasing every row at once kept the
+		// processors busy with workers while the first answers waited for
+		// one (perfbench trio first_row_p50_ms +30%, bound 24%).
 		h.send(first, size)
 	}
-	return true
 }
 
-// line is row i's RunRequest as one NDJSON line, or false when the row
-// must run locally.
-func (h *hops) line(i int) ([]byte, bool) {
-	if !h.j.deadline.IsZero() && time.Until(h.j.deadline) <= 0 {
-		return nil, false
+// step moves r's walk to its next stop and returns it: the next peer in
+// r.owners that is not this node and is routable now, or "" when the row
+// runs here — this node owns it, or the set is used up.
+func (h *hops) step(r *hopRow) string {
+	ms := h.m.membership
+	self := ms.Self()
+	if r.owners[0] == self {
+		return ""
 	}
+	for r.next < len(r.owners) {
+		o := r.owners[r.next]
+		r.next++
+		if o != self && ms.Routable(o) {
+			return o
+		}
+	}
+	return ""
+}
+
+// line is row i's RunRequest as one NDJSON line, or nil when the row has
+// no wire form.
+func (h *hops) line(i int) []byte {
 	sp, err := h.j.scenarios[i].WireSpec()
 	if err != nil {
-		return nil, false
+		return nil
 	}
 	line, err := json.Marshal(dynring.RunRequest{Scenario: sp})
 	if err != nil {
-		return nil, false
+		return nil
 	}
-	return append(line, '\n'), true
-}
-
-// skip records that a worker settled one of the job's rows without the
-// dispatcher: a cache hit, or a row that runs here.
-func (h *hops) skip() {
-	h.mu.Lock()
-	h.releasedLocked()
-	h.mu.Unlock()
+	return append(line, '\n')
 }
 
 // releasedLocked counts one row handed on; after the job's last one, every
@@ -155,11 +183,8 @@ func (h *hops) releasedLocked() {
 	}
 }
 
-// pushLocked queues r in the outbox of its next target and returns that
-// outbox. The caller checks r has a next target.
-func (h *hops) pushLocked(r *hopRow) *outbox {
-	target := r.targets[r.next]
-	r.next++
+// queueLocked queues r in target's outbox and returns that outbox.
+func (h *hops) queueLocked(r *hopRow, target string) *outbox {
 	box := h.boxes[target]
 	if box == nil {
 		box = &outbox{target: target}
@@ -167,14 +192,6 @@ func (h *hops) pushLocked(r *hopRow) *outbox {
 	}
 	box.queued = append(box.queued, r)
 	return box
-}
-
-// moveLocked queues r for its next target and sends it at once: the
-// dispatcher moves rows on by itself only after a failure.
-func (h *hops) moveLocked(r *hopRow) {
-	box := h.pushLocked(r)
-	box.opened = true
-	h.sendLocked(box)
 }
 
 // sendLocked starts a sender goroutine that sends box's queued rows one
@@ -256,18 +273,15 @@ func (h *hops) settleCachedLocked(box *outbox) {
 // post sends b and settles its rows from the streamed lines as they
 // arrive. Each line restarts the ProxyTimeout timer. The
 // request carries the sweep's trace ID, the job's tenant key and the job's
-// remaining deadline budget, which also bounds the batch here.
+// remaining deadline budget; here the job's expiry ends the batch through
+// the job's context.
 func (h *hops) post(b *batch, size int) error {
 	m, j := h.m, h.j
-	ctx := b.ctx
 	var budget time.Duration
 	if !j.deadline.IsZero() {
 		if budget = time.Until(j.deadline); budget <= 0 {
 			return context.DeadlineExceeded
 		}
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, j.deadline)
-		defer cancel()
 	}
 	body := make([]byte, 0, size)
 	for _, r := range b.rows {
@@ -287,7 +301,7 @@ func (h *hops) post(b *batch, size int) error {
 	idle := time.AfterFunc(m.proxyTimeout, b.cancel)
 	defer idle.Stop()
 	sent := time.Now()
-	resp, err := m.peers.send(ctx, http.MethodPost, u, hdr, body)
+	resp, err := m.peers.send(b.ctx, http.MethodPost, u, hdr, body)
 	if err != nil {
 		return err
 	}
@@ -366,7 +380,7 @@ func (h *hops) settle(b *batch, rr dynring.RunResponse) {
 	m, j, i := h.m, h.j, r.i
 	target := b.box.target
 	m.proxied.Add(1)
-	if target != r.owner {
+	if target != r.owners[0] {
 		m.replicaHits.Add(1)
 	}
 	// The row keeps the owner's span: under one trace ID the sweep's trace
@@ -384,60 +398,51 @@ func (h *hops) settle(b *batch, rr dynring.RunResponse) {
 	j.setRow(i, row)
 }
 
-// finish retires b after post returned err. A failure caused by the peer
-// marks it failed and moves b's unsettled remainder, and the rows queued
-// behind b, on to their next targets; rows with none left run locally.
-// Our own cancellations (job cancelled or expired) are no evidence
-// against the peer.
+// finish retires b after post returned err. Unless the job is over or
+// past its deadline — the abort settles its rows then, and our own cancel
+// or expiry is no evidence against the peer — an error, or a stream that
+// left rows unanswered, is the peer's fault: finish marks it failed and
+// walks b's unsettled remainder, and the rows queued behind b, on to
+// their next stop. Rows whose walk is used up run here as fallbacks.
 func (h *hops) finish(b *batch, err error) {
 	m, j := h.m, h.j
-	h.mu.Lock()
 	box := b.box
-	if j.ctx.Err() != nil {
-		// The job is over: its pending rows are settled by the abort.
-		h.mu.Unlock()
-		return
-	}
+	h.mu.Lock()
 	var rest []*hopRow
 	for _, r := range b.rows[b.lo:] {
 		if !r.settled {
 			rest = append(rest, r)
 		}
 	}
-	fault := err != nil && !errors.Is(err, context.DeadlineExceeded)
-	if err == nil && len(rest) > 0 {
-		fault, err = true, fmt.Errorf("stream ended with %d of %d rows unanswered", len(rest), len(b.rows))
+	over := j.ctx.Err() != nil || (!j.deadline.IsZero() && time.Until(j.deadline) <= 0)
+	if over || (err == nil && len(rest) == 0) {
+		h.mu.Unlock()
+		return
 	}
-	if fault {
-		rest = append(rest, box.queued...)
-		box.queued = nil
+	if err == nil {
+		err = fmt.Errorf("stream ended with %d of %d rows unanswered", len(rest), len(b.rows))
 	}
-	var local, fallback []*hopRow
+	rest = append(rest, box.queued...)
+	box.queued = nil
+	var fallback []*hopRow
 	for _, r := range rest {
-		switch {
-		case !fault:
-			// The deadline budget ran out, not the peer: ExecuteLocal
-			// serves a cached result or reports the expiry.
-			local = append(local, r)
-		case r.next < len(r.targets):
-			h.moveLocked(r)
-		default:
+		if target := h.step(r); target != "" {
+			moved := h.queueLocked(r, target)
+			moved.opened = true
+			h.sendLocked(moved)
+		} else {
 			fallback = append(fallback, r)
 		}
 	}
 	h.mu.Unlock()
 
-	if fault {
-		m.membership.MarkFailed(box.target, err)
-		m.log.Warn("proxy batch failed, failing over",
-			"target", box.target, "trace", j.traceID, "job", j.ID, "rows", len(b.rows), "error", err)
-	}
+	m.membership.MarkFailed(box.target, err)
+	m.log.Warn("proxy batch failed, failing over",
+		"target", box.target, "trace", j.traceID, "job", j.ID, "rows", len(b.rows), "error", err)
 	for _, r := range fallback {
 		m.met.proxyFallbacks.Inc()
 		m.log.Warn("every proxy target failed, executing locally",
 			"fingerprint", j.fps[r.i], "trace", j.traceID, "job", j.ID)
-	}
-	for _, r := range append(local, fallback...) {
 		m.runLocal(j, r.i, r.start)
 	}
 }

@@ -2,16 +2,52 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"dynring"
 )
+
+// ownedSpec is testSpec's first algorithm and size over the first seeds
+// whose rows coord's ring places as want asks: want[url] rows owned by
+// the node at url.
+func ownedSpec(t *testing.T, coord *testNode, want map[string]int) dynring.SweepSpec {
+	t.Helper()
+	need := 0
+	for _, n := range want {
+		need += n
+	}
+	ring := coord.m.membership.Ring()
+	spec := testSpec()
+	spec.Algorithms, spec.Sizes, spec.Seeds = spec.Algorithms[:1], spec.Sizes[:1], nil
+	owned := map[string]int{}
+	for s := int64(1); len(spec.Seeds) < need; s++ {
+		one := spec
+		one.Seeds = []int64{s}
+		scs, err := one.ScenarioList()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp, err := scs[0].Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if owner := ring.Owner(fp); owned[owner] < want[owner] {
+			owned[owner]++
+			spec.Seeds = append(spec.Seeds, s)
+		}
+	}
+	return spec
+}
 
 // TestRunEndpointBatch exercises the NDJSON form of POST /v1/run: one
 // RunResponse line per request line — in settle order, each with its own
@@ -155,26 +191,7 @@ func TestHopShortStreamFailsOver(t *testing.T) {
 			coord, peer := nodes[0], nodes[1]
 
 			// Four rows owned by the peer and two by the coordinator.
-			var seeds []int64
-			owned := map[string]int{}
-			for s := int64(1); owned[peer.url] < 4 || owned[""] < 2; s++ {
-				spec := testSpec()
-				spec.Algorithms, spec.Sizes, spec.Seeds = spec.Algorithms[:1], spec.Sizes[:1], []int64{s}
-				scs, err := spec.ScenarioList()
-				if err != nil {
-					t.Fatal(err)
-				}
-				fp, err := scs[0].Fingerprint()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if owner, _ := coord.m.routeFor(fp); (owner == peer.url && owned[peer.url] < 4) || (owner == "" && owned[""] < 2) {
-					owned[owner]++
-					seeds = append(seeds, s)
-				}
-			}
-			spec := testSpec()
-			spec.Algorithms, spec.Sizes, spec.Seeds = spec.Algorithms[:1], spec.Sizes[:1], seeds
+			spec := ownedSpec(t, coord, map[string]int{peer.url: 4, coord.url: 2})
 
 			j, err := coord.m.Submit(spec, SubmitOptions{})
 			if err != nil {
@@ -225,5 +242,184 @@ func TestHopShortStreamFailsOver(t *testing.T) {
 				t.Fatalf("failed-over stream differs from a fault-free run:\n%s\nvs\n%s", got, want)
 			}
 		})
+	}
+}
+
+// TestHopDialTimeoutIsPeerFault: a /v1/run that fails with a dial
+// timeout is the peer's fault, although the net package reports that
+// error as matching context.DeadlineExceeded. The job has no deadline, so
+// nothing of ours expired: the owner is marked failed and its rows, which
+// have no replica, run here as counted proxy fallbacks.
+func TestHopDialTimeoutIsPeerFault(t *testing.T) {
+	transport := roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		if req.URL.Path != "/v1/run" {
+			return http.DefaultTransport.RoundTrip(req)
+		}
+		conn, err := (&net.Dialer{Deadline: time.Now().Add(-time.Second)}).Dial("tcp", req.URL.Host)
+		if err == nil {
+			conn.Close()
+			return nil, errors.New("a dial past its deadline connected")
+		}
+		return nil, err
+	})
+	nodes := startCluster(t, 2, func(i int) Options {
+		o := Options{Workers: 2, CacheSize: 256}
+		if i == 0 {
+			o.Cluster.Transport = transport
+		}
+		return o
+	})
+	coord, peer := nodes[0], nodes[1]
+	spec := ownedSpec(t, coord, map[string]int{peer.url: 4, coord.url: 2})
+
+	j, err := coord.m.Submit(spec, SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j)
+	if st := j.Status(); st.State != "done" || st.Errors != 0 {
+		t.Fatalf("sweep %s with %d errored rows, want done with 0", st.State, st.Errors)
+	}
+	if got := coord.m.met.proxyFallbacks.Value(); got < 1 {
+		t.Fatalf("proxy_fallbacks_total = %d, want the owner's rows counted as fallbacks", got)
+	}
+	if got := coord.m.membership.ProbeFailures(); got < 1 {
+		t.Fatal("a dial timeout did not mark the owner failed")
+	}
+}
+
+// TestHopPeerRowErrorSettlesRow: a batch line that reports an error for
+// its row settles that row with the error and nothing more. The row is
+// not failed over or run here, the owner is not marked failed, the other
+// rows are served as usual, and the error is not cached.
+func TestHopPeerRowErrorSettlesRow(t *testing.T) {
+	var boom atomic.Value // the fingerprint whose answer was rewritten
+	transport := roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		resp, err := http.DefaultTransport.RoundTrip(req)
+		if err != nil || req.URL.Path != "/v1/run" {
+			return resp, err
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			return nil, err
+		}
+		lines := bytes.SplitAfter(body, []byte("\n"))
+		var rr dynring.RunResponse
+		if err := dynring.ParseRunResponse(lines[0], &rr); err != nil {
+			return nil, err
+		}
+		if boom.CompareAndSwap(nil, rr.Fingerprint) {
+			lines[0] = fmt.Appendf(nil, "{\"fingerprint\":%q,\"error\":\"boom\"}\n", rr.Fingerprint)
+			body = bytes.Join(lines, nil)
+		}
+		resp.Body, resp.ContentLength = io.NopCloser(bytes.NewReader(body)), -1
+		resp.Header.Del("Content-Length")
+		return resp, nil
+	})
+	nodes := startCluster(t, 2, func(i int) Options {
+		o := Options{Workers: 2, CacheSize: 256}
+		if i == 0 {
+			o.Cluster.Transport = transport
+		}
+		return o
+	})
+	coord, peer := nodes[0], nodes[1]
+	spec := ownedSpec(t, coord, map[string]int{peer.url: 4, coord.url: 2})
+
+	j, err := coord.m.Submit(spec, SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j)
+	if st := j.Status(); st.State != "done" || st.Errors != 1 {
+		t.Fatalf("sweep %s with %d errored rows, want done with 1", st.State, st.Errors)
+	}
+	fp, _ := boom.Load().(string)
+	for i := range j.Total() {
+		row, err := j.WaitRow(context.Background(), i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j.fps[i] != fp {
+			if row.Err != nil {
+				t.Fatalf("row %d errored: %v", i, row.Err)
+			}
+			continue
+		}
+		if row.Err == nil || row.Err.Error() != "boom" || !row.proxied {
+			t.Fatalf("row %d settled with error %v (proxied %v), want the peer's \"boom\"", i, row.Err, row.proxied)
+		}
+	}
+	if got := coord.m.met.proxyFallbacks.Value(); got != 0 {
+		t.Fatalf("proxy_fallbacks_total = %d, want 0", got)
+	}
+	if got := coord.m.Stats().Executions; got != 2 {
+		t.Fatalf("coordinator executed %d rows, want only its own 2", got)
+	}
+	if got := coord.m.Stats().Proxied; got != 4 {
+		t.Fatalf("proxied %d rows, want the peer's 4", got)
+	}
+	if got := coord.m.membership.ProbeFailures(); got != 0 {
+		t.Fatalf("the owner was marked failed %d times for a row's own error", got)
+	}
+	if coord.m.cache.Contains(fp) {
+		t.Fatal("the errored row's fingerprint is in the coordinator's cache")
+	}
+}
+
+// TestHopDeadlineExpiresMidBatch: the job's deadline passes while the
+// owner's batches are in flight. The expiry settles every pending row
+// with context.DeadlineExceeded; the interrupted batches are no evidence
+// against the owner and nothing runs here in their place.
+func TestHopDeadlineExpiresMidBatch(t *testing.T) {
+	transport := roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		if req.URL.Path == "/v1/run" {
+			select {
+			case <-req.Context().Done():
+				return nil, req.Context().Err()
+			case <-time.After(10 * time.Second):
+			}
+		}
+		return http.DefaultTransport.RoundTrip(req)
+	})
+	nodes := startCluster(t, 2, func(i int) Options {
+		o := Options{Workers: 2, CacheSize: 256}
+		if i == 0 {
+			o.Cluster.Transport = transport
+		}
+		return o
+	})
+	coord, peer := nodes[0], nodes[1]
+	spec := ownedSpec(t, coord, map[string]int{peer.url: 4})
+
+	j, err := coord.m.Submit(spec, SubmitOptions{Deadline: 300 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j)
+	if st := j.Status(); st.State != "cancelled" || st.Errors != j.Total() {
+		t.Fatalf("sweep %s with %d of %d errored rows, want cancelled with all", st.State, st.Errors, j.Total())
+	}
+	for i := range j.Total() {
+		row, err := j.WaitRow(context.Background(), i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !errors.Is(row.Err, context.DeadlineExceeded) {
+			t.Fatalf("row %d settled with %v, want context.DeadlineExceeded", i, row.Err)
+		}
+	}
+	// A row run here in a batch's place would land after the abort:
+	// Close returns once every worker and batch sender has.
+	coord.m.Close()
+	if got := coord.m.met.proxyFallbacks.Value(); got != 0 {
+		t.Fatalf("proxy_fallbacks_total = %d, want 0", got)
+	}
+	if got := coord.m.membership.ProbeFailures(); got != 0 {
+		t.Fatalf("the owner was marked failed %d times for our own deadline", got)
+	}
+	if got := coord.m.Stats().Executions; got != 0 {
+		t.Fatalf("coordinator executed %d of the owner's rows", got)
 	}
 }

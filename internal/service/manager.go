@@ -736,12 +736,13 @@ func (m *Manager) nextTask() (task, bool) {
 	}
 }
 
-// runTask settles one scenario: a cache hit, a release to the proxy
-// dispatcher (cluster mode, routed to a routable peer; see hop.go), or a
-// local execution. A released row settles when its batch streams the row
-// back; the worker waits for that only when the row is the first of its
-// (job, target) outbox. Every settle stamps the row with its span on this
-// node (a proxied row also keeps the owner's span from the hop response).
+// runTask settles one scenario: standalone, through runLocal; in cluster
+// mode, through the job's route walk (see hop.go), which serves a cached
+// result, hands the row to a peer or runs it here. A row handed to a peer
+// settles when its batch streams the row back; the worker waits for that
+// only when the row is the first of its (job, target) outbox. Every settle
+// stamps the row with its span on this node (a proxied row also keeps the
+// owner's span from the hop response).
 func (m *Manager) runTask(t task) {
 	j, i := t.j, t.i
 	start := time.Now()
@@ -750,24 +751,11 @@ func (m *Manager) runTask(t task) {
 		j.setRow(i, Row{Err: err, started: start})
 		return
 	}
-	fp := j.fps[i]
-	if owner, targets := m.routeFor(fp); len(targets) > 0 {
-		// Serve from our own tiers before hopping: adopted, replicated and
-		// previously proxied results answer repeats locally. (Standalone
-		// nodes skip straight to ExecuteLocal, whose own probe is then the
-		// only lookup — each scheduled scenario counts one hit or miss.)
-		if res, ok := m.cache.Get(fp); ok {
-			j.hops.skip()
-			j.setRow(i, Row{Cached: true, Result: res, started: start})
-			return
-		}
-		if j.hops.release(i, owner, targets, start) {
-			return
-		}
-	} else if j.hops != nil {
-		j.hops.skip()
+	if j.hops == nil {
+		m.runLocal(j, i, start)
+		return
 	}
-	m.runLocal(j, i, start)
+	j.hops.route(i, start)
 }
 
 // runLocal settles row i of j through ExecuteLocal; start is when a worker
@@ -775,31 +763,6 @@ func (m *Manager) runTask(t task) {
 func (m *Manager) runLocal(j *Job, i int, start time.Time) {
 	res, cached, err := m.ExecuteLocal(j.ctx, j.scenarios[i], j.fps[i])
 	j.setRow(i, Row{Cached: cached, Result: res, Err: err, started: start})
-}
-
-// routeFor decides where fp runs: fp's ring owner, and the ordered proxy
-// candidates — the owner first, then its replica successors — skipping
-// this node and any peer that is not routable. Empty targets means
-// execute locally: standalone mode, we own fp, or no candidate is
-// routable (placement never moves on health; availability comes from the
-// local fallback). A routable peer is alive: its last probe answered
-// inside the probe timeout, so a gray peer is skipped at once instead of
-// waiting out a proxy timeout against it.
-func (m *Manager) routeFor(fp string) (owner string, targets []string) {
-	if m.membership == nil {
-		return "", nil
-	}
-	owners := m.membership.Ring().Owners(fp, m.replicas)
-	self := m.membership.Self()
-	if len(owners) == 0 || owners[0] == self {
-		return "", nil
-	}
-	for _, o := range owners {
-		if o != self && m.membership.Routable(o) {
-			targets = append(targets, o)
-		}
-	}
-	return owners[0], targets
 }
 
 // ExecuteLocal runs one scenario on this node — cache tiers first, then an
