@@ -244,8 +244,10 @@ type JobQueueStat struct {
 // TenantStat is one tenant's admission accounting in /statsz; present only
 // on nodes running with a tenant config.
 type TenantStat struct {
-	Name   string `json:"name"`
-	Weight int    `json:"weight"`
+	Name string `json:"name"`
+	// Weight is the WDRR weight the scheduler uses: a configured weight
+	// below 1 reads 1.
+	Weight int `json:"weight"`
 	// QueuedScenarios is the tenant's undispatched backlog (what MaxQueued
 	// bounds); RunningJobs its admitted, unsettled jobs (what
 	// MaxConcurrent bounds).

@@ -19,7 +19,7 @@
 // set union.
 //
 // Gray failures — peers that stay alive but turn slow — are handled by
-// two knobs. -proxy-timeout is how long this node waits on a slow peer:
+// one knob. -proxy-timeout is how long this node waits on a slow peer:
 // it bounds every outbound replica RPC, together with the submitting
 // job's remaining deadline budget (propagated hop to hop via
 // X-Dynring-Deadline), and a proxy batch that streams nothing for that
@@ -27,10 +27,7 @@
 // bounded by -probe-interval, capped at -proxy-timeout, so a peer that
 // answers too slowly fails its probes: it reads "suspect" and then "dead"
 // in /v1/cluster, routing moves to the next replica, and its first timely
-// probe makes it routable again. -shed-queue-depth arms an overload
-// brownout that sheds anonymous and negative-priority submissions with
-// 503 + Retry-After while the queue is over depth (fully cached requests
-// are always admitted).
+// probe makes it routable again.
 //
 // Usage:
 //
@@ -127,7 +124,6 @@ func run(ctx context.Context, out io.Writer, args []string) error {
 		replicas    = fs.Int("replicas", 0, "replica-set size k: each fingerprint's envelope lands on its owner plus the next k-1 ring successors (0 or 1 = unreplicated; must match cluster-wide)")
 		aeInterval  = fs.Duration("antientropy-interval", 0, "replica disk-tier reconciliation period (0 = default 30s; needs -replicas > 1 and -data)")
 		proxyTO     = fs.Duration("proxy-timeout", 0, "per-hop bound on outbound replica RPCs: proxy runs, replication pushes, anti-entropy fetches (0 = default 10s; a tighter job deadline bounds a hop further)")
-		shedDepth   = fs.Int("shed-queue-depth", 0, "queue depth at which the overload brownout sheds anonymous and negative-priority submissions with 503 (0 disables shedding)")
 		drain       = fs.Duration("drain", 5*time.Second, "graceful shutdown timeout")
 		pprofAddr   = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty disables)")
 		profileFrac = fs.Int("profile-fraction", 0, "sample 1/N of mutex-contention and blocking events for the -pprof mutex/block profiles (0 disables; requires -pprof)")
@@ -168,12 +164,11 @@ func run(ctx context.Context, out io.Writer, args []string) error {
 		runtime.SetBlockProfileRate(*profileFrac)
 	}
 	mgr, err := service.New(service.Options{
-		Workers:        *workers,
-		CacheSize:      *cacheSize,
-		DiskDir:        *dataDir,
-		JobHistory:     *history,
-		Tenants:        tenantCfg,
-		ShedQueueDepth: *shedDepth,
+		Workers:    *workers,
+		CacheSize:  *cacheSize,
+		DiskDir:    *dataDir,
+		JobHistory: *history,
+		Tenants:    tenantCfg,
 		Cluster: service.ClusterOptions{
 			Self:                strings.TrimRight(*self, "/"),
 			Peers:               seedPeers,

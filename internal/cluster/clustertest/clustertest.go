@@ -44,9 +44,6 @@ type Options struct {
 	// Tenants installs the same admission config on every node (nil = the
 	// open anonymous default).
 	Tenants []service.TenantConfig
-	// ShedQueueDepth arms the overload brownout on every node (0 =
-	// shedding disabled, the service default).
-	ShedQueueDepth int
 }
 
 // Cluster is a running in-process cluster and the fault plan every node's
@@ -111,7 +108,7 @@ func Start(t *testing.T, opts Options) *Cluster {
 	c := &Cluster{Plan: plan, t: t, nodes: make([]*Node, opts.Nodes)}
 	for i := range c.nodes {
 		o := service.Options{Workers: opts.Workers, CacheSize: opts.CacheSize,
-			Tenants: opts.Tenants, ShedQueueDepth: opts.ShedQueueDepth}
+			Tenants: opts.Tenants}
 		if opts.Disk {
 			o.DiskDir = t.TempDir()
 		}

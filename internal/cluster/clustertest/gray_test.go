@@ -3,9 +3,6 @@ package clustertest
 import (
 	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
-	"net/http"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -260,133 +257,5 @@ func TestGrayFailureReplicationSkipsDegradedPeer(t *testing.T) {
 		}
 		n0.Manager.AntiEntropyNow()
 		time.Sleep(20 * time.Millisecond)
-	}
-}
-
-// postSweepHdr POSTs spec to node i with extra headers through the plan
-// transport, returning the response (caller closes the body).
-func (c *Cluster) postSweepHdr(t *testing.T, i int, spec dynring.SweepSpec, hdr map[string]string) *http.Response {
-	t.Helper()
-	buf, err := json.Marshal(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req, err := http.NewRequest(http.MethodPost, c.Node(i).URL+"/v1/sweeps", bytes.NewReader(buf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	for k, v := range hdr {
-		req.Header.Set(k, v)
-	}
-	httpc := &http.Client{Transport: c.Plan.Transport("client")}
-	resp, err := httpc.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp
-}
-
-// TestGrayFailureBrownoutShedsAnonymousNotPremium: with the queue
-// saturated past the shed threshold, anonymous and negative-priority
-// submissions bounce with 503 + Retry-After while the premium tenant's
-// work is admitted and completes — and once the premium grid's results
-// are cached, the identical grid is admitted even anonymously (the
-// carve-out: cache hits cost no execution).
-func TestGrayFailureBrownoutShedsAnonymousNotPremium(t *testing.T) {
-	c := Start(t, Options{
-		Nodes: 1, Workers: 1,
-		// The memory tier must hold the whole test's results: the cached
-		// carve-out below probes residency, and the draining load would
-		// evict the premium grid out of a default-sized LRU.
-		CacheSize:      8192,
-		ShedQueueDepth: 40,
-		Tenants:        []service.TenantConfig{{Name: "premium", Key: "sk-premium", Weight: 1}},
-	})
-	m := c.Node(0).Manager
-
-	// Saturate the single worker far past the shed threshold, with rings
-	// big enough that the backlog outlives the shed assertions below
-	// (size-128 runs cost ~150µs each; 4000 of them hold the queue above
-	// the threshold for several hundred milliseconds even on a fast box).
-	loadSeeds := make([]int64, 4000)
-	for i := range loadSeeds {
-		loadSeeds[i] = int64(20000 + i)
-	}
-	load := dynring.SweepSpec{
-		Algorithms:  []string{"KnownNNoChirality"},
-		Sizes:       []int{128},
-		Seeds:       loadSeeds,
-		Adversaries: []dynring.AdversarySpec{{Kind: "random", P: 0.4}},
-	}
-	jLoad, err := m.Submit(load, service.SubmitOptions{Tenant: "premium"})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Anonymous work is shed at the door...
-	if _, err := m.Submit(seedSpec([]int64{30001}), service.SubmitOptions{}); !errors.Is(err, service.ErrOverloaded) {
-		t.Fatalf("anonymous submit under brownout: err %v, want ErrOverloaded", err)
-	}
-	// ...and over the wire a sheddable submission is 503 + Retry-After.
-	resp := c.postSweepHdr(t, 0, seedSpec([]int64{30002}), map[string]string{
-		"Authorization":        "Bearer sk-premium",
-		service.PriorityHeader: "-1",
-	})
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("negative-priority submit under brownout: status %d, want 503", resp.StatusCode)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra == "" {
-		t.Fatal("503 shed response carries no Retry-After hint")
-	}
-
-	// The premium tenant's own grid sails through at a priority that
-	// jumps the backlog, and completes while the node is still loaded.
-	premium := seedSpec([]int64{30003, 30004})
-	resp = c.postSweepHdr(t, 0, premium, map[string]string{
-		"Authorization":        "Bearer sk-premium",
-		service.PriorityHeader: "5",
-	})
-	var st dynring.JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("premium submit under brownout: status %d, want 201", resp.StatusCode)
-	}
-	jPremium, ok := m.Job(st.ID)
-	if !ok {
-		t.Fatalf("premium job %s unknown to the manager", st.ID)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	if err := jPremium.Wait(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if ps := jPremium.Status(); ps.State != "done" || ps.Errors != 0 {
-		t.Fatalf("premium job state %q errors %d, want clean completion", ps.State, ps.Errors)
-	}
-
-	// Carve-out: the identical (now fully cached) grid is admitted even
-	// anonymously, brownout or not, and settles entirely from cache.
-	shedBefore := scrapeCounter(t, c, 0, "dynring_admission_shed_total")
-	if shedBefore < 2 {
-		t.Fatalf("shed_total = %v, want >= 2", shedBefore)
-	}
-	jCached, err := m.Submit(premium, service.SubmitOptions{})
-	if err != nil {
-		t.Fatalf("fully cached anonymous submit: %v", err)
-	}
-	if err := jCached.Wait(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if got := scrapeCounter(t, c, 0, "dynring_admission_shed_total"); got != shedBefore {
-		t.Fatalf("cached carve-out bumped shed_total %v -> %v", shedBefore, got)
-	}
-
-	if err := jLoad.Wait(ctx); err != nil {
-		t.Fatal(err)
 	}
 }

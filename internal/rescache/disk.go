@@ -75,11 +75,12 @@ const (
 
 // OpenDisk opens (creating if needed) the durable tier rooted at dir and
 // scans it: leftover tmp files from an interrupted writer are removed,
-// every well-formed entry is indexed, and — when warm is non-nil — its
-// decoded value is handed to warm, which is how the service preloads its
-// LRU on boot. Corrupt or truncated entries are counted, logged through
-// logf (when non-nil) and skipped; they are not deleted, so a bad entry
-// can be inspected post hoc, and a later Put of its key repairs it.
+// every well-formed entry filed under its own key's name is indexed, and
+// — when warm is non-nil — its decoded value is handed to warm, which is
+// how the service preloads its LRU on boot. Corrupt, truncated or
+// misnamed entries are counted, logged through logf (when non-nil) and
+// skipped; they are not deleted, so a bad entry can be inspected post
+// hoc, and a later Put of its key repairs it.
 func OpenDisk[V any](dir string, logf func(format string, args ...any), warm func(key string, val V)) (*Disk[V], error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -112,6 +113,12 @@ func OpenDisk[V any](dir string, logf func(format string, args ...any), warm fun
 			continue
 		}
 		env, size, err := readEntry[V](path)
+		if err == nil && name != fileName(env.Key) {
+			// A renamed or hand-copied entry: Get and Put address a key
+			// by fileName, so indexing it would claim a key this tier
+			// can neither serve nor write.
+			err = fmt.Errorf("entry for key %q belongs in %s", env.Key, fileName(env.Key))
+		}
 		if err != nil {
 			d.skipped++
 			d.warnf("rescache: skipping corrupt disk entry %s: %v", path, err)

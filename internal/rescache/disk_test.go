@@ -1,6 +1,7 @@
 package rescache
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -326,4 +327,108 @@ func TestDiskPutAfterCloseDropped(t *testing.T) {
 	if v, ok := d.Get("k"); !ok || v.N != 1 {
 		t.Fatal("Get after Close must keep serving durable entries")
 	}
+}
+
+// TestDiskMisnamedEntrySkipped: an entry whose file name is not
+// fileName(its key) — renamed or hand-copied — is skipped at open like a
+// corrupt one. Indexing it would list a key that Get cannot read and
+// that Put treats as already durable, so the key could never be written.
+func TestDiskMisnamedEntrySkipped(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "aaa.json"), []byte(`{"key":"bbb","value":{"n":1}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var logged []string
+	logf := func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
+	warmed := map[string]dval{}
+	d, err := OpenDisk[dval](dir, logf, func(k string, v dval) { warmed[k] = v })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if keys := d.Keys(); len(keys) != 0 {
+		t.Fatalf("Keys() = %q, want none", keys)
+	}
+	if len(warmed) != 0 {
+		t.Fatalf("warm start = %v, want nothing", warmed)
+	}
+	if st := d.Stats(); st.Skipped != 1 || st.Entries != 0 || st.Bytes != 0 {
+		t.Fatalf("stats = %+v, want 1 skipped and an empty index", st)
+	}
+	if len(logged) != 1 {
+		t.Fatalf("misnamed entry must be logged once, got %q", logged)
+	}
+	d.Put("bbb", dval{N: 2})
+	d.Close()
+	if _, err := os.Stat(filepath.Join(dir, "bbb.json")); err != nil {
+		t.Fatalf("Put of the misnamed entry's key was not written: %v", err)
+	}
+	d2 := openDisk(t, dir, nil)
+	if got, ok := d2.Get("bbb"); !ok || got.N != 2 {
+		t.Fatalf("Get(bbb) after reopen = %+v, %v; want N=2", got, ok)
+	}
+}
+
+// FuzzDiskEntry writes one arbitrary file into an empty tier and opens
+// it: the scan must not panic, every key Keys() lists must be served by
+// Get, and each served value must survive Put, Close and a reopen.
+func FuzzDiskEntry(f *testing.F) {
+	good := `{"key":"aaa","value":{"n":1,"s":"x","xs":[1,2]}}`
+	f.Add("aaa.json", good)
+	f.Add("aaa.json", `{"key":"bbb","value":{"n":1}}`) // misnamed
+	f.Add("aaa.json", good[:len(good)/2])              // truncated
+	f.Add("aaa.json", good+"junk")                     // trailing bytes
+	f.Add("aaa.json", good+"\n")
+	f.Add(".json", `{"key":"","value":{"n":1}}`) // empty key
+	f.Add("aaa.json.tmp", good)
+	f.Fuzz(func(t *testing.T, name, content string) {
+		if name == "" || name == "." || name == ".." || strings.ContainsAny(name, "/\\\x00") || len(name) > 200 {
+			t.Skip()
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
+			t.Skip()
+		}
+		d, err := OpenDisk[dval](dir, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		served := map[string]dval{}
+		for _, k := range d.Keys() {
+			v, ok := d.Get(k)
+			if !ok {
+				t.Fatalf("Keys() lists %q but Get misses", k)
+			}
+			served[k] = v
+			d.Put(k, v)
+			d.Put(k+"-rt", v)
+		}
+		d.Close()
+		d2, err := OpenDisk[dval](dir, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d2.Close()
+		for k, v := range served {
+			for _, key := range []string{k, k + "-rt"} {
+				got, ok := d2.Get(key)
+				if !ok {
+					t.Fatalf("Get(%q) after reopen missed", key)
+				}
+				if a, b := mustJSON(t, got), mustJSON(t, v); a != b {
+					t.Fatalf("Get(%q) after reopen = %s, want %s", key, a, b)
+				}
+			}
+		}
+	})
+}
+
+// mustJSON encodes v for comparison: an entry's empty and omitted Xs
+// decode differently but encode alike, and are the same entry.
+func mustJSON(t *testing.T, v any) string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }

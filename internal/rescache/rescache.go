@@ -90,8 +90,9 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 
 // Contains reports whether key is resident, without counting a hit or a
 // miss and without refreshing recency. It is a pure membership probe for
-// callers (admission's brownout carve-out) that need "would a Get hit?"
-// but must not distort the cache's usage statistics or eviction order.
+// callers (the service's proxy path, before settling a queued row from
+// cache) that need "would a Get hit?" but must not distort the cache's
+// usage statistics or eviction order.
 func (c *Cache[V]) Contains(key string) bool {
 	if c.capacity == 0 {
 		return false

@@ -42,13 +42,6 @@ var ErrQuotaExceeded = errors.New("service: tenant quota exceeded")
 // tenant (or carries none) on a node with a tenant config. Mapped to 401.
 var ErrUnknownTenant = errors.New("service: unknown or missing tenant key")
 
-// ErrOverloaded is the brownout rejection: the node is shedding
-// lowest-value work (anonymous or negative-priority submissions) because
-// its queue depth crossed the configured shed threshold. Mapped to 503 with a Retry-After hint. Unlike
-// ErrQuotaExceeded this is the node's fault, not the tenant's — the
-// client did nothing wrong and should simply come back later.
-var ErrOverloaded = errors.New("service: overloaded, shedding low-priority work")
-
 // TenantConfig declares one admission principal (ringsimd -tenants).
 type TenantConfig struct {
 	// Name identifies the tenant in job statuses, /statsz and metric
@@ -232,44 +225,7 @@ func (m *Manager) admitLocked(ts *tenantState, total int) error {
 	return nil
 }
 
-// brownoutLocked reports whether the node is shedding: ShedQueueDepth is
-// armed and the total scheduler backlog has reached it (work is arriving
-// faster than workers drain it). Callers hold m.mu.
-func (m *Manager) brownoutLocked() bool {
-	return m.shedQueueDepth > 0 && m.sched.Len() >= m.shedQueueDepth
-}
-
-// shedLocked is the brownout gate ahead of quota admission: under
-// brownout, anonymous and negative-priority submissions are shed with
-// ErrOverloaded (HTTP 503 + Retry-After). Identified tenants at default
-// or better priority always pass — brownout degrades the free tier
-// first, never paid work. One carve-out: a grid whose every fingerprint
-// is resident in the memory cache is admitted regardless, because it
-// costs no execution — refusing reads that are already paid for would
-// turn an overload into an outage. Callers hold m.mu.
-func (m *Manager) shedLocked(ts *tenantState, priority int, fps []string) error {
-	if !m.brownoutLocked() {
-		return nil
-	}
-	if ts.cfg.Name != AnonymousTenant && priority >= 0 {
-		return nil
-	}
-	cached := len(fps) > 0
-	for _, fp := range fps {
-		if !m.cache.Contains(fp) {
-			cached = false
-			break
-		}
-	}
-	if cached {
-		return nil
-	}
-	m.shed.Add(1)
-	return fmt.Errorf("%w: tenant %q priority %d", ErrOverloaded, ts.cfg.Name, priority)
-}
-
-// RetryAfter is the backoff hint served with 429 (quota) and 503
-// (brownout) rejections. Quota headroom frees up as fast as scenarios
-// execute and brownouts clear as fast as the queue drains, so the hint
-// is a constant small delay rather than a queue-model estimate.
+// RetryAfter is the backoff hint served with 429 quota rejections. Quota
+// headroom frees up as fast as scenarios execute, so the hint is a
+// constant small delay rather than a queue-model estimate.
 const RetryAfter = 1 * time.Second

@@ -343,7 +343,12 @@ func TestResultsResumeFrom(t *testing.T) {
 // TestStatszTenantsSection: configured tenants appear in /statsz with
 // their weights and admission counters; without config the key is absent.
 func TestStatszTenantsSection(t *testing.T) {
-	m := mustNew(t, Options{Workers: 2, CacheSize: 16, Tenants: twoTenants()})
+	// carol is "-tenants carol:sk-carol" (weight 0) and dave a negative
+	// weight: /statsz must report the weight 1 the scheduler uses.
+	tenants := append(twoTenants(),
+		TenantConfig{Name: "carol", Key: "sk-carol"},
+		TenantConfig{Name: "dave", Key: "sk-dave", Weight: -2})
+	m := mustNew(t, Options{Workers: 2, CacheSize: 16, Tenants: tenants})
 	defer m.Close()
 	srv := httptest.NewServer(NewHandler(m))
 	defer srv.Close()
@@ -365,14 +370,15 @@ func TestStatszTenantsSection(t *testing.T) {
 		t.Fatal(err)
 	}
 	sr.Body.Close()
-	if len(stats.Tenants) != 2 {
-		t.Fatalf("tenants section has %d entries, want 2: %+v", len(stats.Tenants), stats.Tenants)
+	if len(stats.Tenants) != 4 {
+		t.Fatalf("tenants section has %d entries, want 4: %+v", len(stats.Tenants), stats.Tenants)
 	}
 	byName := map[string]dynring.TenantStat{}
 	for _, ts := range stats.Tenants {
 		byName[ts.Name] = ts
 	}
-	if byName["alice"].Weight != 3 || byName["bob"].Weight != 1 {
+	if byName["alice"].Weight != 3 || byName["bob"].Weight != 1 ||
+		byName["carol"].Weight != 1 || byName["dave"].Weight != 1 {
 		t.Fatalf("weights not reported: %+v", stats.Tenants)
 	}
 	if byName["alice"].Admitted != 1 || byName["alice"].ServedTasks == 0 {

@@ -97,11 +97,11 @@ func (c *Cache) Get(key string) (dynring.Result, bool) {
 }
 
 // Contains reports whether key is resident in the memory tier, without
-// counting a hit/miss or refreshing recency. Admission's brownout
-// carve-out uses it to recognise a fully cached grid: the probe must be
-// free (no disk IO under overload) and must not distort the hit-rate
-// statistics or the LRU order. A disk-only entry reports false — serving
-// it still costs IO the browned-out node is trying to avoid.
+// counting a hit/miss or refreshing recency. The proxy path uses it
+// before a Get to settle queued rows whose result arrived while they
+// waited (hops.settleCachedLocked): the probe costs no disk IO and a
+// miss must not distort the hit-rate statistics or the LRU order. A
+// disk-only entry reports false.
 func (c *Cache) Contains(key string) bool { return c.c.Contains(key) }
 
 // Promotions counts disk hits promoted into the memory tier since startup.

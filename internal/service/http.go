@@ -134,9 +134,6 @@ func NewHandler(m *Manager) http.Handler {
 			case errors.Is(err, ErrQuotaExceeded):
 				code = http.StatusTooManyRequests
 				w.Header().Set("Retry-After", strconv.Itoa(int(RetryAfter.Seconds())))
-			case errors.Is(err, ErrOverloaded):
-				code = http.StatusServiceUnavailable
-				w.Header().Set("Retry-After", strconv.Itoa(int(RetryAfter.Seconds())))
 			}
 			writeError(w, code, err)
 			return

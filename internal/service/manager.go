@@ -50,13 +50,6 @@ type Options struct {
 	// single anonymous tenant with no quotas — scheduling is then identical
 	// to the pre-tenant service. Must pass ValidateTenants.
 	Tenants []TenantConfig
-	// ShedQueueDepth, when positive, arms overload brownout: once the
-	// scheduler backlog reaches this many undispatched scenarios, new
-	// anonymous and negative-priority submissions are shed with
-	// ErrOverloaded (HTTP 503 + Retry-After) while configured tenants'
-	// work, fully-cached grids, and every read endpoint keep being served.
-	// Zero disables queue-depth shedding (ringsimd -shed-queue-depth).
-	ShedQueueDepth int
 	// Logger, when non-nil, receives structured operational records
 	// (cluster state transitions, skipped disk entries, proxy fallbacks,
 	// job lifecycle). The manager derives per-component child loggers
@@ -199,12 +192,8 @@ type Manager struct {
 	auxWG       sync.WaitGroup
 	replq       chan replItem
 
-	// Gray-failure resilience state. proxyTimeout bounds every replica
-	// RPC; shedQueueDepth arms admission brownout, and shed counts
-	// submissions rejected by it.
-	proxyTimeout   time.Duration
-	shedQueueDepth int
-	shed           atomic.Uint64
+	// proxyTimeout bounds every replica RPC (gray-failure resilience).
+	proxyTimeout time.Duration
 
 	// Admission state: tenants by name and by API key (both immutable
 	// after newManager; tenantList preserves declaration order for stats),
@@ -305,6 +294,9 @@ func newManager(opts Options) (*Manager, error) {
 	m.tenants[AnonymousTenant] = anon
 	m.sched.AddTenant(AnonymousTenant, 1)
 	for _, tc := range opts.Tenants {
+		// The scheduler raises weights below 1 to 1; so does the config
+		// that /statsz reports.
+		tc.Weight = max(tc.Weight, 1)
 		ts := &tenantState{cfg: tc}
 		m.tenants[tc.Name] = ts
 		m.byKey[tc.Key] = ts
@@ -323,7 +315,6 @@ func newManager(opts Options) (*Manager, error) {
 	m.cache = cache
 	m.group = rescache.NewGroup(cache, dynring.Result.Clone)
 	m.runners.New = func() any { return dynring.NewRunner() }
-	m.shedQueueDepth = opts.ShedQueueDepth
 	m.proxyTimeout = opts.Cluster.ProxyTimeout
 	if m.proxyTimeout <= 0 {
 		m.proxyTimeout = defaultProxyTimeout
@@ -444,10 +435,9 @@ type SubmitOptions struct {
 
 // Submit is the submission path: expand and fingerprint the grid (axis
 // form or explicit-list form — the latter is how cluster peers ship grid
-// shares), pass the brownout gate (ErrOverloaded — HTTP 503 — when the
-// node is shedding and this submission is sheddable), admit it against
-// the tenant's quotas (ErrQuotaExceeded — HTTP 429 — when over), register
-// the job, arm its deadline and queue it on the tenant's scheduler lane.
+// shares), admit it against the tenant's quotas (ErrQuotaExceeded — HTTP
+// 429 — when over), register the job, arm its deadline and queue it on
+// the tenant's scheduler lane.
 // Expansion, validation and fingerprint errors are reported here, before
 // anything runs.
 func (m *Manager) Submit(spec dynring.SweepSpec, opts SubmitOptions) (*Job, error) {
@@ -478,9 +468,6 @@ func (m *Manager) Submit(spec dynring.SweepSpec, opts SubmitOptions) (*Job, erro
 	ts, ok := m.tenants[tenantName]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownTenant, tenantName)
-	}
-	if err := m.shedLocked(ts, opts.Priority, fps); err != nil {
-		return nil, err
 	}
 	if err := m.admitLocked(ts, len(scenarios)); err != nil {
 		return nil, err

@@ -126,13 +126,6 @@ func newMetrics(m *Manager) *metrics {
 			"Work-creating requests rejected for a missing or unknown API key.",
 			func() float64 { return float64(m.unauthorized.Load()) })
 	}
-	// Registered unconditionally (unlike the per-tenant families): brownout
-	// shedding exists on every node — the anonymous tenant is sheddable even
-	// without a tenant config — and a flat zero is itself the signal that no
-	// brownout has occurred.
-	r.CounterFunc("dynring_admission_shed_total",
-		"Sweeps shed with 503 by the overload brownout (scheduler queue depth at or over the shed threshold).",
-		func() float64 { return float64(m.shed.Load()) })
 
 	// --- cache: the tiered result store ---
 	r.CounterFunc("dynring_cache_hits_total",

@@ -59,11 +59,6 @@ func main() {
 				}
 			}
 		}
-		// The brownout shed counter registers unconditionally; every shape
-		// must render it or overload shedding has gone invisible.
-		if !strings.Contains(text, "dynring_admission_shed_total") {
-			problems = append(problems, shape+": family dynring_admission_shed_total not rendered")
-		}
 	}
 	if len(problems) > 0 {
 		for _, p := range problems {
