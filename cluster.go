@@ -18,16 +18,16 @@ import (
 // runs, so there is exactly one routing authority.
 
 // PeerStatus is one cluster member as reported by /v1/cluster (and
-// /statsz). State is "alive", "suspect", "dead" or "left" as seen by the
-// reporting node; health is local opinion, placement is global.
+// /statsz). State is "alive", "suspect" or "dead" as seen by the reporting
+// node; health is local opinion, placement is global.
 type PeerStatus struct {
 	URL  string `json:"url"`
 	Self bool   `json:"self,omitempty"`
-	// State is the probe-derived health state. Peers in any state except
-	// "left" are ring members; only "alive" peers receive routed work. A
-	// gray peer — one that answers, but slower than the reporting node's
-	// probe timeout (capped at its proxy timeout) — reads "suspect" after
-	// one slow probe and "dead" after several, exactly like an
+	// State is the probe-derived health state. Every configured member is
+	// on the ring whatever its state; only "alive" peers receive routed
+	// work. A gray peer — one that answers, but slower than the reporting
+	// node's probe timeout (capped at its proxy timeout) — reads "suspect"
+	// after one slow probe and "dead" after several, exactly like an
 	// unreachable one, and "alive" again at its first timely probe.
 	State string `json:"state"`
 	// Failures counts consecutive failed probes; LastSeen is the last

@@ -7,10 +7,13 @@
 // class's jobs; without -tenants everything runs as one anonymous tenant,
 // which is plain fair round-robin between jobs. With -data the cache gains
 // a durable disk tier that survives restarts; with -self/-peers the node
-// joins a sharded cluster that routes each fingerprint to one owning node.
-// Any node accepts a sweep and coordinates it: routing is decided here, on
-// the server, never by clients, and the ring's vnode count is fixed so
-// every node computes the same placement.
+// is a member of a sharded cluster that routes each fingerprint to one
+// owning node. -peers is the cluster's member list, the same on every node
+// and including -self; the ring is that list, fixed for the process's
+// lifetime, and health probes change only where rows are sent, never who
+// owns them. Any node accepts a sweep and coordinates it: routing is
+// decided here, on the server, never by clients, and the ring's vnode
+// count is fixed so every node computes the same placement.
 // With -replicas k (and -data) each fingerprint's envelope is further
 // replicated to the owner's next k-1 ring successors: completed results
 // are pushed to every replica's disk tier, routing falls over to replicas
@@ -57,15 +60,16 @@
 //	DELETE /v1/sweeps/{id}          cancel
 //	POST   /v1/run                  run one scenario synchronously (the cluster proxy hop)
 //	GET    /v1/cluster              this node's cluster view
-//	POST   /v1/cluster/{leave,join} peer shutdown/boot announcements
 //	POST   /v1/replicate            accept one replicated envelope (replicas > 1 only)
 //	GET    /v1/antientropy/keys     durable-tier key listing (replicas > 1 only)
 //	GET    /v1/antientropy/entry    one validated envelope (replicas > 1 only)
 //	GET    /healthz, /statsz        liveness and counters
 //
-// SIGINT/SIGTERM trigger a graceful shutdown: the node announces its leave
-// to peers, jobs are cancelled, streams settle, queued durable-tier writes
-// are flushed to disk, and in-flight responses drain within -drain.
+// SIGINT/SIGTERM trigger a graceful shutdown: jobs are cancelled, streams
+// settle, queued durable-tier writes are flushed to disk, and in-flight
+// responses drain within -drain. Peers see the node go suspect and then
+// dead through their probes, exactly as after a crash, and alive again at
+// their first probe after it restarts.
 //
 // Observability: GET /metrics serves the node's Prometheus text exposition
 // (see docs/ARCHITECTURE.md for the metric catalogue), operational logs are
@@ -93,6 +97,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -119,7 +124,7 @@ func run(ctx context.Context, out io.Writer, args []string) error {
 		history     = fs.Int("job-history", 0, "settled jobs retained for queries (0 = default 1024)")
 		tenants     = fs.String("tenants", "", "tenant declarations: name:key:weight[:maxQueued[:maxConcurrent]],... or @file.json (empty = single anonymous tenant)")
 		self        = fs.String("self", "", "this node's advertised base URL (enables cluster mode)")
-		peers       = fs.String("peers", "", "comma-separated seed peer base URLs (same list on every node)")
+		peers       = fs.String("peers", "", "comma-separated base URLs of every cluster member, -self included (same list on every node)")
 		probeIvl    = fs.Duration("probe-interval", 0, "peer health-probe period (0 = default 1s)")
 		replicas    = fs.Int("replicas", 0, "replica-set size k: each fingerprint's envelope lands on its owner plus the next k-1 ring successors (0 or 1 = unreplicated; must match cluster-wide)")
 		aeInterval  = fs.Duration("antientropy-interval", 0, "replica disk-tier reconciliation period (0 = default 30s; needs -replicas > 1 and -data)")
@@ -142,11 +147,15 @@ func run(ctx context.Context, out io.Writer, args []string) error {
 	if *profileFrac > 0 && *pprofAddr == "" {
 		return fmt.Errorf("-profile-fraction requires -pprof (the profiles are served there)")
 	}
-	var seedPeers []string
+	selfURL := strings.TrimRight(*self, "/")
+	var members []string
 	for _, p := range strings.Split(*peers, ",") {
 		if p = strings.TrimSpace(p); p != "" {
-			seedPeers = append(seedPeers, strings.TrimRight(p, "/"))
+			members = append(members, strings.TrimRight(p, "/"))
 		}
+	}
+	if len(members) > 0 && !slices.Contains(members, selfURL) {
+		return fmt.Errorf("-peers must include -self %s: every node is started with the same member list", selfURL)
 	}
 	tenantCfg, err := service.ParseTenants(*tenants)
 	if err != nil {
@@ -170,8 +179,8 @@ func run(ctx context.Context, out io.Writer, args []string) error {
 		JobHistory: *history,
 		Tenants:    tenantCfg,
 		Cluster: service.ClusterOptions{
-			Self:                strings.TrimRight(*self, "/"),
-			Peers:               seedPeers,
+			Self:                selfURL,
+			Peers:               members,
 			ProbeInterval:       *probeIvl,
 			Replicas:            *replicas,
 			AntiEntropyInterval: *aeInterval,
@@ -190,7 +199,7 @@ func run(ctx context.Context, out io.Writer, args []string) error {
 	fmt.Fprintf(out, "ringsimd listening on http://%s (workers=%d cache=%d)\n",
 		ln.Addr(), mgr.Workers(), *cacheSize)
 	if *self != "" {
-		fmt.Fprintf(out, "ringsimd cluster mode: self=%s peers=%d\n", *self, len(seedPeers))
+		fmt.Fprintf(out, "ringsimd cluster mode: self=%s peers=%d\n", selfURL, len(members))
 	}
 	if len(tenantCfg) > 0 {
 		fmt.Fprintf(out, "ringsimd admission: %d tenants\n", len(tenantCfg))

@@ -39,6 +39,19 @@ func TestRunFlagErrors(t *testing.T) {
 	if err := run(context.Background(), &out, []string{"-addr", "500.500.500.500:99999"}); err == nil {
 		t.Fatal("unlistenable address accepted")
 	}
+	// The ring is -self plus -peers, so a node missing from its own member
+	// list would place keys unlike the nodes that list it.
+	err := run(context.Background(), &out, []string{"-self", "http://127.0.0.1:1", "-peers", "http://127.0.0.1:2,http://127.0.0.1:3"})
+	if err == nil || !strings.Contains(err.Error(), "-peers must include -self") {
+		t.Fatalf("-peers without -self: err = %v", err)
+	}
+	// The comparison trims a trailing slash on either side; the boot then
+	// fails on the address alone.
+	err = run(context.Background(), &out, []string{"-addr", "500.500.500.500:99999",
+		"-self", "http://127.0.0.1:1/", "-peers", "http://127.0.0.1:1,http://127.0.0.1:2/"})
+	if err == nil || strings.Contains(err.Error(), "-peers") {
+		t.Fatalf("-self listed with a trailing slash: err = %v, want only the address error", err)
+	}
 }
 
 // TestBootSubmitShutdown boots the daemon on an ephemeral port, pushes one

@@ -215,11 +215,7 @@ func TestClusterExactlyOnceConcurrentCoordinators(t *testing.T) {
 	// the grid arrives.
 	time.Sleep(10 * 25 * time.Millisecond)
 
-	seeds := make([]int64, 50)
-	for i := range seeds {
-		seeds[i] = int64(1 + i)
-	}
-	spec := grid(seeds...) // 200 rows
+	spec := grid(seqSeeds(50)...) // 200 rows
 	jobs := make([]*service.Job, 2)
 	for i := range jobs {
 		if jobs[i], err = c.Node(i).Manager.Submit(spec, service.SubmitOptions{}); err != nil {
@@ -241,6 +237,94 @@ func TestClusterExactlyOnceConcurrentCoordinators(t *testing.T) {
 	}
 	if got, want := c.TotalExecutions(), uint64(len(distinct)); got != want {
 		t.Fatalf("cluster executed %d scenarios for %d distinct fingerprints (%d duplicated)", got, want, got-want)
+	}
+	streamA := readStream(t, c, c.Node(0).URL+"/v1/sweeps/"+jobs[0].ID+"/results")
+	streamB := readStream(t, c, c.Node(1).URL+"/v1/sweeps/"+jobs[1].ID+"/results")
+	if !bytes.Equal(streamA, streamB) {
+		t.Fatalf("coordinators streamed different results:\n--- node 0 ---\n%s\n--- node 1 ---\n%s", streamA, streamB)
+	}
+}
+
+// TestClusterExactlyOnceAfterOwnerCrash: at full replication with one node
+// crashed, a row the dead node owns runs on the first live member of its
+// replica set, whichever node coordinates it. Each route walk stops at
+// its coordinator's own place in the set, so two coordinators never send
+// such a row to each other and both execute it.
+func TestClusterExactlyOnceAfterOwnerCrash(t *testing.T) {
+	c := Start(t, Options{Nodes: 3, Replicas: 3, Disk: true})
+	c.Crash(2)
+	for i := 0; i < 2; i++ {
+		c.WaitPeerState(i, c.Node(2).URL, "suspect", "dead")
+	}
+	c.runOnceOnBoth(t, grid(seqSeeds(50)...))
+}
+
+// TestClusterRestartReadmitted: membership is the configured member list,
+// so a node that shut down gracefully and came back on its old address is
+// readmitted by probes alone, by every peer, even when the first of them
+// could not reach it for two seconds after its boot. Peers that disagreed
+// about it would disagree on placement and run rows twice.
+func TestClusterRestartReadmitted(t *testing.T) {
+	const probe = 100 * time.Millisecond
+	c := Start(t, Options{Nodes: 3, ProbeInterval: probe})
+	n0, n2 := c.Node(0).URL, c.Node(2).URL
+	c.Stop(2)
+	for i := 0; i < 2; i++ {
+		c.WaitPeerState(i, n2, "suspect", "dead")
+	}
+	c.Plan.Partition(n0, n2)
+	c.Restart(2)
+	time.Sleep(2 * time.Second)
+	c.Plan.Heal(n0, n2)
+	healed := time.Now()
+	for i := 0; i < 2; i++ {
+		c.WaitPeerState(i, n2, "alive")
+	}
+	if took := time.Since(healed); took > 10*probe {
+		t.Fatalf("peers saw the restarted node alive %v after the fault was lifted, want <= %v", took, 10*probe)
+	}
+	c.runOnceOnBoth(t, grid(seqSeeds(50)...))
+}
+
+// seqSeeds returns the seeds 1..n.
+func seqSeeds(n int) []int64 {
+	seeds := make([]int64, n)
+	for i := range seeds {
+		seeds[i] = int64(1 + i)
+	}
+	return seeds
+}
+
+// runOnceOnBoth submits spec to nodes 0 and 1 at once and checks the
+// cluster-wide contract: it adds as many executions as spec has distinct
+// fingerprints, no row errors, and both coordinators stream byte-identical
+// results.
+func (c *Cluster) runOnceOnBoth(t *testing.T, spec dynring.SweepSpec) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	before := c.TotalExecutions()
+	jobs := make([]*service.Job, 2)
+	for i := range jobs {
+		var err error
+		if jobs[i], err = c.Node(i).Manager.Submit(spec, service.SubmitOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, j := range jobs {
+		if err := j.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if st := j.Status(); st.Errors != 0 {
+			t.Fatalf("job %s settled with %d errored rows", j.ID, st.Errors)
+		}
+	}
+	distinct := make(map[string]bool)
+	for _, fp := range fingerprints(t, spec) {
+		distinct[fp] = true
+	}
+	if got, want := c.TotalExecutions()-before, uint64(len(distinct)); got != want {
+		t.Fatalf("cluster executed %d scenarios for %d distinct fingerprints", got, want)
 	}
 	streamA := readStream(t, c, c.Node(0).URL+"/v1/sweeps/"+jobs[0].ID+"/results")
 	streamB := readStream(t, c, c.Node(1).URL+"/v1/sweeps/"+jobs[1].ID+"/results")

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -52,6 +53,8 @@ type Cluster struct {
 	// Plan injects faults into all cluster and client traffic.
 	Plan  *FaultPlan
 	t     *testing.T
+	opts  Options
+	urls  []string
 	nodes []*Node
 }
 
@@ -68,7 +71,7 @@ type Node struct {
 	// DataDir roots the node's durable tier ("" without Options.Disk).
 	DataDir string
 	srv     *http.Server
-	crashed bool
+	crashed bool // crashed or stopped: not serving
 }
 
 // Start boots opts.Nodes members on loopback listeners, each seeded with
@@ -105,37 +108,45 @@ func Start(t *testing.T, opts Options) *Cluster {
 		lns[i] = ln
 		urls[i] = "http://" + ln.Addr().String()
 	}
-	c := &Cluster{Plan: plan, t: t, nodes: make([]*Node, opts.Nodes)}
-	for i := range c.nodes {
-		o := service.Options{Workers: opts.Workers, CacheSize: opts.CacheSize,
-			Tenants: opts.Tenants}
+	c := &Cluster{Plan: plan, t: t, opts: opts, urls: urls, nodes: make([]*Node, opts.Nodes)}
+	for i, ln := range lns {
+		dir := ""
 		if opts.Disk {
-			o.DiskDir = t.TempDir()
+			dir = t.TempDir()
 		}
-		o.Cluster = service.ClusterOptions{
-			Self:                urls[i],
-			Peers:               urls,
-			ProbeInterval:       opts.ProbeInterval,
-			ProbeTimeout:        opts.ProbeTimeout,
-			Replicas:            opts.Replicas,
-			Transport:           plan.Transport(urls[i]),
-			AntiEntropyInterval: opts.AntiEntropyInterval,
-			ProxyTimeout:        opts.ProxyTimeout,
-		}
-		m, err := service.New(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := &http.Server{Handler: service.NewHandler(m)}
-		go srv.Serve(lns[i])
-		c.nodes[i] = &Node{Manager: m, URL: urls[i], DataDir: o.DiskDir, srv: srv}
-		t.Cleanup(func() {
-			srv.Close()
-			m.Close()
-		})
+		c.boot(i, ln, dir)
 	}
 	c.WaitAlive()
 	return c
+}
+
+// boot starts member i on ln: a fresh Manager over dataDir ("" for none)
+// with the full member list, served on ln until cleanup.
+func (c *Cluster) boot(i int, ln net.Listener, dataDir string) {
+	t, opts := c.t, c.opts
+	m, err := service.New(service.Options{
+		Workers: opts.Workers, CacheSize: opts.CacheSize, Tenants: opts.Tenants, DiskDir: dataDir,
+		Cluster: service.ClusterOptions{
+			Self:                c.urls[i],
+			Peers:               c.urls,
+			ProbeInterval:       opts.ProbeInterval,
+			ProbeTimeout:        opts.ProbeTimeout,
+			Replicas:            opts.Replicas,
+			Transport:           c.Plan.Transport(c.urls[i]),
+			AntiEntropyInterval: opts.AntiEntropyInterval,
+			ProxyTimeout:        opts.ProxyTimeout,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &http.Server{Handler: service.NewHandler(m)}
+	go srv.Serve(ln)
+	c.nodes[i] = &Node{Manager: m, URL: c.urls[i], DataDir: dataDir, srv: srv}
+	t.Cleanup(func() {
+		srv.Close()
+		m.Close()
+	})
 }
 
 // Node returns member i.
@@ -154,6 +165,34 @@ func (c *Cluster) Crash(i int) {
 	c.Plan.Kill(n.URL)
 	n.srv.Close()
 	n.crashed = true
+}
+
+// Stop shuts node i down gracefully, as SIGTERM does: its Manager closes
+// and its listener with it. Peers learn of it only from failing probes.
+// Like Crash, it leaves the Manager readable.
+func (c *Cluster) Stop(i int) {
+	c.t.Helper()
+	n := c.nodes[i]
+	n.Manager.Close()
+	n.srv.Close()
+	n.crashed = true
+}
+
+// Restart boots a fresh Manager for crashed or stopped node i on its old
+// address and -data directory, lifting any Kill of it in the plan. It does
+// not wait for peers to see the node alive. From then on TotalExecutions
+// counts the fresh Manager's executions, not the old one's.
+func (c *Cluster) Restart(i int) {
+	c.t.Helper()
+	n := c.nodes[i]
+	n.srv.Close()
+	n.Manager.Close()
+	ln, err := net.Listen("tcp", strings.TrimPrefix(n.URL, "http://"))
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	c.Plan.Revive(n.URL)
+	c.boot(i, ln, n.DataDir)
 }
 
 // WaitAlive blocks until every non-crashed node sees every other
@@ -190,7 +229,7 @@ func (c *Cluster) WaitAlive() {
 }
 
 // WaitPeerState blocks until node viewer reports peer in one of the given
-// wire states ("alive", "suspect", "dead", "left"), failing after 10s.
+// wire states ("alive", "suspect", "dead"), failing after 10s.
 func (c *Cluster) WaitPeerState(viewer int, peer string, states ...string) {
 	c.t.Helper()
 	deadline := time.Now().Add(10 * time.Second)

@@ -6,9 +6,8 @@
 // The injection seam is the http.RoundTripper that
 // service.ClusterOptions.Transport threads under every outbound cluster
 // request (health probes, proxy hops, replication pushes, anti-entropy
-// fetches, leave/join broadcasts). A FaultPlan hands each node — and the
-// test's own client — a tripper stamped with that party's identity, so
-// faults can be directional ("a cannot reach b") and globally ordered (a
+// fetches). A FaultPlan hands each node — and the test's own client — a
+// tripper stamped with that party's identity, so faults can be directional ("a cannot reach b") and globally ordered (a
 // single step counter across all traffic). No syscalls, no real process
 // kills: a "killed" node simply has every request to or from it fail at
 // the transport, which is exactly what SIGKILL looks like from the rest of

@@ -143,7 +143,7 @@ func TestGrayFailureSlowOwnerFailsOverUnderDeadline(t *testing.T) {
 // probe — fails its probes on every observer and goes suspect, then dead.
 // Routing serves its fingerprints from the next replica without a single
 // errored row or an execution on the gray node. Lifting the fault lets the
-// next timely probe (after the dead-peer backoff) restore alive.
+// next timely probe restore alive.
 func TestGrayFailureSlowPeerDemotedAndRecovers(t *testing.T) {
 	c := Start(t, Options{
 		Nodes: 3, Replicas: 2,
@@ -177,8 +177,8 @@ func TestGrayFailureSlowPeerDemotedAndRecovers(t *testing.T) {
 		t.Fatalf("cluster executed %d scenarios, want %d", got, len(seeds))
 	}
 
-	// Recovery: fast probes again; the first one past the backoff
-	// returns the peer to alive.
+	// Recovery: fast probes again; the first one returns the peer to
+	// alive.
 	c.Plan.SlowNode(c.Node(1).URL, 0)
 	c.WaitPeerState(0, c.Node(1).URL, "alive")
 }

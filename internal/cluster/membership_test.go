@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -16,37 +17,32 @@ import (
 // HTTP prober it honours ctx, so an RTT past the probe timeout fails the
 // probe.
 type fakeProbe struct {
-	mu      sync.Mutex
-	fail    map[string]bool
-	members map[string][]string
-	slow    map[string]time.Duration
-	calls   map[string]int
+	mu    sync.Mutex
+	fail  map[string]bool
+	slow  map[string]time.Duration
+	calls map[string]int
 }
 
 func newFakeProbe() *fakeProbe {
-	return &fakeProbe{
-		fail: map[string]bool{}, members: map[string][]string{},
-		slow: map[string]time.Duration{}, calls: map[string]int{},
-	}
+	return &fakeProbe{fail: map[string]bool{}, slow: map[string]time.Duration{}, calls: map[string]int{}}
 }
 
-func (f *fakeProbe) probe(ctx context.Context, url string) ([]string, error) {
+func (f *fakeProbe) probe(ctx context.Context, url string) error {
 	f.mu.Lock()
 	f.calls[url]++
 	fail, delay := f.fail[url], f.slow[url]
-	members := f.members[url]
 	f.mu.Unlock()
 	if delay > 0 {
 		select {
 		case <-time.After(delay):
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
 	}
 	if fail {
-		return nil, errors.New("connection refused")
+		return errors.New("connection refused")
 	}
-	return members, nil
+	return nil
 }
 
 func (f *fakeProbe) setSlow(url string, d time.Duration) {
@@ -107,20 +103,21 @@ func state(m *Membership, url string) State {
 			return p.State
 		}
 	}
-	return StateLeft
+	return -1 // not a member
 }
 
-// TestMembershipBootstrapAndStates: seed peers start suspect, go alive on
-// a successful probe, back to suspect on one failure, dead after
-// DeadAfter consecutive failures, and alive again on recovery.
+// TestMembershipBootstrapAndStates: configured peers start suspect, go
+// alive on a successful probe, back to suspect on one failure, dead after
+// DeadAfter consecutive failures, and alive again on recovery. A dead peer
+// is probed on every tick, like any other.
 func TestMembershipBootstrapAndStates(t *testing.T) {
 	probe := newFakeProbe()
 	m := newTestMembership(t, probe, "http://a:1", "http://self:1")
 	if got := state(m, "http://a:1"); got != StateSuspect {
-		t.Fatalf("seed peer starts %v, want suspect", got)
+		t.Fatalf("configured peer starts %v, want suspect", got)
 	}
 	if len(m.Snapshot()) != 2 {
-		t.Fatalf("self must be filtered from seeds: %v", m.Snapshot())
+		t.Fatalf("self must be filtered from the peer list: %v", m.Snapshot())
 	}
 
 	m.probeDue()
@@ -128,22 +125,27 @@ func TestMembershipBootstrapAndStates(t *testing.T) {
 
 	probe.setFail("http://a:1", true)
 	for i := 0; i < 2; i++ {
-		advance(m, time.Hour)
 		m.probeDue()
 		settle(t, m, func() bool { return true })
 	}
 	if got := state(m, "http://a:1"); got != StateSuspect {
 		t.Fatalf("after 2 failures state = %v, want suspect", got)
 	}
-	advance(m, time.Hour)
 	m.probeDue()
 	settle(t, m, func() bool { return state(m, "http://a:1") == StateDead })
 	if m.Routable("http://a:1") {
 		t.Fatal("dead peer reported routable")
 	}
+	before := probe.callCount("http://a:1")
+	for i := 0; i < 3; i++ {
+		m.probeDue()
+		settle(t, m, func() bool { return true })
+	}
+	if got := probe.callCount("http://a:1") - before; got != 3 {
+		t.Fatalf("dead peer probed %d times in 3 ticks, want 3", got)
+	}
 
 	probe.setFail("http://a:1", false)
-	advance(m, time.Hour)
 	m.probeDue()
 	settle(t, m, func() bool { return state(m, "http://a:1") == StateAlive })
 }
@@ -187,7 +189,6 @@ func TestMembershipSlowProbeDemotes(t *testing.T) {
 				},
 			})
 			tick := func() {
-				advance(m, time.Hour)
 				m.probeDue()
 				settle(t, m, func() bool { return true })
 			}
@@ -249,7 +250,6 @@ func TestBreakerSlowRTTCountsAsFailure(t *testing.T) {
 			m.probeDue()
 			settle(t, m, func() bool { return state(m, peer) == StateAlive })
 			probe.setSlow(peer, tc.rtt)
-			advance(m, time.Hour)
 			m.probeDue()
 			settle(t, m, func() bool { return true })
 			if got := state(m, peer); got != tc.want {
@@ -280,7 +280,6 @@ func TestMembershipDegradedViewAndRoutable(t *testing.T) {
 
 	probe.setSlow(slow, 200*time.Millisecond)
 	for i := 0; i < 2; i++ {
-		advance(m, time.Hour)
 		m.probeDue()
 		settle(t, m, func() bool { return true })
 	}
@@ -299,93 +298,10 @@ func TestMembershipDegradedViewAndRoutable(t *testing.T) {
 	}
 
 	probe.setSlow(slow, 0)
-	advance(m, time.Hour)
 	m.probeDue()
 	settle(t, m, func() bool { return true })
 	if !m.Routable(slow) || !m.Routable(fast) {
 		t.Fatalf("after timely probes routable = %v/%v, want both", m.Routable(slow), m.Routable(fast))
-	}
-}
-
-// advance shifts the membership clock forward so backoff windows expire
-// without sleeping.
-func advance(m *Membership, d time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, p := range m.peers {
-		p.nextProbe = p.nextProbe.Add(-d)
-	}
-}
-
-// TestMembershipBackoff: a failing peer is probed with exponentially
-// growing gaps — within a fixed wall-clock budget it must be probed far
-// fewer times than interval-paced probing would.
-func TestMembershipBackoff(t *testing.T) {
-	probe := newFakeProbe()
-	probe.setFail("http://a:1", true)
-	m := newTestMembership(t, probe, "http://a:1")
-	for i := 0; i < 10; i++ {
-		m.probeDue()
-		settle(t, m, func() bool { return true })
-	}
-	// Without backoff every probeDue tick fires one probe (10 calls);
-	// with exponential backoff only the first tick's probe is due (a
-	// couple more may slip in on a slow machine as early windows expire).
-	if got := probe.callCount("http://a:1"); got > 4 {
-		t.Fatalf("failing peer probed %d times across immediate ticks, want backoff to suppress repeats", got)
-	}
-	m.mu.Lock()
-	next := m.peers["http://a:1"].nextProbe
-	m.mu.Unlock()
-	if until := time.Until(next); until < m.cfg.ProbeInterval {
-		t.Fatalf("backoff window %v not grown past the base interval", until)
-	}
-}
-
-// TestMembershipGossipJoin: members discovered in a probe response join as
-// suspect and enter the ring; self is never added.
-func TestMembershipGossipJoin(t *testing.T) {
-	probe := newFakeProbe()
-	probe.members["http://a:1"] = []string{"http://b:2", "http://self:1"}
-	m := newTestMembership(t, probe, "http://a:1")
-	m.probeDue()
-	settle(t, m, func() bool { return state(m, "http://a:1") == StateAlive })
-	if got := state(m, "http://b:2"); got != StateSuspect {
-		t.Fatalf("gossiped peer state = %v, want suspect", got)
-	}
-	members := m.Ring().Members()
-	want := []string{"http://a:1", "http://b:2", "http://self:1"}
-	if fmt.Sprint(members) != fmt.Sprint(want) {
-		t.Fatalf("ring members = %v, want %v", members, want)
-	}
-}
-
-// TestMembershipLeaveAndRejoin: a left peer leaves the ring, stops being
-// probed, survives gossip mentions, and re-enters only via Rejoin.
-func TestMembershipLeaveAndRejoin(t *testing.T) {
-	probe := newFakeProbe()
-	probe.members["http://a:1"] = []string{"http://b:2"}
-	m := newTestMembership(t, probe, "http://a:1", "http://b:2")
-	m.MarkLeft("http://b:2")
-	if got := state(m, "http://b:2"); got != StateLeft {
-		t.Fatalf("state = %v, want left", got)
-	}
-	for _, mem := range m.Ring().Members() {
-		if mem == "http://b:2" {
-			t.Fatal("left peer still in ring")
-		}
-	}
-	m.probeDue()
-	settle(t, m, func() bool { return state(m, "http://a:1") == StateAlive })
-	if got := state(m, "http://b:2"); got != StateLeft {
-		t.Fatalf("gossip resurrected a left peer to %v", got)
-	}
-	if probe.callCount("http://b:2") != 0 {
-		t.Fatal("left peer was probed")
-	}
-	m.Rejoin("http://b:2")
-	if got := state(m, "http://b:2"); got != StateSuspect {
-		t.Fatalf("rejoined state = %v, want suspect", got)
 	}
 }
 
@@ -409,26 +325,25 @@ func TestMembershipMarkFailed(t *testing.T) {
 }
 
 // TestMembershipHTTPProbe drives the default HTTP prober against live
-// httptest servers end to end: Start discovers health and gossip over real
-// /v1/cluster responses, and a killed server goes dead.
+// httptest servers end to end: any 2xx from GET /v1/cluster is alive
+// whatever its body, a non-2xx is a failure, a killed server goes dead,
+// and the ring is the configured member set throughout.
 func TestMembershipHTTPProbe(t *testing.T) {
-	peerB := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprint(w, `{"peers":[]}`)
-	}))
-	defer peerB.Close()
 	var peerA *httptest.Server
 	peerA = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/v1/cluster" {
 			http.NotFound(w, r)
 			return
 		}
-		// Older builds still gossip a queue_depth field; the probe must
-		// ignore it rather than reject the document.
-		fmt.Fprintf(w, `{"peers":[{"url":%q,"self":true,"state":"alive","queue_depth":7},{"url":%q,"state":"alive"},{"url":"http://gone:1","state":"left"}]}`, peerA.URL, peerB.URL)
+		fmt.Fprintf(w, `{"peers":[{"url":%q,"self":true,"state":"alive"},{"url":"http://other:1","state":"alive"}]}`, peerA.URL)
 	}))
+	refusing := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "no", http.StatusServiceUnavailable)
+	}))
+	defer refusing.Close()
 	m := NewMembership(Config{
 		Self:          "http://self:1",
-		Peers:         []string{peerA.URL},
+		Peers:         []string{peerA.URL, refusing.URL},
 		ProbeInterval: 10 * time.Millisecond,
 		ProbeTimeout:  time.Second,
 		DeadAfter:     2,
@@ -437,26 +352,25 @@ func TestMembershipHTTPProbe(t *testing.T) {
 	defer m.Close()
 
 	waitFor(t, func() bool {
-		return state(m, peerA.URL) == StateAlive && state(m, peerB.URL) == StateAlive
+		return state(m, peerA.URL) == StateAlive && state(m, refusing.URL) == StateDead
 	})
-	if got := state(m, "http://gone:1"); got != StateLeft {
-		// The left peer must not have been adopted at all; state() returns
-		// StateLeft for unknown URLs, which is the acceptable outcome.
-		t.Fatalf("remote-left peer adopted with state %v", got)
+	members := []string{peerA.URL, refusing.URL, "http://self:1"}
+	sort.Strings(members)
+	if got := m.Ring().Members(); fmt.Sprint(got) != fmt.Sprint(members) {
+		t.Fatalf("ring members = %v, want the configured %v", got, members)
+	}
+	if got := len(m.Snapshot()); got != 3 {
+		t.Fatalf("snapshot has %d members, want 3: a probe reply must not add members", got)
 	}
 
 	peerA.Close()
 	waitFor(t, func() bool { return state(m, peerA.URL) == StateDead })
-	if state(m, peerB.URL) != StateAlive {
-		t.Fatal("killing peer A must not affect peer B")
-	}
 }
 
 // TestMembershipRejoinFiresOncePerRecovery pins the flap rule at the
-// membership layer: a suspect→alive flap fires no OnRejoin, a genuine
-// dead→alive recovery fires exactly one, and a left peer readmitted via
-// Rejoin fires one more. (The clustertest package pins the same rule over
-// real HTTP transports.)
+// membership layer: a suspect→alive flap fires no OnRejoin, and a genuine
+// dead→alive recovery fires exactly one. (The clustertest package pins the
+// same rule over real HTTP transports.)
 func TestMembershipRejoinFiresOncePerRecovery(t *testing.T) {
 	probe := newFakeProbe()
 	var mu sync.Mutex
@@ -486,11 +400,9 @@ func TestMembershipRejoinFiresOncePerRecovery(t *testing.T) {
 	// (suspect→alive), repeated — never dead, so never a rejoin.
 	for i := 0; i < 3; i++ {
 		probe.setFail("http://a:1", true)
-		advance(m, time.Hour)
 		m.probeDue()
 		settle(t, m, func() bool { return state(m, "http://a:1") == StateSuspect })
 		probe.setFail("http://a:1", false)
-		advance(m, time.Hour)
 		m.probeDue()
 		settle(t, m, func() bool { return state(m, "http://a:1") == StateAlive })
 	}
@@ -501,7 +413,6 @@ func TestMembershipRejoinFiresOncePerRecovery(t *testing.T) {
 	// Genuine death and recovery: exactly one event.
 	probe.setFail("http://a:1", true)
 	for i := 0; i < 3; i++ {
-		advance(m, time.Hour)
 		m.probeDue()
 		settle(t, m, func() bool { return true })
 	}
@@ -509,20 +420,10 @@ func TestMembershipRejoinFiresOncePerRecovery(t *testing.T) {
 		t.Fatalf("state = %v, want dead", got)
 	}
 	probe.setFail("http://a:1", false)
-	advance(m, time.Hour)
 	m.probeDue()
 	settle(t, m, func() bool { return state(m, "http://a:1") == StateAlive })
 	if got := count(); got != 1 {
 		t.Fatalf("recovery emitted %d rejoin events, want exactly 1", got)
-	}
-
-	// A left peer readmitted by an explicit Rejoin announcement is also a
-	// recovery — one more event, not one per duplicate announcement.
-	m.MarkLeft("http://a:1")
-	m.Rejoin("http://a:1")
-	m.Rejoin("http://a:1") // duplicate announcement while suspect: no event
-	if got := count(); got != 2 {
-		t.Fatalf("left-rejoin emitted %d total events, want 2", got)
 	}
 }
 

@@ -34,9 +34,12 @@ import (
 // the counters and the span.
 //
 // Each routed row walks one list: its replica set in ring order, then
-// this node. step takes the walk's next stop, skipping this node's own
-// place in the set and every peer that is not routable at that moment, so
-// placement stays a pure function and health is read at every step. A
+// this node. step takes the walk's next stop, skipping every peer that is
+// not routable at that moment, so placement stays a pure function and
+// health is read at every step. The walk ends at this node's own place in
+// the set: a later replica walking the same row stops at this node or
+// earlier, so going past it could leave two coordinators each sending the
+// row to the other, and both running it. A
 // worker takes the first step when it releases the row. A batch that
 // fails because of the peer — an error, a stream that ends early, or
 // nothing streamed for ProxyTimeout — takes the next step for each of its
@@ -138,18 +141,18 @@ func (h *hops) route(i int, start time.Time) {
 }
 
 // step moves r's walk to its next stop and returns it: the next peer in
-// r.owners that is not this node and is routable now, or "" when the row
-// runs here — this node owns it, or the set is used up.
+// r.owners that is routable now, or "" when the row runs here — the walk
+// reached this node's place in the set, or the set is used up.
 func (h *hops) step(r *hopRow) string {
 	ms := h.m.membership
 	self := ms.Self()
-	if r.owners[0] == self {
-		return ""
-	}
 	for r.next < len(r.owners) {
 		o := r.owners[r.next]
 		r.next++
-		if o != self && ms.Routable(o) {
+		if o == self {
+			return ""
+		}
+		if ms.Routable(o) {
 			return o
 		}
 	}

@@ -50,8 +50,6 @@ var replicateAck = []byte("{\"status\":\"ok\"}\n")
 //	                                with Content-Type application/x-ndjson, a batch: one RunRequest
 //	                                per line in, one RunResponse line per row out as rows settle
 //	GET    /v1/cluster              dynring.ClusterStatus (this node's cluster view)
-//	POST   /v1/cluster/leave        peer announces graceful shutdown ({"url": ...})
-//	POST   /v1/cluster/join         peer announces (re)join ({"url": ...})
 //	POST   /v1/replicate            peer pushes one completed envelope, answered by a constant
 //	                                {"status":"ok"} (replicated clusters only)
 //	GET    /v1/antientropy/keys     durable-tier fingerprint listing (replicated clusters only)
@@ -381,26 +379,6 @@ func NewHandler(m *Manager) http.Handler {
 		writeJSON(w, http.StatusOK, replicateRequest{Fingerprint: fp, Result: res})
 	})
 
-	mux.HandleFunc("POST /v1/cluster/leave", func(w http.ResponseWriter, r *http.Request) {
-		url, err := decodePeerURL(w, r)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		m.PeerLeft(url)
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
-
-	mux.HandleFunc("POST /v1/cluster/join", func(w http.ResponseWriter, r *http.Request) {
-		url, err := decodePeerURL(w, r)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		m.PeerJoined(url)
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
-
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
@@ -527,23 +505,6 @@ func (m *Manager) serveRunBatch(ctx context.Context, w http.ResponseWriter, item
 		}
 		unflushed = true
 	}
-}
-
-// decodePeerURL reads the {"url": ...} body of the cluster announcement
-// endpoints. Announcements are rare membership events, so they stay on
-// encoding/json.
-func decodePeerURL(w http.ResponseWriter, r *http.Request) (string, error) {
-	var body struct {
-		URL string `json:"url"`
-	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4096))
-	if err := dec.Decode(&body); err != nil {
-		return "", err
-	}
-	if body.URL == "" {
-		return "", errors.New("missing url")
-	}
-	return body.URL, nil
 }
 
 // readBody reads a request body whole, failing past limit bytes, reusing

@@ -64,9 +64,9 @@ type ClusterOptions struct {
 	// setting it enables cluster mode. It must be the URL peers can reach
 	// this node at.
 	Self string
-	// Peers seeds the membership table; Self is filtered out, so every node
-	// can be started with the identical list. Further members are
-	// discovered by gossip.
+	// Peers is the cluster's member list, the same on every node; Self is
+	// filtered out, so it may include this node. The ring is Self plus
+	// Peers, fixed for the node's lifetime.
 	Peers []string
 	// ProbeInterval and ProbeTimeout tune health probing; zero means the
 	// membership defaults (1s, and probe timeout = interval). The probe
@@ -83,9 +83,9 @@ type ClusterOptions struct {
 	// nodes must agree on it.
 	Replicas int
 	// Transport, when non-nil, underlies every outbound cluster request —
-	// probes, proxy hops, replication pushes, anti-entropy fetches, and
-	// leave/join broadcasts. It is the fault-injection seam clustertest
-	// wraps; nil means the default transport.
+	// probes, proxy hops, replication pushes and anti-entropy fetches. It
+	// is the fault-injection seam clustertest wraps; nil means the default
+	// transport.
 	Transport http.RoundTripper
 	// AntiEntropyInterval paces the background reconciliation of replica
 	// disk tiers (zero: a 30s default). Only meaningful with Replicas > 1
@@ -105,10 +105,6 @@ type ClusterOptions struct {
 // JobHistory unset. Without a bound a long-running service would pin every
 // grid and Result it ever served.
 const defaultJobHistory = 1024
-
-// leaveTimeout bounds the graceful-leave (and join) broadcasts at
-// startup/shutdown; they are best-effort and must not stall either.
-const leaveTimeout = 2 * time.Second
 
 // defaultAntiEntropyInterval paces replica disk-tier reconciliation when
 // ClusterOptions leaves it unset.
@@ -235,9 +231,6 @@ func New(opts Options) (*Manager, error) {
 	}
 	if m.membership != nil {
 		m.membership.Start()
-		// Tell peers we are (back) up so any that hold us dead or left
-		// re-probe immediately instead of waiting out their backoff.
-		go m.membership.AnnounceJoin(leaveTimeout)
 		if m.replicas > 1 {
 			m.auxWG.Add(1)
 			go func() {
@@ -377,10 +370,11 @@ func (m *Manager) NodeName() string {
 // Workers is the shared pool size.
 func (m *Manager) Workers() int { return m.workers }
 
-// Close shuts the node down in dependency order: announce the graceful
-// leave and stop probing (so peers stop proxying here), cancel every job
-// and stop the workers, then flush the durable cache tier — the -drain
-// guarantee that every computed result is on disk before exit.
+// Close shuts the node down in dependency order: stop replication,
+// anti-entropy and probing, cancel every job and stop the workers, then
+// flush the durable cache tier — the -drain guarantee that every computed
+// result is on disk before exit. Peers learn of the shutdown only from
+// their failing probes, as they would of a crash.
 func (m *Manager) Close() {
 	m.mu.Lock()
 	if m.closed {
@@ -400,7 +394,6 @@ func (m *Manager) Close() {
 		// Replication and anti-entropy use the membership; stop them first.
 		m.auxStopOnce.Do(func() { close(m.auxStop) })
 		m.auxWG.Wait()
-		m.membership.Leave(leaveTimeout)
 		m.membership.Close()
 	}
 	for _, j := range jobs {
@@ -617,23 +610,6 @@ func (m *Manager) ClusterStatus() dynring.ClusterStatus {
 		VNodes:   cluster.DefaultVNodes,
 		Replicas: m.replicas,
 		Peers:    peers,
-	}
-}
-
-// PeerLeft records a peer's graceful-leave announcement (POST
-// /v1/cluster/leave). No-op when standalone.
-func (m *Manager) PeerLeft(url string) {
-	if m.membership != nil {
-		m.membership.MarkLeft(url)
-	}
-}
-
-// PeerJoined records a peer's join announcement (POST /v1/cluster/join):
-// new and left peers re-enter the ring, dead ones are re-probed
-// immediately. No-op when standalone.
-func (m *Manager) PeerJoined(url string) {
-	if m.membership != nil {
-		m.membership.Rejoin(url)
 	}
 }
 

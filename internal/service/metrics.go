@@ -171,7 +171,7 @@ func newMetrics(m *Manager) *metrics {
 
 	// --- cluster: membership and the proxy path ---
 	if m.membership != nil {
-		for _, state := range []cluster.State{cluster.StateAlive, cluster.StateSuspect, cluster.StateDead, cluster.StateLeft} {
+		for _, state := range []cluster.State{cluster.StateAlive, cluster.StateSuspect, cluster.StateDead} {
 			state := state
 			r.GaugeFunc("dynring_cluster_peers",
 				"Cluster members by probe-derived health state, as seen by this node (self counts as alive).",

@@ -12,7 +12,7 @@ import (
 
 // This file is the one path every node-to-node request takes: replication
 // pushes, proxy batches and both anti-entropy fetches. Membership probes
-// and leave/join broadcasts keep an http.Client over the same transport.
+// keep an http.Client over the same transport.
 //
 // Requests go straight to the cluster's RoundTripper. http.Client buys the
 // cluster nothing — peers never redirect, and there is no cookie jar and

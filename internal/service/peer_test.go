@@ -38,7 +38,7 @@ type recordingTransport struct {
 }
 
 func (rt *recordingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if req.URL.Path != "/healthz" && req.URL.Path != "/v1/cluster/join" {
+	if req.URL.Path != "/v1/cluster" {
 		s := sentRequest{method: req.Method, path: req.URL.Path, header: req.Header.Clone(),
 			contentLength: req.ContentLength}
 		if req.GetBody != nil {
