@@ -17,9 +17,10 @@
 // With -replicas k (and -data) each fingerprint's envelope is further
 // replicated to the owner's next k-1 ring successors: completed results
 // are pushed to every replica's disk tier, routing falls over to replicas
-// when the owner dies, and a background anti-entropy pass
-// (-antientropy-interval) reconciles replica -data directories to their
-// set union.
+// when the owner dies, and anti-entropy lets each node repair its own
+// -data directory: it pulls the envelopes it should hold but cannot read
+// from each peer when it first sees that peer alive, when the peer comes
+// back from dead, and every -antientropy-interval.
 //
 // Gray failures — peers that stay alive but turn slow — are handled by
 // one knob. -proxy-timeout is how long this node waits on a slow peer:
@@ -127,7 +128,7 @@ func run(ctx context.Context, out io.Writer, args []string) error {
 		peers       = fs.String("peers", "", "comma-separated base URLs of every cluster member, -self included (same list on every node)")
 		probeIvl    = fs.Duration("probe-interval", 0, "peer health-probe period (0 = default 1s)")
 		replicas    = fs.Int("replicas", 0, "replica-set size k: each fingerprint's envelope lands on its owner plus the next k-1 ring successors (0 or 1 = unreplicated; must match cluster-wide)")
-		aeInterval  = fs.Duration("antientropy-interval", 0, "replica disk-tier reconciliation period (0 = default 30s; needs -replicas > 1 and -data)")
+		aeInterval  = fs.Duration("antientropy-interval", 0, "period of the pass that pulls missing or corrupt replica envelopes from alive peers into this node's -data tier (0 = default 30s; needs -replicas > 1 and -data)")
 		proxyTO     = fs.Duration("proxy-timeout", 0, "per-hop bound on outbound replica RPCs: proxy runs, replication pushes, anti-entropy fetches (0 = default 10s; a tighter job deadline bounds a hop further)")
 		drain       = fs.Duration("drain", 5*time.Second, "graceful shutdown timeout")
 		pprofAddr   = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty disables)")
@@ -166,11 +167,18 @@ func run(ctx context.Context, out io.Writer, args []string) error {
 	if err != nil {
 		return err
 	}
-	if *profileFrac > 0 {
-		// Both profiles sample 1/N of their events; they stay zero-cost at
-		// N=0, which is why this is opt-in rather than always on.
-		runtime.SetMutexProfileFraction(*profileFrac)
-		runtime.SetBlockProfileRate(*profileFrac)
+	// Both listeners open before anything else starts, so a bad -addr or
+	// -pprof is reported before a probe, a worker or the -data directory.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
+	var pln net.Listener
+	if *pprofAddr != "" {
+		if pln, err = net.Listen("tcp", *pprofAddr); err != nil {
+			ln.Close()
+			return fmt.Errorf("pprof listener: %w", err)
+		}
 	}
 	mgr, err := service.New(service.Options{
 		Workers:    *workers,
@@ -189,12 +197,17 @@ func run(ctx context.Context, out io.Writer, args []string) error {
 		Logger: logger,
 	})
 	if err != nil {
+		ln.Close()
+		if pln != nil {
+			pln.Close()
+		}
 		return err
 	}
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		mgr.Close()
-		return err
+	if *profileFrac > 0 {
+		// Both profiles sample 1/N of their events; they stay zero-cost at
+		// N=0, which is why this is opt-in rather than always on.
+		runtime.SetMutexProfileFraction(*profileFrac)
+		runtime.SetBlockProfileRate(*profileFrac)
 	}
 	fmt.Fprintf(out, "ringsimd listening on http://%s (workers=%d cache=%d)\n",
 		ln.Addr(), mgr.Workers(), *cacheSize)
@@ -206,13 +219,7 @@ func run(ctx context.Context, out io.Writer, args []string) error {
 	}
 
 	var pprofSrv *http.Server
-	if *pprofAddr != "" {
-		pln, perr := net.Listen("tcp", *pprofAddr)
-		if perr != nil {
-			ln.Close()
-			mgr.Close()
-			return fmt.Errorf("pprof listener: %w", perr)
-		}
+	if pln != nil {
 		// A dedicated mux, never http.DefaultServeMux: the profiling
 		// surface must not leak onto the API listener or pick up handlers
 		// other packages register globally.
@@ -234,6 +241,9 @@ func run(ctx context.Context, out io.Writer, args []string) error {
 	select {
 	case err := <-errc:
 		mgr.Close()
+		if pprofSrv != nil {
+			pprofSrv.Close()
+		}
 		return err
 	case <-ctx.Done():
 	}

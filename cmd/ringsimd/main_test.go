@@ -3,9 +3,14 @@ package main
 import (
 	"bytes"
 	"context"
+	"net"
+	"net/http"
+	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -51,6 +56,33 @@ func TestRunFlagErrors(t *testing.T) {
 		"-self", "http://127.0.0.1:1/", "-peers", "http://127.0.0.1:1,http://127.0.0.1:2/"})
 	if err == nil || strings.Contains(err.Error(), "-peers") {
 		t.Fatalf("-self listed with a trailing slash: err = %v, want only the address error", err)
+	}
+
+	// An occupied -addr is reported before the node probes its peers or
+	// changes the process's profile rates.
+	var peerHits atomic.Int64
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		peerHits.Add(1)
+	}))
+	defer peer.Close()
+	busy, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer busy.Close()
+	selfURL := "http://" + busy.Addr().String()
+	err = run(context.Background(), &out, []string{"-addr", busy.Addr().String(),
+		"-self", selfURL, "-peers", selfURL + "," + peer.URL,
+		"-profile-fraction", "5", "-pprof", "127.0.0.1:0"})
+	if err == nil {
+		t.Fatal("occupied -addr accepted")
+	}
+	time.Sleep(200 * time.Millisecond)
+	if n := peerHits.Load(); n != 0 {
+		t.Fatalf("a failed boot sent %d requests to its peer", n)
+	}
+	if frac := runtime.SetMutexProfileFraction(-1); frac != 0 {
+		t.Fatalf("a failed boot left the mutex profile fraction at %d", frac)
 	}
 }
 

@@ -75,6 +75,30 @@ func (c *Cluster) waitReplicated(fps []string, k int) {
 	}
 }
 
+// readable counts the fps node i's disk tier serves: written, not merely
+// queued for its disk writer.
+func (c *Cluster) readable(i int, fps []string) int {
+	n := 0
+	for _, fp := range fps {
+		if _, ok := c.Node(i).Manager.DurableEnvelope(fp); ok {
+			n++
+		}
+	}
+	return n
+}
+
+// waitReadable blocks until node i's disk tier serves every fp. A peer
+// answers an anti-entropy pull only with written envelopes, and a kick
+// pulls from it once, so tests that rely on one kick wait for this first.
+func (c *Cluster) waitReadable(i int, fps []string) {
+	c.t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); c.readable(i, fps) < len(fps); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			c.t.Fatalf("clustertest: node %d wrote %d/%d envelopes to disk", i, c.readable(i, fps), len(fps))
+		}
+	}
+}
+
 // TestClusterReplicaRetryServesFromReplicas: when a fingerprint's owner
 // dies, the serving node's proxy hop fails over to the rest of the replica
 // set — which holds the replicated envelope — so a sweep through a third
@@ -339,7 +363,7 @@ func (c *Cluster) runOnceOnBoth(t *testing.T, spec dynring.SweepSpec) {
 func TestClusterReplicationOnePushPerReplica(t *testing.T) {
 	c := Start(t, Options{
 		Nodes: 3, Replicas: 3, Disk: true,
-		AntiEntropyInterval: time.Hour, // anti-entropy pushes would add to the count
+		AntiEntropyInterval: time.Hour, // replication alone fills the disk tiers
 	})
 	var pushes atomic.Int64
 	c.Plan.OnRequest(func(from, to, path string) {
@@ -368,9 +392,10 @@ func TestClusterReplicationOnePushPerReplica(t *testing.T) {
 	}
 }
 
-// TestClusterAntiEntropyRepairsCorruptEnvelope is satellite 3: a corrupt
-// envelope is repaired byte-identically from a healthy peer, and a corrupt
-// envelope is never shipped to a peer that lacks the key.
+// TestClusterAntiEntropyRepairsCorruptEnvelope: a corrupt envelope is
+// repaired byte-identically from a healthy peer, and a node pulling an
+// envelope whose only other copy is corrupt gets nothing: the serving
+// side validates what it ships, so corruption never propagates.
 func TestClusterAntiEntropyRepairsCorruptEnvelope(t *testing.T) {
 	c := Start(t, Options{
 		Nodes: 2, Replicas: 2, Disk: true,
@@ -423,8 +448,8 @@ func TestClusterAntiEntropyRepairsCorruptEnvelope(t *testing.T) {
 		t.Fatal("repair re-executed instead of copying")
 	}
 
-	// Corruption never propagates: corrupt node 0's copy of an envelope
-	// node 1 no longer has — the push must re-validate and skip it.
+	// Corruption never propagates: node 1 lacks fp2 and node 0's copy is
+	// corrupt. Node 1 asks node 0 for it and gets nothing.
 	fp2 := fps[1]
 	if fp2 == fp {
 		t.Fatal("test needs two distinct fingerprints")
@@ -432,15 +457,26 @@ func TestClusterAntiEntropyRepairsCorruptEnvelope(t *testing.T) {
 	if err := os.Remove(EnvelopeFile(c.Node(1).DataDir, fp2)); err != nil {
 		t.Fatal(err)
 	}
-	// A durable read on the missing file evicts it from node 1's index,
-	// so its key listing honestly lacks fp2.
+	// A durable read on the missing file evicts it from node 1's index.
 	if _, ok := c.Node(1).Manager.DurableEnvelope(fp2); ok {
 		t.Fatal("node 1 still serves the deleted envelope")
 	}
 	if err := os.Truncate(EnvelopeFile(c.Node(0).DataDir, fp2), 3); err != nil {
 		t.Fatal(err)
 	}
-	c.Node(0).Manager.AntiEntropyNow()
+	var asked atomic.Int64
+	c.Plan.OnRequest(func(from, to, path string) {
+		if from == c.Node(1).URL && to == c.Node(0).URL && path == "/v1/antientropy/entry" {
+			asked.Add(1)
+		}
+	})
+	if repairs := c.Node(1).Manager.AntiEntropyNow(); repairs != 0 {
+		t.Fatalf("pulling from a corrupt copy repaired %d envelopes, want 0", repairs)
+	}
+	c.Plan.OnRequest(nil)
+	if got := asked.Load(); got != 1 {
+		t.Fatalf("node 1 requested %d envelopes from node 0, want 1 (the one it lacks)", got)
+	}
 	if _, err := os.Stat(EnvelopeFile(c.Node(1).DataDir, fp2)); !os.IsNotExist(err) {
 		t.Fatalf("corrupt envelope was propagated to the peer (stat err %v)", err)
 	}
@@ -449,52 +485,203 @@ func TestClusterAntiEntropyRepairsCorruptEnvelope(t *testing.T) {
 	}
 }
 
-// TestClusterFlapDoesNotKickAntiEntropy is satellite 2 at cluster level:
-// an alive→suspect→alive flap must not fire the rejoin hook (observable as
-// a targeted anti-entropy key exchange), while a real dead→alive recovery
-// fires it exactly once.
-func TestClusterFlapDoesNotKickAntiEntropy(t *testing.T) {
+// TestClusterAntiEntropyRestoresVanishedEnvelope: an envelope file removed
+// from under a node's disk tier is pulled back from a peer by one pass,
+// and the next pass finds nothing to repair.
+func TestClusterAntiEntropyRestoresVanishedEnvelope(t *testing.T) {
 	c := Start(t, Options{
 		Nodes: 2, Replicas: 2, Disk: true,
-		ProbeInterval:       50 * time.Millisecond,
-		AntiEntropyInterval: time.Hour, // only rejoin kicks may fetch keys
+		AntiEntropyInterval: time.Hour, // the test drives the passes
 	})
-	n0, n1 := c.Node(0), c.Node(1)
-	var kicks atomic.Int64
-	c.Plan.OnRequest(func(from, to, path string) {
-		if from == n0.URL && path == "/v1/antientropy/keys" {
-			kicks.Add(1)
+	spec := grid(1)
+	fps := fingerprints(t, spec)
+	c.runOn(t, 0, spec)
+	c.waitReadable(0, fps)
+	c.waitReadable(1, fps)
+	path := EnvelopeFile(c.Node(0).DataDir, fps[0])
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if repairs := c.Node(0).Manager.AntiEntropyNow(); repairs != 1 {
+		t.Fatalf("first pass repaired %d envelopes, want 1", repairs)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if _, err := os.Stat(path); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the pulled envelope was never written back to disk")
+		}
+	}
+	if repairs := c.Node(0).Manager.AntiEntropyNow(); repairs != 0 {
+		t.Fatalf("second pass repaired %d envelopes, want 0", repairs)
+	}
+}
+
+// TestClusterAntiEntropyRepairsRestartedReplica: a replica that was down
+// while its rows ran pulls them from its peers as soon as it restarts,
+// whether or not any peer saw it dead, so the owner's later crash
+// re-executes nothing. Node 1 is the replica of 40 fresh rows owned by
+// node 2; it is crashed while node 0 coordinates them and restarted after.
+// Then node 2 crashes and node 3 sends the grid again. No peer pushes the
+// restarted replica anything: it repairs itself.
+func TestClusterAntiEntropyRepairsRestartedReplica(t *testing.T) {
+	cases := []struct {
+		name  string
+		probe time.Duration
+		dead  bool // peers see node 1 dead before it restarts
+	}{
+		{name: "peers saw it dead", probe: 100 * time.Millisecond, dead: true},
+		// DeadAfter is 3: a peer sees node 1 dead two probe intervals after
+		// it first sees it suspect. With 1s probes that leaves the grid
+		// about a second to run under -race before the restart.
+		{name: "peers saw it only suspect", probe: time.Second},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := Start(t, Options{
+				Nodes: 4, Replicas: 2, Disk: true,
+				ProbeInterval:       tc.probe,
+				AntiEntropyInterval: time.Hour, // no tick: only kicks repair
+			})
+			n1 := c.Node(1).URL
+			spec := seedSpec(c.seedsOwnedBy(t, 2, 40, 2, 1))
+			fps := fingerprints(t, spec)
+
+			// Record whether any peer ever reports node 1 dead.
+			var sawDead atomic.Bool
+			stop := make(chan struct{})
+			var watch sync.WaitGroup
+			watch.Add(1)
+			go func() {
+				defer watch.Done()
+				for {
+					for _, i := range []int{0, 2, 3} {
+						for _, p := range c.Node(i).Manager.ClusterStatus().Peers {
+							if p.URL == n1 && p.State == "dead" {
+								sawDead.Store(true)
+							}
+						}
+					}
+					select {
+					case <-stop:
+						return
+					case <-time.After(2 * time.Millisecond):
+					}
+				}
+			}()
+
+			// Once every peer sees node 1 suspect, the owner's pushes skip
+			// it: none is queued that could land after the restart.
+			c.Crash(1)
+			for _, i := range []int{0, 2, 3} {
+				c.WaitPeerState(i, n1, "suspect", "dead")
+			}
+			c.runOn(t, 0, spec)
+			c.waitReadable(2, fps)
+			if tc.dead {
+				for _, i := range []int{0, 2, 3} {
+					c.WaitPeerState(i, n1, "dead")
+				}
+			}
+			var pushes atomic.Int64
+			c.Plan.OnRequest(func(from, to, path string) {
+				if to == n1 && path == "/v1/replicate" {
+					pushes.Add(1)
+				}
+			})
+			restarted := time.Now()
+			c.Restart(1)
+			for c.readable(1, fps) < len(fps) {
+				if time.Since(restarted) > 10*tc.probe {
+					t.Fatalf("restarted replica holds %d/%d envelopes %v after its restart", c.readable(1, fps), len(fps), 10*tc.probe)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			// Every peer routes to node 1 again before the owner crashes.
+			c.WaitAlive()
+			close(stop)
+			watch.Wait()
+			if got := sawDead.Load(); got != tc.dead {
+				t.Fatalf("a peer saw node 1 dead: %v, want %v", got, tc.dead)
+			}
+
+			c.Crash(2)
+			c.Plan.OnRequest(nil)
+			if got := pushes.Load(); got != 0 {
+				t.Fatalf("%d POST /v1/replicate requests reached the restarted replica, want 0", got)
+			}
+			before := c.TotalExecutions()
+			c.runOn(t, 3, spec)
+			if got := c.TotalExecutions() - before; got != 0 {
+				t.Fatalf("the repeat after the owner's crash ran %d re-executions, want 0", got)
+			}
+		})
+	}
+}
+
+// TestClusterFlapDoesNotKickAntiEntropy pins the kick rule at cluster
+// level: a node pulls from each peer once when it first sees it alive, an
+// alive→suspect→alive flap kicks nothing, and a real dead→alive recovery
+// kicks exactly once more. A kick is observable as a key listing fetch.
+func TestClusterFlapDoesNotKickAntiEntropy(t *testing.T) {
+	// The watcher is on the plan before boot, so the boot kick counts.
+	// Node URLs are known only after Start: count listings per sender and
+	// target, and read node 0's fetches from node 1 out of them.
+	plan := NewFaultPlan(0)
+	var mu sync.Mutex
+	listings := make(map[[2]string]int)
+	plan.OnRequest(func(from, to, path string) {
+		if path == "/v1/antientropy/keys" {
+			mu.Lock()
+			listings[[2]string{from, to}]++
+			mu.Unlock()
 		}
 	})
+	c := Start(t, Options{
+		Nodes: 2, Replicas: 2, Disk: true, Plan: plan,
+		ProbeInterval:       50 * time.Millisecond,
+		AntiEntropyInterval: time.Hour, // only kicks may fetch keys
+	})
+	n0, n1 := c.Node(0).URL, c.Node(1).URL
+	kicks := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return listings[[2]string{n0, n1}]
+	}
+	waitKicks := func(want int, what string) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); kicks() < want; time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d kicks, want %d", what, kicks(), want)
+			}
+		}
+		time.Sleep(200 * time.Millisecond)
+		if got := kicks(); got != want {
+			t.Fatalf("%s: %d kicks, want exactly %d", what, got, want)
+		}
+	}
+	waitKicks(1, "boot")
 
 	// Three flaps: each partition window spans at least one probe but
 	// far fewer than DeadAfter consecutive failures.
 	for i := 0; i < 3; i++ {
-		c.Plan.Partition(n0.URL, n1.URL)
+		c.Plan.Partition(n0, n1)
 		time.Sleep(60 * time.Millisecond)
-		c.Plan.Heal(n0.URL, n1.URL)
+		c.Plan.Heal(n0, n1)
 		c.WaitAlive()
 	}
-	if got := kicks.Load(); got != 0 {
-		t.Fatalf("suspect flaps fired %d rejoin kicks, want 0", got)
+	time.Sleep(200 * time.Millisecond)
+	if got := kicks(); got != 1 {
+		t.Fatalf("suspect flaps fired %d kicks, want 0", got-1)
 	}
 
-	// A real death and recovery fires exactly one.
-	c.Plan.Partition(n0.URL, n1.URL)
-	c.WaitPeerState(0, n1.URL, "dead")
-	c.Plan.Heal(n0.URL, n1.URL)
-	c.WaitPeerState(0, n1.URL, "alive")
-	deadline := time.Now().Add(5 * time.Second)
-	for kicks.Load() < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("recovery never kicked a targeted anti-entropy sync")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	time.Sleep(200 * time.Millisecond)
-	if got := kicks.Load(); got != 1 {
-		t.Fatalf("one recovery fired %d rejoin kicks, want exactly 1", got)
-	}
+	// A real death and recovery fires exactly one more.
+	c.Plan.Partition(n0, n1)
+	c.WaitPeerState(0, n1, "dead")
+	c.Plan.Heal(n0, n1)
+	c.WaitPeerState(0, n1, "alive")
+	waitKicks(2, "recovery")
 }
 
 // TestClusterAntiEntropyRaceHammer runs reconciliation passes concurrently

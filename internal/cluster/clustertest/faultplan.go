@@ -154,7 +154,7 @@ func (p *FaultPlan) Drop(fn func(from, to, path string) bool) {
 
 // OnRequest registers fn to observe every admitted (not injected-failed)
 // request: sender identity, target base URL, and URL path. Tests use it to
-// count specific traffic — e.g. anti-entropy kicks after a rejoin. nil
+// count specific traffic — e.g. anti-entropy key listings after a kick. nil
 // unregisters.
 func (p *FaultPlan) OnRequest(fn func(from, to, path string)) {
 	p.mu.Lock()

@@ -189,8 +189,8 @@ func TestGrayFailureSlowPeerDemotedAndRecovers(t *testing.T) {
 // rows the coordinator owns makes zero /v1/replicate requests to that
 // replica: pushes drain serially, so each one waiting out the proxy
 // timeout on the gray peer would fill the bounded push queue and stall
-// every further execution behind it. The missed envelopes reach the
-// replica through anti-entropy once it answers probes in time again.
+// every further execution behind it. The replica pulls the missed
+// envelopes itself once it sees the coordinator alive again.
 func TestGrayFailureReplicationSkipsDegradedPeer(t *testing.T) {
 	c := Start(t, Options{
 		Nodes: 3, Replicas: 2, Disk: true,
@@ -243,19 +243,17 @@ func TestGrayFailureReplicationSkipsDegradedPeer(t *testing.T) {
 		t.Fatalf("cluster executed %d scenarios, want %d", got, rows)
 	}
 
-	// Recovery: once the replica is alive again, anti-entropy lands every
-	// skipped envelope on its disk tier. Recovery from dead also fires the
-	// rejoin sync and lets queued pushes drain toward the replica, so a
-	// single pass races them (and a push that fails after it leaves a
-	// gap); drive passes until the replica holds every envelope.
+	// Recovery: the fault slows both directions, so the replica saw the
+	// coordinator dead too. Its first good probe back fires its own kick,
+	// and that one pull lands every skipped envelope; no pass is driven.
+	c.WaitPeerState(1, n0.URL, "dead")
+	c.waitReadable(0, fingerprints(t, spec))
 	c.Plan.SlowNode(n1.URL, 0)
-	c.WaitPeerState(0, n1.URL, "alive")
 	deadline := time.Now().Add(10 * time.Second)
 	for len(n1.Manager.DurableKeys()) < rows {
 		if time.Now().After(deadline) {
 			t.Fatalf("replica holds %d/%d envelopes 10s after recovery", len(n1.Manager.DurableKeys()), rows)
 		}
-		n0.Manager.AntiEntropyNow()
 		time.Sleep(20 * time.Millisecond)
 	}
 }

@@ -73,14 +73,14 @@ type Config struct {
 	// and must honour ctx's deadline. Nil means the default HTTP probe of
 	// GET <peer>/v1/cluster.
 	Probe func(ctx context.Context, peerURL string) error
-	// OnRejoin, when non-nil, is invoked (without the membership lock
-	// held) each time a peer returns from the dead — a successful probe of
-	// a peer in StateDead. It fires exactly once per recovery: an
-	// alive→suspect→alive flap inside the DeadAfter window never reaches
-	// StateDead and therefore never fires, which is what keeps
-	// rejoin-triggered work (anti-entropy pushes) from doubling on a
-	// transient probe loss.
-	OnRejoin func(peerURL string)
+	// OnAlive, when non-nil, is invoked (without the membership lock
+	// held) when a peer's probe succeeds for the first time since this
+	// membership was built, and each time a peer returns from the dead —
+	// a successful probe of a peer in StateDead. An alive→suspect→alive
+	// flap inside the DeadAfter window never reaches StateDead and
+	// therefore never fires, which keeps the work it starts (anti-entropy
+	// pulls) from repeating on a transient probe loss.
+	OnAlive func(peerURL string)
 	// HTTPClient backs the default prober; nil means a private client
 	// (per-probe timeouts come from ProbeTimeout).
 	HTTPClient *http.Client
@@ -222,14 +222,14 @@ func (m *Membership) probeOne(url string) {
 	if p.state != StateAlive {
 		m.log.Info("peer alive", "peer", url)
 	}
-	// Only a return from StateDead is a recovery; a suspect→alive flap is
-	// a transient probe loss and must not trigger rejoin work.
-	rejoined := p.state == StateDead
+	// A first sighting or a return from StateDead fires the hook; a
+	// suspect→alive flap is a transient probe loss and does not.
+	fire := p.lastSeen.IsZero() || p.state == StateDead
 	p.state = StateAlive
 	p.failures = 0
 	p.lastSeen = time.Now()
 	m.mu.Unlock()
-	if hook := m.cfg.OnRejoin; rejoined && hook != nil {
+	if hook := m.cfg.OnAlive; fire && hook != nil {
 		hook(url)
 	}
 }

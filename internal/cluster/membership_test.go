@@ -153,8 +153,8 @@ func TestMembershipBootstrapAndStates(t *testing.T) {
 // TestMembershipSlowProbeDemotes pins the gray-failure detector: a probe
 // that answers, but slower than ProbeTimeout, is a failed probe. One makes
 // the peer suspect and unroutable, DeadAfter of them make it dead, and a
-// timely probe restores alive — firing OnRejoin exactly once when the
-// peer was dead, and not at all when it was only suspect.
+// timely probe restores alive. OnAlive fires for the first timely probe,
+// and once more when the peer comes back from dead, never from suspect.
 func TestMembershipSlowProbeDemotes(t *testing.T) {
 	const peer = "http://a:1"
 	cases := []struct {
@@ -163,18 +163,18 @@ func TestMembershipSlowProbeDemotes(t *testing.T) {
 		recover  bool // then one timely probe
 		want     State
 		routable bool
-		rejoins  int
+		fires    int
 	}{
-		{name: "one slow probe", slow: 1, want: StateSuspect},
-		{name: "DeadAfter slow probes", slow: 3, want: StateDead},
-		{name: "timely probe after suspect", slow: 1, recover: true, want: StateAlive, routable: true},
-		{name: "timely probe after dead", slow: 3, recover: true, want: StateAlive, routable: true, rejoins: 1},
+		{name: "one slow probe", slow: 1, want: StateSuspect, fires: 1},
+		{name: "DeadAfter slow probes", slow: 3, want: StateDead, fires: 1},
+		{name: "timely probe after suspect", slow: 1, recover: true, want: StateAlive, routable: true, fires: 1},
+		{name: "timely probe after dead", slow: 3, recover: true, want: StateAlive, routable: true, fires: 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			probe := newFakeProbe()
 			var mu sync.Mutex
-			rejoins := 0
+			fires := 0
 			m := NewMembership(Config{
 				Self:          "http://self:1",
 				Peers:         []string{peer},
@@ -182,9 +182,9 @@ func TestMembershipSlowProbeDemotes(t *testing.T) {
 				ProbeTimeout:  20 * time.Millisecond,
 				DeadAfter:     3,
 				Probe:         probe.probe,
-				OnRejoin: func(string) {
+				OnAlive: func(string) {
 					mu.Lock()
-					rejoins++
+					fires++
 					mu.Unlock()
 				},
 			})
@@ -212,8 +212,8 @@ func TestMembershipSlowProbeDemotes(t *testing.T) {
 			}
 			mu.Lock()
 			defer mu.Unlock()
-			if rejoins != tc.rejoins {
-				t.Fatalf("OnRejoin fired %d times, want %d", rejoins, tc.rejoins)
+			if fires != tc.fires {
+				t.Fatalf("OnAlive fired %d times, want %d", fires, tc.fires)
 			}
 		})
 	}
@@ -368,36 +368,40 @@ func TestMembershipHTTPProbe(t *testing.T) {
 }
 
 // TestMembershipRejoinFiresOncePerRecovery pins the flap rule at the
-// membership layer: a suspect→alive flap fires no OnRejoin, and a genuine
-// dead→alive recovery fires exactly one. (The clustertest package pins the
-// same rule over real HTTP transports.)
+// membership layer: OnAlive fires once when the peer is first seen alive,
+// never on a suspect→alive flap, and exactly once more on a genuine
+// dead→alive recovery. (The clustertest package pins the same rule over
+// real HTTP transports.)
 func TestMembershipRejoinFiresOncePerRecovery(t *testing.T) {
 	probe := newFakeProbe()
 	var mu sync.Mutex
-	rejoins := 0
+	fires := 0
 	m := NewMembership(Config{
 		Self:          "http://self:1",
 		Peers:         []string{"http://a:1"},
 		ProbeInterval: 10 * time.Millisecond,
 		DeadAfter:     3,
 		Probe:         probe.probe,
-		OnRejoin: func(string) {
+		OnAlive: func(string) {
 			mu.Lock()
-			rejoins++
+			fires++
 			mu.Unlock()
 		},
 	})
 	count := func() int {
 		mu.Lock()
 		defer mu.Unlock()
-		return rejoins
+		return fires
 	}
 
 	m.probeDue()
 	settle(t, m, func() bool { return state(m, "http://a:1") == StateAlive })
+	if got := count(); got != 1 {
+		t.Fatalf("first sighting emitted %d events, want exactly 1", got)
+	}
 
 	// Flap: one failed probe (alive→suspect) then an immediate success
-	// (suspect→alive), repeated — never dead, so never a rejoin.
+	// (suspect→alive), repeated — never dead, so never an event.
 	for i := 0; i < 3; i++ {
 		probe.setFail("http://a:1", true)
 		m.probeDue()
@@ -406,11 +410,11 @@ func TestMembershipRejoinFiresOncePerRecovery(t *testing.T) {
 		m.probeDue()
 		settle(t, m, func() bool { return state(m, "http://a:1") == StateAlive })
 	}
-	if got := count(); got != 0 {
-		t.Fatalf("flaps emitted %d rejoin events, want 0", got)
+	if got := count() - 1; got != 0 {
+		t.Fatalf("flaps emitted %d events, want 0", got)
 	}
 
-	// Genuine death and recovery: exactly one event.
+	// Genuine death and recovery: exactly one more event.
 	probe.setFail("http://a:1", true)
 	for i := 0; i < 3; i++ {
 		m.probeDue()
@@ -422,8 +426,8 @@ func TestMembershipRejoinFiresOncePerRecovery(t *testing.T) {
 	probe.setFail("http://a:1", false)
 	m.probeDue()
 	settle(t, m, func() bool { return state(m, "http://a:1") == StateAlive })
-	if got := count(); got != 1 {
-		t.Fatalf("recovery emitted %d rejoin events, want exactly 1", got)
+	if got := count() - 1; got != 1 {
+		t.Fatalf("recovery emitted %d events, want exactly 1", got)
 	}
 }
 

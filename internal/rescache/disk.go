@@ -152,41 +152,41 @@ func readEntry[V any](path string) (envelope[V], int64, error) {
 	return env, int64(len(buf)), nil
 }
 
-// Get reads the entry for key from disk. A decode failure or a key
-// mismatch (a corrupted or tampered file) drops the entry from the index
-// and misses.
+// Get reads the entry for key from disk. A decode failure, a key mismatch
+// (a corrupted or tampered file) or a written entry whose file has since
+// vanished drops the entry from the index and misses, so Keys stops
+// listing it and a later Put writes it again. Only a queued reservation's
+// missing file is a plain miss.
 func (d *Disk[V]) Get(key string) (V, bool) {
 	var zero V
 	d.mu.Lock()
-	_, ok := d.index[key]
-	d.mu.Unlock()
+	size, ok := d.index[key]
 	if !ok {
-		d.mu.Lock()
 		d.misses++
 		d.mu.Unlock()
 		return zero, false
 	}
+	d.mu.Unlock()
 	env, _, err := readEntry[V](filepath.Join(d.dir, fileName(key)))
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err != nil || env.Key != key {
-		if errors.Is(err, os.ErrNotExist) {
-			// A queued-but-unflushed reservation: the entry will appear
-			// once the writer drains. A miss, not corruption.
-			d.misses++
-			return zero, false
-		}
-		if size, still := d.index[key]; still {
-			delete(d.index, key)
-			d.bytes -= size
-		}
-		d.skipped++
-		d.misses++
-		d.warnf("rescache: disk entry for %s unreadable, treating as absent: %v", key, err)
+	if err == nil && env.Key == key {
+		d.hits++
+		return env.Value, true
+	}
+	d.misses++
+	if size == 0 && errors.Is(err, os.ErrNotExist) {
+		// A queued-but-unflushed reservation: the entry will appear once
+		// the writer drains. A miss, not corruption.
 		return zero, false
 	}
-	d.hits++
-	return env.Value, true
+	if cur, still := d.index[key]; still {
+		delete(d.index, key)
+		d.bytes -= cur
+	}
+	d.skipped++
+	d.warnf("rescache: disk entry for %s unreadable, treating as absent: %v", key, err)
+	return zero, false
 }
 
 // Put queues key's value for durable write. Re-putting a key that is
@@ -228,21 +228,23 @@ func (d *Disk[V]) writer() {
 // rename into place, update the index. Failures roll the reservation back
 // so a later Put can retry.
 func (d *Disk[V]) writeEntry(key string, val V) {
+	name := fileName(key)
+	tmp := filepath.Join(d.dir, name+tmpSuffix)
 	buf, err := json.Marshal(envelope[V]{Key: key, Value: val})
 	if err == nil {
 		buf = append(buf, '\n')
-		name := fileName(key)
-		tmp := filepath.Join(d.dir, name+tmpSuffix)
-		final := filepath.Join(d.dir, name)
-		if err = os.WriteFile(tmp, buf, 0o644); err == nil {
-			err = os.Rename(tmp, final)
-			if err != nil {
-				os.Remove(tmp)
-			}
-		}
+		err = os.WriteFile(tmp, buf, 0o644)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if err == nil {
+		// Renamed under the lock, so the file appears together with its
+		// size in the index: Get reads a missing file whose size it saw
+		// nonzero as vanished, and one it saw as a reservation as queued.
+		if err = os.Rename(tmp, filepath.Join(d.dir, name)); err != nil {
+			os.Remove(tmp)
+		}
+	}
 	if err != nil {
 		delete(d.index, key)
 		d.warnf("rescache: durable write for %s failed: %v", key, err)

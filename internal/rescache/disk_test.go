@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 type dval struct {
@@ -266,6 +267,47 @@ func TestDiskKeys(t *testing.T) {
 	}
 	if _, ok := d2.Get(victim); ok {
 		t.Fatal("corrupt entry served")
+	}
+}
+
+// TestDiskVanishedEntryIsRewritten: a written entry whose file is removed
+// behind the tier's back is evicted on Get like a corrupt one — Keys
+// stops listing it and Stats counts it skipped — so a later Put writes it
+// again instead of treating the key as already durable.
+func TestDiskVanishedEntryIsRewritten(t *testing.T) {
+	dir := t.TempDir()
+	d := openDisk(t, dir, nil)
+	key := fmt.Sprintf("%032x", 42)
+	path := filepath.Join(dir, key+".json")
+	durable := func() {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			if got, ok := d.Get(key); ok && got.N == 42 {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("entry never became durable")
+			}
+		}
+	}
+	d.Put(key, dval{N: 42})
+	durable()
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := d.Get(key); ok {
+		t.Fatal("vanished entry served")
+	}
+	if keys := d.Keys(); len(keys) != 0 {
+		t.Fatalf("Keys still lists %v after the file vanished", keys)
+	}
+	if st := d.Stats(); st.Skipped != 1 || st.Bytes != 0 {
+		t.Fatalf("stats after eviction: %+v, want 1 skipped and 0 bytes", st)
+	}
+	d.Put(key, dval{N: 42})
+	durable()
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("re-Put did not rewrite the file: %v", err)
 	}
 }
 

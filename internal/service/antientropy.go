@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/url"
+	"slices"
 	"time"
 
 	"dynring"
@@ -21,20 +22,21 @@ import (
 // disk tier's own write queue) and a background loop POSTs it to every
 // other member of the fingerprint's replica set via /v1/replicate; the
 // receiver lands it in its tiers through its own asynchronous disk write
-// queue. Pushes are best-effort: a dead replica misses the push and is
-// healed by anti-entropy instead.
+// queue. Pushes are best-effort: a replica that misses one pulls the
+// envelope itself through anti-entropy.
 //
 // Anti-entropy makes replica -data directories converge to the set union
 // of their envelopes. Content addressing is what reduces reconciliation to
 // a union: equal fingerprints imply identical envelopes, so there is
 // nothing to merge and no version to compare — a replica either holds a
-// fingerprint's envelope or it doesn't. Each pass exchanges key listings
-// with one peer, pulls envelopes this node should hold but cannot read
-// (absent or corrupt — both read as absent, so corruption is repaired, not
-// special-cased), and pushes envelopes the peer should hold but does not
-// list. Both directions re-read and validate every envelope they ship:
-// the serving side's Durable read rejects a corrupt entry, so corruption
-// can be repaired from a healthy peer but never propagated to one.
+// fingerprint's envelope or it doesn't. Anti-entropy only pulls: each node
+// repairs its own disk tier, and nobody repairs a peer's. A pass fetches
+// one peer's key listing and pulls every envelope this node should hold
+// but cannot read (absent or corrupt — both read as absent, so corruption
+// is repaired, not special-cased). The serving side re-reads and validates
+// every envelope it ships, so a corrupt entry is answered with a 404:
+// corruption can be repaired from a healthy peer but never propagated to
+// one.
 
 // replItem is one queued replication push.
 type replItem struct {
@@ -132,7 +134,8 @@ func (m *Manager) replicationLoop() {
 // pushReplicas sends one envelope to every other currently-routable member
 // of its replica set, encoding it once for all of them. A replica that is
 // not alive — unreachable, or too slow to answer its probes inside the
-// probe timeout — is skipped, and anti-entropy repairs it on recovery.
+// probe timeout — is skipped, and pulls what it missed through
+// anti-entropy once it sees this node alive again.
 // Pushes run serially on one loop, each bounded by the proxy timeout, so
 // waiting on a gray peer would back the bounded queue up into every
 // execution on this node.
@@ -161,7 +164,7 @@ func (m *Manager) postReplicate(target string, body []byte) error {
 
 // AdoptEnvelope lands a replicated envelope in this node's cache tiers
 // (the durable write goes through the existing asynchronous write queue).
-// It is the receiving side of /v1/replicate and anti-entropy pushes; the
+// It is the receiving side of /v1/replicate and of anti-entropy pulls; the
 // fingerprint contract — equal fingerprints imply identical results —
 // makes adoption idempotent and order-free.
 func (m *Manager) AdoptEnvelope(fp string, res dynring.Result) {
@@ -186,11 +189,13 @@ func (m *Manager) DurableEnvelope(fp string) (dynring.Result, bool) {
 	return m.cache.Durable(fp)
 }
 
-// antiEntropyLoop paces background reconciliation: a full sweep over alive
-// peers every aeInterval, plus immediate targeted syncs when a peer
-// returns from the dead (the OnRejoin kick) — that is how envelopes stolen
-// or executed on its behalf while it was down land back on its disk tier
-// without waiting out the interval.
+// antiEntropyLoop paces background repair of this node's disk tier: a
+// pass over alive peers every aeInterval, plus an immediate pull from a
+// peer the moment this node sees it alive for the first time since boot or
+// back from the dead (the OnAlive kick). The boot kicks are how a
+// restarted replica pulls what it missed while it was down, however
+// briefly; the tick repairs a push that failed while the peer stayed
+// alive, the gaps a suspect flap leaves, and a corrupt local copy.
 func (m *Manager) antiEntropyLoop() {
 	t := time.NewTicker(m.aeInterval)
 	defer t.Stop()
@@ -206,10 +211,9 @@ func (m *Manager) antiEntropyLoop() {
 	}
 }
 
-// AntiEntropyNow runs one synchronous reconciliation pass against every
-// alive peer and returns the number of envelopes repaired (pulled or
-// pushed). Tests and targeted recovery use it; the background loop calls
-// it on each tick.
+// AntiEntropyNow runs one synchronous pass that pulls from every alive
+// peer and returns the number of envelopes this node repaired. Tests use
+// it; the background loop calls it on each tick.
 func (m *Manager) AntiEntropyNow() int {
 	if m.membership == nil || m.replicas < 2 {
 		return 0
@@ -224,12 +228,11 @@ func (m *Manager) AntiEntropyNow() int {
 	return repairs
 }
 
-// antiEntropySync reconciles this node's durable tier with one peer's:
-// pull every envelope the peer lists that this node should hold (self in
-// its replica set) but cannot read — absent and corrupt read the same, so
-// a corrupt local copy is repaired from the healthy peer — then push every
-// envelope this node holds that the peer should hold but does not list.
-// Returns the number of envelopes repaired in either direction.
+// antiEntropySync repairs this node's durable tier from one peer's: it
+// pulls every envelope the peer lists whose replica set includes this node
+// and which this node cannot read — absent and corrupt read the same, so a
+// corrupt local copy is repaired from the healthy peer. Returns the number
+// of envelopes pulled.
 func (m *Manager) antiEntropySync(peer string) int {
 	remote, err := m.fetchKeys(peer)
 	if err != nil {
@@ -238,19 +241,9 @@ func (m *Manager) antiEntropySync(peer string) int {
 	}
 	ring := m.membership.Ring()
 	self := m.membership.Self()
-	inSet := func(fp, member string) bool {
-		for _, o := range ring.Owners(fp, m.replicas) {
-			if o == member {
-				return true
-			}
-		}
-		return false
-	}
 	repairs := 0
-	remoteSet := make(map[string]bool, len(remote))
 	for _, fp := range remote {
-		remoteSet[fp] = true
-		if !inSet(fp, self) {
+		if !slices.Contains(ring.Owners(fp, m.replicas), self) {
 			continue
 		}
 		if _, ok := m.cache.Durable(fp); ok {
@@ -264,19 +257,6 @@ func (m *Manager) antiEntropySync(peer string) int {
 			continue
 		}
 		m.AdoptEnvelope(fp, res)
-		repairs++
-	}
-	for _, fp := range m.cache.DurableKeys() {
-		if remoteSet[fp] || !inSet(fp, peer) {
-			continue
-		}
-		res, ok := m.cache.Durable(fp)
-		if !ok {
-			continue // our own copy is corrupt; it must not propagate
-		}
-		if err := m.postReplicate(peer, appendReplicate(nil, fp, &res)); err != nil {
-			continue
-		}
 		repairs++
 	}
 	if repairs > 0 {

@@ -107,11 +107,9 @@ func NewHandler(m *Manager) http.Handler {
 				return
 			}
 		}
-		if d := r.Header.Get(DeadlineHeader); d != "" {
-			if opts.Deadline, err = time.ParseDuration(d); err != nil || opts.Deadline <= 0 {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("bad %s: want a positive Go duration", DeadlineHeader))
-				return
-			}
+		if opts.Deadline, err = parseDeadline(r); err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
 		}
 		body, err := readBody(nil, w, r, maxSpecBytes)
 		if err != nil {
@@ -267,13 +265,12 @@ func NewHandler(m *Manager) http.Handler {
 		// hop whose budget expires stops burning this node's engine time
 		// the moment the answer can no longer be used.
 		runCtx := r.Context()
-		if d := r.Header.Get(DeadlineHeader); d != "" {
-			budget, err := time.ParseDuration(d)
-			if err != nil || budget <= 0 {
-				writeError(w, http.StatusBadRequest,
-					fmt.Errorf("bad %s: want a positive Go duration", DeadlineHeader))
-				return
-			}
+		budget, err := parseDeadline(r)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		if budget > 0 {
 			var cancel context.CancelFunc
 			runCtx, cancel = context.WithTimeout(runCtx, budget)
 			defer cancel()
@@ -306,9 +303,9 @@ func NewHandler(m *Manager) http.Handler {
 
 	// The replication endpoints exist only on a replicated cluster node
 	// (Replicas > 1); elsewhere they 404 — a standalone or unreplicated
-	// node must not adopt third-party envelopes. Like the membership
-	// announcements they are peer-to-peer and stay outside tenant auth:
-	// they create no work, and envelopes are content-addressed (the
+	// node must not adopt third-party envelopes. Like the health probes
+	// they are peer-to-peer and stay outside tenant auth: they create no
+	// work, and envelopes are content-addressed (the
 	// receiver re-keys by the embedded fingerprint, so the worst a bogus
 	// push can do is cache a result nobody asks for). A push is most of a
 	// replicated cluster's requests — one per other replica per execution
@@ -528,6 +525,20 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// parseDeadline reads DeadlineHeader: zero when it is absent, an error
+// when it is not a positive Go duration.
+func parseDeadline(r *http.Request) (time.Duration, error) {
+	d := r.Header.Get(DeadlineHeader)
+	if d == "" {
+		return 0, nil
+	}
+	budget, err := time.ParseDuration(d)
+	if err != nil || budget <= 0 {
+		return 0, fmt.Errorf("bad %s: want a positive Go duration", DeadlineHeader)
+	}
+	return budget, nil
 }
 
 // writeError writes the service's error document.

@@ -87,9 +87,11 @@ type ClusterOptions struct {
 	// is the fault-injection seam clustertest wraps; nil means the default
 	// transport.
 	Transport http.RoundTripper
-	// AntiEntropyInterval paces the background reconciliation of replica
-	// disk tiers (zero: a 30s default). Only meaningful with Replicas > 1
-	// and a DiskDir.
+	// AntiEntropyInterval paces the pass in which this node pulls, from
+	// every alive peer, the envelopes its own disk tier should hold but
+	// cannot read (zero: a 30s default). Pulls also start the moment a peer
+	// is first seen alive, or alive again after dead. Only meaningful with
+	// Replicas > 1 and a DiskDir.
 	AntiEntropyInterval time.Duration
 	// ProxyTimeout bounds every outbound replica RPC: replication pushes
 	// (POST /v1/replicate) and anti-entropy fetches as a whole, and proxy
@@ -177,12 +179,12 @@ type Manager struct {
 
 	// Replication and anti-entropy state (cluster mode with Replicas > 1).
 	// replicaHits counts scenarios served by proxying to a non-owner
-	// replica; aeRepairs counts envelopes copied between replica disk
-	// tiers by the anti-entropy pass.
+	// replica; aeRepairs counts envelopes this node's anti-entropy pulls
+	// landed on its disk tier.
 	replicaHits atomic.Uint64
 	aeRepairs   atomic.Uint64
 	aeInterval  time.Duration
-	aeKick      chan string   // rejoin-triggered targeted syncs
+	aeKick      chan string   // peers to pull from now (OnAlive)
 	auxStop     chan struct{} // stops the replication + anti-entropy loops
 	auxStopOnce sync.Once
 	auxWG       sync.WaitGroup
@@ -322,7 +324,10 @@ func newManager(opts Options) (*Manager, error) {
 			m.aeInterval = defaultAntiEntropyInterval
 		}
 		m.peers = newPeerClient(opts.Cluster.Transport)
-		m.aeKick = make(chan string, 8)
+		// One slot per member: every peer kicks once when this node first
+		// sees it alive, all of them at boot, and a smaller buffer would
+		// drop some of those kicks and leave their gaps to the next tick.
+		m.aeKick = make(chan string, len(opts.Cluster.Peers))
 		m.auxStop = make(chan struct{})
 		m.replq = make(chan replItem, replicateQueueDepth)
 		// Cap the probe timeout at the proxy budget (see ClusterOptions.
@@ -335,14 +340,14 @@ func newManager(opts Options) (*Manager, error) {
 			ProbeTimeout:  min(probeTimeout, m.proxyTimeout),
 			HTTPClient:    &http.Client{Transport: m.peers.rt},
 			Logger:        base.With("component", "cluster"),
-			// A peer returning from the dead (never a transient flap — the
-			// membership fires this once per recovery) gets an immediate
-			// targeted anti-entropy sync, which is how envelopes executed
-			// elsewhere while it was down land back on its disk tier.
-			OnRejoin: func(url string) {
+			// A peer seen alive for the first time since boot, or back from
+			// the dead (never after a transient flap), is pulled from at
+			// once: that is how a restarted node lands what it missed while
+			// it was down, and a node that lost contact catches up.
+			OnAlive: func(url string) {
 				select {
 				case m.aeKick <- url:
-				default: // a sync toward this peer is already pending
+				default: // the loop is far behind; the tick repairs it
 				}
 			},
 		})

@@ -201,7 +201,7 @@ func newMetrics(m *Manager) *metrics {
 			"Scenarios served by a non-owner replica: failover past an unroutable or failed owner.",
 			func() float64 { return float64(m.replicaHits.Load()) })
 		r.CounterFunc("dynring_cluster_antientropy_repairs_total",
-			"Envelopes copied between replica disk tiers by the anti-entropy pass (pulled repairs plus pushes to lagging peers).",
+			"Envelopes this node pulled from peers onto its own disk tier by anti-entropy (absent or corrupt local copies).",
 			func() float64 { return float64(m.aeRepairs.Load()) })
 	}
 
