@@ -33,8 +33,9 @@ const TraceHeader = "X-Dynring-Trace"
 
 // TenantHeader is the HTTP header that carries a tenant's API key on
 // work-creating requests, as an alternative to "Authorization: Bearer".
-// The service's cluster proxy also forwards it on POST /v1/run hops so the
-// owning node accounts the execution to the originating tenant.
+// The service's cluster proxy sends the originating tenant's key on POST
+// /v1/run hops as "Authorization: Bearer", so the owning node accounts
+// the execution to that tenant.
 const TenantHeader = "X-Dynring-Tenant"
 
 // PriorityHeader and DeadlineHeader qualify a POST /v1/sweeps submission:
@@ -217,7 +218,9 @@ type CacheStats struct {
 // DiskTierStats snapshots the durable content-addressed result tier
 // (ringsimd -data); it appears in /statsz when the tier is enabled.
 type DiskTierStats struct {
-	// Entries and Bytes describe the durable entries on disk.
+	// Entries and Bytes describe the durable entries, those whose disk
+	// write is still queued included (at their encoded size): every one
+	// is readable.
 	Entries int   `json:"entries"`
 	Bytes   int64 `json:"bytes"`
 	// QueueDepth counts writes waiting on the asynchronous writer;
@@ -282,7 +285,9 @@ type ServiceStats struct {
 	Cache      CacheStats `json:"cache"`
 	// HitRatio is the combined cache-tier hit ratio: of all result
 	// lookups, the fraction served without executing (memory or disk
-	// tier). 0 when nothing has been looked up yet (or caching is off).
+	// tier). With the memory tier off (-cache 0) every lookup reaches
+	// the disk tier, so its lookups are the denominator. 0 when nothing
+	// has been looked up yet, or with neither tier (caching off).
 	HitRatio float64 `json:"hit_ratio"`
 	// Disk describes the durable tier; absent when -data is unset.
 	Disk *DiskTierStats `json:"disk,omitempty"`

@@ -75,8 +75,8 @@ func (c *Cluster) waitReplicated(fps []string, k int) {
 	}
 }
 
-// readable counts the fps node i's disk tier serves: written, not merely
-// queued for its disk writer.
+// readable counts the fps node i's disk tier serves, whether or not their
+// disk writes have finished.
 func (c *Cluster) readable(i int, fps []string) int {
 	n := 0
 	for _, fp := range fps {
@@ -87,14 +87,20 @@ func (c *Cluster) readable(i int, fps []string) int {
 	return n
 }
 
-// waitReadable blocks until node i's disk tier serves every fp. A peer
-// answers an anti-entropy pull only with written envelopes, and a kick
-// pulls from it once, so tests that rely on one kick wait for this first.
-func (c *Cluster) waitReadable(i int, fps []string) {
+// waitWritten blocks until every fp's envelope file exists in node i's
+// DataDir. A disk tier serves an envelope before its write finishes, so a
+// test that removes or truncates envelope files waits for the writes
+// first: a write still queued would land after the sabotage.
+func (c *Cluster) waitWritten(i int, fps []string) {
 	c.t.Helper()
-	for deadline := time.Now().Add(10 * time.Second); c.readable(i, fps) < len(fps); time.Sleep(5 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			c.t.Fatalf("clustertest: node %d wrote %d/%d envelopes to disk", i, c.readable(i, fps), len(fps))
+	for _, fp := range fps {
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			if _, err := os.Stat(EnvelopeFile(c.Node(i).DataDir, fp)); err == nil {
+				break
+			}
+			if time.Now().After(deadline) {
+				c.t.Fatalf("clustertest: node %d never wrote the envelope of %s to disk", i, fp)
+			}
 		}
 	}
 }
@@ -412,8 +418,11 @@ func TestClusterAntiEntropyRepairsCorruptEnvelope(t *testing.T) {
 	if err := j.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
-	// k = 2 on 2 nodes: both tiers hold every envelope.
+	// k = 2 on 2 nodes: both tiers hold every envelope, and the test
+	// sabotages their files.
 	c.waitReplicated(fps, 2)
+	c.waitWritten(0, fps)
+	c.waitWritten(1, fps)
 	execBefore := c.TotalExecutions()
 
 	// Corrupt one envelope on node 0 and repair it from node 1.
@@ -496,8 +505,8 @@ func TestClusterAntiEntropyRestoresVanishedEnvelope(t *testing.T) {
 	spec := grid(1)
 	fps := fingerprints(t, spec)
 	c.runOn(t, 0, spec)
-	c.waitReadable(0, fps)
-	c.waitReadable(1, fps)
+	c.WaitDurable(1, len(fps))
+	c.waitWritten(0, fps)
 	path := EnvelopeFile(c.Node(0).DataDir, fps[0])
 	if err := os.Remove(path); err != nil {
 		t.Fatal(err)
@@ -524,7 +533,10 @@ func TestClusterAntiEntropyRestoresVanishedEnvelope(t *testing.T) {
 // re-executes nothing. Node 1 is the replica of 40 fresh rows owned by
 // node 2; it is crashed while node 0 coordinates them and restarted after.
 // Then node 2 crashes and node 3 sends the grid again. No peer pushes the
-// restarted replica anything: it repairs itself.
+// restarted replica anything: it repairs itself, fetching each missing
+// envelope exactly once — a peer lists only envelopes it serves, queued
+// disk writes included, and an envelope adopted from the first peer is
+// readable before the pull from the next one.
 func TestClusterAntiEntropyRepairsRestartedReplica(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -578,16 +590,18 @@ func TestClusterAntiEntropyRepairsRestartedReplica(t *testing.T) {
 				c.WaitPeerState(i, n1, "suspect", "dead")
 			}
 			c.runOn(t, 0, spec)
-			c.waitReadable(2, fps)
 			if tc.dead {
 				for _, i := range []int{0, 2, 3} {
 					c.WaitPeerState(i, n1, "dead")
 				}
 			}
-			var pushes atomic.Int64
+			var pushes, fetches atomic.Int64
 			c.Plan.OnRequest(func(from, to, path string) {
 				if to == n1 && path == "/v1/replicate" {
 					pushes.Add(1)
+				}
+				if from == n1 && path == "/v1/antientropy/entry" {
+					fetches.Add(1)
 				}
 			})
 			restarted := time.Now()
@@ -598,6 +612,7 @@ func TestClusterAntiEntropyRepairsRestartedReplica(t *testing.T) {
 				}
 				time.Sleep(5 * time.Millisecond)
 			}
+			repaired := time.Since(restarted)
 			// Every peer routes to node 1 again before the owner crashes.
 			c.WaitAlive()
 			close(stop)
@@ -610,6 +625,10 @@ func TestClusterAntiEntropyRepairsRestartedReplica(t *testing.T) {
 			c.Plan.OnRequest(nil)
 			if got := pushes.Load(); got != 0 {
 				t.Fatalf("%d POST /v1/replicate requests reached the restarted replica, want 0", got)
+			}
+			t.Logf("restarted replica held %d/%d envelopes after %v, with %d entry fetches", len(fps), len(fps), repaired, fetches.Load())
+			if got := fetches.Load(); got != int64(len(fps)) {
+				t.Fatalf("the restarted replica made %d entry fetches to repair %d gaps, want %d", got, len(fps), len(fps))
 			}
 			before := c.TotalExecutions()
 			c.runOn(t, 3, spec)

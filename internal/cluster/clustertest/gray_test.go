@@ -247,7 +247,6 @@ func TestGrayFailureReplicationSkipsDegradedPeer(t *testing.T) {
 	// coordinator dead too. Its first good probe back fires its own kick,
 	// and that one pull lands every skipped envelope; no pass is driven.
 	c.WaitPeerState(1, n0.URL, "dead")
-	c.waitReadable(0, fingerprints(t, spec))
 	c.Plan.SlowNode(n1.URL, 0)
 	deadline := time.Now().Add(10 * time.Second)
 	for len(n1.Manager.DurableKeys()) < rows {

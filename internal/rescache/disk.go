@@ -3,7 +3,6 @@ package rescache
 import (
 	"crypto/sha256"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -24,10 +23,13 @@ import (
 //   - Every write lands in a ".tmp" sibling first and is renamed into
 //     place, so a crash — SIGKILL mid-write, disk full — can leave a stale
 //     tmp file but never a half-written entry under a live name.
-//   - Writes are asynchronous: Put enqueues on a bounded queue drained by
-//     one background writer, keeping the executing worker off the disk's
-//     latency. Close flushes the queue before returning, which is what
-//     ringsimd's -drain relies on.
+//   - Writes are asynchronous, and invisible: Put encodes the entry and
+//     indexes it at once, and one background writer drains a bounded
+//     queue to disk, keeping the executing worker off the disk's latency.
+//     Until its file is in place, Get serves the entry from the encoded
+//     bytes Put kept, so an indexed key is always readable. Close flushes
+//     the queue before returning, which is what ringsimd's -drain relies
+//     on.
 //   - Reads (Get, warm start) treat corruption as absence: a file that
 //     fails to decode, carries the wrong key, or is truncated is skipped
 //     and logged, never fatal. Leftover tmp files are deleted on Open.
@@ -37,22 +39,22 @@ type Disk[V any] struct {
 	dir  string
 	logf func(format string, args ...any)
 
-	mu      sync.Mutex
-	index   map[string]int64 // key → entry file size in bytes
+	mu    sync.Mutex
+	index map[string]int64 // key → encoded entry size in bytes
+	// pending holds the encoded entry of each indexed key whose file the
+	// writer has not yet renamed into place.
+	pending map[string][]byte
 	bytes   int64
 	hits    uint64
 	misses  uint64
 	skipped int // corrupt/foreign files ignored since Open
 
-	queue  chan diskWrite[V]
+	// sendMu guards closed, and orders Close after every Put already
+	// sending on queue.
+	sendMu sync.RWMutex
 	closed bool
+	queue  chan string
 	done   chan struct{}
-}
-
-// diskWrite is one queued Put.
-type diskWrite[V any] struct {
-	key string
-	val V
 }
 
 // envelope is the on-disk JSON document. The key is stored inside the file
@@ -86,11 +88,12 @@ func OpenDisk[V any](dir string, logf func(format string, args ...any), warm fun
 		return nil, err
 	}
 	d := &Disk[V]{
-		dir:   dir,
-		logf:  logf,
-		index: make(map[string]int64),
-		queue: make(chan diskWrite[V], writeQueueDepth),
-		done:  make(chan struct{}),
+		dir:     dir,
+		logf:    logf,
+		index:   make(map[string]int64),
+		pending: make(map[string][]byte),
+		queue:   make(chan string, writeQueueDepth),
+		done:    make(chan struct{}),
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -112,7 +115,7 @@ func OpenDisk[V any](dir string, logf func(format string, args ...any), warm fun
 		if !strings.HasSuffix(name, entrySuffix) {
 			continue
 		}
-		env, size, err := readEntry[V](path)
+		env, size, err := decodeEntry[V](os.ReadFile(path))
 		if err == nil && name != fileName(env.Key) {
 			// A renamed or hand-copied entry: Get and Put address a key
 			// by fileName, so indexing it would claim a key this tier
@@ -134,145 +137,140 @@ func OpenDisk[V any](dir string, logf func(format string, args ...any), warm fun
 	return d, nil
 }
 
-// readEntry decodes one entry file, rejecting trailing garbage. The
-// envelope is generic over V, so it stays on encoding/json rather than the
-// hand-written wire codec; disk reads are off the hot path.
-func readEntry[V any](path string) (envelope[V], int64, error) {
+// decodeEntry decodes one encoded entry of size len(buf), rejecting
+// trailing garbage and an empty key; a non-nil err (the read's) passes
+// through. The envelope is generic over V, so it stays on encoding/json
+// rather than the hand-written wire codec; disk reads are off the hot path.
+func decodeEntry[V any](buf []byte, err error) (envelope[V], int64, error) {
 	var env envelope[V]
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return env, 0, err
+	if err == nil {
+		err = json.Unmarshal(buf, &env)
 	}
-	if err := json.Unmarshal(buf, &env); err != nil {
-		return env, 0, err
+	if err == nil && env.Key == "" {
+		err = fmt.Errorf("entry has no key")
 	}
-	if env.Key == "" {
-		return env, 0, fmt.Errorf("entry has no key")
-	}
-	return env, int64(len(buf)), nil
+	return env, int64(len(buf)), err
 }
 
-// Get reads the entry for key from disk. A decode failure, a key mismatch
-// (a corrupted or tampered file) or a written entry whose file has since
-// vanished drops the entry from the index and misses, so Keys stops
-// listing it and a later Put writes it again. Only a queued reservation's
-// missing file is a plain miss.
+// Get reads the entry for key: from the bytes Put kept while its write is
+// queued, from its file after. A decode failure, a key mismatch (a
+// corrupted or tampered file) or a file that has vanished drops the entry
+// from the index and misses, so Keys stops listing it and a later Put
+// writes it again.
 func (d *Disk[V]) Get(key string) (V, bool) {
 	var zero V
 	d.mu.Lock()
-	size, ok := d.index[key]
+	_, ok := d.index[key]
+	buf, queued := d.pending[key]
 	if !ok {
 		d.misses++
 		d.mu.Unlock()
 		return zero, false
 	}
 	d.mu.Unlock()
-	env, _, err := readEntry[V](filepath.Join(d.dir, fileName(key)))
+	var err error
+	if !queued {
+		buf, err = os.ReadFile(filepath.Join(d.dir, fileName(key)))
+	}
+	env, _, err := decodeEntry[V](buf, err)
+	if err == nil && env.Key != key {
+		err = fmt.Errorf("entry holds key %q", env.Key)
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err == nil && env.Key == key {
+	if err == nil {
 		d.hits++
 		return env.Value, true
 	}
 	d.misses++
-	if size == 0 && errors.Is(err, os.ErrNotExist) {
-		// A queued-but-unflushed reservation: the entry will appear once
-		// the writer drains. A miss, not corruption.
-		return zero, false
-	}
-	if cur, still := d.index[key]; still {
-		delete(d.index, key)
-		d.bytes -= cur
-	}
+	d.bytes -= d.index[key]
+	delete(d.index, key)
+	delete(d.pending, key)
 	d.skipped++
 	d.warnf("rescache: disk entry for %s unreadable, treating as absent: %v", key, err)
 	return zero, false
 }
 
-// Put queues key's value for durable write. Re-putting a key that is
-// already durable (or already queued) is a no-op by the key contract.
-// When the write queue is full Put blocks — durability is backpressure,
-// not best-effort. Put after Close is dropped.
+// Put encodes key's value, indexes it — readable from this moment on —
+// and queues it for durable write. The encoded bytes are the tier's own,
+// so the caller may mutate val once Put returns. Re-putting a key that is
+// already indexed is a no-op by the key contract. When the write queue is
+// full Put blocks — durability is backpressure, not best-effort. Put
+// after Close is dropped.
 func (d *Disk[V]) Put(key string, val V) {
-	if key == "" {
-		return
-	}
+	buf, err := json.Marshal(envelope[V]{Key: key, Value: val})
+	d.sendMu.RLock()
+	defer d.sendMu.RUnlock()
 	d.mu.Lock()
-	if d.closed {
+	if err != nil {
+		d.warnf("rescache: durable write for %s failed: %v", key, err)
+	}
+	if _, ok := d.index[key]; ok || d.closed || key == "" || err != nil {
 		d.mu.Unlock()
 		return
 	}
-	if _, ok := d.index[key]; ok {
-		d.mu.Unlock()
-		return
-	}
-	// Reserve the key with size 0 before queueing: a concurrent Put of the
-	// same key becomes the no-op above instead of a duplicate write, and
-	// Get serves it from disk only after the writer fills the real size in
-	// (a reserved-but-unwritten entry reads as corrupt→absent, which is
-	// within contract). The writer replaces the reservation.
-	d.index[key] = 0
+	buf = append(buf, '\n')
+	d.index[key] = int64(len(buf))
+	d.bytes += int64(len(buf))
+	d.pending[key] = buf
 	d.mu.Unlock()
-	d.queue <- diskWrite[V]{key: key, val: val}
+	d.queue <- key
 }
 
 // writer is the single background goroutine draining the write queue.
 func (d *Disk[V]) writer() {
 	defer close(d.done)
-	for w := range d.queue {
-		d.writeEntry(w.key, w.val)
+	for key := range d.queue {
+		d.writeEntry(key)
 	}
 }
 
-// writeEntry performs one atomic entry write: encode, write tmp sibling,
-// rename into place, update the index. Failures roll the reservation back
-// so a later Put can retry.
-func (d *Disk[V]) writeEntry(key string, val V) {
+// writeEntry performs one atomic entry write: write the queued bytes to a
+// tmp sibling, then rename it into place. A failure drops the key so a
+// later Put can retry.
+func (d *Disk[V]) writeEntry(key string) {
+	d.mu.Lock()
+	buf, ok := d.pending[key]
+	d.mu.Unlock()
+	if !ok {
+		return // dropped by Get since Put queued it
+	}
 	name := fileName(key)
 	tmp := filepath.Join(d.dir, name+tmpSuffix)
-	buf, err := json.Marshal(envelope[V]{Key: key, Value: val})
-	if err == nil {
-		buf = append(buf, '\n')
-		err = os.WriteFile(tmp, buf, 0o644)
-	}
+	err := os.WriteFile(tmp, buf, 0o644)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if err == nil {
-		// Renamed under the lock, so the file appears together with its
-		// size in the index: Get reads a missing file whose size it saw
-		// nonzero as vanished, and one it saw as a reservation as queued.
+		// The rename and the pending drop share one critical section, so
+		// Get finds the queued bytes or the file, never neither.
 		if err = os.Rename(tmp, filepath.Join(d.dir, name)); err != nil {
 			os.Remove(tmp)
 		}
 	}
+	delete(d.pending, key)
 	if err != nil {
+		d.bytes -= d.index[key]
 		delete(d.index, key)
 		d.warnf("rescache: durable write for %s failed: %v", key, err)
-		return
 	}
-	// Replace the Put reservation (or, after a corrupt-entry eviction and
-	// re-Put, the stale size) rather than double-counting bytes.
-	d.bytes += int64(len(buf)) - d.index[key]
-	d.index[key] = int64(len(buf))
 }
 
-// Close flushes every queued write and stops the writer. Further Puts are
-// dropped; Get keeps working (the tier stays readable through shutdown).
+// Close flushes every queued write and stops the writer. A Put that has
+// indexed its entry when Close starts, blocked on a full queue or not,
+// finishes queueing it first; further Puts are dropped. Get keeps working
+// (the tier stays readable through shutdown).
 func (d *Disk[V]) Close() {
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		<-d.done
-		return
+	d.sendMu.Lock()
+	if !d.closed {
+		close(d.queue)
 	}
 	d.closed = true
-	d.mu.Unlock()
-	close(d.queue)
+	d.sendMu.Unlock()
 	<-d.done
 }
 
 // Keys returns a point-in-time snapshot of the indexed keys, queued
-// reservations included, in no particular order. The anti-entropy pass
+// writes included, in no particular order. The anti-entropy pass
 // uses it as the set-union basis between replica disk tiers. An indexed
 // key is a claim, not a guarantee — a corrupt entry stays indexed until a
 // Get evicts it — so a serving side must re-read (and thereby validate)
@@ -289,8 +287,8 @@ func (d *Disk[V]) Keys() []string {
 
 // DiskStats is a consistent snapshot of the durable tier.
 type DiskStats struct {
-	// Entries and Bytes describe the indexed entries (queued-but-unwritten
-	// reservations count as entries with zero bytes).
+	// Entries and Bytes describe the indexed entries, queued writes
+	// included at their encoded size.
 	Entries int
 	Bytes   int64
 	// QueueDepth is the number of writes waiting for the background

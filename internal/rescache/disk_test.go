@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -226,8 +227,8 @@ func TestDiskConcurrentHammer(t *testing.T) {
 	}
 }
 
-// TestDiskKeys: the index snapshot lists every Put key (queued
-// reservations included), and a corrupt entry stays listed until a Get
+// TestDiskKeys: the index snapshot lists every Put key (queued writes
+// included), and a corrupt entry stays listed until a Get
 // evicts it — Keys is a claim set, not a validity proof.
 func TestDiskKeys(t *testing.T) {
 	dir := t.TempDir()
@@ -279,19 +280,19 @@ func TestDiskVanishedEntryIsRewritten(t *testing.T) {
 	d := openDisk(t, dir, nil)
 	key := fmt.Sprintf("%032x", 42)
 	path := filepath.Join(dir, key+".json")
-	durable := func() {
+	written := func() {
 		t.Helper()
 		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-			if got, ok := d.Get(key); ok && got.N == 42 {
+			if _, err := os.Stat(path); err == nil {
 				return
 			}
 			if time.Now().After(deadline) {
-				t.Fatal("entry never became durable")
+				t.Fatal("entry file never written")
 			}
 		}
 	}
 	d.Put(key, dval{N: 42})
-	durable()
+	written()
 	if err := os.Remove(path); err != nil {
 		t.Fatal(err)
 	}
@@ -305,9 +306,58 @@ func TestDiskVanishedEntryIsRewritten(t *testing.T) {
 		t.Fatalf("stats after eviction: %+v, want 1 skipped and 0 bytes", st)
 	}
 	d.Put(key, dval{N: 42})
-	durable()
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("re-Put did not rewrite the file: %v", err)
+	written()
+	if got, ok := d.Get(key); !ok || got.N != 42 {
+		t.Fatalf("rewritten entry = %+v, %v", got, ok)
+	}
+}
+
+// TestDiskReadableFromPut: an indexed key is readable — Get hits the
+// moment Put returns, before the writer has touched the disk, and Stats
+// counts the queued entry at its encoded size. Put keeps its own encoded
+// copy, so a caller mutating its value after Put changes neither what Get
+// serves nor what reaches the disk.
+func TestDiskReadableFromPut(t *testing.T) {
+	dir := t.TempDir()
+	d := openDisk(t, dir, nil)
+	const n = 300
+	for i := range n {
+		k := fmt.Sprintf("%032x", i)
+		v := dval{N: i, S: "kept", Xs: []int{i, i}}
+		d.Put(k, v)
+		v.S, v.Xs[0] = "mutated", -1
+		got, ok := d.Get(k)
+		if !ok {
+			t.Fatalf("Get(%s) missed right after Put (stats %+v)", k, d.Stats())
+		}
+		if got.S != "kept" || got.Xs[0] != i {
+			t.Fatalf("Get(%s) = %+v, want the value as Put saw it", k, got)
+		}
+	}
+	st := d.Stats()
+	if st.Hits != n || st.Misses != 0 || st.Entries != n {
+		t.Fatalf("stats = %+v, want %d hits, 0 misses, %d entries", st, n, n)
+	}
+	want := 0
+	for i := range n {
+		b, err := json.Marshal(envelope[dval]{Key: fmt.Sprintf("%032x", i), Value: dval{N: i, S: "kept", Xs: []int{i, i}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += len(b) + 1
+	}
+	if st.Bytes != int64(want) {
+		t.Fatalf("Bytes = %d, want %d (every entry at its encoded size)", st.Bytes, want)
+	}
+	d.Close()
+	mutated := 0
+	openDisk(t, dir, func(_ string, v dval) {
+		if v.S != "kept" || v.Xs[0] != v.N {
+			mutated++
+		}
+	})
+	if mutated != 0 {
+		t.Fatalf("%d/%d entries on disk carry a mutation made after Put", mutated, n)
 	}
 }
 
@@ -473,4 +523,40 @@ func mustJSON(t *testing.T, v any) string {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+// TestDiskCloseWhilePutsBlock: Close while Puts are blocked on a full
+// write queue, or about to send on it, neither panics nor loses a Put
+// that Close ordered before itself: every Put that returns before Close
+// is flushed, and the rest are dropped.
+func TestDiskCloseWhilePutsBlock(t *testing.T) {
+	for round := range 5 {
+		dir := t.TempDir()
+		d, err := OpenDisk[dval](dir, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for g := range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range 2 * writeQueueDepth {
+					d.Put(fmt.Sprintf("%d-%d-%d", round, g, i), dval{N: i})
+				}
+			}()
+		}
+		for d.Stats().QueueDepth < writeQueueDepth/2 {
+			runtime.Gosched()
+		}
+		d.Close()
+		wg.Wait()
+		entries := d.Stats().Entries
+		n := 0
+		d2 := openDisk(t, dir, func(string, dval) { n++ })
+		d2.Close()
+		if n != entries {
+			t.Fatalf("round %d: %d entries indexed at Close, %d on disk after it", round, entries, n)
+		}
+	}
 }

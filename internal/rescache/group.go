@@ -19,8 +19,8 @@ type Store[V any] interface {
 // concurrent caller of the same key (the waiters) parks on its flight and
 // replays a private copy of the leader's value. Waiters never re-read
 // through the store, so deduplication holds whatever the store does with
-// the value — a zero-capacity memory tier, an LRU eviction, or a durable
-// write still queued. Safe for concurrent use.
+// the value — a zero-capacity memory tier or an LRU eviction. Safe for
+// concurrent use.
 type Group[V any] struct {
 	store   Store[V]
 	copyVal func(V) V

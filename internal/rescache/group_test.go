@@ -66,8 +66,8 @@ func awaitWaiters[V any](g *Group[V], n int) {
 // until every other caller has parked on a flight. Executions must equal
 // the number of distinct keys, and every caller must receive a private
 // value deep-equal to its key's leader's — waiters replay the leader's
-// copy, so neither a zero-capacity memory tier, an eviction by another
-// key, nor a durable write still queued can cause a re-execution.
+// copy, so neither a zero-capacity memory tier nor an eviction by another
+// key can cause a re-execution.
 func TestGroupExactlyOnceProperty(t *testing.T) {
 	const keys, callers = 4, 8
 	for _, capacity := range []int{0, 1, 1024} {
@@ -152,6 +152,53 @@ func TestGroupExactlyOnceProperty(t *testing.T) {
 				}
 				if g.waiting() != 0 {
 					t.Fatalf("%d waiters left parked", g.waiting())
+				}
+			})
+		}
+	}
+}
+
+// TestGroupSequentialRepeat crosses the same capacity × disk matrix as
+// TestGroupExactlyOnceProperty with callers that never overlap: each key
+// is asked for twice in a row, the second time after the first returned.
+// No flight is left to wait on, so only the store can serve the repeat,
+// and it must whenever it can hold a value at all — a disk tier serves a
+// key from the moment its Put returns, write still queued or not. With
+// neither tier, every repeat executes.
+func TestGroupSequentialRepeat(t *testing.T) {
+	const keys = 400
+	for _, capacity := range []int{0, 1, 1024} {
+		for _, disk := range []bool{false, true} {
+			t.Run(fmt.Sprintf("cap=%d/disk=%v", capacity, disk), func(t *testing.T) {
+				store := tiered{mem: New(capacity, copyGval)}
+				if disk {
+					d, err := OpenDisk[gval](t.TempDir(), nil, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer d.Close()
+					store.disk = d
+				}
+				g := NewGroup(store, copyGval)
+				executions := 0
+				for k := range keys {
+					key := fmt.Sprintf("%032x", k)
+					for range 2 {
+						v, _, err := g.Do(context.Background(), key, func() (gval, error) {
+							executions++
+							return gval{Key: key, Seq: []int{k}}, nil
+						})
+						if err != nil || v.Key != key || v.Seq[0] != k {
+							t.Fatalf("key %s = %+v, %v", key, v, err)
+						}
+					}
+				}
+				want := keys
+				if capacity == 0 && !disk {
+					want = 2 * keys
+				}
+				if executions != want {
+					t.Fatalf("executions = %d, want %d", executions, want)
 				}
 			})
 		}

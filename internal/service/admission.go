@@ -10,27 +10,14 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+
+	"dynring"
 )
 
 // AnonymousTenant is the implicit tenant every request maps to when no
 // -tenants config is given: weight 1, no quotas — byte-for-byte the
 // pre-admission scheduler. It is reserved; a config may not redeclare it.
 const AnonymousTenant = "anonymous"
-
-// TenantHeader carries a tenant's API key on requests (the alternative to
-// "Authorization: Bearer <key>"). The cluster proxy path also forwards it
-// on POST /v1/run hops so the owner accounts the execution to the
-// originating tenant.
-const TenantHeader = "X-Dynring-Tenant"
-
-// PriorityHeader and DeadlineHeader are the per-submission QoS knobs on
-// POST /v1/sweeps: an integer priority (higher is served first within the
-// tenant; default 0) and a relative deadline as a Go duration ("30s",
-// "2m") after which the job is cancelled exactly as DELETE would.
-const (
-	PriorityHeader = "X-Dynring-Priority"
-	DeadlineHeader = "X-Dynring-Deadline"
-)
 
 // ErrQuotaExceeded is the admission rejection: the tenant is at its queued
 // -scenario or concurrent-job quota. The HTTP layer maps it to 429 with a
@@ -48,7 +35,7 @@ type TenantConfig struct {
 	// labels. Required, unique, and never the reserved AnonymousTenant.
 	Name string `json:"name"`
 	// Key is the API key requests authenticate with ("Authorization:
-	// Bearer <key>" or the TenantHeader). Required and unique.
+	// Bearer <key>" or dynring.TenantHeader). Required and unique.
 	Key string `json:"key"`
 	// Weight is the tenant's WDRR share relative to other tenants under
 	// contention (a weight-3 tenant is served 3 tasks for every 1 of a
@@ -172,9 +159,9 @@ type tenantState struct {
 
 // ResolveTenant maps a request to a tenant name. With no tenant config
 // every request is the anonymous tenant and credentials are ignored; with
-// one, the key from "Authorization: Bearer <key>" (preferred) or the
-// TenantHeader must match a configured tenant or the request is rejected
-// with ErrUnknownTenant.
+// one, the key from "Authorization: Bearer <key>" (preferred) or
+// dynring.TenantHeader must match a configured tenant or the request is
+// rejected with ErrUnknownTenant.
 func (m *Manager) ResolveTenant(r *http.Request) (string, error) {
 	if len(m.byKey) == 0 {
 		return AnonymousTenant, nil
@@ -182,7 +169,7 @@ func (m *Manager) ResolveTenant(r *http.Request) (string, error) {
 	key := strings.TrimPrefix(r.Header.Get("Authorization"), "Bearer ")
 	key = strings.TrimSpace(key)
 	if key == "" {
-		key = strings.TrimSpace(r.Header.Get(TenantHeader))
+		key = strings.TrimSpace(r.Header.Get(dynring.TenantHeader))
 	}
 	if ts, ok := m.byKey[key]; ok && key != "" {
 		return ts.cfg.Name, nil

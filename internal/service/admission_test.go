@@ -9,8 +9,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -81,7 +83,7 @@ func TestAdmissionAuth(t *testing.T) {
 	var created dynring.JobStatus
 	for name, hdr := range map[string]map[string]string{
 		"bearer":        {"Authorization": "Bearer sk-alice"},
-		"tenant header": {TenantHeader: "sk-alice"},
+		"tenant header": {dynring.TenantHeader: "sk-alice"},
 	} {
 		resp := postSweepAs(t, srv, spec, hdr)
 		if resp.StatusCode != http.StatusCreated {
@@ -228,7 +230,7 @@ func TestPriorityThroughHeaders(t *testing.T) {
 	}
 	resp.Body.Close()
 	spec.Seeds = []int64{3, 4}
-	resp = postSweepAs(t, srv, spec, map[string]string{PriorityHeader: "5"})
+	resp = postSweepAs(t, srv, spec, map[string]string{dynring.PriorityHeader: "5"})
 	var urgent dynring.JobStatus
 	if err := json.NewDecoder(resp.Body).Decode(&urgent); err != nil {
 		t.Fatal(err)
@@ -255,8 +257,8 @@ func TestPriorityThroughHeaders(t *testing.T) {
 	}
 
 	for hdr, val := range map[string]string{
-		PriorityHeader: "not-a-number",
-		DeadlineHeader: "yesterday",
+		dynring.PriorityHeader: "not-a-number",
+		dynring.DeadlineHeader: "yesterday",
 	} {
 		resp := postSweepAs(t, srv, spec, map[string]string{hdr: val})
 		resp.Body.Close()
@@ -265,7 +267,7 @@ func TestPriorityThroughHeaders(t *testing.T) {
 		}
 	}
 	// A non-positive deadline is meaningless (already expired).
-	resp = postSweepAs(t, srv, spec, map[string]string{DeadlineHeader: "-5s"})
+	resp = postSweepAs(t, srv, spec, map[string]string{dynring.DeadlineHeader: "-5s"})
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("negative deadline: status %d, want 400", resp.StatusCode)
@@ -476,6 +478,92 @@ func FuzzParseTenants(f *testing.F) {
 		}
 		if !reflect.DeepEqual(again, tenants) {
 			t.Fatalf("ParseTenants(%q) = %+v, but its rendering %q parses to %+v", v, tenants, rendered, again)
+		}
+	})
+}
+
+// FuzzSweepRequestParsers drives NewHandler with the three request values
+// it parses by hand: the priority and deadline headers of POST /v1/sweeps
+// and the ?from= resume cursor of a results stream. A one-row submission
+// whose row is already cached answers 201 exactly when strconv.Atoi
+// accepts the priority (or it is absent) and parseDeadline accepts the
+// deadline, and 400 otherwise. On a settled job, ?from= answers 200 with
+// exactly the byte suffix of the full stream that starts at row from, or
+// 400. Nothing ever answers a 5xx or panics.
+func FuzzSweepRequestParsers(f *testing.F) {
+	m := mustNew(f, Options{Workers: 1, CacheSize: 64})
+	f.Cleanup(m.Close)
+	h := NewHandler(m)
+	grid := testSpec()
+	one := grid
+	one.Algorithms, one.Sizes, one.Seeds = one.Algorithms[:1], one.Sizes[:1], one.Seeds[:1]
+	body, err := json.Marshal(one)
+	if err != nil {
+		f.Fatal(err)
+	}
+	// settle submits the grid (cached after its first run) and waits for it.
+	settle := func(tb testing.TB) *Job {
+		j, err := m.Submit(grid, SubmitOptions{})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := j.Wait(ctx); err != nil {
+			tb.Fatal(err)
+		}
+		return j
+	}
+	total := settle(f).Total()
+
+	for _, v := range []string{"-5s", "0", "1e3s", "+1", " 3", "9223372036854775808", strconv.Itoa(total)} {
+		f.Add(v, v, v)
+	}
+	f.Add("5", "30s", "")
+	f.Fuzz(func(t *testing.T, priority, deadline, from string) {
+		req, rec := newTestRequest(http.MethodPost, "/v1/sweeps", body)
+		req.Header.Set(dynring.PriorityHeader, priority)
+		req.Header.Set(dynring.DeadlineHeader, deadline)
+		_, prioErr := strconv.Atoi(priority)
+		_, deadErr := parseDeadline(req)
+		want := http.StatusCreated
+		if (priority != "" && prioErr != nil) || deadErr != nil {
+			want = http.StatusBadRequest
+		}
+		h.ServeHTTP(rec, req)
+		if rec.Code != want {
+			t.Fatalf("POST with priority %q, deadline %q: status %d, want %d: %s", priority, deadline, rec.Code, want, rec.Body)
+		}
+
+		// A settled job of its own: a fixed one would leave the bounded
+		// job history as the submissions above pile up.
+		results := "/v1/sweeps/" + settle(t).ID + "/results"
+		req, rec = newTestRequest(http.MethodGet, results, nil)
+		h.ServeHTTP(rec, req)
+		full := rec.Body.Bytes()
+		starts := []int{0} // starts[n] is the byte offset of row n
+		for i, b := range full {
+			if b == '\n' {
+				starts = append(starts, i+1)
+			}
+		}
+		if rec.Code != http.StatusOK || len(starts) != total+1 {
+			t.Fatalf("full stream: status %d, %d rows for %d", rec.Code, len(starts)-1, total)
+		}
+		req, rec = newTestRequest(http.MethodGet, results+"?"+url.Values{"from": {from}}.Encode(), nil)
+		h.ServeHTTP(rec, req)
+		n, err := strconv.Atoi(from)
+		if from == "" {
+			n, err = 0, nil
+		}
+		if err != nil || n < 0 || n > total {
+			if rec.Code != http.StatusBadRequest {
+				t.Fatalf("from=%q: status %d, want 400: %s", from, rec.Code, rec.Body)
+			}
+			return
+		}
+		if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), full[starts[n]:]) {
+			t.Fatalf("from=%q: status %d, body %q; want 200 and the stream from row %d", from, rec.Code, rec.Body, n)
 		}
 	})
 }

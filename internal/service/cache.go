@@ -14,8 +14,10 @@ import (
 //     in-process sweep memo uses) serving the hot set, and
 //   - an optional durable content-addressed tier (internal/rescache.Disk,
 //     ringsimd -data): one file per fingerprint, written asynchronously
-//     behind the LRU, read on LRU misses and warm-started into the LRU on
-//     boot — so identical grids survive restarts with zero re-executions.
+//     behind the LRU but readable from the moment Put returns, read on
+//     LRU misses and warm-started into the LRU on boot — so identical
+//     grids survive restarts with zero re-executions, and with the memory
+//     tier off (-cache 0) a repeat is still served rather than executed.
 //
 // A Get falls through the tiers in order and promotes a disk hit back into
 // the LRU; a Put lands in both. Eviction from the LRU never touches the
@@ -107,9 +109,10 @@ func (c *Cache) Contains(key string) bool { return c.c.Contains(key) }
 // Promotions counts disk hits promoted into the memory tier since startup.
 func (c *Cache) Promotions() uint64 { return c.promotions.Load() }
 
-// Put stores a private copy of res under key in the memory tier and queues
-// it for the durable tier. Storing an existing key refreshes its recency
-// (the value is identical by the fingerprint contract).
+// Put stores a private copy of res under key in the memory tier and in the
+// durable tier, which serves it at once and writes it to disk behind the
+// caller. Storing an existing key refreshes its recency (the value is
+// identical by the fingerprint contract).
 func (c *Cache) Put(key string, res dynring.Result) {
 	c.c.Put(key, res)
 	if c.disk != nil {
@@ -118,8 +121,9 @@ func (c *Cache) Put(key string, res dynring.Result) {
 }
 
 // DurableKeys snapshots the keys indexed by the durable tier (nil without
-// one). The anti-entropy pass exchanges these listings between replicas; a
-// listed key is a claim that Durable must still validate.
+// one), those whose disk write is still queued included. The anti-entropy
+// pass exchanges these listings between replicas; a listed key is a claim
+// that Durable must still validate, and one that fails is evicted.
 func (c *Cache) DurableKeys() []string {
 	if c.disk == nil {
 		return nil
@@ -128,7 +132,8 @@ func (c *Cache) DurableKeys() []string {
 }
 
 // Durable reads key from the durable tier only, re-validating the entry on
-// the way out: a corrupt or truncated envelope is evicted and reported
+// the way out: a listed key is served whether or not its disk write has
+// finished, and a corrupt or truncated envelope is evicted and reported
 // absent, exactly as Get would treat it. Anti-entropy uses it on both
 // sides — a serving replica can never hand out a corrupt envelope, and a
 // pulling replica treats its own corrupt copy as missing (and thereby
@@ -177,16 +182,21 @@ func (c *Cache) DiskStats() *dynring.DiskTierStats {
 
 // HitRatio is the combined hit ratio across both tiers: served-without-
 // executing lookups over all lookups. Every lookup probes the memory tier,
-// so its hit+miss count is the denominator; disk hits upgrade misses.
+// so its hit+miss count is the denominator and disk hits upgrade misses —
+// unless the memory tier is off, which counts nothing: then every lookup
+// reaches the disk tier, and its hits+misses are the denominator.
 func (c *Cache) HitRatio() float64 {
 	st := c.c.Stats()
-	total := st.Hits + st.Misses
+	hits, total := st.Hits, st.Hits+st.Misses
+	if c.disk != nil {
+		ds := c.disk.Stats()
+		hits += ds.Hits
+		if st.Capacity == 0 {
+			total = ds.Hits + ds.Misses
+		}
+	}
 	if total == 0 {
 		return 0
-	}
-	hits := st.Hits
-	if c.disk != nil {
-		hits += c.disk.Stats().Hits
 	}
 	return float64(hits) / float64(total)
 }

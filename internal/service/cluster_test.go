@@ -263,7 +263,7 @@ func TestRunEndpointDeadlineHeader(t *testing.T) {
 	post := func(budget string) (*httptest.ResponseRecorder, dynring.RunResponse) {
 		t.Helper()
 		req, rec := newTestRequest(http.MethodPost, "/v1/run", body)
-		req.Header.Set(DeadlineHeader, budget)
+		req.Header.Set(dynring.DeadlineHeader, budget)
 		h.ServeHTTP(rec, req)
 		var rr dynring.RunResponse
 		if rec.Code == http.StatusOK {

@@ -299,7 +299,7 @@ func (h *hops) post(b *batch, size int) error {
 		hdr["Authorization"] = []string{"Bearer " + key}
 	}
 	if budget > 0 {
-		hdr[DeadlineHeader] = []string{budget.String()}
+		hdr[dynring.DeadlineHeader] = []string{budget.String()}
 	}
 	idle := time.AfterFunc(m.proxyTimeout, b.cancel)
 	defer idle.Stop()

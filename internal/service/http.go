@@ -62,23 +62,23 @@ var replicateAck = []byte("{\"status\":\"ok\"}\n")
 // dynring.TraceHeader (generating one otherwise) and stamps the job's ID
 // back on the response; POST /v1/run reads the same header so a proxy
 // hop's spans are recorded under the originating sweep's trace and returned
-// in RunResponse.Span, one per row, for the coordinator to adopt. POST /v1/run also
-// honors DeadlineHeader as a remaining-budget bound: the coordinator
-// forwards the job's unexpired deadline budget on each hop and the owner
-// caps its execution context to it, so work whose answer can no longer
-// arrive in time is abandoned on the executing node too.
+// in RunResponse.Span, one per row, for the coordinator to adopt. POST
+// /v1/run also honors dynring.DeadlineHeader as a remaining-budget bound:
+// the coordinator forwards the job's unexpired deadline budget on each hop
+// and the owner caps its execution context to it, so work whose answer can
+// no longer arrive in time is abandoned on the executing node too.
 //
 // Admission: on a node with a tenant config, the two work-creating
 // endpoints (POST /v1/sweeps, POST /v1/run) require a configured tenant's
-// API key — "Authorization: Bearer <key>" or the TenantHeader — answering
-// 401 to anything else, and 429 with a Retry-After header when the tenant
-// is over quota. Everything else (status, results, cancel, stats) stays
+// API key — "Authorization: Bearer <key>" or dynring.TenantHeader —
+// answering 401 to anything else, and 429 with a Retry-After header when
+// the tenant is over quota. Everything else (status, results, cancel, stats) stays
 // open: job IDs are unguessable enough for this service's trust model, and
 // an operator can always inspect or kill work. Without a tenant config
 // every endpoint is open and all work runs as the anonymous tenant.
-// POST /v1/sweeps additionally honors PriorityHeader (integer class within
-// the tenant) and DeadlineHeader (Go duration; the job is cancelled when
-// it expires).
+// POST /v1/sweeps additionally honors dynring.PriorityHeader (integer
+// class within the tenant) and dynring.DeadlineHeader (Go duration; the
+// job is cancelled when it expires).
 //
 // The results stream is live — every settled row is written, and the
 // stream is flushed just before the handler waits on a pending row, so a
@@ -101,9 +101,9 @@ func NewHandler(m *Manager) http.Handler {
 			return
 		}
 		opts := SubmitOptions{TraceID: r.Header.Get(dynring.TraceHeader), Tenant: tenant}
-		if p := r.Header.Get(PriorityHeader); p != "" {
+		if p := r.Header.Get(dynring.PriorityHeader); p != "" {
 			if opts.Priority, err = strconv.Atoi(p); err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("bad %s: %w", PriorityHeader, err))
+				writeError(w, http.StatusBadRequest, fmt.Errorf("bad %s: %w", dynring.PriorityHeader, err))
 				return
 			}
 		}
@@ -527,16 +527,16 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// parseDeadline reads DeadlineHeader: zero when it is absent, an error
+// parseDeadline reads dynring.DeadlineHeader: zero when it is absent, an error
 // when it is not a positive Go duration.
 func parseDeadline(r *http.Request) (time.Duration, error) {
-	d := r.Header.Get(DeadlineHeader)
+	d := r.Header.Get(dynring.DeadlineHeader)
 	if d == "" {
 		return 0, nil
 	}
 	budget, err := time.ParseDuration(d)
 	if err != nil || budget <= 0 {
-		return 0, fmt.Errorf("bad %s: want a positive Go duration", DeadlineHeader)
+		return 0, fmt.Errorf("bad %s: want a positive Go duration", dynring.DeadlineHeader)
 	}
 	return budget, nil
 }

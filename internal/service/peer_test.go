@@ -135,12 +135,12 @@ func TestPeerRequestsKeepWireForm(t *testing.T) {
 	}
 	for _, s := range batches {
 		checkLength(s)
-		budget, err := time.ParseDuration(s.header.Get(DeadlineHeader))
+		budget, err := time.ParseDuration(s.header.Get(dynring.DeadlineHeader))
 		if err != nil || budget <= 0 || budget > deadline {
-			t.Fatalf("batch deadline header %q (%v)", s.header.Get(DeadlineHeader), err)
+			t.Fatalf("batch deadline header %q (%v)", s.header.Get(dynring.DeadlineHeader), err)
 		}
 		want := http.Header{"Content-Type": {ndjsonType}, "User-Agent": {""}, dynring.TraceHeader: {trace},
-			"Authorization": {"Bearer sk-alice"}, DeadlineHeader: s.header[DeadlineHeader]}
+			"Authorization": {"Bearer sk-alice"}, dynring.DeadlineHeader: s.header[dynring.DeadlineHeader]}
 		if !reflect.DeepEqual(s.header, want) {
 			t.Fatalf("batch header %v, want %v", s.header, want)
 		}

@@ -52,7 +52,8 @@ func TestCacheDeepCopiesResults(t *testing.T) {
 
 // TestDisabledCacheReportsCachingOff: with -cache 0 the Get path
 // short-circuits, so /statsz reports Capacity 0 with both counters at 0
-// ("caching off") instead of a misleading 0% hit rate.
+// ("caching off") instead of a misleading 0% hit rate. A disk tier below
+// it still reports its own hit ratio.
 func TestDisabledCacheReportsCachingOff(t *testing.T) {
 	c := NewCache(0)
 	for i := 0; i < 5; i++ {
@@ -67,6 +68,85 @@ func TestDisabledCacheReportsCachingOff(t *testing.T) {
 	}
 	if st.Hits != 0 || st.Misses != 0 {
 		t.Fatalf("disabled cache counted hits=%d misses=%d, want 0/0", st.Hits, st.Misses)
+	}
+	if r := c.HitRatio(); r != 0 {
+		t.Fatalf("HitRatio with caching off = %v, want 0", r)
+	}
+
+	// With a disk tier (-cache 0 -data) every lookup reaches the disk, so
+	// the hit ratio is its hits over its lookups, while the memory tier
+	// still counts nothing.
+	tc, err := NewTieredCache(0, t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc.Put("k", dynring.Result{Rounds: 1})
+	tc.Close() // flushed: the hits below are file reads either way
+	for _, key := range []string{"k", "k", "k", "absent"} {
+		tc.Get(key)
+	}
+	if st := tc.Stats(); st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("disabled memory tier counted hits=%d misses=%d, want 0/0", st.Hits, st.Misses)
+	}
+	if r := tc.HitRatio(); r != 0.75 {
+		t.Fatalf("HitRatio with only a disk tier = %v, want 0.75 (3 disk hits of 4 lookups)", r)
+	}
+}
+
+// TestDiskOnlyExecutesOnce: with the memory tier off (-cache 0) and a
+// disk tier (-data), the disk tier alone makes execution exactly-once for
+// callers that never overlap. Each of 200 fresh fingerprints is run twice
+// in a row through ExecuteLocal, and again through a grid that lists
+// every scenario twice: the repeat is served from the disk tier, whose
+// Put is readable before its write reaches the disk.
+func TestDiskOnlyExecutesOnce(t *testing.T) {
+	m := mustNew(t, Options{Workers: 1, CacheSize: 0, DiskDir: t.TempDir()})
+	defer m.Close()
+	spec := testSpec()
+	spec.Algorithms, spec.Sizes = spec.Algorithms[:1], spec.Sizes[:1]
+	spec.Seeds = nil
+	for s := int64(1); s <= 200; s++ {
+		spec.Seeds = append(spec.Seeds, s)
+	}
+	scs, err := spec.ScenarioList()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sc := range scs {
+		fp, err := sc.Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for run := range 2 {
+			_, shared, err := m.ExecuteLocal(context.Background(), sc, fp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if run == 1 && !shared {
+				t.Fatalf("repeat of %s executed again (disk stats %+v)", fp, *m.Stats().Disk)
+			}
+		}
+	}
+	if got := m.Stats().Executions; got != uint64(len(scs)) {
+		t.Fatalf("executions = %d, want %d", got, len(scs))
+	}
+
+	// A grid listing each of 100 fresh scenarios twice runs each once.
+	spec.Seeds = spec.Seeds[:0]
+	for s := int64(1001); s <= 1100; s++ {
+		spec.Seeds = append(spec.Seeds, s, s)
+	}
+	before := m.Stats().Executions
+	j, err := m.Submit(spec, SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j)
+	if st := j.Status(); st.Errors != 0 || st.Completed != 200 {
+		t.Fatalf("grid status %+v", st)
+	}
+	if got := m.Stats().Executions - before; got != 100 {
+		t.Fatalf("a grid listing 100 scenarios twice ran %d executions, want 100", got)
 	}
 }
 
