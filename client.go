@@ -13,6 +13,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"dynring/internal/sim"
@@ -715,6 +716,13 @@ func (c *Client) StreamResultsFrom(ctx context.Context, id string, from int, fn 
 	}
 }
 
+// lineBufs recycles streamOnce's line buffers. A buffer outlives no row:
+// ParseResultRow copies every string and slice out of its line.
+var lineBufs = sync.Pool{New: func() any {
+	b := make([]byte, 4<<10)
+	return &b
+}}
+
 // streamOnce runs one results connection from *next, advancing *next past
 // each row it delivers. Rows below *next (re-served by a resume) are
 // skipped without invoking fn. fn errors come back wrapped in errFnAbort;
@@ -739,10 +747,12 @@ func (c *Client) streamOnce(ctx context.Context, id string, total int, next *int
 	if resp.StatusCode != http.StatusOK {
 		return remoteError(resp)
 	}
+	buf := lineBufs.Get().(*[]byte)
+	defer lineBufs.Put(buf)
 	sc := bufio.NewScanner(resp.Body)
-	// Start from the scanner's small default buffer and grow only for a
-	// row that needs it; most rows are a few hundred bytes.
-	sc.Buffer(nil, 4<<20)
+	// Start from a pooled buffer of the scanner's default size and grow
+	// only for a row that needs it; most rows are a few hundred bytes.
+	sc.Buffer(*buf, 4<<20)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {

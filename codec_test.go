@@ -337,6 +337,23 @@ func FuzzDecodeSweepSpec(f *testing.F) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("DecodeSweepSpec(%q) = %+v, oracle %+v", data, got, want)
 		}
+		// The fast path sizes every array by its element hint, which is
+		// exact on any input it accepts.
+		l := wire.NewLexer(data)
+		var fast SweepSpec
+		if readSweepSpec(&l, &fast); l.End() {
+			exact := cap(fast.Scenarios) == len(fast.Scenarios) &&
+				cap(fast.Adversaries) == len(fast.Adversaries) &&
+				cap(fast.Algorithms) == len(fast.Algorithms) &&
+				cap(fast.Sizes) == len(fast.Sizes) &&
+				cap(fast.Seeds) == len(fast.Seeds)
+			for _, sc := range append(fast.Scenarios, fast.Base) {
+				exact = exact && cap(sc.Orients) == len(sc.Orients) && cap(sc.Starts) == len(sc.Starts)
+			}
+			if !exact {
+				t.Fatalf("fast path of %q left spare capacity: %+v", data, fast)
+			}
+		}
 		// Bound the grid so a short input cannot expand to millions of rows.
 		grid := max(len(got.Algorithms), 1) * max(len(got.Sizes), 1) *
 			max(len(got.Seeds), 1) * max(len(got.Adversaries), 1)

@@ -135,7 +135,7 @@ func (m *Manager) replicationLoop() {
 // of its replica set, encoding it once for all of them. A replica that is
 // not alive — unreachable, or too slow to answer its probes inside the
 // probe timeout — is skipped, and pulls what it missed through
-// anti-entropy once it sees this node alive again.
+// anti-entropy once it sees this node alive again; each skip is counted.
 // Pushes run serially on one loop, each bounded by the proxy timeout, so
 // waiting on a gray peer would back the bounded queue up into every
 // execution on this node.
@@ -143,15 +143,24 @@ func (m *Manager) pushReplicas(fp string, res dynring.Result) {
 	self := m.membership.Self()
 	var body []byte
 	for _, o := range m.membership.Ring().Owners(fp, m.replicas) {
-		if o == self || !m.membership.Routable(o) {
+		if o == self {
+			continue
+		}
+		if !m.membership.Routable(o) {
+			m.met.replSkipped.Inc()
 			continue
 		}
 		if body == nil {
 			body = appendReplicate(nil, fp, &res)
 		}
+		start := time.Now()
 		if err := m.postReplicate(o, body); err != nil {
+			m.met.replPushFailures.Inc()
 			m.log.Warn("replication push failed", "fingerprint", fp, "target", o, "error", err)
+			continue
 		}
+		m.met.replPushRTT.Observe(time.Since(start).Seconds())
+		m.met.replSent.Inc()
 	}
 }
 

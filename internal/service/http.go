@@ -30,11 +30,17 @@ const ndjsonType = "application/x-ndjson"
 // whose Moves/TerminatedAt slices scale with ring size.
 const maxEnvelopeBytes = 8 << 20
 
-// envelopeBufs recycles /v1/replicate body buffers up to
-// maxPooledEnvelope bytes; a rare larger one is left to the collector.
-var envelopeBufs = sync.Pool{New: func() any { return new([]byte) }}
+// bodyBufs is the one request-body pool: POST /v1/sweeps, POST /v1/run
+// and POST /v1/replicate each read their body into a buffer from it and
+// return the buffer the moment the body is decoded (decodeBody). That is
+// safe because their decoders — dynring.DecodeSweepSpec, decodeRunBody and
+// decodeReplicate — copy every string and slice out of the body, on the
+// fast path and the encoding/json fallback alike
+// (TestPooledBodiesAreCopiedOut). Buffers up to maxPooledBody bytes are
+// recycled; a rare larger one is left to the collector.
+var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-const maxPooledEnvelope = 64 << 10
+const maxPooledBody = 64 << 10
 
 // replicateAck is the whole body of a successful /v1/replicate answer.
 var replicateAck = []byte("{\"status\":\"ok\"}\n")
@@ -111,12 +117,7 @@ func NewHandler(m *Manager) http.Handler {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		body, err := readBody(nil, w, r, maxSpecBytes)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		spec, err := dynring.DecodeSweepSpec(body)
+		spec, err := decodeBody(w, r, maxSpecBytes, dynring.DecodeSweepSpec)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
@@ -249,13 +250,10 @@ func NewHandler(m *Manager) http.Handler {
 			writeError(w, http.StatusUnauthorized, err)
 			return
 		}
-		body, err := readBody(nil, w, r, maxSpecBytes)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
 		batch := strings.HasPrefix(r.Header.Get("Content-Type"), ndjsonType)
-		items, err := decodeRunBody(body, batch)
+		items, err := decodeBody(w, r, maxSpecBytes, func(body []byte) ([]runItem, error) {
+			return decodeRunBody(body, batch)
+		})
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
@@ -309,25 +307,13 @@ func NewHandler(m *Manager) http.Handler {
 	// receiver re-keys by the embedded fingerprint, so the worst a bogus
 	// push can do is cache a result nobody asks for). A push is most of a
 	// replicated cluster's requests — one per other replica per execution
-	// — so its body is read into a pooled buffer and its answer is a
-	// constant, with no Date header.
+	// — so its answer is a constant, with no Date header.
 	mux.HandleFunc("POST /v1/replicate", func(w http.ResponseWriter, r *http.Request) {
 		if !m.Replicated() {
 			writeError(w, http.StatusNotFound, errors.New("replication not enabled"))
 			return
 		}
-		buf := envelopeBufs.Get().(*[]byte)
-		body, err := readBody(*buf, w, r, maxEnvelopeBytes)
-		var req replicateRequest
-		if err == nil {
-			// decodeReplicate copies everything out of body, so its buffer
-			// goes back to the pool before the envelope is adopted.
-			req, err = decodeReplicate(body)
-		}
-		if cap(body) <= maxPooledEnvelope {
-			*buf = body[:0]
-			envelopeBufs.Put(buf)
-		}
+		req, err := decodeBody(w, r, maxEnvelopeBytes, decodeReplicate)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
@@ -337,6 +323,7 @@ func NewHandler(m *Manager) http.Handler {
 			return
 		}
 		m.AdoptEnvelope(req.Fingerprint, req.Result)
+		m.met.replAdopted.Inc()
 		// The bytes writeJSON writes for {"status":"ok"}, without the
 		// encoder or a Date header.
 		h := w.Header()
@@ -399,36 +386,50 @@ type runItem struct {
 // one per non-blank line. Every row is validated and fingerprinted before
 // anything runs, so a bad row fails the whole request with a 400.
 func decodeRunBody(body []byte, batch bool) ([]runItem, error) {
-	lines := [][]byte{body}
-	if batch {
-		lines = bytes.Split(body, []byte{'\n'})
+	if !batch {
+		it, err := decodeRunItem(body)
+		if err != nil {
+			return nil, err
+		}
+		return []runItem{it}, nil
 	}
-	items := make([]runItem, 0, len(lines))
-	for _, line := range lines {
-		if batch && len(bytes.TrimSpace(line)) == 0 {
+	items := make([]runItem, 0, bytes.Count(body, []byte{'\n'})+1)
+	for rest := body; len(rest) > 0; {
+		var line []byte
+		line, rest, _ = bytes.Cut(rest, []byte{'\n'})
+		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		req, err := dynring.DecodeRunRequest(line)
+		it, err := decodeRunItem(line)
 		if err != nil {
 			return nil, err
 		}
-		sc, err := req.Scenario.Scenario()
-		if err == nil {
-			err = sc.Validate()
-		}
-		if err != nil {
-			return nil, err
-		}
-		fp, err := sc.Fingerprint()
-		if err != nil {
-			return nil, err
-		}
-		items = append(items, runItem{sc: sc, fp: fp})
+		items = append(items, it)
 	}
 	if len(items) == 0 {
 		return nil, errors.New("empty batch")
 	}
 	return items, nil
+}
+
+// decodeRunItem decodes, validates and fingerprints one RunRequest.
+func decodeRunItem(data []byte) (runItem, error) {
+	req, err := dynring.DecodeRunRequest(data)
+	if err != nil {
+		return runItem{}, err
+	}
+	sc, err := req.Scenario.Scenario()
+	if err == nil {
+		err = sc.Validate()
+	}
+	if err != nil {
+		return runItem{}, err
+	}
+	fp, err := sc.Fingerprint()
+	if err != nil {
+		return runItem{}, err
+	}
+	return runItem{sc: sc, fp: fp}, nil
 }
 
 // serveRun is the core both forms of POST /v1/run share: serve one row
@@ -502,6 +503,23 @@ func (m *Manager) serveRunBatch(ctx context.Context, w http.ResponseWriter, item
 		}
 		unflushed = true
 	}
+}
+
+// decodeBody reads r's body, failing past limit bytes, into a buffer from
+// bodyBufs, decodes it and returns the buffer to the pool before it
+// returns: decode must copy out of the body everything it keeps.
+func decodeBody[T any](w http.ResponseWriter, r *http.Request, limit int64, decode func([]byte) (T, error)) (T, error) {
+	buf := bodyBufs.Get().(*[]byte)
+	body, err := readBody(*buf, w, r, limit)
+	var v T
+	if err == nil {
+		v, err = decode(body)
+	}
+	if cap(body) <= maxPooledBody {
+		*buf = body[:0]
+		bodyBufs.Put(buf)
+	}
+	return v, err
 }
 
 // readBody reads a request body whole, failing past limit bytes, reusing

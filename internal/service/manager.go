@@ -459,15 +459,17 @@ func (m *Manager) Submit(spec dynring.SweepSpec, opts SubmitOptions) (*Job, erro
 	}
 
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.closed {
+		m.mu.Unlock()
 		return nil, ErrClosed
 	}
 	ts, ok := m.tenants[tenantName]
 	if !ok {
+		m.mu.Unlock()
 		return nil, fmt.Errorf("%w: %q", ErrUnknownTenant, tenantName)
 	}
 	if err := m.admitLocked(ts, len(scenarios)); err != nil {
+		m.mu.Unlock()
 		return nil, err
 	}
 	m.nextID++
@@ -508,6 +510,9 @@ func (m *Manager) Submit(spec dynring.SweepSpec, opts SubmitOptions) (*Job, erro
 		m.sched.Enqueue(ts.cfg.Name, j, j.Total(), opts.Priority)
 		m.cond.Broadcast()
 	}
+	m.mu.Unlock()
+	// Logged after unlocking: a slow log sink must not stall the
+	// scheduler and every reader of the job table behind m.mu.
 	m.log.Info("sweep submitted", "job", j.ID, "trace", traceID,
 		"tenant", ts.cfg.Name, "priority", opts.Priority, "scenarios", j.Total())
 	return j, nil

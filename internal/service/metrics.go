@@ -25,6 +25,15 @@ type metrics struct {
 	hopRows        *telemetry.Histogram
 	proxyFallbacks *telemetry.Counter
 
+	// Replication pushes, registered only on a replicated cluster node:
+	// envelopes this node sent to, skipped for, and adopted from the other
+	// members of their replica sets; the round trip of each successful
+	// push, and failed pushes. Every series is resolved here, so a push
+	// only adds to atomics.
+	replSent, replSkipped, replAdopted *telemetry.Counter
+	replPushRTT                        *telemetry.Histogram
+	replPushFailures                   *telemetry.Counter
+
 	// Engine accounting, accumulated from Runner.LastStats after each
 	// successful execution: the leap fast path's win as cluster-visible
 	// counters (rate(rounds_leapt)/rate(rounds_stepped+rounds_leapt) is the
@@ -203,6 +212,21 @@ func newMetrics(m *Manager) *metrics {
 		r.CounterFunc("dynring_cluster_antientropy_repairs_total",
 			"Envelopes this node pulled from peers onto its own disk tier by anti-entropy (absent or corrupt local copies).",
 			func() float64 { return float64(m.aeRepairs.Load()) })
+	}
+	if m.Replicated() {
+		envelopes := func(dir string) *telemetry.Counter {
+			return r.Counter("dynring_cluster_replication_envelopes_total",
+				"Replication envelopes by direction: sent to a replica (push acknowledged), skipped for an unroutable replica (left to its anti-entropy pull), adopted from a peer's push.",
+				telemetry.Label{Name: "dir", Value: dir})
+		}
+		mt.replSent, mt.replSkipped, mt.replAdopted = envelopes("sent"), envelopes("skipped"), envelopes("adopted")
+		mt.replPushRTT = r.Histogram("dynring_cluster_replication_push_seconds",
+			"Round-trip time of successful POST /v1/replicate pushes.", nil)
+		mt.replPushFailures = r.Counter("dynring_cluster_replication_push_failures_total",
+			"POST /v1/replicate pushes that failed (transport error, timeout or non-2xx answer).")
+		r.GaugeFunc("dynring_cluster_replication_queue_depth",
+			"Completed envelopes waiting for the replication loop to push them.",
+			func() float64 { return float64(len(m.replq)) })
 	}
 
 	// --- engine: per-run execution accounting ---

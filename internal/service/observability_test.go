@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -451,5 +452,112 @@ func TestMetricsEndpointShape(t *testing.T) {
 	}
 	if strings.Contains(out, "dynring_cluster_") {
 		t.Error("standalone node renders cluster families")
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after 10 s with
+// the last description cond returned.
+func waitFor(t *testing.T, cond func() (bool, string)) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		ok, state := cond()
+		if ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal(state)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestReplicationMetrics: on a 3-node cluster with 3 replicas, every
+// execution makes two push attempts. Each is counted once: sent (with its
+// round trip in the push histogram) or failed. Every sent envelope is
+// adopted by its replica, and the push queue drains to 0. Node 0's pushes
+// to node 2 fail at its transport.
+func TestReplicationMetrics(t *testing.T) {
+	var failHost atomic.Value
+	failHost.Store("")
+	failing := roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		if req.URL.Path == "/v1/replicate" && req.URL.Host == failHost.Load().(string) {
+			req.Body.Close()
+			return nil, errors.New("injected push failure")
+		}
+		return http.DefaultTransport.RoundTrip(req)
+	})
+	nodes := startCluster(t, 3, func(i int) Options {
+		o := Options{Workers: 2, CacheSize: 256}
+		o.Cluster.Replicas = 3
+		if i == 0 {
+			o.Cluster.Transport = failing
+		}
+		return o
+	})
+	failHost.Store(strings.TrimPrefix(nodes[2].url, "http://"))
+	// 32 rows: node 0 owns none of them with probability (2/3)^32.
+	spec := testSpec()
+	spec.Seeds = []int64{1, 2, 3, 4, 5, 6, 7, 8}
+	j, err := nodes[0].m.Submit(spec, SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j)
+	waitFor(t, func() (bool, string) {
+		var sent, adopted uint64
+		state := ""
+		ok := true
+		for i, nd := range nodes {
+			mt, ex := nd.m.met, nd.m.Stats().Executions
+			s, f := mt.replSent.Value(), mt.replPushFailures.Value()
+			sent += s
+			adopted += mt.replAdopted.Value()
+			wantFailed := uint64(0)
+			if i == 0 {
+				wantFailed = ex
+			}
+			ok = ok && s+f == 2*ex && f == wantFailed && mt.replSkipped.Value() == 0 && mt.replPushRTT.Count() == s
+			state += fmt.Sprintf("node %d: %d executions, %d sent, %d failed, %d skipped, %d timed, %d adopted; ",
+				i, ex, s, f, mt.replSkipped.Value(), mt.replPushRTT.Count(), mt.replAdopted.Value())
+		}
+		return ok && sent == adopted && sent > 0, state
+	})
+	if nodes[0].m.met.replPushFailures.Value() == 0 {
+		t.Fatal("node 0 executed nothing, so no push failed")
+	}
+	for _, nd := range nodes {
+		if depth := scrapeMetric(t, nd.url, "dynring_cluster_replication_queue_depth"); depth != 0 {
+			t.Errorf("%s: replication queue depth %v after the pushes drained", nd.url, depth)
+		}
+	}
+}
+
+// TestReplicationSkipsUnroutableReplica: an envelope whose replica is not
+// routable is not pushed; it is counted as skipped, never as sent or
+// failed.
+func TestReplicationSkipsUnroutableReplica(t *testing.T) {
+	nodes := startCluster(t, 2, func(int) Options {
+		o := Options{Workers: 2, CacheSize: 256}
+		o.Cluster.Replicas = 2
+		return o
+	})
+	nodes[1].srv.Close()
+	waitFor(t, func() (bool, string) {
+		return !nodes[0].m.membership.Routable(nodes[1].url), "node 1 stayed routable after its listener closed"
+	})
+	j, err := nodes[0].m.Submit(testSpec(), SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j)
+	mt := nodes[0].m.met
+	waitFor(t, func() (bool, string) {
+		ex := nodes[0].m.Stats().Executions
+		return ex == uint64(j.Total()) && mt.replSkipped.Value() == ex,
+			fmt.Sprintf("%d executions, %d skipped", ex, mt.replSkipped.Value())
+	})
+	if s, f := mt.replSent.Value(), mt.replPushFailures.Value(); s != 0 || f != 0 {
+		t.Fatalf("%d sent and %d failed pushes to an unroutable replica", s, f)
 	}
 }

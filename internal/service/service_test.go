@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -652,5 +653,53 @@ func TestPanickingScenarioDoesNotKillDaemon(t *testing.T) {
 	neg.Adversaries = []dynring.AdversarySpec{{Kind: "pin", Pin: -1}}
 	if _, err := m.Submit(neg, SubmitOptions{}); err == nil {
 		t.Fatal("negative pin accepted")
+	}
+}
+
+// blockingHandler is an slog.Handler whose Handle blocks on the "sweep
+// submitted" record until release is closed, as a full stderr pipe would.
+type blockingHandler struct {
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (h *blockingHandler) Enabled(context.Context, slog.Level) bool { return true }
+func (h *blockingHandler) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h *blockingHandler) WithGroup(string) slog.Handler            { return h }
+
+func (h *blockingHandler) Handle(_ context.Context, r slog.Record) error {
+	if r.Message == "sweep submitted" {
+		close(h.entered)
+		<-h.release
+	}
+	return nil
+}
+
+// TestSubmitLogsAfterUnlocking: while Submit's log record is stuck in a
+// blocked handler, the manager's lock is free — Stats, which takes it,
+// returns.
+func TestSubmitLogsAfterUnlocking(t *testing.T) {
+	h := &blockingHandler{entered: make(chan struct{}), release: make(chan struct{})}
+	m := mustNew(t, Options{Workers: 1, CacheSize: 64, Logger: slog.New(h)})
+	defer m.Close()
+	submitted := make(chan error, 1)
+	go func() {
+		_, err := m.Submit(testSpec(), SubmitOptions{})
+		submitted <- err
+	}()
+	<-h.entered
+	stats := make(chan dynring.ServiceStats, 1)
+	go func() { stats <- m.Stats() }()
+	select {
+	case st := <-stats:
+		if st.Jobs != 1 {
+			t.Errorf("Stats reports %d jobs while the submission is logged, want 1", st.Jobs)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("Stats blocked while Submit's log record was stuck in its handler")
+	}
+	close(h.release)
+	if err := <-submitted; err != nil {
+		t.Fatal(err)
 	}
 }

@@ -3,8 +3,10 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand/v2"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
@@ -164,4 +166,290 @@ func FuzzDecodeReplicate(f *testing.F) {
 			t.Fatalf("appendReplicate = %s, json.Marshal %s", app, enc)
 		}
 	})
+}
+
+// scribbleBody is a request body that remembers every buffer it was read
+// into, so a test can overwrite exactly the bytes a handler read.
+type scribbleBody struct {
+	r    *bytes.Reader
+	bufs [][]byte
+}
+
+func (b *scribbleBody) Read(p []byte) (int, error) {
+	b.bufs = append(b.bufs, p)
+	return b.r.Read(p)
+}
+
+func (b *scribbleBody) Close() error { return nil }
+
+// scribbleWriter overwrites its request body's buffers with 'x' the moment
+// the handler starts its answer: after the body was decoded and its
+// buffer went back to the pool, before any /v1/run row executes.
+type scribbleWriter struct {
+	*httptest.ResponseRecorder
+	body *scribbleBody
+}
+
+func (w *scribbleWriter) scribble() {
+	for _, p := range w.body.bufs {
+		for i := range p {
+			p[i] = 'x'
+		}
+	}
+	w.body.bufs = nil
+}
+
+func (w *scribbleWriter) WriteHeader(code int) {
+	w.scribble()
+	w.ResponseRecorder.WriteHeader(code)
+}
+
+func (w *scribbleWriter) Write(p []byte) (int, error) {
+	w.scribble()
+	return w.ResponseRecorder.Write(p)
+}
+
+// postScribbled serves one POST whose body buffer is scribbled over once
+// decoded; known selects a body of known length (read in one ReadFull)
+// over a streamed one.
+func postScribbled(h http.Handler, path, contentType string, body []byte, known bool) *httptest.ResponseRecorder {
+	sb := &scribbleBody{r: bytes.NewReader(body)}
+	req := httptest.NewRequest(http.MethodPost, path, sb)
+	req.ContentLength = -1
+	if known {
+		req.ContentLength = int64(len(body))
+	}
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
+	w := &scribbleWriter{ResponseRecorder: httptest.NewRecorder(), body: sb}
+	h.ServeHTTP(w, req)
+	return w.ResponseRecorder
+}
+
+// pooledScenarios are the rows the pooled-body test sends, in the
+// canonical form and, through an escape in the first name, in the form
+// only encoding/json reads.
+func pooledScenarios() []dynring.ScenarioSpec {
+	var out []dynring.ScenarioSpec
+	for i, algo := range []string{"KnownNNoChirality", "UnconsciousExploration", "KnownNNoChirality"} {
+		out = append(out, dynring.ScenarioSpec{
+			Name: fmt.Sprintf("pooled-%d", i), Algorithm: algo, Size: 6 + i, Seed: int64(i + 1),
+			Adversary: &dynring.AdversarySpec{Kind: "random", P: 0.4},
+		})
+	}
+	return out
+}
+
+// escapeFirst sends a canonical body down the encoding/json fallback by
+// spelling the first '-' as \u002d.
+func escapeFirst(body []byte) []byte {
+	return bytes.Replace(body, []byte("-"), []byte(`\u002d`), 1)
+}
+
+// wantRun runs a decoded row locally: what any node must answer for it.
+func wantRun(t *testing.T, sc dynring.Scenario) (string, dynring.Result) {
+	t.Helper()
+	fp, err := sc.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sc.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fp, res
+}
+
+// TestPooledBodiesAreCopiedOut: POST /v1/sweeps, a batched POST /v1/run
+// and POST /v1/replicate each return their body buffer to the pool once
+// decoded. Scribbling over that buffer afterwards changes nothing: not the
+// job's names and fingerprints, not the rows it streams or the batch
+// answers, not the adopted envelope. Both decoder paths, and bodies of
+// known and unknown length, are covered.
+func TestPooledBodiesAreCopiedOut(t *testing.T) {
+	m := mustNew(t, Options{Workers: 2, CacheSize: 64})
+	defer m.Close()
+	h := NewHandler(m)
+	canonical, err := json.Marshal(dynring.SweepSpec{Scenarios: pooledScenarios()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines [][]byte
+	for _, sp := range pooledScenarios() {
+		line, _ := json.Marshal(dynring.RunRequest{Scenario: sp})
+		lines = append(lines, line)
+	}
+	batch := append(bytes.Join(lines, []byte("\n\n")), '\n')
+	for _, known := range []bool{true, false} {
+		for _, body := range [][]byte{canonical, escapeFirst(canonical)} {
+			spec, err := dynring.DecodeSweepSpec(bytes.Clone(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			scs, err := spec.ScenarioList()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := postScribbled(h, "/v1/sweeps", "", body, known)
+			if rec.Code != http.StatusCreated {
+				t.Fatalf("POST /v1/sweeps: %d %s", rec.Code, rec.Body)
+			}
+			var st dynring.JobStatus
+			if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+				t.Fatal(err)
+			}
+			j, _ := m.Job(st.ID)
+			waitDone(t, j)
+			req, res := newTestRequest(http.MethodGet, "/v1/sweeps/"+j.ID+"/results", nil)
+			h.ServeHTTP(res, req)
+			rows := bytes.Split(bytes.TrimSuffix(res.Body.Bytes(), []byte("\n")), []byte("\n"))
+			if len(rows) != len(scs) {
+				t.Fatalf("streamed %d rows for %d scenarios", len(rows), len(scs))
+			}
+			for i, sc := range scs {
+				fp, want := wantRun(t, sc)
+				if j.scenarios[i].Name != sc.Name || j.fps[i] != fp {
+					t.Errorf("job row %d is %q %s, want %q %s", i, j.scenarios[i].Name, j.fps[i], sc.Name, fp)
+				}
+				var row dynring.ResultRow
+				if err := dynring.ParseResultRow(rows[i], &row); err != nil {
+					t.Fatal(err)
+				}
+				if row.Name != sc.Name || row.Fingerprint != fp || row.Error != "" || !reflect.DeepEqual(*row.Result, want) {
+					t.Errorf("streamed row %d = %s, want %q %s %+v", i, rows[i], sc.Name, fp, want)
+				}
+			}
+		}
+
+		for _, body := range [][]byte{batch, escapeFirst(batch)} {
+			want := map[string]dynring.Result{}
+			items, err := decodeRunBody(bytes.Clone(body), true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, it := range items {
+				fp, res := wantRun(t, it.sc)
+				want[fp] = res
+			}
+			rec := postScribbled(h, "/v1/run", ndjsonType, body, known)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("POST /v1/run: %d %s", rec.Code, rec.Body)
+			}
+			got := bytes.Split(bytes.TrimSuffix(rec.Body.Bytes(), []byte("\n")), []byte("\n"))
+			if len(got) != len(want) {
+				t.Fatalf("batch answered %d lines for %d rows", len(got), len(want))
+			}
+			for _, line := range got {
+				var rr dynring.RunResponse
+				if err := dynring.ParseRunResponse(line, &rr); err != nil {
+					t.Fatal(err)
+				}
+				res, ok := want[rr.Fingerprint]
+				if !ok || rr.Error != "" || !reflect.DeepEqual(*rr.Result, res) {
+					t.Errorf("batch line %s, want one of %v", line, want)
+				}
+				delete(want, rr.Fingerprint)
+			}
+		}
+	}
+
+	rm := mustNew(t, Options{Workers: 1, CacheSize: 8, Cluster: ClusterOptions{
+		Self: "http://127.0.0.1:0", Peers: []string{"http://127.0.0.1:1"}, Replicas: 2,
+	}})
+	defer rm.Close()
+	rh := NewHandler(rm)
+	res := dynring.Result{Outcome: 1, Rounds: 9, Explored: true, TerminatedAt: []int{3, 4}, Terminated: 2, Moves: []int{5, 6}, TotalMoves: 11}
+	canonical = appendReplicate(nil, "v2-pooled", &res)
+	for _, known := range []bool{true, false} {
+		for _, body := range [][]byte{canonical, escapeFirst(canonical)} {
+			want, err := decodeReplicate(bytes.Clone(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := postScribbled(rh, "/v1/replicate", "", body, known)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("POST /v1/replicate: %d %s", rec.Code, rec.Body)
+			}
+			if got, ok := rm.cache.Get(want.Fingerprint); !ok || !reflect.DeepEqual(got, want.Result) {
+				t.Errorf("adopted envelope %s = %+v (present %v), want %+v", want.Fingerprint, got, ok, want.Result)
+			}
+		}
+	}
+	if n := rm.met.replAdopted.Value(); n != 4 {
+		t.Errorf("adopted envelopes counted %d, want 4", n)
+	}
+}
+
+// FuzzDecodeRunBody: decodeRunBody never panics; in either form it
+// accepts a body exactly when every row decodes, validates and
+// fingerprints — the whole body, or each non-blank line of a batch —
+// and each item is DecodeRunRequest of its row, then Scenario, then
+// Fingerprint. Overwriting the body afterwards leaves the items unchanged.
+func FuzzDecodeRunBody(f *testing.F) {
+	var lines [][]byte
+	for _, sp := range pooledScenarios() {
+		line, _ := json.Marshal(dynring.RunRequest{Scenario: sp})
+		lines = append(lines, line)
+		f.Add(line, false)
+	}
+	f.Add(bytes.Join(lines, []byte("\n")), true)
+	f.Add(append(bytes.Join(lines, []byte("\n \r\n\n")), '\n'), true)
+	f.Add(escapeFirst(lines[0]), true)
+	f.Add([]byte("\n\n"), true)
+	f.Add([]byte(""), false)
+	f.Fuzz(func(t *testing.T, data []byte, batch bool) {
+		body := bytes.Clone(data)
+		items, err := decodeRunBody(body, batch)
+		rows := [][]byte{data}
+		if batch {
+			rows = nil
+			for _, line := range bytes.Split(data, []byte("\n")) {
+				if len(bytes.TrimSpace(line)) > 0 {
+					rows = append(rows, line)
+				}
+			}
+		}
+		var want []runItem
+		for _, row := range rows {
+			req, err := dynring.DecodeRunRequest(row)
+			if err != nil {
+				break
+			}
+			sc, err := req.Scenario.Scenario()
+			if err != nil || sc.Validate() != nil {
+				break
+			}
+			fp, err := sc.Fingerprint()
+			if err != nil {
+				break
+			}
+			want = append(want, runItem{sc: sc, fp: fp})
+		}
+		if ok := len(rows) > 0 && len(want) == len(rows); (err == nil) != ok {
+			t.Fatalf("decodeRunBody(%q, %v) error %v, want ok=%v", data, batch, err, ok)
+		}
+		if err != nil {
+			return
+		}
+		for i := range body {
+			body[i] = 'x'
+		}
+		if len(items) != len(want) {
+			t.Fatalf("decodeRunBody(%q, %v): %d items, want %d", data, batch, len(items), len(want))
+		}
+		for i := range items {
+			if items[i].fp != want[i].fp || !reflect.DeepEqual(scenarioData(items[i].sc), scenarioData(want[i].sc)) {
+				t.Fatalf("decodeRunBody(%q, %v) item %d = %+v, want %+v", data, batch, i, items[i], want[i])
+			}
+		}
+	})
+}
+
+// scenarioData is sc without its function-valued fields, which
+// reflect.DeepEqual cannot compare; the adversary factory is covered by
+// AdversaryLabel and the fingerprint.
+func scenarioData(sc dynring.Scenario) dynring.Scenario {
+	sc.NewAdversary, sc.NewProtocols, sc.Observer = nil, nil, nil
+	return sc
 }

@@ -274,27 +274,13 @@ func (l *Lexer) Float() float64 {
 	return f
 }
 
-// arrayLen consumes an array's opening bracket and returns a capacity
-// hint for its elements: one more than the commas before the next ']'.
-func (l *Lexer) arrayLen() int {
-	l.Expect('[')
-	if l.bad {
-		return 0
-	}
-	n := 1
-	if end := bytes.IndexByte(l.data[l.pos:], ']'); end >= 0 {
-		n += bytes.Count(l.data[l.pos:l.pos+end], []byte{','})
-	}
-	return n
-}
-
 // Ints consumes an array of ints. null reads as a nil slice and [] as an
 // empty one, as in encoding/json.
 func (l *Lexer) Ints() []int {
 	if l.null() {
 		return nil
 	}
-	out := make([]int, 0, l.arrayLen())
+	out := make([]int, 0, l.elems(intOpens))
 	for i := 0; l.Next(i, ']'); i++ {
 		out = append(out, l.Int())
 	}
@@ -306,17 +292,66 @@ func (l *Lexer) Int64s() []int64 {
 	if l.null() {
 		return nil
 	}
-	out := make([]int64, 0, l.arrayLen())
+	out := make([]int64, 0, l.elems(intOpens))
 	for i := 0; l.Next(i, ']'); i++ {
 		out = append(out, l.Int64())
 	}
 	return out
 }
 
+// Objects consumes an array's opening bracket and returns a capacity hint
+// for an array of objects: the number of its top-level elements that open
+// with '{', or 0 on failure.
+func (l *Lexer) Objects() int { return l.elems("{") }
+
+// intOpens are the bytes an integer element can open with.
+const intOpens = "-0123456789"
+
+// elems consumes an array's opening bracket and returns a capacity hint
+// for its elements: the number of its top-level elements whose first byte
+// is in opens. It skips strings and nested arrays and objects, so neither
+// commas inside them nor elements of another kind count: the hint never
+// exceeds what a successful decode of the same bytes would hold, and a
+// hostile body cannot inflate it.
+func (l *Lexer) elems(opens string) int {
+	l.Expect('[')
+	if l.bad {
+		return 0
+	}
+	n, depth, start := 0, 0, true
+	for i := l.pos; i < len(l.data); i++ {
+		c := l.data[i]
+		if c == ' ' || c == '\t' || c == '\n' || c == '\r' {
+			continue
+		}
+		if start && strings.IndexByte(opens, c) >= 0 {
+			n++
+		}
+		start = false
+		switch c {
+		case '"':
+			for i++; i < len(l.data) && l.data[i] != '"'; i++ {
+				if l.data[i] == '\\' {
+					i++
+				}
+			}
+		case '[', '{':
+			depth++
+		case ']', '}':
+			if depth == 0 {
+				return n
+			}
+			depth--
+		case ',':
+			start = depth == 0
+		}
+	}
+	return n
+}
+
 // Strings consumes an array of strings; [] reads as an empty slice.
 func (l *Lexer) Strings() []string {
-	l.Expect('[')
-	out := []string{}
+	out := make([]string, 0, l.elems(`"`))
 	for i := 0; l.Next(i, ']'); i++ {
 		out = append(out, l.String())
 	}

@@ -134,6 +134,66 @@ func TestLexerContainers(t *testing.T) {
 	}
 }
 
+// TestLexerElementHints: the capacity hint of an array counts its
+// top-level elements that open with a byte of their kind — '{' for
+// Objects, '"' for Strings, a digit or '-' for Ints and Int64s — and
+// nothing inside strings or nested values, nothing of another kind and
+// nothing past the array, so it never exceeds what a successful decode of
+// the same bytes holds. The decoders size their slices by it exactly.
+func TestLexerElementHints(t *testing.T) {
+	for _, tc := range []struct {
+		opens, in string
+		want      int
+	}{
+		{"{", `[]`, 0},
+		{"{", ` [ ] `, 0},
+		{"{", `[{}]`, 1},
+		{"{", `[ {} , {"a":[{},{}]} ,{"b":"x,{"}]`, 3},
+		{"{", `[{"s":"]"},{}]`, 2},
+		{"{", `[{"s":"\"]{"},{}]`, 2},
+		{"{", `[{"s":"\\"},{}]`, 2},
+		{"{", `["\\\",{}",{}]`, 1},
+		{"{", `[1,"{",[{}],null,{}]`, 1},
+		{"{", `[,,,,]`, 0},
+		{"{", `[[[[[[`, 0},
+		{"{", `[{},{}] [{},{}]`, 2},
+		{"{", `[{},{`, 2},
+		{"{", `{}`, 0},
+		{`"`, `["a","b"]`, 2},
+		{`"`, `["a,b,c,d"]`, 1},
+		{`"`, `["a\",\""]`, 1},
+		{`"`, `["[","]",1]`, 2},
+		{intOpens, `[1,-2, 3 ]`, 3},
+		{intOpens, `[,,,,]`, 0},
+		{intOpens, `[1,"2,3",[4,5]]`, 1},
+	} {
+		l := NewLexer([]byte(tc.in))
+		if got := l.elems(tc.opens); got != tc.want {
+			t.Errorf("elems(%q) of %s = %d, want %d", tc.opens, tc.in, got, tc.want)
+		}
+	}
+	l := NewLexer([]byte(`[{}, {}]`))
+	if got := l.Objects(); got != 2 {
+		t.Errorf("Objects([{}, {}]) = %d, want 2", got)
+	}
+	for _, in := range []string{`[]`, `["a", "b,c"]`} {
+		l := NewLexer([]byte(in))
+		if got := l.Strings(); !l.End() || got == nil || cap(got) != len(got) {
+			t.Errorf("Strings(%s) = %#v with cap %d", in, got, cap(got))
+		}
+	}
+	for _, in := range []string{`[]`, `[1, -2, 3]`} {
+		l := NewLexer([]byte(in))
+		if got := l.Ints(); !l.End() || got == nil || cap(got) != len(got) {
+			t.Errorf("Ints(%s) = %#v with cap %d", in, got, cap(got))
+		}
+		l = NewLexer([]byte(in))
+		if got := l.Int64s(); !l.End() || got == nil || cap(got) != len(got) {
+			t.Errorf("Int64s(%s) = %#v with cap %d", in, got, cap(got))
+		}
+	}
+}
+
 // TestTimeMatchesEncodingJSON: AppendTime writes MarshalJSON's bytes, and
 // Lexer.Time reads them back to UnmarshalJSON's value.
 func TestTimeMatchesEncodingJSON(t *testing.T) {

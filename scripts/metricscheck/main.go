@@ -44,8 +44,9 @@ func main() {
 		// Likewise the cluster shape must carry the replication counters —
 		// replica-hit and anti-entropy-repair accounting is the observable
 		// half of the exactly-once argument under failover — plus the
-		// gray-failure families (peer health states, probe failures) and
-		// the hop batch sizes.
+		// gray-failure families (peer health states, probe failures), the
+		// hop batch sizes and the replication push families, each envelope
+		// direction included.
 		if shape == "cluster" {
 			for _, fam := range []string{
 				"dynring_cluster_replica_hits_total",
@@ -53,6 +54,12 @@ func main() {
 				"dynring_cluster_peers",
 				"dynring_cluster_probe_failures_total",
 				"dynring_cluster_hop_rows",
+				`dynring_cluster_replication_envelopes_total{dir="sent"}`,
+				`dynring_cluster_replication_envelopes_total{dir="skipped"}`,
+				`dynring_cluster_replication_envelopes_total{dir="adopted"}`,
+				"dynring_cluster_replication_push_seconds",
+				"dynring_cluster_replication_push_failures_total",
+				"dynring_cluster_replication_queue_depth",
 			} {
 				if !strings.Contains(text, fam) {
 					problems = append(problems, "cluster: family "+fam+" not rendered")

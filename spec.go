@@ -531,16 +531,14 @@ func readSweepSpec(l *wire.Lexer, sp *SweepSpec) {
 			sp.Seeds = l.Int64s()
 		case "adversaries":
 			l.Field(&seen, 4)
-			l.Expect('[')
-			sp.Adversaries = []AdversarySpec{}
+			sp.Adversaries = make([]AdversarySpec, 0, l.Objects())
 			for j := 0; l.Next(j, ']'); j++ {
 				sp.Adversaries = append(sp.Adversaries, AdversarySpec{})
 				readAdversarySpec(l, &sp.Adversaries[j])
 			}
 		case "scenarios":
 			l.Field(&seen, 5)
-			l.Expect('[')
-			sp.Scenarios = []ScenarioSpec{}
+			sp.Scenarios = make([]ScenarioSpec, 0, l.Objects())
 			for j := 0; l.Next(j, ']'); j++ {
 				sp.Scenarios = append(sp.Scenarios, ScenarioSpec{})
 				readScenarioSpec(l, &sp.Scenarios[j])

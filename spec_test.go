@@ -1,8 +1,11 @@
 package dynring_test
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -363,6 +366,76 @@ func TestZooSpecsAreWireSafe(t *testing.T) {
 	for _, sc := range scs {
 		if _, err := sc.Fingerprint(); err != nil {
 			t.Errorf("%s: not fingerprintable: %v", sc.Name, err)
+		}
+	}
+}
+
+// explicitSpecJSON is the wire form of an explicit-list spec of n rows
+// that all decode through the same allocations.
+func explicitSpecJSON(t testing.TB, n int) []byte {
+	sp := dynring.SweepSpec{Scenarios: make([]dynring.ScenarioSpec, n)}
+	for i := range sp.Scenarios {
+		sp.Scenarios[i] = dynring.ScenarioSpec{
+			Name: fmt.Sprintf("row-%03d", i), Algorithm: "KnownNNoChirality", Size: 8 + i, Seed: int64(i),
+			Orients:   []string{"cw", "cw"},
+			Adversary: &dynring.AdversarySpec{Kind: "random", P: 0.5},
+		}
+	}
+	data, err := json.Marshal(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestDecodeSweepSpecSizesScenariosOnce: decoding a 48-row spec costs the
+// allocations of a 1-row spec plus 47 times what each further row adds.
+// Growing Scenarios by append would add six more (1, 2, 4, ..., 64 slots
+// for 48 rows), so this pins the array at one allocation of exactly 48.
+func TestDecodeSweepSpecSizesScenariosOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	allocs := func(n int) float64 {
+		data := explicitSpecJSON(t, n)
+		return testing.AllocsPerRun(50, func() {
+			sp, err := dynring.DecodeSweepSpec(data)
+			if err != nil || len(sp.Scenarios) != n || cap(sp.Scenarios) != n {
+				t.Fatalf("DecodeSweepSpec of %d rows: %d rows, cap %d, %v", n, len(sp.Scenarios), cap(sp.Scenarios), err)
+			}
+		})
+	}
+	one, two, many := allocs(1), allocs(2), allocs(48)
+	if want := one + 47*(two-one); many != want {
+		t.Fatalf("a 48-row spec allocated %.0f times, want %.0f (1 row: %.0f, each further row: %.0f)",
+			many, want, one, two-one)
+	}
+}
+
+// TestDecodeSweepSpecHintsResistHostileBodies: a 1 MiB body cannot make
+// the decoder's capacity hints allocate more than about twice its size —
+// not commas in an array of objects or of integers, not nested brackets,
+// not commas inside a string element.
+func TestDecodeSweepSpecHintsResistHostileBodies(t *testing.T) {
+	const size = 1 << 20
+	for name, tc := range map[string]struct {
+		body []byte
+		ok   bool
+	}{
+		"commas":           {append(append([]byte(`{"scenarios":[`), bytes.Repeat([]byte{','}, size)...), "]}"...), false},
+		"commas in sizes":  {append(append([]byte(`{"sizes":[`), bytes.Repeat([]byte{','}, size)...), "]}"...), false},
+		"nested brackets":  {append([]byte(`{"scenarios":[`), bytes.Repeat([]byte{'['}, size)...), false},
+		"commas in string": {[]byte(`{"algorithms":["` + strings.Repeat(",", size) + `"]}`), true},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := dynring.DecodeSweepSpec(tc.body)
+		runtime.ReadMemStats(&after)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: DecodeSweepSpec error %v, want ok=%v", name, err, tc.ok)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 2*uint64(len(tc.body)) {
+			t.Errorf("%s: decoding a %d-byte body allocated %d bytes", name, len(tc.body), got)
 		}
 	}
 }
