@@ -48,6 +48,11 @@ const (
 	DeadlineHeader = "X-Dynring-Deadline"
 )
 
+// TotalHeader carries a job's grid size on every GET
+// /v1/sweeps/{id}/results response, so a client checks the stream for
+// truncation without asking for the job's status first.
+const TotalHeader = "X-Dynring-Total"
+
 // JobStatus is the service's snapshot of one sweep job.
 type JobStatus struct {
 	ID string `json:"id"`
@@ -384,35 +389,41 @@ type errorDoc struct {
 	Error string `json:"error"`
 }
 
-// do issues a request and decodes a JSON body into out (when non-nil).
-// Non-2xx responses are turned into errors carrying the server's message.
-// Transient failures — transport errors, 5xx responses, and 429
+// do issues a bodiless request and decodes a JSON body into out (when
+// non-nil). Non-2xx responses are turned into errors carrying the server's
+// message. Transient failures — transport errors, 5xx responses, and 429
 // quota rejections — are retried with capped exponential backoff (see
 // Client.Retries); other 4xx responses and context cancellation are
 // terminal. A 429 carrying Retry-After waits out the server's hint instead
 // of the computed backoff step.
-func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
-	return c.doWith(ctx, method, path, nil, body, out)
+func (c *Client) do(ctx context.Context, method, path string, out any) error {
+	return c.doWith(ctx, method, path, nil, nil, out)
 }
 
 // doWith is do with per-call options (nil: none) rendered as request
 // headers on every attempt, so retried requests stay attributed to the
-// same trace and tenant.
-func (c *Client) doWith(ctx context.Context, method, path string, so *submitOptions, body, out any) error {
-	var buf []byte
+// same trace and tenant, and with a request body. body (nil: none) is a
+// wire encoder, a spec's AppendJSON: doWith appends the body once into a
+// buffer from reqBufs, sends those bytes with their Content-Length on
+// every attempt, and returns the buffer once no attempt's body can still
+// be read (see reqBody).
+func (c *Client) doWith(ctx context.Context, method, path string, so *submitOptions, body func([]byte) ([]byte, error), out any) error {
+	var rb *reqBody
 	if body != nil {
-		var err error
-		// Request bodies (specs) stay on encoding/json: they are a small
-		// share of the client's time and carry floats; the server's fast
-		// spec parser reads this output as-is.
-		if buf, err = json.Marshal(body); err != nil {
+		buf := reqBufs.Get().(*[]byte)
+		data, err := body((*buf)[:0])
+		if err != nil {
+			reqBufs.Put(buf)
 			return err
 		}
+		*buf = data
+		rb = &reqBody{buf: buf}
+		defer rb.release()
 	}
 	delay := c.retryDelay()
 	var err error
 	for attempt := 0; ; attempt++ {
-		if err = c.doOnce(ctx, method, path, so, buf, out); err == nil || !transientError(err) {
+		if err = c.doOnce(ctx, method, path, so, rb, out); err == nil || !transientError(err) {
 			return err
 		}
 		if attempt >= c.retries() {
@@ -435,17 +446,18 @@ func (c *Client) doWith(ctx context.Context, method, path string, so *submitOpti
 	}
 }
 
-// doOnce is one attempt of do.
-func (c *Client) doOnce(ctx context.Context, method, path string, so *submitOptions, body []byte, out any) error {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, rd)
+// doOnce is one attempt of doWith.
+func (c *Client) doOnce(ctx context.Context, method, path string, so *submitOptions, body *reqBody, out any) error {
+	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, nil)
 	if err != nil {
 		return err
 	}
 	if body != nil {
+		if req.Body, err = body.reader(); err != nil {
+			return err
+		}
+		req.ContentLength = int64(len(*body.buf))
+		req.GetBody = body.reader
 		req.Header.Set("Content-Type", "application/json")
 	}
 	if c.TenantKey != "" {
@@ -469,6 +481,84 @@ func (c *Client) doOnce(ctx context.Context, method, path string, so *submitOpti
 	// Response documents (statuses, traces, stats, RunResponse) are one
 	// per request, not per row: they stay on encoding/json.
 	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// reqBufs recycles the request-body buffers of doWith. Buffers up to
+// maxPooledReq bytes return to it; a rare larger one is left to the
+// collector.
+var reqBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledReq = 64 << 10
+
+// reqBody is one call's request body, in a buffer from reqBufs, shared by
+// every attempt: each attempt's req.Body and each GetBody copy is a reader
+// of it. Under net/http's RoundTripper contract the transport closes every
+// body it is given, but it may read and close one after RoundTrip, and so
+// Do, has returned. So the buffer returns to the pool only if, when the
+// call is over, every reader handed out has been closed; a closed reader
+// never touches the buffer again. Otherwise the buffer is left to the
+// collector.
+type reqBody struct {
+	buf  *[]byte
+	mu   sync.Mutex
+	open int  // readers handed out and not yet closed
+	done bool // the call is over: no reader may be handed out
+}
+
+// reader hands out a new reader of the body; it is also the request's
+// GetBody.
+func (b *reqBody) reader() (io.ReadCloser, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.done {
+		return nil, errors.New("dynring: request body read after its call returned")
+	}
+	b.open++
+	return &bodyReader{b: b, rest: *b.buf}, nil
+}
+
+// release ends the call, returning the buffer to reqBufs if no reader is
+// open.
+func (b *reqBody) release() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.done = true
+	if b.open == 0 && cap(*b.buf) <= maxPooledReq {
+		reqBufs.Put(b.buf)
+	}
+}
+
+// bodyReader is one reader of a reqBody. Read and Close hold the body's
+// lock, so once Close has returned no Read is still copying out of the
+// buffer.
+type bodyReader struct {
+	b      *reqBody
+	rest   []byte
+	closed bool
+}
+
+func (r *bodyReader) Read(p []byte) (int, error) {
+	r.b.mu.Lock()
+	defer r.b.mu.Unlock()
+	if r.closed {
+		return 0, errors.New("dynring: read of a closed request body")
+	}
+	if len(r.rest) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, r.rest)
+	r.rest = r.rest[n:]
+	return n, nil
+}
+
+func (r *bodyReader) Close() error {
+	r.b.mu.Lock()
+	defer r.b.mu.Unlock()
+	if !r.closed {
+		r.closed, r.rest = true, nil
+		r.b.open--
+	}
+	return nil
 }
 
 // serverError is a non-2xx response as an error; Code drives the retry
@@ -600,14 +690,14 @@ func (o *submitOptions) setHeaders(h http.Header) {
 // CancelSweep.
 func (c *Client) SubmitSweep(ctx context.Context, spec SweepSpec, opts ...SubmitOption) (JobStatus, error) {
 	var st JobStatus
-	err := c.doWith(ctx, http.MethodPost, "/v1/sweeps", newSubmitOptions(opts), spec, &st)
+	err := c.doWith(ctx, http.MethodPost, "/v1/sweeps", newSubmitOptions(opts), spec.AppendJSON, &st)
 	return st, err
 }
 
 // SweepStatus fetches a job's status.
 func (c *Client) SweepStatus(ctx context.Context, id string) (JobStatus, error) {
 	var st JobStatus
-	err := c.do(ctx, http.MethodGet, "/v1/sweeps/"+id, nil, &st)
+	err := c.do(ctx, http.MethodGet, "/v1/sweeps/"+id, &st)
 	return st, err
 }
 
@@ -615,7 +705,7 @@ func (c *Client) SweepStatus(ctx context.Context, id string) (JobStatus, error) 
 // Cancelling a settled job is a no-op.
 func (c *Client) CancelSweep(ctx context.Context, id string) (JobStatus, error) {
 	var st JobStatus
-	err := c.do(ctx, http.MethodDelete, "/v1/sweeps/"+id, nil, &st)
+	err := c.do(ctx, http.MethodDelete, "/v1/sweeps/"+id, &st)
 	return st, err
 }
 
@@ -624,14 +714,14 @@ func (c *Client) CancelSweep(ctx context.Context, id string) (JobStatus, error) 
 // sweep's scenarios were proxied to.
 func (c *Client) SweepTrace(ctx context.Context, id string) (SweepTrace, error) {
 	var tr SweepTrace
-	err := c.do(ctx, http.MethodGet, "/v1/sweeps/"+id+"/trace", nil, &tr)
+	err := c.do(ctx, http.MethodGet, "/v1/sweeps/"+id+"/trace", &tr)
 	return tr, err
 }
 
 // ServiceStats fetches the /statsz counters.
 func (c *Client) ServiceStats(ctx context.Context) (ServiceStats, error) {
 	var st ServiceStats
-	err := c.do(ctx, http.MethodGet, "/statsz", nil, &st)
+	err := c.do(ctx, http.MethodGet, "/statsz", &st)
 	return st, err
 }
 
@@ -640,11 +730,12 @@ func (c *Client) ServiceStats(ctx context.Context) (ServiceStats, error) {
 // cancelled, or fn returns an error (which aborts the stream and is
 // returned).
 //
-// Truncation is an error, never silence: the expected row count is fetched
-// from the job's status up front, a terminal StreamAbortedIndex row from
-// the server surfaces as its error, and a stream that ends short of the
-// full grid without one (connection cut, proxy timeout) is rejected too.
-// fn is never invoked for the terminal sentinel row.
+// Truncation is an error, never silence: every results response carries
+// the job's row count in TotalHeader (a response without a valid one is an
+// error), a terminal StreamAbortedIndex row from the server surfaces as its
+// error, and a stream that ends short of the full grid without one
+// (connection cut, proxy timeout) is rejected too. fn is never invoked for
+// the terminal sentinel row.
 //
 // A transiently failed stream is resumed, not restarted: the client
 // reconnects with ?from=<next index> (the server's resume cursor) up to
@@ -657,37 +748,34 @@ func (c *Client) StreamResults(ctx context.Context, id string, fn func(ResultRow
 	return c.StreamResultsFrom(ctx, id, 0, fn)
 }
 
-// errFnAbort wraps an error returned by the caller's row callback so the
-// resume loop can tell "the consumer gave up" (terminal, unwrap) from "the
-// stream broke" (resumable).
-type errFnAbort struct{ err error }
+// errStop wraps an error the resume loop must not retry, so it can tell
+// "the consumer gave up" or "the server's answer is not a results stream"
+// (terminal, unwrap) from "the stream broke" (resumable).
+type errStop struct{ err error }
 
-func (e *errFnAbort) Error() string { return e.err.Error() }
+func (e *errStop) Error() string { return e.err.Error() }
 
 // StreamResultsFrom is StreamResults starting at grid index from: rows
 // below from are never delivered. It is the resume primitive — a consumer
 // that already holds rows [0,N) continues with from=N after its own
-// restart, not just after a transport blip.
+// restart, not just after a transport blip. A from past the job's last row
+// is the server's 400.
 func (c *Client) StreamResultsFrom(ctx context.Context, id string, from int, fn func(ResultRow) error) error {
-	st, err := c.SweepStatus(ctx, id)
-	if err != nil {
-		return err
-	}
-	if from < 0 || from > st.Total {
-		return fmt.Errorf("dynring: resume index %d out of range for %d rows", from, st.Total)
+	if from < 0 {
+		return fmt.Errorf("dynring: resume index %d is negative", from)
 	}
 	next := from
 	delay := c.retryDelay()
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		before := next
-		err := c.streamOnce(ctx, id, st.Total, &next, fn)
+		err := c.streamOnce(ctx, id, &next, fn)
 		if err == nil {
 			return nil
 		}
-		var fa *errFnAbort
-		if errors.As(err, &fa) {
-			return fa.err
+		var stop *errStop
+		if errors.As(err, &stop) {
+			return stop.err
 		}
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return err
@@ -725,9 +813,10 @@ var lineBufs = sync.Pool{New: func() any {
 
 // streamOnce runs one results connection from *next, advancing *next past
 // each row it delivers. Rows below *next (re-served by a resume) are
-// skipped without invoking fn. fn errors come back wrapped in errFnAbort;
-// every other failure is a broken stream the caller may resume.
-func (c *Client) streamOnce(ctx context.Context, id string, total int, next *int, fn func(ResultRow) error) error {
+// skipped without invoking fn. fn errors and a response without a valid
+// TotalHeader come back wrapped in errStop; every other failure is a
+// broken stream the caller may resume.
+func (c *Client) streamOnce(ctx context.Context, id string, next *int, fn func(ResultRow) error) error {
 	path := "/v1/sweeps/" + id + "/results"
 	if *next > 0 {
 		path += "?from=" + strconv.Itoa(*next)
@@ -747,18 +836,25 @@ func (c *Client) streamOnce(ctx context.Context, id string, total int, next *int
 	if resp.StatusCode != http.StatusOK {
 		return remoteError(resp)
 	}
+	total, err := strconv.Atoi(resp.Header.Get(TotalHeader))
+	if err != nil || total < 0 {
+		return &errStop{fmt.Errorf("dynring: results response has no valid %s: %q", TotalHeader, resp.Header.Get(TotalHeader))}
+	}
 	buf := lineBufs.Get().(*[]byte)
 	defer lineBufs.Put(buf)
 	sc := bufio.NewScanner(resp.Body)
 	// Start from a pooled buffer of the scanner's default size and grow
 	// only for a row that needs it; most rows are a few hundred bytes.
 	sc.Buffer(*buf, 4<<20)
+	// One row, overwritten by each parse, so the row ParseResultRow's
+	// encoding/json fallback makes escape is allocated once per stream
+	// rather than once per row; fn gets a copy.
+	var row ResultRow
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
-		var row ResultRow
 		if err := ParseResultRow(line, &row); err != nil {
 			// Typically a line cut mid-write by a dying connection; the
 			// resume re-fetches it whole.
@@ -778,7 +874,7 @@ func (c *Client) streamOnce(ctx context.Context, id string, total int, next *int
 		}
 		*next = row.Index + 1
 		if err := fn(row); err != nil {
-			return &errFnAbort{err: err}
+			return &errStop{err}
 		}
 	}
 	if err := sc.Err(); err != nil {

@@ -1,9 +1,12 @@
 package dynring_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -182,10 +185,8 @@ func TestClientStreamAutoResume(t *testing.T) {
 	var fromSeen []string
 	var mu sync.Mutex
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/sweeps/j1", func(w http.ResponseWriter, r *http.Request) {
-		_, _ = w.Write([]byte(`{"id":"j1","state":"done","total":4}`))
-	})
 	mux.HandleFunc("GET /v1/sweeps/j1/results", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set(dynring.TotalHeader, "4")
 		mu.Lock()
 		fromSeen = append(fromSeen, r.URL.Query().Get("from"))
 		mu.Unlock()
@@ -260,7 +261,8 @@ func TestClientStreamResultsFrom(t *testing.T) {
 	if !reflect.DeepEqual(tail, all[from:]) {
 		t.Fatalf("resumed tail diverges from full stream's suffix:\n%+v\nvs\n%+v", tail, all[from:])
 	}
-	// Out-of-range cursors are rejected client-side before any request.
+	// Out-of-range cursors are rejected: past the end by the server's
+	// 400, a negative one client-side before any request.
 	if err := client.StreamResultsFrom(ctx, st.ID, st.Total+1, nil); err == nil {
 		t.Fatal("out-of-range resume index accepted")
 	}
@@ -296,11 +298,9 @@ func TestClientRejectsTruncatedStream(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			mux := http.NewServeMux()
-			mux.HandleFunc("GET /v1/sweeps/j1", func(w http.ResponseWriter, r *http.Request) {
-				_, _ = w.Write([]byte(`{"id":"j1","state":"running","total":3}`))
-			})
 			mux.HandleFunc("GET /v1/sweeps/j1/results", func(w http.ResponseWriter, r *http.Request) {
 				w.Header().Set("Content-Type", "application/x-ndjson")
+				w.Header().Set(dynring.TotalHeader, "3")
 				_, _ = w.Write([]byte(tc.body))
 			})
 			srv := httptest.NewServer(mux)
@@ -316,6 +316,174 @@ func TestClientRejectsTruncatedStream(t *testing.T) {
 				t.Fatalf("fn saw %d rows, terminal row must not be delivered", rows)
 			}
 		})
+	}
+}
+
+// TestClientStreamRequiresTotal: a results response whose TotalHeader is
+// missing or malformed is an error, at once and without a retry: the
+// client has no other source for the row count, so it cannot tell a
+// complete stream from a truncated one.
+func TestClientStreamRequiresTotal(t *testing.T) {
+	for _, total := range []string{"", "three", "-1", "3.0", "0x3"} {
+		var calls atomic.Int32
+		mux := http.NewServeMux()
+		mux.HandleFunc("GET /v1/sweeps/j1/results", func(w http.ResponseWriter, r *http.Request) {
+			calls.Add(1)
+			if total != "" {
+				w.Header().Set(dynring.TotalHeader, total)
+			}
+			_, _ = w.Write([]byte(`{"index":0,"name":"s","fingerprint":"f"}` + "\n"))
+		})
+		srv := httptest.NewServer(mux)
+		c := dynring.NewClient(srv.URL)
+		c.RetryBaseDelay = time.Millisecond
+		err := c.StreamResults(context.Background(), "j1", func(dynring.ResultRow) error { return nil })
+		srv.Close()
+		if err == nil || !strings.Contains(err.Error(), dynring.TotalHeader) {
+			t.Errorf("total %q: StreamResults error = %v, want one naming %s", total, err, dynring.TotalHeader)
+		}
+		if n := calls.Load(); n != 1 {
+			t.Errorf("total %q: %d results requests, want 1", total, n)
+		}
+	}
+}
+
+// countingRT counts the requests it passes on, by method and path.
+type countingRT struct {
+	mu   sync.Mutex
+	seen []string
+}
+
+func (c *countingRT) RoundTrip(req *http.Request) (*http.Response, error) {
+	c.mu.Lock()
+	c.seen = append(c.seen, req.Method+" "+req.URL.Path)
+	c.mu.Unlock()
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestClientSweepIsTwoRequests: a sweep is one POST and one results GET,
+// with no status GET between them, and the stream carries every row.
+func TestClientSweepIsTwoRequests(t *testing.T) {
+	svc, _ := newTestService(t, service.Options{Workers: 2, CacheSize: 64})
+	rt := &countingRT{}
+	c := &dynring.Client{BaseURL: svc.BaseURL, HTTPClient: &http.Client{Transport: rt}}
+	ctx := context.Background()
+
+	st, err := c.SubmitSweep(ctx, clientSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	if err := c.StreamResults(ctx, st.ID, func(dynring.ResultRow) error { rows++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if rows != st.Total {
+		t.Fatalf("streamed %d rows, want %d", rows, st.Total)
+	}
+	want := []string{"POST /v1/sweeps", "GET /v1/sweeps/" + st.ID + "/results"}
+	if !reflect.DeepEqual(rt.seen, want) {
+		t.Fatalf("requests %q, want %q", rt.seen, want)
+	}
+}
+
+// lateReadRT answers every POST /v1/sweeps with 201 and a JobStatus. With
+// hold set it keeps each request body unread and unclosed past the end of
+// RoundTrip, as the RoundTripper contract allows; otherwise it reads and
+// closes the body inside RoundTrip, as http.Transport usually does.
+type lateReadRT struct {
+	hold   bool
+	bodies chan io.ReadCloser
+	t      *testing.T
+}
+
+func (rt *lateReadRT) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.GetBody == nil || req.ContentLength <= 0 {
+		rt.t.Errorf("request body without GetBody or Content-Length (%d): it would be sent chunked", req.ContentLength)
+	}
+	if rt.hold {
+		rt.bodies <- req.Body
+	} else {
+		_, _ = io.Copy(io.Discard, req.Body)
+		req.Body.Close()
+	}
+	return &http.Response{
+		StatusCode: http.StatusCreated,
+		Header:     http.Header{"Content-Type": {"application/json"}},
+		Body:       io.NopCloser(strings.NewReader(`{"id":"sw-1","state":"running"}`)),
+		Request:    req,
+	}, nil
+}
+
+// TestClientPooledBodySurvivesLateRead: request bodies are encoded into
+// pooled buffers, yet a body a RoundTripper reads only after SubmitSweep
+// has returned, while other submits reuse the pool, still holds
+// json.Marshal(spec)'s bytes; and a retried submit sends those bytes on
+// every attempt.
+func TestClientPooledBodySurvivesLateRead(t *testing.T) {
+	specs := make([]dynring.SweepSpec, 24)
+	want := make([][]byte, len(specs))
+	for i := range specs {
+		specs[i] = clientSpec()
+		specs[i].Seeds = []int64{int64(i), int64(1000 * i)}
+		specs[i].Adversaries[0].P = 1 / float64(i+3)
+		want[i], _ = json.Marshal(specs[i])
+	}
+	late := &lateReadRT{hold: true, bodies: make(chan io.ReadCloser, 1), t: t}
+	eager := &lateReadRT{t: t}
+	lateClient := &dynring.Client{BaseURL: "http://late.invalid", HTTPClient: &http.Client{Transport: late}}
+	eagerClient := &dynring.Client{BaseURL: "http://eager.invalid", HTTPClient: &http.Client{Transport: eager}}
+	ctx := context.Background()
+	for i, spec := range specs {
+		if _, err := lateClient.SubmitSweep(ctx, spec); err != nil {
+			t.Fatal(err)
+		}
+		body := <-late.bodies
+		var wg sync.WaitGroup
+		for k := range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := eagerClient.SubmitSweep(ctx, specs[(i+k+1)%len(specs)]); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		// One more submit on this goroutine, which most likely draws from
+		// the same per-P pool the late body's buffer would have gone to.
+		if _, err := eagerClient.SubmitSweep(ctx, specs[(i+5)%len(specs)]); err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(body)
+		body.Close()
+		wg.Wait()
+		if err != nil || !bytes.Equal(got, want[i]) {
+			t.Fatalf("submit %d: body read after the call = %s, %v; want %s", i, got, err, want[i])
+		}
+	}
+
+	var mu sync.Mutex
+	var attempts [][]byte
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		b, _ := io.ReadAll(r.Body)
+		mu.Lock()
+		attempts = append(attempts, b)
+		n := len(attempts)
+		mu.Unlock()
+		if n == 1 {
+			http.Error(w, `{"error":"warming up"}`, http.StatusServiceUnavailable)
+			return
+		}
+		w.WriteHeader(http.StatusCreated)
+		_, _ = w.Write([]byte(`{"id":"sw-1","state":"running"}`))
+	}))
+	defer srv.Close()
+	c := dynring.NewClient(srv.URL)
+	c.RetryBaseDelay = time.Millisecond
+	if _, err := c.SubmitSweep(ctx, specs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if len(attempts) != 2 || !bytes.Equal(attempts[0], want[0]) || !bytes.Equal(attempts[1], want[0]) {
+		t.Fatalf("attempts sent %q, want json.Marshal(spec) twice: %s", attempts, want[0])
 	}
 }
 

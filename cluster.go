@@ -62,6 +62,16 @@ type RunRequest struct {
 	Scenario ScenarioSpec `json:"scenario"`
 }
 
+// AppendJSON appends the request's JSON form to dst, as
+// SweepSpec.AppendJSON does.
+func (r RunRequest) AppendJSON(dst []byte) ([]byte, error) {
+	dst, err := r.Scenario.AppendJSON(append(dst, `{"scenario":`...))
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, '}'), nil
+}
+
 // DecodeRunRequest decodes a POST /v1/run body with the same fast path and
 // encoding/json definition as DecodeSweepSpec.
 func DecodeRunRequest(data []byte) (RunRequest, error) {
@@ -227,7 +237,7 @@ func readTraceSpan(l *wire.Lexer, s *TraceSpan) {
 // ClusterStatus fetches the node's /v1/cluster document.
 func (c *Client) ClusterStatus(ctx context.Context) (ClusterStatus, error) {
 	var cs ClusterStatus
-	err := c.do(ctx, http.MethodGet, "/v1/cluster", nil, &cs)
+	err := c.do(ctx, http.MethodGet, "/v1/cluster", &cs)
 	return cs, err
 }
 
@@ -240,6 +250,6 @@ func (c *Client) ClusterStatus(ctx context.Context) (ClusterStatus, error) {
 // across nodes. WithPriority is ignored: a single scenario runs at once.
 func (c *Client) RunScenario(ctx context.Context, spec ScenarioSpec, opts ...SubmitOption) (RunResponse, error) {
 	var rr RunResponse
-	err := c.doWith(ctx, http.MethodPost, "/v1/run", newSubmitOptions(opts), RunRequest{Scenario: spec}, &rr)
+	err := c.doWith(ctx, http.MethodPost, "/v1/run", newSubmitOptions(opts), RunRequest{Scenario: spec}.AppendJSON, &rr)
 	return rr, err
 }

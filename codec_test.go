@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"strings"
@@ -252,6 +253,124 @@ func TestSpecDecodersMatchEncodingJSON(t *testing.T) {
 			t.Fatalf("DecodeRunRequest(%s) = %+v, %v; encoding/json %+v, %v", data, gotReq, err, wantReq, werr)
 		}
 	}
+}
+
+// specFloats widens codecFloats for the encoder tests: -0 (omitted, as 0
+// is), both sides of the 1e-6 and 1e21 switches between 'f' and 'e' form,
+// negative values, subnormals and extremes.
+var specFloats = append(codecFloats[:len(codecFloats):len(codecFloats)], math.Copysign(0, -1),
+	math.Nextafter(1e-6, 0), math.Nextafter(1e21, 0), -1e21, -1e-7, 1e-10, 0.3333333333333333,
+	1.5e300, math.MaxFloat64, 1<<53+1)
+
+// forEachAdversary calls fn on every AdversarySpec sp holds.
+func forEachAdversary(sp *SweepSpec, fn func(*AdversarySpec)) {
+	for i := range sp.Adversaries {
+		fn(&sp.Adversaries[i])
+	}
+	for _, sc := range append(sp.Scenarios, sp.Base) {
+		if sc.Adversary != nil {
+			fn(sc.Adversary)
+		}
+	}
+}
+
+// checkAppendSweepSpec fails t unless sp.AppendJSON emits json.Marshal's
+// bytes, which decode on the fast path (unless json.Marshal escaped a
+// string, which the fast path leaves to encoding/json) to what
+// DecodeSweepSpec reads from them.
+func checkAppendSweepSpec(t *testing.T, sp SweepSpec) {
+	t.Helper()
+	want, err := json.Marshal(sp)
+	if err != nil {
+		t.Fatalf("json.Marshal(%+v): %v", sp, err)
+	}
+	got, err := sp.AppendJSON([]byte("x"))
+	if err != nil || !bytes.Equal(got[1:], want) || got[0] != 'x' {
+		t.Fatalf("AppendJSON(%+v)\n got %s, %v\nwant x%s", sp, got, err, want)
+	}
+	l := wire.NewLexer(want)
+	var fast SweepSpec
+	if readSweepSpec(&l, &fast); !l.End() {
+		if !escaped(want) {
+			t.Fatalf("fast path rejected AppendJSON output %s", want)
+		}
+		return
+	}
+	if back, err := DecodeSweepSpec(want); err != nil || !reflect.DeepEqual(fast, back) {
+		t.Fatalf("fast path of %s = %+v; DecodeSweepSpec %+v, %v", want, fast, back, err)
+	}
+}
+
+// TestSpecAppendJSONMatchesEncodingJSON: over seeded random specs of both
+// forms, with floats in and out of exponent form, -0, strings that need
+// escaping and invalid UTF-8, the spec encoders emit exactly json.Marshal's
+// bytes; nil and empty slices both vanish under omitempty; and a NaN or
+// infinite parameter anywhere fails with json.Marshal's error.
+func TestSpecAppendJSONMatchesEncodingJSON(t *testing.T) {
+	rng := rand.New(rand.NewPCG(30, 1))
+	for i := 0; i < 3000; i++ {
+		sp, _ := randSweepSpec(rng)
+		forEachAdversary(&sp, func(a *AdversarySpec) {
+			a.P = specFloats[rng.IntN(len(specFloats))]
+			a.Act = specFloats[rng.IntN(len(specFloats))]
+		})
+		checkAppendSweepSpec(t, sp)
+
+		req := RunRequest{Scenario: randScenarioSpec(rng, new(bool))}
+		want, _ := json.Marshal(req)
+		if got, err := req.AppendJSON(nil); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("RunRequest.AppendJSON(%+v)\n got %s, %v\nwant %s", req, got, err, want)
+		}
+	}
+
+	checkAppendSweepSpec(t, SweepSpec{})
+	checkAppendSweepSpec(t, SweepSpec{
+		Base:        ScenarioSpec{Starts: []int{}, Orients: []string{}},
+		Algorithms:  []string{},
+		Sizes:       []int{},
+		Seeds:       []int64{},
+		Adversaries: []AdversarySpec{},
+		Scenarios:   []ScenarioSpec{},
+	})
+	checkAppendSweepSpec(t, SweepSpec{Scenarios: []ScenarioSpec{{Starts: []int{}, Orients: []string{}}, {}}})
+
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		a := &AdversarySpec{Kind: "random", P: 0.5, Act: bad}
+		for _, sp := range []SweepSpec{
+			{Base: ScenarioSpec{Adversary: a}},
+			{Adversaries: []AdversarySpec{{Kind: "greedy"}, {Kind: "random", P: bad}}},
+			{Scenarios: []ScenarioSpec{{}, {Adversary: a}}},
+		} {
+			_, want := json.Marshal(sp)
+			if _, err := sp.AppendJSON(nil); err == nil || want == nil || err.Error() != want.Error() {
+				t.Errorf("AppendJSON(%+v) error %v, json.Marshal %v", sp, err, want)
+			}
+		}
+		req := RunRequest{Scenario: ScenarioSpec{Adversary: a}}
+		_, want := json.Marshal(req)
+		if _, err := req.AppendJSON(nil); err == nil || want == nil || err.Error() != want.Error() {
+			t.Errorf("RunRequest.AppendJSON with %g: error %v, json.Marshal %v", bad, err, want)
+		}
+	}
+}
+
+// FuzzAppendSweepSpec: every spec DecodeSweepSpec accepts encodes through
+// AppendJSON to exactly json.Marshal's bytes, which decode on the fast
+// path unless they hold an escape.
+func FuzzAppendSweepSpec(f *testing.F) {
+	rng := rand.New(rand.NewPCG(30, 2))
+	for range 16 {
+		sp, _ := randSweepSpec(rng)
+		data, _ := json.Marshal(sp)
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sp, err := DecodeSweepSpec(data)
+		if err != nil {
+			return
+		}
+		checkAppendSweepSpec(t, sp)
+	})
 }
 
 // TestSpecDecodersRejectWhatEncodingJSONRejects pins the strict contract

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -166,11 +165,13 @@ func (h *hops) line(i int) []byte {
 	if err != nil {
 		return nil
 	}
-	line, err := json.Marshal(dynring.RunRequest{Scenario: sp})
+	// Append on the stack, then copy out at the line's exact size.
+	var scratch [512]byte
+	line, err := dynring.RunRequest{Scenario: sp}.AppendJSON(scratch[:0])
 	if err != nil {
 		return nil
 	}
-	return append(line, '\n')
+	return append(append(make([]byte, 0, len(line)+1), line...), '\n')
 }
 
 // releasedLocked counts one row handed on; after the job's last one, every

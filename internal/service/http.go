@@ -49,7 +49,8 @@ var replicateAck = []byte("{\"status\":\"ok\"}\n")
 //
 //	POST   /v1/sweeps               submit a dynring.SweepSpec, returns JobStatus (201)
 //	GET    /v1/sweeps/{id}          JobStatus
-//	GET    /v1/sweeps/{id}/results  NDJSON dynring.ResultRow stream in grid order (?from=N resumes)
+//	GET    /v1/sweeps/{id}/results  NDJSON dynring.ResultRow stream in grid order (?from=N resumes),
+//	                                with the grid size in dynring.TotalHeader
 //	GET    /v1/sweeps/{id}/trace    dynring.SweepTrace (per-scenario spans)
 //	DELETE /v1/sweeps/{id}          cancel, returns post-cancellation JobStatus
 //	POST   /v1/run                  execute one scenario synchronously, returns RunResponse;
@@ -189,6 +190,9 @@ func NewHandler(m *Manager) http.Handler {
 			}
 		}
 		w.Header().Set("Content-Type", ndjsonType)
+		// The grid size, against which the client checks the stream for
+		// truncation.
+		w.Header().Set(dynring.TotalHeader, strconv.Itoa(j.Total()))
 		w.WriteHeader(http.StatusOK)
 		flusher, _ := w.(http.Flusher)
 		// Each row is appended into one reused buffer and written with one
@@ -393,7 +397,11 @@ func decodeRunBody(body []byte, batch bool) ([]runItem, error) {
 		}
 		return []runItem{it}, nil
 	}
-	items := make([]runItem, 0, bytes.Count(body, []byte{'\n'})+1)
+	// Only lines that decode take room: items fill an array on the stack,
+	// spilling to the heap only past its length, and are copied out at
+	// their exact count.
+	var stack [16]runItem
+	items := stack[:0]
 	for rest := body; len(rest) > 0; {
 		var line []byte
 		line, rest, _ = bytes.Cut(rest, []byte{'\n'})
@@ -409,7 +417,7 @@ func decodeRunBody(body []byte, batch bool) ([]runItem, error) {
 	if len(items) == 0 {
 		return nil, errors.New("empty batch")
 	}
-	return items, nil
+	return append(make([]runItem, 0, len(items)), items...), nil
 }
 
 // decodeRunItem decodes, validates and fingerprints one RunRequest.

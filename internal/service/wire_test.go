@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -444,6 +445,42 @@ func FuzzDecodeRunBody(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestDecodeRunBodyAllocatesForDecodedLines: a batch's items take room
+// only for lines that decode, so a 1 MiB body of blank lines, or of
+// lines that fail, allocates at most about twice its size (the newline
+// count as a hint allocated 224 MB and 112 MB), and a batch's items come
+// back at their exact count, past the stack array included.
+func TestDecodeRunBodyAllocatesForDecodedLines(t *testing.T) {
+	const size = 1 << 20
+	line, _ := json.Marshal(dynring.RunRequest{Scenario: pooledScenarios()[0]})
+	for name, tc := range map[string]struct {
+		body []byte
+		ok   bool
+	}{
+		"blank lines":          {bytes.Repeat([]byte{'\n'}, size), false},
+		"x lines":              {bytes.Repeat([]byte("x\n"), size/2), false},
+		"one row, then blanks": {append(append(line, '\n'), bytes.Repeat([]byte(" \n"), size/2)...), true},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := decodeRunBody(tc.body, true)
+		runtime.ReadMemStats(&after)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: decodeRunBody error %v, want ok=%v", name, err, tc.ok)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 2*uint64(len(tc.body)) {
+			t.Errorf("%s: decoding a %d-byte body allocated %d bytes", name, len(tc.body), got)
+		}
+	}
+	for _, n := range []int{1, 16, 17, 40} {
+		body := bytes.Repeat(append(line, '\n'), n)
+		items, err := decodeRunBody(body, true)
+		if err != nil || len(items) != n || cap(items) != n {
+			t.Errorf("%d-line batch: %d items, cap %d, error %v; want %d, cap %d", n, len(items), cap(items), err, n, n)
+		}
+	}
 }
 
 // scenarioData is sc without its function-valued fields, which

@@ -28,9 +28,9 @@ func AppendString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
-// AppendInts appends v as encoding/json encodes a []int: null for a nil
-// slice, [] for an empty one.
-func AppendInts(dst []byte, v []int) []byte {
+// AppendInts appends v as encoding/json encodes a []int or []int64: null
+// for a nil slice, [] for an empty one.
+func AppendInts[T int | int64](dst []byte, v []T) []byte {
 	if v == nil {
 		return append(dst, "null"...)
 	}
@@ -42,6 +42,40 @@ func AppendInts(dst []byte, v []int) []byte {
 		dst = strconv.AppendInt(dst, int64(x), 10)
 	}
 	return append(dst, ']')
+}
+
+// AppendStrings appends v as encoding/json encodes a non-nil []string.
+func AppendStrings(dst []byte, v []string) []byte {
+	dst = append(dst, '[')
+	for i, s := range v {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = AppendString(dst, s)
+	}
+	return append(dst, ']')
+}
+
+// AppendFloat appends f as encoding/json encodes a float64: the shortest
+// decimal that reads back as f, in 'f' form, or in 'e' form when |f| is
+// below 1e-6 or at least 1e21, with a one-digit negative exponent written
+// without its leading zero (1e-7, not 1e-07). NaN and ±Inf have no JSON
+// form; for them AppendFloat returns dst and json.Marshal's error.
+func AppendFloat(dst []byte, f float64) ([]byte, error) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		_, err := json.Marshal(f)
+		return dst, err
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst, nil
 }
 
 // Lexer reads canonical JSON from a byte slice. Every method either

@@ -24,12 +24,60 @@ func TestAppendStringMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
-// TestAppendInts: null for nil, [] for empty, as encoding/json.
+// TestAppendInts: null for nil, [] for empty, as encoding/json, for
+// []int and []int64.
 func TestAppendInts(t *testing.T) {
-	for _, v := range [][]int{nil, {}, {0}, {-1, 2, math.MinInt64, math.MaxInt64}} {
-		want, _ := json.Marshal(v)
-		if got := AppendInts(nil, v); !bytes.Equal(got, want) {
+	check := func(got []byte, v any) {
+		if want, _ := json.Marshal(v); !bytes.Equal(got, want) {
 			t.Errorf("AppendInts(%#v) = %s, want %s", v, got, want)
+		}
+	}
+	for _, v := range [][]int{nil, {}, {0}, {-1, 2, math.MinInt64, math.MaxInt64}} {
+		check(AppendInts(nil, v), v)
+	}
+	for _, v := range [][]int64{nil, {}, {0}, {-1, 2, math.MinInt64, math.MaxInt64}} {
+		check(AppendInts(nil, v), v)
+	}
+}
+
+// TestAppendFloatMatchesEncodingJSON: every float's bytes are
+// json.Marshal's — both sides of the 1e-6 and 1e21 switches to exponent
+// form, one- and multi-digit exponents, -0, subnormals and random bit
+// patterns — and NaN and ±Inf fail with json.Marshal's error.
+func TestAppendFloatMatchesEncodingJSON(t *testing.T) {
+	floats := []float64{0, math.Copysign(0, -1), 0.5, -0.25, 1, 0.1, 123456.789, 1e-7, 1e-6,
+		math.Nextafter(1e-6, 0), 1e-10, 1.5e-300, 1e20, 1e21, math.Nextafter(1e21, 0), -1e21, 1e100,
+		5e-324, math.SmallestNonzeroFloat64 * 3, math.MaxFloat64, -math.MaxFloat64, 1 << 53}
+	for i := uint64(0); i < 5000; i++ {
+		// A multiplicative hash of i spreads the bit patterns over every
+		// exponent; the non-finite ones are skipped here.
+		if f := math.Float64frombits(i * 0x9e3779b97f4a7c15); !math.IsNaN(f) && !math.IsInf(f, 0) {
+			floats = append(floats, f)
+		}
+	}
+	for _, f := range floats {
+		want, _ := json.Marshal(f)
+		got, err := AppendFloat([]byte("x"), f)
+		if err != nil || !bytes.Equal(got, append([]byte("x"), want...)) {
+			t.Fatalf("AppendFloat(%g) = %s, %v; want x%s", f, got, err, want)
+		}
+	}
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, want := json.Marshal(f)
+		got, err := AppendFloat([]byte("x"), f)
+		if err == nil || err.Error() != want.Error() || string(got) != "x" {
+			t.Errorf("AppendFloat(%g) = %q, %v; want x and %v", f, got, err, want)
+		}
+	}
+}
+
+// TestAppendStrings: a []string's bytes are json.Marshal's, escapes
+// included.
+func TestAppendStrings(t *testing.T) {
+	for _, v := range [][]string{{}, {""}, {"cw", "ccw"}, {"a<b", "\\", "\xff"}} {
+		want, _ := json.Marshal(v)
+		if got := AppendStrings(nil, v); !bytes.Equal(got, want) {
+			t.Errorf("AppendStrings(%q) = %s, want %s", v, got, want)
 		}
 	}
 }

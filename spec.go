@@ -477,6 +477,125 @@ func (sp SweepSpec) Sweep() (Sweep, error) {
 	return sw, nil
 }
 
+// AppendJSON appends the spec's JSON form to dst: exactly the bytes
+// json.Marshal emits for it. Like json.Marshal it fails on a NaN or
+// infinite parameter, with json.Marshal's error.
+func (sp SweepSpec) AppendJSON(dst []byte) ([]byte, error) {
+	dst, err := sp.Base.AppendJSON(append(dst, `{"base":`...))
+	if err != nil {
+		return dst, err
+	}
+	if len(sp.Algorithms) > 0 {
+		dst = wire.AppendStrings(append(dst, `,"algorithms":`...), sp.Algorithms)
+	}
+	if len(sp.Sizes) > 0 {
+		dst = wire.AppendInts(append(dst, `,"sizes":`...), sp.Sizes)
+	}
+	if len(sp.Seeds) > 0 {
+		dst = wire.AppendInts(append(dst, `,"seeds":`...), sp.Seeds)
+	}
+	if dst, err = appendSpecs(dst, `,"adversaries":[`, sp.Adversaries); err != nil {
+		return dst, err
+	}
+	if dst, err = appendSpecs(dst, `,"scenarios":[`, sp.Scenarios); err != nil {
+		return dst, err
+	}
+	return append(dst, '}'), nil
+}
+
+// AppendJSON appends the spec's JSON form to dst, as SweepSpec.AppendJSON
+// does.
+func (sp ScenarioSpec) AppendJSON(dst []byte) ([]byte, error) {
+	dst = append(dst, '{')
+	if sp.Name != "" {
+		dst = append(wire.AppendString(append(dst, `"name":`...), sp.Name), ',')
+	}
+	dst = strconv.AppendInt(append(dst, `"size":`...), int64(sp.Size), 10)
+	dst = strconv.AppendInt(append(dst, `,"landmark":`...), int64(sp.Landmark), 10)
+	dst = wire.AppendString(append(dst, `,"algorithm":`...), sp.Algorithm)
+	if sp.Model != "" {
+		dst = wire.AppendString(append(dst, `,"model":`...), sp.Model)
+	}
+	dst = appendInt(dst, `,"upper_bound":`, int64(sp.UpperBound))
+	dst = appendInt(dst, `,"exact_size":`, int64(sp.ExactSize))
+	if len(sp.Starts) > 0 {
+		dst = wire.AppendInts(append(dst, `,"starts":`...), sp.Starts)
+	}
+	if len(sp.Orients) > 0 {
+		dst = wire.AppendStrings(append(dst, `,"orients":`...), sp.Orients)
+	}
+	if sp.Adversary != nil {
+		var err error
+		if dst, err = sp.Adversary.AppendJSON(append(dst, `,"adversary":`...)); err != nil {
+			return dst, err
+		}
+	}
+	dst = appendInt(dst, `,"seed":`, sp.Seed)
+	dst = appendInt(dst, `,"max_rounds":`, int64(sp.MaxRounds))
+	if sp.StopWhenExplored {
+		dst = append(dst, `,"stop_when_explored":true`...)
+	}
+	dst = appendInt(dst, `,"fairness_bound":`, int64(sp.FairnessBound))
+	if sp.DetectCycles {
+		dst = append(dst, `,"detect_cycles":true`...)
+	}
+	return append(dst, '}'), nil
+}
+
+// AppendJSON appends the spec's JSON form to dst, as SweepSpec.AppendJSON
+// does.
+func (a AdversarySpec) AppendJSON(dst []byte) ([]byte, error) {
+	dst = wire.AppendString(append(dst, `{"kind":`...), a.Kind)
+	dst, err := appendFloat(dst, `,"p":`, a.P)
+	if err != nil {
+		return dst, err
+	}
+	dst = appendInt(dst, `,"edge":`, int64(a.Edge))
+	dst = appendInt(dst, `,"pin":`, int64(a.Pin))
+	dst = appendInt(dst, `,"t":`, int64(a.T))
+	dst = appendInt(dst, `,"r":`, int64(a.R))
+	dst = appendInt(dst, `,"w":`, int64(a.W))
+	if dst, err = appendFloat(dst, `,"act":`, a.Act); err != nil {
+		return dst, err
+	}
+	return append(dst, '}'), nil
+}
+
+// appendSpecs appends an omitempty array member: unless v is empty, key
+// (which opens the array) and each element's JSON.
+func appendSpecs[T interface{ AppendJSON([]byte) ([]byte, error) }](dst []byte, key string, v []T) ([]byte, error) {
+	if len(v) == 0 {
+		return dst, nil
+	}
+	dst = append(dst, key...)
+	for i, x := range v {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		var err error
+		if dst, err = x.AppendJSON(dst); err != nil {
+			return dst, err
+		}
+	}
+	return append(dst, ']'), nil
+}
+
+// appendInt and appendFloat append an omitempty member: key and v, unless
+// v is 0 (or -0).
+func appendInt(dst []byte, key string, v int64) []byte {
+	if v == 0 {
+		return dst
+	}
+	return strconv.AppendInt(append(dst, key...), v, 10)
+}
+
+func appendFloat(dst []byte, key string, v float64) ([]byte, error) {
+	if v == 0 {
+		return dst, nil
+	}
+	return wire.AppendFloat(append(dst, key...), v)
+}
+
 // DecodeSweepSpec decodes a POST /v1/sweeps body. Specs in the canonical
 // form json.Marshal emits take a fast path; any other input is decoded by
 // encoding/json with unknown fields disallowed, which defines what is
