@@ -39,15 +39,6 @@ const TraceHeader = "X-Dynring-Trace"
 // the execution to that tenant.
 const TenantHeader = "X-Dynring-Tenant"
 
-// PriorityHeader and DeadlineHeader qualify a POST /v1/sweeps submission:
-// an integer scheduling priority (higher is served first within the
-// tenant), and a relative deadline as a Go duration after which the server
-// cancels the job.
-const (
-	PriorityHeader = "X-Dynring-Priority"
-	DeadlineHeader = "X-Dynring-Deadline"
-)
-
 // TotalHeader carries a job's grid size on every GET
 // /v1/sweeps/{id}/results response, so a client checks the stream for
 // truncation without asking for the job's status first.
@@ -59,12 +50,8 @@ type JobStatus struct {
 	// TraceID is the sweep's trace identifier; GET /v1/sweeps/{id}/trace
 	// returns the spans recorded under it.
 	TraceID string `json:"trace_id,omitempty"`
-	// Tenant is the admission principal the job was accepted under;
-	// Priority its scheduling class within that tenant. Deadline, when
-	// set, is the absolute time the server will cancel the job at.
-	Tenant   string    `json:"tenant,omitempty"`
-	Priority int       `json:"priority,omitempty"`
-	Deadline time.Time `json:"deadline,omitzero"`
+	// Tenant is the admission principal the job was accepted under.
+	Tenant string `json:"tenant,omitempty"`
 	// State is "running", "done" or "cancelled".
 	State string `json:"state"`
 	// Total is the grid size; Completed counts settled scenarios (finished,
@@ -200,8 +187,8 @@ type TraceSpan struct {
 // SweepTrace is the GET /v1/sweeps/{id}/trace document: the spans of one
 // sweep under its trace ID, in grid order. Each row that settled on the
 // coordinator has one span; a proxied row has the owner's span before it.
-// Rows settled by cancellation or deadline have none. A trace is bounded
-// by its grid and retained exactly as long as its job.
+// Rows settled by cancellation have none. A trace is bounded by its grid
+// and retained exactly as long as its job.
 type SweepTrace struct {
 	SweepID string      `json:"sweep_id"`
 	TraceID string      `json:"trace_id"`
@@ -242,10 +229,8 @@ type DiskTierStats struct {
 // JobQueueStat is one job's scheduler backlog in /statsz.
 type JobQueueStat struct {
 	ID string `json:"id"`
-	// Tenant and Priority locate the job in the scheduler: which tenant
-	// lane it queues in, and its class within that lane.
-	Tenant   string `json:"tenant,omitempty"`
-	Priority int    `json:"priority,omitempty"`
+	// Tenant is the scheduler lane the job queues in.
+	Tenant string `json:"tenant,omitempty"`
 	// Pending counts scenarios not yet dispatched to a worker.
 	Pending int `json:"pending"`
 }
@@ -264,12 +249,10 @@ type TenantStat struct {
 	RunningJobs     int64 `json:"running_jobs"`
 	// Admitted and Rejected count submissions past and against the quota
 	// checks; ServedTasks counts scenario dispatches (the realized
-	// weighted share); DeadlineExpirations counts jobs cancelled by their
-	// deadline.
-	Admitted            uint64 `json:"admitted"`
-	Rejected            uint64 `json:"rejected"`
-	ServedTasks         uint64 `json:"served_tasks"`
-	DeadlineExpirations uint64 `json:"deadline_expirations"`
+	// weighted share).
+	Admitted    uint64 `json:"admitted"`
+	Rejected    uint64 `json:"rejected"`
+	ServedTasks uint64 `json:"served_tasks"`
 }
 
 // ServiceStats is the /statsz document.
@@ -630,8 +613,6 @@ type SubmitOption func(*submitOptions)
 type submitOptions struct {
 	tenantKey string
 	trace     string
-	priority  *int
-	deadline  time.Duration
 }
 
 // newSubmitOptions applies opts in order.
@@ -656,19 +637,6 @@ func WithTrace(id string) SubmitOption {
 	return func(o *submitOptions) { o.trace = id }
 }
 
-// WithPriority sets the job's scheduling priority within its tenant;
-// higher is served strictly first. The default is 0.
-func WithPriority(p int) SubmitOption {
-	return func(o *submitOptions) { o.priority = &p }
-}
-
-// WithDeadline bounds the work's lifetime: if it has not settled after d
-// the server cancels it, its unfinished rows erroring with the deadline.
-// A zero or negative d sends no header.
-func WithDeadline(d time.Duration) SubmitOption {
-	return func(o *submitOptions) { o.deadline = d }
-}
-
 // setHeaders renders the options as request headers.
 func (o *submitOptions) setHeaders(h http.Header) {
 	if o.tenantKey != "" {
@@ -676,12 +644,6 @@ func (o *submitOptions) setHeaders(h http.Header) {
 	}
 	if o.trace != "" {
 		h.Set(TraceHeader, o.trace)
-	}
-	if o.priority != nil {
-		h.Set(PriorityHeader, strconv.Itoa(*o.priority))
-	}
-	if o.deadline > 0 {
-		h.Set(DeadlineHeader, o.deadline.String())
 	}
 }
 

@@ -243,11 +243,10 @@ func (c *Client) ClusterStatus(ctx context.Context) (ClusterStatus, error) {
 
 // RunScenario executes one scenario on the node (or serves it from its
 // caches) via POST /v1/run, synchronously. WithTrace records the node's
-// span under the caller's trace; WithDeadline sends the remaining budget,
-// and the node bounds its execution by it; WithTenant overrides the
-// client's TenantKey. The cluster proxy path sends its trace and remaining
-// budget on every hop, so a job's trace and deadline follow its scenarios
-// across nodes. WithPriority is ignored: a single scenario runs at once.
+// span under the caller's trace; WithTenant overrides the client's
+// TenantKey. The cluster proxy path sends its trace on every hop, so a
+// job's trace follows its scenarios across nodes. The run is bound to the
+// request: cancelling ctx ends it on the node too.
 func (c *Client) RunScenario(ctx context.Context, spec ScenarioSpec, opts ...SubmitOption) (RunResponse, error) {
 	var rr RunResponse
 	err := c.doWith(ctx, http.MethodPost, "/v1/run", newSubmitOptions(opts), RunRequest{Scenario: spec}.AppendJSON, &rr)

@@ -2,10 +2,9 @@
 // grids over HTTP, schedules them on one shared worker pool, and serves
 // results from a content-addressed cache keyed by Scenario.Fingerprint, so
 // repeated or overlapping grids skip recomputation entirely. Scheduling is
-// weighted deficit round-robin across tenants (see -tenants), strict
-// priority within a tenant, and fair round-robin between a priority
-// class's jobs; without -tenants everything runs as one anonymous tenant,
-// which is plain fair round-robin between jobs. With -data the cache gains
+// weighted deficit round-robin across tenants (see -tenants) and fair
+// round-robin between a tenant's jobs; without -tenants everything runs as
+// one anonymous tenant, which is plain fair round-robin between jobs. With -data the cache gains
 // a durable disk tier that survives restarts; with -self/-peers the node
 // is a member of a sharded cluster that routes each fingerprint to one
 // owning node. -peers is the cluster's member list, the same on every node
@@ -24,10 +23,9 @@
 //
 // Gray failures — peers that stay alive but turn slow — are handled by
 // one knob. -proxy-timeout is how long this node waits on a slow peer:
-// it bounds every outbound replica RPC, together with the submitting
-// job's remaining deadline budget (propagated hop to hop via
-// X-Dynring-Deadline), and a proxy batch that streams nothing for that
-// long fails its rows over to the next replica. Every health probe is
+// it is the one bound on every outbound replica RPC, and a proxy batch
+// that streams nothing for that long fails its rows over to the next
+// replica. Every health probe is
 // bounded by -probe-interval, capped at -proxy-timeout, so a peer that
 // answers too slowly fails its probes: it reads "suspect" and then "dead"
 // in /v1/cluster, routing moves to the next replica, and its first timely
@@ -55,7 +53,7 @@
 //
 // API (see internal/service and the dynring.Client type):
 //
-//	POST   /v1/sweeps               submit a SweepSpec (X-Dynring-Priority, X-Dynring-Deadline honored)
+//	POST   /v1/sweeps               submit a SweepSpec
 //	GET    /v1/sweeps/{id}          job status
 //	GET    /v1/sweeps/{id}/results  NDJSON results in grid order (?from=N resumes at grid index N)
 //	DELETE /v1/sweeps/{id}          cancel
@@ -129,7 +127,7 @@ func run(ctx context.Context, out io.Writer, args []string) error {
 		probeIvl    = fs.Duration("probe-interval", 0, "peer health-probe period (0 = default 1s)")
 		replicas    = fs.Int("replicas", 0, "replica-set size k: each fingerprint's envelope lands on its owner plus the next k-1 ring successors (0 or 1 = unreplicated; must match cluster-wide)")
 		aeInterval  = fs.Duration("antientropy-interval", 0, "period of the pass that pulls missing or corrupt replica envelopes from alive peers into this node's -data tier (0 = default 30s; needs -replicas > 1 and -data)")
-		proxyTO     = fs.Duration("proxy-timeout", 0, "per-hop bound on outbound replica RPCs: proxy runs, replication pushes, anti-entropy fetches (0 = default 10s; a tighter job deadline bounds a hop further)")
+		proxyTO     = fs.Duration("proxy-timeout", 0, "per-hop bound on outbound replica RPCs: proxy runs, replication pushes, anti-entropy fetches (0 = default 10s)")
 		drain       = fs.Duration("drain", 5*time.Second, "graceful shutdown timeout")
 		pprofAddr   = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty disables)")
 		profileFrac = fs.Int("profile-fraction", 0, "sample 1/N of mutex-contention and blocking events for the -pprof mutex/block profiles (0 disables; requires -pprof)")

@@ -58,9 +58,9 @@ func seedSpec(seeds []int64) dynring.SweepSpec {
 	}
 }
 
-// TestGrayFailureSlowOwnerFailsOverUnderDeadline: a slow-but-alive owner
-// (500ms transport delay — it drops nothing) must not stall a
-// deadline-bounded sweep. With ProxyTimeout at 250ms the coordinator's
+// TestGrayFailureSlowOwnerFailsOver: a slow-but-alive owner (500ms
+// transport delay — it drops nothing) must not stall a sweep. With
+// ProxyTimeout at 250ms the coordinator's
 // batch to the owner times out, or the owner's probes do and routing
 // skips it, and each row is served by its second replica — so the sweep
 // finishes in about one proxy timeout, with zero errored rows,
@@ -68,7 +68,7 @@ func seedSpec(seeds []int64) dynring.SweepSpec {
 // the failover), no execution on the slow owner, every row counted as a
 // replica hit, and a result stream byte-identical to the fault-free
 // rerun.
-func TestGrayFailureSlowOwnerFailsOverUnderDeadline(t *testing.T) {
+func TestGrayFailureSlowOwnerFailsOver(t *testing.T) {
 	c := Start(t, Options{
 		Nodes: 3, Replicas: 2,
 		// Half the owner's delay: the hop timeout, or the probe timeout it
@@ -83,7 +83,7 @@ func TestGrayFailureSlowOwnerFailsOverUnderDeadline(t *testing.T) {
 
 	c.Plan.SlowNode(c.Node(1).URL, 500*time.Millisecond)
 	start := time.Now()
-	j, err := c.Node(0).Manager.Submit(spec, service.SubmitOptions{Deadline: 20 * time.Second})
+	j, err := c.Node(0).Manager.Submit(spec, service.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestGrayFailureSlowOwnerFailsOverUnderDeadline(t *testing.T) {
 	elapsed := time.Since(start)
 	st := j.Status()
 	if st.State != "done" {
-		t.Fatalf("sweep state %q, want done (deadline must not fire)", st.State)
+		t.Fatalf("sweep state %q, want done", st.State)
 	}
 	if st.Errors != 0 {
 		t.Fatalf("sweep finished with %d errored rows", st.Errors)

@@ -154,7 +154,6 @@ type tenantState struct {
 	rejectedJobs  atomic.Uint64 // 429s against MaxConcurrent
 	served        atomic.Uint64 // tasks dispatched by the scheduler
 	runRequests   atomic.Uint64 // /v1/run executions accounted here
-	expired       atomic.Uint64 // jobs cancelled by their deadline
 }
 
 // ResolveTenant maps a request to a tenant name. With no tenant config

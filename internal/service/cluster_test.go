@@ -243,11 +243,10 @@ func TestRunEndpoint(t *testing.T) {
 	}
 }
 
-// TestRunEndpointDeadlineHeader pins the hop-budget contract of the proxy
-// endpoint: a malformed or non-positive X-Dynring-Deadline is a 400, an
-// exhausted budget stops the engine (error in-band, nothing cached), and a
-// cache hit is served even under an exhausted budget — the answer is
-// already paid for.
+// TestRunEndpointDeadlineHeader: the service ignores the deadline header
+// older coordinators and clients still send on POST /v1/run. Whatever it
+// says — malformed, non-positive, already spent or generous — the hop
+// answers 200 with the row: executed once, then served from the cache.
 func TestRunEndpointDeadlineHeader(t *testing.T) {
 	m := mustNew(t, Options{Workers: 1, CacheSize: 64})
 	defer m.Close()
@@ -260,47 +259,23 @@ func TestRunEndpointDeadlineHeader(t *testing.T) {
 		Adversary: &dynring.AdversarySpec{Kind: "random", P: 0.4},
 	}
 	body, _ := json.Marshal(dynring.RunRequest{Scenario: scSpec})
-	post := func(budget string) (*httptest.ResponseRecorder, dynring.RunResponse) {
-		t.Helper()
+	for i, budget := range []string{"1ns", "yesterday", "-5s", "0", "30s", ""} {
 		req, rec := newTestRequest(http.MethodPost, "/v1/run", body)
-		req.Header.Set(dynring.DeadlineHeader, budget)
+		req.Header.Set("X-Dynring-Deadline", budget)
 		h.ServeHTTP(rec, req)
 		var rr dynring.RunResponse
-		if rec.Code == http.StatusOK {
-			if err := json.Unmarshal(rec.Body.Bytes(), &rr); err != nil {
-				t.Fatal(err)
-			}
+		if rec.Code != http.StatusOK {
+			t.Fatalf("budget %q: status %d: %s", budget, rec.Code, rec.Body)
 		}
-		return rec, rr
-	}
-
-	for _, budget := range []string{"yesterday", "-5s", "0"} {
-		if rec, _ := post(budget); rec.Code != http.StatusBadRequest {
-			t.Fatalf("budget %q: status %d, want 400", budget, rec.Code)
+		if err := json.Unmarshal(rec.Body.Bytes(), &rr); err != nil {
+			t.Fatal(err)
+		}
+		if rr.Error != "" || rr.Result == nil || rr.Cached != (i > 0) {
+			t.Fatalf("budget %q: %+v, want the row (cached: %v)", budget, rr, i > 0)
 		}
 	}
-
-	// An already-exhausted budget: the hop reports the deadline error
-	// in-band (a 200 RunResponse, like any execution error) and caches
-	// nothing — the coordinator's fallback still owns the scenario.
-	rec, rr := post("1ns")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("exhausted budget: status %d: %s", rec.Code, rec.Body)
-	}
-	if rr.Error == "" || rr.Result != nil || rr.Cached {
-		t.Fatalf("exhausted budget: %+v, want an in-band error and no result", rr)
-	}
-
-	rec, rr = post("30s")
-	if rec.Code != http.StatusOK || rr.Error != "" || rr.Result == nil || rr.Cached {
-		t.Fatalf("generous budget: status %d resp %+v, want a fresh execution", rec.Code, rr)
-	}
-
-	// Cache hits cost no engine time, so an exhausted budget still serves
-	// one: the probe runs before the budget can matter.
-	rec, rr = post("1ns")
-	if rec.Code != http.StatusOK || rr.Error != "" || !rr.Cached {
-		t.Fatalf("exhausted budget on a cached key: status %d resp %+v, want a cache hit", rec.Code, rr)
+	if got := m.Stats().Executions; got != 1 {
+		t.Fatalf("%d executions, want 1", got)
 	}
 }
 

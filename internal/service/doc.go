@@ -4,12 +4,10 @@
 //   - Admission (Manager, admission.go): resolves each work-creating
 //     request to a tenant (API key → TenantConfig; one implicit anonymous
 //     tenant when no config is given), enforces per-tenant quotas —
-//     rejections surface as 429 with a Retry-After hint — and arms
-//     per-job deadlines.
+//     rejections surface as 429 with a Retry-After hint.
 //   - Scheduling (the sched subpackage): weighted deficit round-robin
-//     across tenants, strict priority classes within a tenant, and
-//     task-level fair round-robin between a class's jobs, dispatched onto
-//     one shared, bounded worker pool. With a single anonymous tenant the
+//     across tenants and task-level fair round-robin between a tenant's
+//     jobs, dispatched onto one shared, bounded worker pool. With a single anonymous tenant the
 //     policy collapses to plain fair round-robin between jobs — the
 //     service's original scheduler, bit-for-bit.
 //   - Execution and caching: a content-addressed result cache keyed by

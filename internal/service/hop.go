@@ -33,8 +33,8 @@ import (
 // the counters and the span.
 //
 // Each routed row walks one list: its replica set in ring order, then
-// this node. step takes the walk's next stop, skipping every peer that is
-// not routable at that moment, so placement stays a pure function and
+// this node. nextStop takes the walk's next stop, skipping every peer that
+// is not routable at that moment, so placement stays a pure function and
 // health is read at every step. The walk ends at this node's own place in
 // the set: a later replica walking the same row stops at this node or
 // earlier, so going past it could leave two coordinators each sending the
@@ -44,8 +44,8 @@ import (
 // nothing streamed for ProxyTimeout — takes the next step for each of its
 // unsettled rows and for the rows its outbox holds; rows moved on like
 // this are sent at once, and a row whose walk is used up runs here
-// through ExecuteLocal as a proxy fallback. A batch the job's cancel or
-// expiry interrupts is no fault: the abort settles its rows.
+// through ExecuteLocal as a proxy fallback. A batch the job's cancel
+// interrupts is no fault: the abort settles its rows.
 
 // hops is one job's proxy dispatcher. Everything below mu is guarded by
 // it.
@@ -105,7 +105,8 @@ func newHops(m *Manager, j *Job) *hops {
 func (h *hops) route(i int, start time.Time) {
 	m, j := h.m, h.j
 	r := &hopRow{i: i, start: start, owners: m.membership.Ring().Owners(j.fps[i], m.replicas)}
-	target := h.step(r)
+	var target string
+	target, r.next = nextStop(r.owners, r.next, m.membership.Self(), m.membership.Routable)
 	var res dynring.Result
 	var cached bool
 	if target != "" {
@@ -139,23 +140,22 @@ func (h *hops) route(i int, start time.Time) {
 	}
 }
 
-// step moves r's walk to its next stop and returns it: the next peer in
-// r.owners that is routable now, or "" when the row runs here — the walk
-// reached this node's place in the set, or the set is used up.
-func (h *hops) step(r *hopRow) string {
-	ms := h.m.membership
-	self := ms.Self()
-	for r.next < len(r.owners) {
-		o := r.owners[r.next]
-		r.next++
+// nextStop is the route walk's step: from owners[next] on, the first peer
+// routable now, returned with the position after it; or "" when the row
+// runs here — the walk reached self's place in the set, or the set is
+// used up. It reads nothing but its arguments.
+func nextStop(owners []string, next int, self string, routable func(string) bool) (string, int) {
+	for next < len(owners) {
+		o := owners[next]
+		next++
 		if o == self {
-			return ""
+			return "", next
 		}
-		if ms.Routable(o) {
-			return o
+		if routable(o) {
+			return o, next
 		}
 	}
-	return ""
+	return "", next
 }
 
 // line is row i's RunRequest as one NDJSON line, or nil when the row has
@@ -275,18 +275,11 @@ func (h *hops) settleCachedLocked(box *outbox) {
 }
 
 // post sends b and settles its rows from the streamed lines as they
-// arrive. Each line restarts the ProxyTimeout timer. The
-// request carries the sweep's trace ID, the job's tenant key and the job's
-// remaining deadline budget; here the job's expiry ends the batch through
-// the job's context.
+// arrive. Each line restarts the ProxyTimeout timer. The request
+// carries the sweep's trace ID and the job's tenant key; the job's cancel
+// ends the batch through the job's context.
 func (h *hops) post(b *batch, size int) error {
 	m, j := h.m, h.j
-	var budget time.Duration
-	if !j.deadline.IsZero() {
-		if budget = time.Until(j.deadline); budget <= 0 {
-			return context.DeadlineExceeded
-		}
-	}
 	body := make([]byte, 0, size)
 	for _, r := range b.rows {
 		body = append(body, r.line...)
@@ -298,9 +291,6 @@ func (h *hops) post(b *batch, size int) error {
 	hdr := http.Header{"Content-Type": {ndjsonType}, "User-Agent": noUserAgent, dynring.TraceHeader: {j.traceID}}
 	if key := m.TenantKey(j.Tenant); key != "" {
 		hdr["Authorization"] = []string{"Bearer " + key}
-	}
-	if budget > 0 {
-		hdr[dynring.DeadlineHeader] = []string{budget.String()}
 	}
 	idle := time.AfterFunc(m.proxyTimeout, b.cancel)
 	defer idle.Stop()
@@ -402,12 +392,12 @@ func (h *hops) settle(b *batch, rr dynring.RunResponse) {
 	j.setRow(i, row)
 }
 
-// finish retires b after post returned err. Unless the job is over or
-// past its deadline — the abort settles its rows then, and our own cancel
-// or expiry is no evidence against the peer — an error, or a stream that
-// left rows unanswered, is the peer's fault: finish marks it failed and
-// walks b's unsettled remainder, and the rows queued behind b, on to
-// their next stop. Rows whose walk is used up run here as fallbacks.
+// finish retires b after post returned err. Unless the job is over — the
+// abort settles its rows then, and our own cancel is no evidence against
+// the peer — an error, or a stream that left rows unanswered, is the
+// peer's fault: finish marks it failed and walks b's unsettled
+// remainder, and the rows queued behind b, on to their next stop. Rows
+// whose walk is used up run here as fallbacks.
 func (h *hops) finish(b *batch, err error) {
 	m, j := h.m, h.j
 	box := b.box
@@ -418,8 +408,7 @@ func (h *hops) finish(b *batch, err error) {
 			rest = append(rest, r)
 		}
 	}
-	over := j.ctx.Err() != nil || (!j.deadline.IsZero() && time.Until(j.deadline) <= 0)
-	if over || (err == nil && len(rest) == 0) {
+	if j.ctx.Err() != nil || (err == nil && len(rest) == 0) {
 		h.mu.Unlock()
 		return
 	}
@@ -430,7 +419,9 @@ func (h *hops) finish(b *batch, err error) {
 	box.queued = nil
 	var fallback []*hopRow
 	for _, r := range rest {
-		if target := h.step(r); target != "" {
+		var target string
+		target, r.next = nextStop(r.owners, r.next, m.membership.Self(), m.membership.Routable)
+		if target != "" {
 			moved := h.queueLocked(r, target)
 			moved.opened = true
 			h.sendLocked(moved)

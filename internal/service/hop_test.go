@@ -247,8 +247,9 @@ func TestHopShortStreamFailsOver(t *testing.T) {
 
 // TestHopDialTimeoutIsPeerFault: a /v1/run that fails with a dial
 // timeout is the peer's fault, although the net package reports that
-// error as matching context.DeadlineExceeded. The job has no deadline, so
-// nothing of ours expired: the owner is marked failed and its rows, which
+// error as matching context.DeadlineExceeded. The job was not cancelled,
+// so nothing of ours ended the batch: the owner is marked failed and its
+// rows, which
 // have no replica, run here as counted proxy fallbacks.
 func TestHopDialTimeoutIsPeerFault(t *testing.T) {
 	transport := roundTripFunc(func(req *http.Request) (*http.Response, error) {
@@ -368,13 +369,18 @@ func TestHopPeerRowErrorSettlesRow(t *testing.T) {
 	}
 }
 
-// TestHopDeadlineExpiresMidBatch: the job's deadline passes while the
-// owner's batches are in flight. The expiry settles every pending row
-// with context.DeadlineExceeded; the interrupted batches are no evidence
-// against the owner and nothing runs here in their place.
-func TestHopDeadlineExpiresMidBatch(t *testing.T) {
+// TestHopCancelMidBatch: the job is cancelled while the owner's batch is
+// in flight. The cancel settles every pending row with context.Canceled;
+// the interrupted batches are no evidence against the owner and nothing
+// runs here in their place.
+func TestHopCancelMidBatch(t *testing.T) {
+	held := make(chan struct{}, 1)
 	transport := roundTripFunc(func(req *http.Request) (*http.Response, error) {
 		if req.URL.Path == "/v1/run" {
+			select {
+			case held <- struct{}{}:
+			default:
+			}
 			select {
 			case <-req.Context().Done():
 				return nil, req.Context().Err()
@@ -393,9 +399,17 @@ func TestHopDeadlineExpiresMidBatch(t *testing.T) {
 	coord, peer := nodes[0], nodes[1]
 	spec := ownedSpec(t, coord, map[string]int{peer.url: 4})
 
-	j, err := coord.m.Submit(spec, SubmitOptions{Deadline: 300 * time.Millisecond})
+	j, err := coord.m.Submit(spec, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	select {
+	case <-held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no batch reached the owner")
+	}
+	if !coord.m.Cancel(j.ID) {
+		t.Fatal("Cancel did not find the job")
 	}
 	waitDone(t, j)
 	if st := j.Status(); st.State != "cancelled" || st.Errors != j.Total() {
@@ -406,8 +420,8 @@ func TestHopDeadlineExpiresMidBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !errors.Is(row.Err, context.DeadlineExceeded) {
-			t.Fatalf("row %d settled with %v, want context.DeadlineExceeded", i, row.Err)
+		if !errors.Is(row.Err, context.Canceled) {
+			t.Fatalf("row %d settled with %v, want context.Canceled", i, row.Err)
 		}
 	}
 	// A row run here in a batch's place would land after the abort:
@@ -417,7 +431,7 @@ func TestHopDeadlineExpiresMidBatch(t *testing.T) {
 		t.Fatalf("proxy_fallbacks_total = %d, want 0", got)
 	}
 	if got := coord.m.membership.ProbeFailures(); got != 0 {
-		t.Fatalf("the owner was marked failed %d times for our own deadline", got)
+		t.Fatalf("the owner was marked failed %d times for our own cancel", got)
 	}
 	if got := coord.m.Stats().Executions; got != 0 {
 		t.Fatalf("coordinator executed %d of the owner's rows", got)

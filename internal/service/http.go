@@ -69,11 +69,10 @@ var replicateAck = []byte("{\"status\":\"ok\"}\n")
 // dynring.TraceHeader (generating one otherwise) and stamps the job's ID
 // back on the response; POST /v1/run reads the same header so a proxy
 // hop's spans are recorded under the originating sweep's trace and returned
-// in RunResponse.Span, one per row, for the coordinator to adopt. POST
-// /v1/run also honors dynring.DeadlineHeader as a remaining-budget bound:
-// the coordinator forwards the job's unexpired deadline budget on each hop
-// and the owner caps its execution context to it, so work whose answer can
-// no longer arrive in time is abandoned on the executing node too.
+// in RunResponse.Span, one per row, for the coordinator to adopt. A hop's
+// work is bound to its request: when the coordinator's job is cancelled,
+// or its -proxy-timeout gives up on the batch, the request's context ends
+// the owner's runs.
 //
 // Admission: on a node with a tenant config, the two work-creating
 // endpoints (POST /v1/sweeps, POST /v1/run) require a configured tenant's
@@ -83,9 +82,8 @@ var replicateAck = []byte("{\"status\":\"ok\"}\n")
 // open: job IDs are unguessable enough for this service's trust model, and
 // an operator can always inspect or kill work. Without a tenant config
 // every endpoint is open and all work runs as the anonymous tenant.
-// POST /v1/sweeps additionally honors dynring.PriorityHeader (integer
-// class within the tenant) and dynring.DeadlineHeader (Go duration; the
-// job is cancelled when it expires).
+// The priority and deadline headers older clients may still send are
+// ignored, never refused.
 //
 // The results stream is live — every settled row is written, and the
 // stream is flushed just before the handler waits on a pending row, so a
@@ -108,16 +106,6 @@ func NewHandler(m *Manager) http.Handler {
 			return
 		}
 		opts := SubmitOptions{TraceID: r.Header.Get(dynring.TraceHeader), Tenant: tenant}
-		if p := r.Header.Get(dynring.PriorityHeader); p != "" {
-			if opts.Priority, err = strconv.Atoi(p); err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("bad %s: %w", dynring.PriorityHeader, err))
-				return
-			}
-		}
-		if opts.Deadline, err = parseDeadline(r); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
 		spec, err := decodeBody(w, r, maxSpecBytes, dynring.DecodeSweepSpec)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
@@ -216,13 +204,13 @@ func NewHandler(m *Manager) http.Handler {
 				var err error
 				if row, err = j.WaitRow(r.Context(), i); err != nil {
 					// Aborted mid-stream (request context cancelled —
-					// client disconnect or a server-side deadline). A
-					// silent return would be indistinguishable from a
-					// complete stream, so best-effort emit a terminal
-					// error row; its negative index can never collide with
-					// a data row. Clients additionally guard with a row
-					// count (see Client.StreamResults), since this write
-					// is lost when the connection itself is dead.
+					// the client disconnected). A silent return would
+					// be indistinguishable from a complete stream, so
+					// best-effort emit a terminal error row; its
+					// negative index can never collide with a data row.
+					// Clients additionally guard with a row count (see
+					// Client.StreamResults), since this write is lost
+					// when the connection itself is dead.
 					_ = write(dynring.ResultRow{
 						Index: dynring.StreamAbortedIndex,
 						Error: "stream aborted: " + err.Error(),
@@ -262,21 +250,6 @@ func NewHandler(m *Manager) http.Handler {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		// The coordinator forwards the job's remaining deadline budget on
-		// every hop. Enforcing it here — not just client-side — means a
-		// hop whose budget expires stops burning this node's engine time
-		// the moment the answer can no longer be used.
-		runCtx := r.Context()
-		budget, err := parseDeadline(r)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		if budget > 0 {
-			var cancel context.CancelFunc
-			runCtx, cancel = context.WithTimeout(runCtx, budget)
-			defer cancel()
-		}
 		for range items {
 			m.countRunRequest(tenant)
 		}
@@ -284,10 +257,10 @@ func NewHandler(m *Manager) http.Handler {
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusOK)
 			// A failed write means the caller is gone; there is no one to tell.
-			_, _ = w.Write(append(m.serveRun(runCtx, items[0]).AppendJSON(nil), '\n'))
+			_, _ = w.Write(append(m.serveRun(r.Context(), items[0]).AppendJSON(nil), '\n'))
 			return
 		}
-		m.serveRunBatch(runCtx, w, items)
+		m.serveRunBatch(r.Context(), w, items)
 	})
 
 	mux.HandleFunc("GET /v1/sweeps/{id}/trace", func(w http.ResponseWriter, r *http.Request) {
@@ -551,20 +524,6 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
-}
-
-// parseDeadline reads dynring.DeadlineHeader: zero when it is absent, an error
-// when it is not a positive Go duration.
-func parseDeadline(r *http.Request) (time.Duration, error) {
-	d := r.Header.Get(dynring.DeadlineHeader)
-	if d == "" {
-		return 0, nil
-	}
-	budget, err := time.ParseDuration(d)
-	if err != nil || budget <= 0 {
-		return 0, fmt.Errorf("bad %s: want a positive Go duration", dynring.DeadlineHeader)
-	}
-	return budget, nil
 }
 
 // writeError writes the service's error document.

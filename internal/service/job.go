@@ -45,9 +45,9 @@ type Row struct {
 	Err    error
 
 	// How the row settled on this node, for the sweep trace: when a worker
-	// picked it up (zero for rows settled by cancel or deadline, which have
-	// no span) and when it settled; whether a peer served it, and that
-	// peer's span from the hop response (nil if none came back).
+	// picked it up (zero for rows settled by cancel, which have no span)
+	// and when it settled; whether a peer served it, and that peer's span
+	// from the hop response (nil if none came back).
 	started, finished time.Time
 	proxied           bool
 	owner             *dynring.TraceSpan
@@ -61,17 +61,9 @@ type Job struct {
 	created time.Time
 
 	// Tenant is the admission principal the job was accepted under
-	// (AnonymousTenant when the node has no tenant config). Priority is its
-	// scheduling class within the tenant; higher is served first. Both are
-	// immutable after newJob.
-	Tenant   string
-	Priority int
-
-	// deadline, when non-zero, is the absolute time after which the Manager
-	// expires the job (cancelling it with context.DeadlineExceeded); the
-	// timer that enforces it is stopped when the job settles first.
-	deadline      time.Time
-	deadlineTimer *time.Timer
+	// (AnonymousTenant when the node has no tenant config); immutable
+	// after newJob.
+	Tenant string
 
 	// traceID is the sweep's trace identifier (immutable after newJob);
 	// spans recorded for this job's scenarios carry it, on every node.
@@ -155,29 +147,23 @@ func (j *Job) setRow(i int, r Row) {
 }
 
 // markCancelled settles every pending row with context.Canceled and flips
-// the job to StateCancelled.
-func (j *Job) markCancelled() { j.settleAbort(context.Canceled) }
-
-// settleAbort settles every pending row with err and flips the job to
-// StateCancelled, reporting whether it was this call that settled the job
-// (false when the job already left StateRunning — the caller's counter
-// must not tick twice). Rows that already settled keep their results — a
-// repeat submission will still hit the cache for them. The job's context
-// is cancelled first by the caller, so in-flight runs abort promptly;
-// their late setRow calls are ignored. Cancellation and deadline expiry
-// share this path, differing only in err.
-func (j *Job) settleAbort(err error) bool {
+// the job to StateCancelled; a job already settled is left as it is. Rows
+// that already settled keep their results — a repeat submission will
+// still hit the cache for them. The job's context is cancelled first by
+// the caller, so in-flight runs abort promptly; their late setRow calls
+// are ignored.
+func (j *Job) markCancelled() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != StateRunning {
-		return false
+		return
 	}
 	for i := range j.rows {
 		if !j.rows[i].Done {
 			if j.onRow != nil {
 				j.onRow(i)
 			}
-			j.rows[i] = Row{Done: true, Err: err}
+			j.rows[i] = Row{Done: true, Err: context.Canceled}
 			j.completed++
 			j.errors++
 		}
@@ -187,7 +173,6 @@ func (j *Job) settleAbort(err error) bool {
 		j.onSettle()
 	}
 	j.cond.Broadcast()
-	return true
 }
 
 // Status snapshots the job.
@@ -198,8 +183,6 @@ func (j *Job) Status() dynring.JobStatus {
 		ID:        j.ID,
 		TraceID:   j.traceID,
 		Tenant:    j.Tenant,
-		Priority:  j.Priority,
-		Deadline:  j.deadline,
 		State:     j.state.String(),
 		Total:     len(j.rows),
 		Completed: j.completed,

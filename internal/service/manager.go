@@ -99,7 +99,7 @@ type ClusterOptions struct {
 	// streamed nothing for this long. It is the gray-failure backstop:
 	// without it a slow-but-alive owner holds the coordinator's rows for
 	// as long as the peer cares to stall. Zero means the 10s default
-	// (ringsimd -proxy-timeout). A job deadline bounds each batch further.
+	// (ringsimd -proxy-timeout). It is the one bound on a hop.
 	ProxyTimeout time.Duration
 }
 
@@ -135,21 +135,20 @@ type task struct {
 //
 //   - Admission (this type): resolve the request to a tenant, enforce that
 //     tenant's quotas (max queued scenarios, max concurrent jobs —
-//     violations surface as ErrQuotaExceeded, HTTP 429), arm the job's
-//     deadline, and register it in the job table. Rejection happens before
-//     anything is queued, so an over-quota tenant can never occupy queue
-//     positions that would delay anyone else.
+//     violations surface as ErrQuotaExceeded, HTTP 429), and register the
+//     job in the job table. Rejection happens before anything is queued,
+//     so an over-quota tenant can never occupy queue positions that would
+//     delay anyone else.
 //   - Scheduling (the sched package): weighted deficit round-robin across
-//     tenants, strict priority classes within a tenant, and task-level
-//     fair round-robin between a class's jobs — one scenario from each in
-//     turn, so a huge grid cannot starve a small one submitted after it.
+//     tenants, and task-level fair round-robin between a tenant's jobs —
+//     one scenario from each in turn, so a huge grid cannot starve a small
+//     one submitted after it.
 //     With no tenant config everything runs as the single anonymous
 //     tenant, which collapses the policy to exactly the pre-tenant fair
 //     round-robin ring.
 //
-// Each job has its own context; cancelling a job (or its deadline
-// expiring) aborts its in-flight runs and settles its pending rows without
-// disturbing other jobs.
+// Each job has its own context; cancelling a job aborts its in-flight
+// runs and settles its pending rows without disturbing other jobs.
 //
 // In cluster mode each fingerprint has one owning node on the placement
 // ring. A scenario owned elsewhere is proxied to its owner (batched
@@ -412,8 +411,8 @@ func (m *Manager) Close() {
 	m.cache.Close()
 }
 
-// SubmitOptions qualify one submission. The zero value is a fresh trace,
-// the anonymous tenant, priority 0 and no deadline.
+// SubmitOptions qualify one submission. The zero value is a fresh trace
+// and the anonymous tenant.
 type SubmitOptions struct {
 	// TraceID binds the sweep's spans to an existing trace; empty means a
 	// fresh one.
@@ -422,20 +421,13 @@ type SubmitOptions struct {
 	// the request's API key); empty means AnonymousTenant. An undeclared
 	// name is rejected with ErrUnknownTenant.
 	Tenant string
-	// Priority orders this job against the tenant's other jobs: higher is
-	// served strictly first.
-	Priority int
-	// Deadline, when positive, bounds the job's lifetime: if it has not
-	// settled after this duration it is cancelled exactly as DELETE would,
-	// with rows settling as context.DeadlineExceeded.
-	Deadline time.Duration
 }
 
 // Submit is the submission path: expand and fingerprint the grid (axis
 // form or explicit-list form — the latter is how cluster peers ship grid
 // shares), admit it against the tenant's quotas (ErrQuotaExceeded — HTTP
-// 429 — when over), register the job, arm its deadline and queue it on
-// the tenant's scheduler lane.
+// 429 — when over), register the job and queue it on the tenant's
+// scheduler lane.
 // Expansion, validation and fingerprint errors are reported here, before
 // anything runs.
 func (m *Manager) Submit(spec dynring.SweepSpec, opts SubmitOptions) (*Job, error) {
@@ -475,7 +467,6 @@ func (m *Manager) Submit(spec dynring.SweepSpec, opts SubmitOptions) (*Job, erro
 	m.nextID++
 	j := newJob(fmt.Sprintf("sw-%d", m.nextID), traceID, scenarios, fps, time.Now())
 	j.Tenant = ts.cfg.Name
-	j.Priority = opts.Priority
 	if m.membership != nil {
 		j.hops = newHops(m, j)
 		m.cache.hold(fps...)
@@ -483,13 +474,10 @@ func (m *Manager) Submit(spec dynring.SweepSpec, opts SubmitOptions) (*Job, erro
 	}
 	ts.admitted.Add(1)
 	ts.running.Add(1)
-	// onSettle runs under j.mu (never m.mu): atomics and a timer stop only.
+	// onSettle runs under j.mu (never m.mu): atomics only.
 	j.onSettle = func() {
 		m.settled.Add(1)
 		ts.running.Add(-1)
-		if j.deadlineTimer != nil {
-			j.deadlineTimer.Stop()
-		}
 	}
 	m.jobs[j.ID] = j
 	m.order = append(m.order, j)
@@ -501,34 +489,15 @@ func (m *Manager) Submit(spec dynring.SweepSpec, opts SubmitOptions) (*Job, erro
 		m.settled.Add(1)
 		ts.running.Add(-1)
 	} else {
-		if opts.Deadline > 0 {
-			j.deadline = j.created.Add(opts.Deadline)
-			// Armed before the job is dispatchable, so the timer exists by
-			// the time any row can settle (onSettle stops it).
-			j.deadlineTimer = time.AfterFunc(opts.Deadline, func() { m.expireJob(j, ts) })
-		}
-		m.sched.Enqueue(ts.cfg.Name, j, j.Total(), opts.Priority)
+		m.sched.Enqueue(ts.cfg.Name, j, j.Total())
 		m.cond.Broadcast()
 	}
 	m.mu.Unlock()
 	// Logged after unlocking: a slow log sink must not stall the
 	// scheduler and every reader of the job table behind m.mu.
 	m.log.Info("sweep submitted", "job", j.ID, "trace", traceID,
-		"tenant", ts.cfg.Name, "priority", opts.Priority, "scenarios", j.Total())
+		"tenant", ts.cfg.Name, "scenarios", j.Total())
 	return j, nil
-}
-
-// expireJob is the deadline path: identical to Cancel except rows settle
-// with context.DeadlineExceeded and the tenant's expiration counter ticks.
-func (m *Manager) expireJob(j *Job, ts *tenantState) {
-	m.mu.Lock()
-	m.sched.Remove(j)
-	m.mu.Unlock()
-	j.cancel()
-	if j.settleAbort(context.DeadlineExceeded) {
-		ts.expired.Add(1)
-		m.log.Warn("sweep deadline expired", "job", j.ID, "tenant", ts.cfg.Name)
-	}
 }
 
 // Trace snapshots a sweep's trace as the wire document, built from its
@@ -633,23 +602,21 @@ func (m *Manager) Stats() dynring.ServiceStats {
 	queue := []dynring.JobQueueStat{}
 	for _, qs := range m.sched.Snapshot() {
 		queue = append(queue, dynring.JobQueueStat{
-			ID:       qs.Job.ID,
-			Tenant:   qs.Tenant,
-			Priority: qs.Priority,
-			Pending:  qs.Pending,
+			ID:      qs.Job.ID,
+			Tenant:  qs.Tenant,
+			Pending: qs.Pending,
 		})
 	}
 	var tenants []dynring.TenantStat
 	for _, ts := range m.tenantList {
 		tenants = append(tenants, dynring.TenantStat{
-			Name:                ts.cfg.Name,
-			Weight:              ts.cfg.Weight,
-			QueuedScenarios:     m.sched.Backlog(ts.cfg.Name),
-			RunningJobs:         ts.running.Load(),
-			Admitted:            ts.admitted.Load(),
-			Rejected:            ts.rejectedQueue.Load() + ts.rejectedJobs.Load(),
-			ServedTasks:         ts.served.Load(),
-			DeadlineExpirations: ts.expired.Load(),
+			Name:            ts.cfg.Name,
+			Weight:          ts.cfg.Weight,
+			QueuedScenarios: m.sched.Backlog(ts.cfg.Name),
+			RunningJobs:     ts.running.Load(),
+			Admitted:        ts.admitted.Load(),
+			Rejected:        ts.rejectedQueue.Load() + ts.rejectedJobs.Load(),
+			ServedTasks:     ts.served.Load(),
 		})
 	}
 	m.mu.Unlock()
@@ -690,7 +657,7 @@ func (m *Manager) work() {
 
 // nextTask blocks until a task is schedulable (or the manager closes) and
 // claims it from the scheduler, crediting the serving tenant. All policy —
-// tenant weights, priorities, per-class fairness — lives in sched; this is
+// tenant weights, fairness between a tenant's jobs — lives in sched; this is
 // just the blocking shim between the worker pool and that pure structure.
 func (m *Manager) nextTask() (task, bool) {
 	m.mu.Lock()

@@ -116,9 +116,6 @@ func newMetrics(m *Manager) *metrics {
 		r.CounterFunc("dynring_admission_run_requests_total",
 			"Proxied POST /v1/run executions accounted to this tenant by the owning node.",
 			func() float64 { return float64(ts.runRequests.Load()) }, name)
-		r.CounterFunc("dynring_admission_deadline_expirations_total",
-			"Jobs cancelled because their submission deadline passed, by tenant.",
-			func() float64 { return float64(ts.expired.Load()) }, name)
 		r.GaugeFunc("dynring_admission_queued_scenarios",
 			"Undispatched scenarios held in the tenant's scheduler lane.",
 			func() float64 {

@@ -70,8 +70,7 @@ func (rt *recordingTransport) requests(path string) []sentRequest {
 // TestPeerRequestsKeepWireForm: replication pushes and proxy batches keep
 // the wire form every node reads — method, path, Content-Type, a
 // Content-Length equal to the body, the encoding/json body bytes, and the
-// trace, tenant and deadline headers — and add nothing but an empty
-// User-Agent.
+// trace and tenant headers — and add nothing but an empty User-Agent.
 func TestPeerRequestsKeepWireForm(t *testing.T) {
 	rts := []*recordingTransport{{}, {}}
 	tenants := []TenantConfig{{Name: "alice", Key: "sk-alice", Weight: 1}}
@@ -81,10 +80,9 @@ func TestPeerRequestsKeepWireForm(t *testing.T) {
 		return o
 	})
 	const trace = "00000000feedc0de"
-	const deadline = 30 * time.Second
 	spec := testSpec()
 	spec.Seeds = []int64{1, 2, 3, 4, 5, 6}
-	j, err := nodes[0].m.Submit(spec, SubmitOptions{TraceID: trace, Tenant: "alice", Deadline: deadline})
+	j, err := nodes[0].m.Submit(spec, SubmitOptions{TraceID: trace, Tenant: "alice"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,12 +133,8 @@ func TestPeerRequestsKeepWireForm(t *testing.T) {
 	}
 	for _, s := range batches {
 		checkLength(s)
-		budget, err := time.ParseDuration(s.header.Get(dynring.DeadlineHeader))
-		if err != nil || budget <= 0 || budget > deadline {
-			t.Fatalf("batch deadline header %q (%v)", s.header.Get(dynring.DeadlineHeader), err)
-		}
 		want := http.Header{"Content-Type": {ndjsonType}, "User-Agent": {""}, dynring.TraceHeader: {trace},
-			"Authorization": {"Bearer sk-alice"}, dynring.DeadlineHeader: s.header[dynring.DeadlineHeader]}
+			"Authorization": {"Bearer sk-alice"}}
 		if !reflect.DeepEqual(s.header, want) {
 			t.Fatalf("batch header %v, want %v", s.header, want)
 		}

@@ -1,7 +1,6 @@
 // Package sched is the service's scheduler, extracted from the job
 // manager: weighted deficit round-robin (WDRR) across per-tenant queues,
-// with strict priority classes and task-level fair round-robin between
-// jobs inside each tenant.
+// with task-level fair round-robin between jobs inside each tenant.
 //
 // The Scheduler is a pure data structure — it holds no locks, spawns no
 // goroutines and never blocks. The owning Manager serializes every call
@@ -19,13 +18,15 @@
 //     therefore served 3:1, while a lone tenant — the default anonymous
 //     one — is served continuously, reproducing the pre-tenant scheduler
 //     exactly.
-//   - Within a tenant: strict priority. Only the highest priority class
-//     with queued jobs is served; a late high-priority probe job overtakes
-//     queued bulk scans of the same tenant without preemption games.
-//   - Within a priority class: task-level fair round-robin between jobs,
-//     one scenario from each job in turn — the seed scheduler's fairness
+//   - Within a tenant: task-level fair round-robin between jobs, one
+//     scenario from each job in turn — the seed scheduler's fairness
 //     invariant, preserved verbatim (and still pinned by the service's
-//     fairness tests).
+//     fairness tests). While a job waits, each other job of its tenant
+//     is dispatched at most once, so with m live jobs a job is dispatched
+//     at least once in every m of the tenant's dispatches, and a late
+//     small grid waits for at most one task of each job ahead of it
+//     (TestRoundRobinBoundsEveryWait). Work that must overtake a tenant's
+//     bulk belongs to a separately keyed tenant with a larger weight.
 //
 // Quotas are deliberately not sched's concern: admission (rejecting work
 // that would exceed a tenant's backlog or concurrency bounds) happens in

@@ -20,30 +20,23 @@ type Scheduler[J comparable] struct {
 	backlog int         // undispatched tasks across all tenants
 }
 
-// tenant is one admission principal's queue state.
+// tenant is one admission principal's queue state: its jobs, served fair
+// round-robin at task granularity.
 type tenant[J comparable] struct {
 	name    string
 	weight  int
 	deficit int
-	classes []*class[J] // priority-descending; only non-empty classes
+	jobs    []*entry[J] // jobs with undispatched tasks, in arrival order
+	rr      int         // next jobs position to serve
 	backlog int
-}
-
-// class is the jobs of one tenant at one priority, served fair
-// round-robin at task granularity.
-type class[J comparable] struct {
-	priority int
-	jobs     []*entry[J]
-	rr       int // next jobs position to serve
 }
 
 // entry is one queued job's scheduling state.
 type entry[J comparable] struct {
-	job      J
-	tenant   *tenant[J]
-	priority int
-	total    int
-	next     int // first undispatched scenario index
+	job    J
+	tenant *tenant[J]
+	total  int
+	next   int // first undispatched scenario index
 }
 
 // Task is one dispatch decision.
@@ -54,10 +47,9 @@ type Task[J comparable] struct {
 
 // QueueStat is one queued job's backlog, as reported by Snapshot.
 type QueueStat[J comparable] struct {
-	Job      J
-	Tenant   string
-	Priority int
-	Pending  int
+	Job     J
+	Tenant  string
+	Pending int
 }
 
 // New returns an empty scheduler. Tenants must be added with AddTenant
@@ -81,11 +73,10 @@ func (s *Scheduler[J]) AddTenant(name string, weight int) {
 	s.tenants[name] = &tenant[J]{name: name, weight: weight}
 }
 
-// Enqueue adds a job with total dispatchable tasks to its tenant's queue
-// at the given priority (higher is served first). Panics on an unknown
-// tenant, a duplicate job, or a non-positive total — all Manager bugs,
-// not runtime conditions.
-func (s *Scheduler[J]) Enqueue(tenantName string, job J, total, priority int) {
+// Enqueue adds a job with total dispatchable tasks to its tenant's
+// round-robin ring. Panics on an unknown tenant, a duplicate job, or a
+// non-positive total — all Manager bugs, not runtime conditions.
+func (s *Scheduler[J]) Enqueue(tenantName string, job J, total int) {
 	t, ok := s.tenants[tenantName]
 	if !ok {
 		panic(fmt.Sprintf("sched: enqueue for undeclared tenant %q", tenantName))
@@ -96,13 +87,13 @@ func (s *Scheduler[J]) Enqueue(tenantName string, job J, total, priority int) {
 	if total <= 0 {
 		panic("sched: job with no tasks")
 	}
-	e := &entry[J]{job: job, tenant: t, priority: priority, total: total}
+	e := &entry[J]{job: job, tenant: t, total: total}
 	s.entries[job] = e
 	s.order = append(s.order, e)
 	s.backlog += total
 	wasIdle := t.backlog == 0
 	t.backlog += total
-	t.enqueue(e)
+	t.jobs = append(t.jobs, e)
 	if wasIdle {
 		s.active = append(s.active, t)
 	}
@@ -178,10 +169,9 @@ func (s *Scheduler[J]) Snapshot() []QueueStat[J] {
 	out := make([]QueueStat[J], 0, len(s.order))
 	for _, e := range s.order {
 		out = append(out, QueueStat[J]{
-			Job:      e.job,
-			Tenant:   e.tenant.name,
-			Priority: e.priority,
-			Pending:  e.total - e.next,
+			Job:     e.job,
+			Tenant:  e.tenant.name,
+			Pending: e.total - e.next,
 		})
 	}
 	return out
@@ -198,67 +188,34 @@ func (s *Scheduler[J]) drop(e *entry[J]) {
 	}
 }
 
-// enqueue files e into the tenant's priority class, creating the class in
-// descending-priority position when absent.
-func (t *tenant[J]) enqueue(e *entry[J]) {
-	i := 0
-	for ; i < len(t.classes); i++ {
-		if t.classes[i].priority == e.priority {
-			t.classes[i].jobs = append(t.classes[i].jobs, e)
-			return
-		}
-		if t.classes[i].priority < e.priority {
-			break
-		}
-	}
-	c := &class[J]{priority: e.priority, jobs: []*entry[J]{e}}
-	t.classes = append(t.classes, nil)
-	copy(t.classes[i+1:], t.classes[i:])
-	t.classes[i] = c
-}
-
-// claim dispatches one task from the tenant's highest priority class,
-// round-robin between that class's jobs, and advances the job's cursor.
-// A fully-dispatched job leaves its class (which leaves the tenant when
-// empty) with the round-robin cursor still pointing at the next job.
-// Callers guarantee t.backlog > 0.
+// claim dispatches one task, round-robin between the tenant's jobs, and
+// advances the job's cursor. A fully-dispatched job leaves the ring with
+// the round-robin cursor still pointing at the next job. Callers
+// guarantee t.backlog > 0.
 func (t *tenant[J]) claim() *entry[J] {
-	c := t.classes[0]
-	if c.rr >= len(c.jobs) {
-		c.rr = 0
+	if t.rr >= len(t.jobs) {
+		t.rr = 0
 	}
-	e := c.jobs[c.rr]
+	e := t.jobs[t.rr]
 	e.next++
 	if e.next >= e.total {
-		c.jobs = append(c.jobs[:c.rr], c.jobs[c.rr+1:]...)
-		if len(c.jobs) == 0 {
-			t.classes = t.classes[1:]
-		}
+		t.jobs = append(t.jobs[:t.rr], t.jobs[t.rr+1:]...)
 	} else {
-		c.rr++
+		t.rr++
 	}
 	return e
 }
 
-// remove drops e from its class ring, keeping the round-robin cursor on
+// remove drops e from the tenant's ring, keeping the round-robin cursor on
 // the same next job.
 func (t *tenant[J]) remove(e *entry[J]) {
-	for ci, c := range t.classes {
-		if c.priority != e.priority {
-			continue
-		}
-		for i, j := range c.jobs {
-			if j == e {
-				c.jobs = append(c.jobs[:i], c.jobs[i+1:]...)
-				if i < c.rr {
-					c.rr--
-				}
-				break
+	for i, j := range t.jobs {
+		if j == e {
+			t.jobs = append(t.jobs[:i], t.jobs[i+1:]...)
+			if i < t.rr {
+				t.rr--
 			}
+			return
 		}
-		if len(c.jobs) == 0 {
-			t.classes = append(t.classes[:ci], t.classes[ci+1:]...)
-		}
-		return
 	}
 }

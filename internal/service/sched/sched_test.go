@@ -25,8 +25,8 @@ func drain(t *testing.T, s *Scheduler[int], n int) []Task[int] {
 func TestSingleTenantRoundRobin(t *testing.T) {
 	s := New[int]()
 	s.AddTenant("anonymous", 1)
-	s.Enqueue("anonymous", 1, 3, 0)
-	s.Enqueue("anonymous", 2, 3, 0)
+	s.Enqueue("anonymous", 1, 3)
+	s.Enqueue("anonymous", 2, 3)
 	want := []Task[int]{{1, 0}, {2, 0}, {1, 1}, {2, 1}, {1, 2}, {2, 2}}
 	got := drain(t, s, 6)
 	for i := range want {
@@ -48,8 +48,8 @@ func TestWeightedShares(t *testing.T) {
 	s := New[int]()
 	s.AddTenant("heavy", 3)
 	s.AddTenant("light", 1)
-	s.Enqueue("heavy", 1, 300, 0)
-	s.Enqueue("light", 2, 100, 0)
+	s.Enqueue("heavy", 1, 300)
+	s.Enqueue("light", 2, 100)
 	served := map[int]int{}
 	for _, tk := range drain(t, s, 400) {
 		served[tk.Job]++
@@ -62,8 +62,8 @@ func TestWeightedShares(t *testing.T) {
 	s2 := New[int]()
 	s2.AddTenant("heavy", 3)
 	s2.AddTenant("light", 1)
-	s2.Enqueue("heavy", 1, 40, 0)
-	s2.Enqueue("light", 2, 40, 0)
+	s2.Enqueue("heavy", 1, 40)
+	s2.Enqueue("light", 2, 40)
 	heavy, light := 0, 0
 	for i := 0; i < 40; i++ {
 		tk, _ := s2.Next()
@@ -80,19 +80,76 @@ func TestWeightedShares(t *testing.T) {
 	}
 }
 
-// TestPriorityWithinTenant: a higher-priority job overtakes an earlier
-// lower-priority one of the same tenant; equal priorities round-robin.
-func TestPriorityWithinTenant(t *testing.T) {
-	s := New[int]()
-	s.AddTenant("a", 1)
-	s.Enqueue("a", 1, 2, 0) // bulk
-	s.Enqueue("a", 2, 2, 5) // urgent, submitted later
-	s.Enqueue("a", 3, 2, 5) // equally urgent
-	want := []Task[int]{{2, 0}, {3, 0}, {2, 1}, {3, 1}, {1, 0}, {1, 1}}
-	got := drain(t, s, 6)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("task %d = %+v, want %+v (order %v)", i, got[i], want[i], got)
+// TestRoundRobinBoundsEveryWait is the property behind the job
+// round-robin: under random enqueue and remove sequences within one
+// tenant, while a live job waits (from its enqueue or its last dispatch
+// to its next dispatch) every other job is dispatched at most once. So a
+// job waits at most m-1 dispatches, m being the jobs live during the
+// wait: with a steady set of m live jobs, each is dispatched at least
+// once in every m dispatches of the tenant.
+func TestRoundRobinBoundsEveryWait(t *testing.T) {
+	// wait is one live job's current wait: the other jobs live during it,
+	// and those dispatched during it.
+	type wait struct{ live, served map[int]bool }
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := New[int]()
+		s.AddTenant("a", 1)
+		left := map[int]int{} // live job -> undispatched tasks
+		waits := map[int]*wait{}
+		startWait := func(j int) {
+			w := &wait{live: map[int]bool{}, served: map[int]bool{}}
+			for x := range left {
+				if x != j {
+					w.live[x] = true
+				}
+			}
+			waits[j] = w
+		}
+		nextJob := 0
+		for step := 0; step < 400; step++ {
+			switch r := rng.Intn(10); {
+			case r < 3 || len(left) == 0:
+				nextJob++
+				left[nextJob] = 1 + rng.Intn(6)
+				s.Enqueue("a", nextJob, left[nextJob])
+				for _, w := range waits {
+					w.live[nextJob] = true
+				}
+				startWait(nextJob)
+			case r == 3:
+				for j := range left {
+					s.Remove(j)
+					delete(left, j)
+					delete(waits, j)
+					break
+				}
+			default:
+				tk, ok := s.Next()
+				if !ok {
+					t.Fatalf("seed %d: dry with %d live jobs", seed, len(left))
+				}
+				j := tk.Job
+				if left[j] == 0 {
+					t.Fatalf("seed %d step %d: dispatched job %d, which is not live", seed, step, j)
+				}
+				for x, w := range waits {
+					if x == j {
+						continue
+					}
+					if w.served[j] {
+						t.Fatalf("seed %d step %d: job %d dispatched twice while job %d waited (%d jobs live during the wait)",
+							seed, step, j, x, len(w.live)+1)
+					}
+					w.served[j] = true
+				}
+				if left[j]--; left[j] == 0 {
+					delete(left, j)
+					delete(waits, j)
+				} else {
+					startWait(j)
+				}
+			}
 		}
 	}
 }
@@ -102,9 +159,9 @@ func TestPriorityWithinTenant(t *testing.T) {
 func TestRemoveKeepsCursor(t *testing.T) {
 	s := New[int]()
 	s.AddTenant("a", 1)
-	s.Enqueue("a", 1, 2, 0)
-	s.Enqueue("a", 2, 2, 0)
-	s.Enqueue("a", 3, 2, 0)
+	s.Enqueue("a", 1, 2)
+	s.Enqueue("a", 2, 2)
+	s.Enqueue("a", 3, 2)
 	if tk, _ := s.Next(); tk.Job != 1 {
 		t.Fatalf("first task from %d", tk.Job)
 	}
@@ -140,7 +197,7 @@ func TestChurnConvergesToWeights(t *testing.T) {
 	enqueue := func(tenant string) {
 		nextJob++
 		owner[nextJob] = tenant
-		s.Enqueue(tenant, nextJob, 1+rng.Intn(7), rng.Intn(3))
+		s.Enqueue(tenant, nextJob, 1+rng.Intn(7))
 	}
 	// Keep both tenants saturated (backlog deeper than the largest
 	// quantum, so neither ever forfeits deficit by running dry) while
@@ -172,8 +229,8 @@ func TestIdleTenantDoesNotDilute(t *testing.T) {
 	s.AddTenant("a", 3)
 	s.AddTenant("b", 1)
 	s.AddTenant("quota-exhausted", 100) // never enqueues anything
-	s.Enqueue("a", 1, 30, 0)
-	s.Enqueue("b", 2, 10, 0)
+	s.Enqueue("a", 1, 30)
+	s.Enqueue("b", 2, 10)
 	got := drain(t, s, 40)
 	served := map[int]int{}
 	for _, tk := range got {
@@ -190,17 +247,17 @@ func TestSnapshotOrderAndPending(t *testing.T) {
 	s := New[int]()
 	s.AddTenant("a", 1)
 	s.AddTenant("b", 2)
-	s.Enqueue("a", 1, 3, 0)
-	s.Enqueue("b", 2, 2, 1)
+	s.Enqueue("a", 1, 3)
+	s.Enqueue("b", 2, 2)
 	drain(t, s, 2)
 	snap := s.Snapshot()
 	if len(snap) != 2 {
 		t.Fatalf("snapshot has %d entries", len(snap))
 	}
-	if snap[0].Job != 1 || snap[0].Tenant != "a" || snap[0].Priority != 0 {
+	if snap[0].Job != 1 || snap[0].Tenant != "a" {
 		t.Fatalf("snap[0] = %+v", snap[0])
 	}
-	if snap[1].Job != 2 || snap[1].Tenant != "b" || snap[1].Priority != 1 {
+	if snap[1].Job != 2 || snap[1].Tenant != "b" {
 		t.Fatalf("snap[1] = %+v", snap[1])
 	}
 	if snap[0].Pending+snap[1].Pending != 3 {
@@ -212,11 +269,11 @@ func TestSnapshotOrderAndPending(t *testing.T) {
 func TestEnqueueMisuse(t *testing.T) {
 	s := New[int]()
 	s.AddTenant("a", 1)
-	s.Enqueue("a", 1, 1, 0)
+	s.Enqueue("a", 1, 1)
 	for name, fn := range map[string]func(){
-		"unknown tenant": func() { s.Enqueue("ghost", 2, 1, 0) },
-		"duplicate job":  func() { s.Enqueue("a", 1, 1, 0) },
-		"empty job":      func() { s.Enqueue("a", 3, 0, 0) },
+		"unknown tenant": func() { s.Enqueue("ghost", 2, 1) },
+		"duplicate job":  func() { s.Enqueue("a", 1, 1) },
+		"empty job":      func() { s.Enqueue("a", 3, 0) },
 		"dup tenant":     func() { s.AddTenant("a", 1) },
 	} {
 		func() {

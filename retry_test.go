@@ -182,7 +182,7 @@ func TestClientRetryBackoffHonorsContext(t *testing.T) {
 
 // TestClientRunScenarioOptionHeaders: RunScenario renders its options as
 // the request headers POST /v1/run reads — on every attempt, so a retried
-// hop stays under the same trace, budget and tenant.
+// hop stays under the same trace and tenant.
 func TestClientRunScenarioOptionHeaders(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -192,22 +192,17 @@ func TestClientRunScenarioOptionHeaders(t *testing.T) {
 	}{
 		{
 			name: "no options",
-			want: map[string]string{dynring.TraceHeader: "", dynring.DeadlineHeader: "", "Authorization": ""},
+			want: map[string]string{dynring.TraceHeader: "", "Authorization": ""},
 		},
 		{
 			name: "trace",
 			opts: []dynring.SubmitOption{dynring.WithTrace("tr-1")},
-			want: map[string]string{dynring.TraceHeader: "tr-1", dynring.DeadlineHeader: ""},
+			want: map[string]string{dynring.TraceHeader: "tr-1"},
 		},
 		{
-			name: "deadline budget",
-			opts: []dynring.SubmitOption{dynring.WithDeadline(1500 * time.Millisecond)},
-			want: map[string]string{dynring.DeadlineHeader: "1.5s", dynring.TraceHeader: ""},
-		},
-		{
-			name: "spent budget sends no header",
-			opts: []dynring.SubmitOption{dynring.WithTrace(""), dynring.WithDeadline(0)},
-			want: map[string]string{dynring.DeadlineHeader: "", dynring.TraceHeader: ""},
+			name: "empty trace sends no header",
+			opts: []dynring.SubmitOption{dynring.WithTrace("")},
+			want: map[string]string{dynring.TraceHeader: ""},
 		},
 		{
 			name:      "client tenant key",
@@ -218,11 +213,9 @@ func TestClientRunScenarioOptionHeaders(t *testing.T) {
 			name:      "tenant option overrides client key",
 			tenantKey: "sk-client",
 			opts: []dynring.SubmitOption{
-				dynring.WithTenant("sk-alice"), dynring.WithTrace("tr-2"), dynring.WithDeadline(2 * time.Second),
+				dynring.WithTenant("sk-alice"), dynring.WithTrace("tr-2"),
 			},
-			want: map[string]string{
-				"Authorization": "Bearer sk-alice", dynring.TraceHeader: "tr-2", dynring.DeadlineHeader: "2s",
-			},
+			want: map[string]string{"Authorization": "Bearer sk-alice", dynring.TraceHeader: "tr-2"},
 		},
 	}
 	for _, tc := range cases {

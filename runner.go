@@ -22,7 +22,8 @@ import (
 // reuse is invisible in the output (the engine parity golden test and the
 // sweep determinism gate both execute through Runners).
 //
-// A Runner is NOT safe for concurrent use; give each worker its own.
+// The zero value is ready to use. A Runner is NOT safe for concurrent use;
+// give each worker its own.
 // Sweep.Stream and the ringsimd service do this automatically — reach for
 // an explicit Runner only when driving many scenarios by hand:
 //
@@ -90,10 +91,10 @@ type ringKey struct {
 	landmark int
 }
 
-// NewRunner returns an empty Runner; it grows its reusable state on first
-// use.
+// NewRunner returns an empty Runner, the same as a zero Runner; it grows
+// its reusable state on first use.
 func NewRunner() *Runner {
-	return &Runner{rings: make(map[ringKey]*ring.Ring)}
+	return &Runner{}
 }
 
 // ring returns the cached topology for (n, landmark), building it on first
@@ -106,6 +107,9 @@ func (r *Runner) ring(n, landmark int) (*ring.Ring, error) {
 	rg, err := ring.NewWithLandmark(n, landmark)
 	if err != nil {
 		return nil, err
+	}
+	if r.rings == nil {
+		r.rings = make(map[ringKey]*ring.Ring)
 	}
 	r.rings[k] = rg
 	return rg, nil

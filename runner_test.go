@@ -40,6 +40,31 @@ func TestRunnerMatchesScenarioRun(t *testing.T) {
 	}
 }
 
+// TestZeroRunnerMatchesNewRunner: a zero Runner is ready to use, and runs
+// every scenario exactly as NewRunner's does.
+func TestZeroRunnerMatchesNewRunner(t *testing.T) {
+	scenarios := parityScenarios(t)
+	var zero dynring.Runner
+	made := dynring.NewRunner()
+	ctx := context.Background()
+	for i, sc := range scenarios {
+		if i%11 != 0 {
+			continue
+		}
+		want, err := made.Run(ctx, sc)
+		if err != nil {
+			t.Fatalf("%s: NewRunner run: %v", sc.Name, err)
+		}
+		got, err := zero.Run(ctx, sc)
+		if err != nil {
+			t.Fatalf("%s: zero Runner run: %v", sc.Name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: zero Runner diverged from NewRunner:\nzero %+v\nnew  %+v", sc.Name, got, want)
+		}
+	}
+}
+
 // TestRunnerSurvivesErrors: a failed Run (validation error) must leave the
 // Runner fully usable for the next scenario.
 func TestRunnerSurvivesErrors(t *testing.T) {
