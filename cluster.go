@@ -77,6 +77,16 @@ func (r RunRequest) AppendJSON(dst []byte) ([]byte, error) {
 func DecodeRunRequest(data []byte) (RunRequest, error) {
 	var req RunRequest
 	l := wire.NewLexer(data)
+	if readRunRequest(&l, &req.Scenario); l.End() {
+		return req, nil
+	}
+	req = RunRequest{}
+	return req, decodeStrict(data, &req)
+}
+
+// readRunRequest is DecodeRunRequest's fast path: it reads the request's
+// scenario into sp, reusing its storage as readScenarioSpec does.
+func readRunRequest(l *wire.Lexer, sp *ScenarioSpec) {
 	var seen uint64
 	l.Expect('{')
 	for i := 0; l.Next(i, '}'); i++ {
@@ -84,13 +94,11 @@ func DecodeRunRequest(data []byte) (RunRequest, error) {
 			l.Fail()
 		}
 		l.Field(&seen, 0)
-		readScenarioSpec(&l, &req.Scenario)
+		readScenarioSpec(l, sp)
 	}
-	if l.End() {
-		return req, nil
+	if seen == 0 {
+		*sp = ScenarioSpec{}
 	}
-	req = RunRequest{}
-	return req, decodeStrict(data, &req)
 }
 
 // RunResponse is the document POST /v1/run answers with: the whole body

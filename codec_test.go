@@ -435,14 +435,35 @@ func FuzzParseResultRow(f *testing.F) {
 }
 
 // FuzzDecodeSweepSpec: DecodeSweepSpec never panics, accepts exactly what
-// the strict encoding/json oracle accepts and agrees with it, and an
+// the strict encoding/json oracle accepts and agrees with it, copies out
+// at exact sizes, decodes into reused storage as into fresh, and an
 // accepted spec expands, validates and fingerprints without panicking.
 func FuzzDecodeSweepSpec(f *testing.F) {
 	rng := rand.New(rand.NewPCG(18, 5))
+	var seeds [][]byte
 	for range 16 {
 		sp, _ := randSweepSpec(rng)
 		data, _ := json.Marshal(sp)
 		f.Add(data)
+		seeds = append(seeds, data)
+	}
+	// Canonical bodies always carry a base; these leave it out.
+	f.Add([]byte(`{"scenarios":[{"size":8,"landmark":0,"algorithm":"KnownNNoChirality"}]}`))
+	f.Add([]byte(`{}`))
+	// full sets every field the decoders read, so decoding after it leaves
+	// stale values wherever a decoder fails to clear one.
+	row := ScenarioSpec{
+		Name: "full", Size: 9, Landmark: 2, Algorithm: "KnownNNoChirality", Model: "fsync", UpperBound: 12, ExactSize: 9,
+		Starts: []int{1, 5}, Orients: []string{"cw", "ccw"},
+		Adversary: &AdversarySpec{Kind: "random", P: 0.5, Edge: 1, Pin: 2, T: 3, R: 4, W: 5, Act: 0.25},
+		Seed:      7, MaxRounds: 99, StopWhenExplored: true, FairnessBound: 4, DetectCycles: true,
+	}
+	full, err := SweepSpec{
+		Base: row, Algorithms: []string{"KnownNNoChirality"}, Sizes: []int{8, 9}, Seeds: []int64{1},
+		Adversaries: []AdversarySpec{*row.Adversary, {Kind: "greedy"}}, Scenarios: []ScenarioSpec{row, row, row},
+	}.AppendJSON(nil)
+	if err != nil {
+		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := DecodeSweepSpec(data)
@@ -456,22 +477,44 @@ func FuzzDecodeSweepSpec(f *testing.F) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("DecodeSweepSpec(%q) = %+v, oracle %+v", data, got, want)
 		}
-		// The fast path sizes every array by its element hint, which is
-		// exact on any input it accepts.
 		l := wire.NewLexer(data)
 		var fast SweepSpec
 		if readSweepSpec(&l, &fast); l.End() {
-			exact := cap(fast.Scenarios) == len(fast.Scenarios) &&
-				cap(fast.Adversaries) == len(fast.Adversaries) &&
-				cap(fast.Algorithms) == len(fast.Algorithms) &&
-				cap(fast.Sizes) == len(fast.Sizes) &&
-				cap(fast.Seeds) == len(fast.Seeds)
-			for _, sc := range append(fast.Scenarios, fast.Base) {
+			// A spec the fast path accepts is copied out of its decode
+			// storage with every array at its exact size.
+			exact := cap(got.Scenarios) == len(got.Scenarios) &&
+				cap(got.Adversaries) == len(got.Adversaries) &&
+				cap(got.Algorithms) == len(got.Algorithms) &&
+				cap(got.Sizes) == len(got.Sizes) &&
+				cap(got.Seeds) == len(got.Seeds)
+			for _, sc := range append(got.Scenarios, got.Base) {
 				exact = exact && cap(sc.Orients) == len(sc.Orients) && cap(sc.Starts) == len(sc.Starts)
 			}
 			if !exact {
-				t.Fatalf("fast path of %q left spare capacity: %+v", data, fast)
+				t.Fatalf("DecodeSweepSpec(%q) left spare capacity: %+v", data, got)
 			}
+		}
+		// Decoding into storage that last held another body reads exactly
+		// what decoding into fresh storage reads: no field of the earlier
+		// body survives.
+		for _, prev := range [][]byte{seeds[len(data)%len(seeds)], full} {
+			var reused SweepSpec
+			for _, body := range [][]byte{prev, data} {
+				l := wire.NewLexer(body)
+				readSweepSpec(&l, &reused)
+			}
+			if !reflect.DeepEqual(reused, fast) {
+				t.Fatalf("decoding %q after %q = %+v, into fresh storage %+v", data, prev, reused, fast)
+			}
+		}
+		var reusedRow, freshRow ScenarioSpec
+		for _, body := range [][]byte{append(append([]byte(`{"scenario":`), full[len(`{"base":`):bytes.Index(full, []byte(`,"algorithms"`))]...), '}'), data} {
+			l := wire.NewLexer(body)
+			readRunRequest(&l, &reusedRow)
+		}
+		l = wire.NewLexer(data)
+		if readRunRequest(&l, &freshRow); !reflect.DeepEqual(reusedRow, freshRow) {
+			t.Fatalf("decoding run request %q into reused storage = %+v, into fresh storage %+v", data, reusedRow, freshRow)
 		}
 		// Bound the grid so a short input cannot expand to millions of rows.
 		grid := max(len(got.Algorithms), 1) * max(len(got.Sizes), 1) *

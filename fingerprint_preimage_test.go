@@ -19,7 +19,8 @@ func fmtFingerprint(s Scenario) (string, error) {
 	if s.NewAdversary != nil && s.AdversaryLabel == "" {
 		return "", fmt.Errorf("%w: adversary factory without AdversaryLabel", ErrNotFingerprintable)
 	}
-	r, err := s.resolve(false)
+	// Built, so the default starts and orients are filled in.
+	r, err := s.resolve(true)
 	if err != nil {
 		return "", err
 	}
@@ -28,7 +29,7 @@ func fmtFingerprint(s Scenario) (string, error) {
 		adv = fmt.Sprintf("%d:%s", len(s.AdversaryLabel), s.AdversaryLabel)
 	}
 	h := sha256.New()
-	fmt.Fprintf(h, "%s\n", s.fingerprintVersionFor(r))
+	fmt.Fprintf(h, "%s\n", s.fingerprintVersionFor(&r))
 	fmt.Fprintf(h, "size=%d landmark=%d algo=%d:%s model=%d ub=%d es=%d\n",
 		s.Size, s.Landmark, len(r.spec.Name), r.spec.Name, int(r.model),
 		r.params.UpperBound, r.params.ExactSize)
@@ -144,11 +145,11 @@ func TestFingerprintMatchesFmtOracle(t *testing.T) {
 	}
 }
 
-func mustResolve(t *testing.T, s Scenario) resolved {
+func mustResolve(t *testing.T, s Scenario) *resolved {
 	t.Helper()
 	r, err := s.resolve(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r
+	return &r
 }

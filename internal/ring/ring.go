@@ -54,13 +54,22 @@ func New(n int) (*Ring, error) {
 // NewWithLandmark returns a ring with n nodes whose landmark is the given
 // node index, or NoLandmark for an anonymous ring.
 func NewWithLandmark(n, landmark int) (*Ring, error) {
-	if n < MinSize {
-		return nil, fmt.Errorf("%w (got %d)", ErrTooSmall, n)
-	}
-	if landmark != NoLandmark && (landmark < 0 || landmark >= n) {
-		return nil, fmt.Errorf("ring: landmark %d out of range [0,%d)", landmark, n)
+	if err := Check(n, landmark); err != nil {
+		return nil, err
 	}
 	return &Ring{n: n, landmark: landmark}, nil
+}
+
+// Check reports the error NewWithLandmark(n, landmark) would return,
+// without building the ring.
+func Check(n, landmark int) error {
+	if n < MinSize {
+		return fmt.Errorf("%w (got %d)", ErrTooSmall, n)
+	}
+	if landmark != NoLandmark && (landmark < 0 || landmark >= n) {
+		return fmt.Errorf("ring: landmark %d out of range [0,%d)", landmark, n)
+	}
+	return nil
 }
 
 // Size returns the number of nodes n.

@@ -33,9 +33,9 @@ const maxEnvelopeBytes = 8 << 20
 // bodyBufs is the one request-body pool: POST /v1/sweeps, POST /v1/run
 // and POST /v1/replicate each read their body into a buffer from it and
 // return the buffer the moment the body is decoded (decodeBody). That is
-// safe because their decoders — dynring.DecodeSweepSpec, decodeRunBody and
-// decodeReplicate — copy every string and slice out of the body, on the
-// fast path and the encoding/json fallback alike
+// safe because their decoders — dynring.AdmitRows, under admitSweep and
+// decodeRunBody, and decodeReplicate — copy every string and slice out of
+// the body, on the fast path and the encoding/json fallback alike
 // (TestPooledBodiesAreCopiedOut). Buffers up to maxPooledBody bytes are
 // recycled; a rare larger one is left to the collector.
 var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
@@ -106,12 +106,12 @@ func NewHandler(m *Manager) http.Handler {
 			return
 		}
 		opts := SubmitOptions{TraceID: r.Header.Get(dynring.TraceHeader), Tenant: tenant}
-		spec, err := decodeBody(w, r, maxSpecBytes, dynring.DecodeSweepSpec)
+		rows, err := decodeBody(w, r, maxSpecBytes, admitSweep)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		j, err := m.Submit(spec, opts)
+		j, err := m.submit(rows, opts)
 		if err != nil {
 			code := http.StatusBadRequest
 			switch {
@@ -243,24 +243,24 @@ func NewHandler(m *Manager) http.Handler {
 			return
 		}
 		batch := strings.HasPrefix(r.Header.Get("Content-Type"), ndjsonType)
-		items, err := decodeBody(w, r, maxSpecBytes, func(body []byte) ([]runItem, error) {
+		rows, err := decodeBody(w, r, maxSpecBytes, func(body []byte) (admitted, error) {
 			return decodeRunBody(body, batch)
 		})
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		for range items {
+		for range rows.scs {
 			m.countRunRequest(tenant)
 		}
 		if !batch {
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusOK)
 			// A failed write means the caller is gone; there is no one to tell.
-			_, _ = w.Write(append(m.serveRun(r.Context(), items[0]).AppendJSON(nil), '\n'))
+			_, _ = w.Write(append(m.serveRun(r.Context(), rows.scs[0], rows.fps[0]).AppendJSON(nil), '\n'))
 			return
 		}
-		m.serveRunBatch(r.Context(), w, items)
+		m.serveRunBatch(r.Context(), w, rows)
 	})
 
 	mux.HandleFunc("GET /v1/sweeps/{id}/trace", func(w http.ResponseWriter, r *http.Request) {
@@ -353,73 +353,59 @@ func NewHandler(m *Manager) http.Handler {
 	return mux
 }
 
-// runItem is one validated, fingerprinted row of a POST /v1/run body.
-type runItem struct {
-	sc dynring.Scenario
-	fp string
+// admitted are the rows a request admits, as dynring.AdmitRows returns
+// them: the scenarios and their fingerprints, each slice at its exact
+// size.
+type admitted struct {
+	scs []dynring.Scenario
+	fps []string
 }
 
-// decodeRunBody decodes a POST /v1/run body: one RunRequest, or with batch
-// one per non-blank line. Every row is validated and fingerprinted before
-// anything runs, so a bad row fails the whole request with a 400.
-func decodeRunBody(body []byte, batch bool) ([]runItem, error) {
+// admitSweep admits the rows of a POST /v1/sweeps body.
+func admitSweep(body []byte) (admitted, error) {
+	scs, fps, err := dynring.AdmitRows(nil, nil, nil, body, false)
+	return admitted{scs, fps}, err
+}
+
+// decodeRunBody admits the rows of a POST /v1/run body: one RunRequest,
+// or with batch one per non-blank line. Every row is validated and
+// fingerprinted before anything runs, so a bad row fails the whole
+// request with a 400.
+func decodeRunBody(body []byte, batch bool) (admitted, error) {
 	if !batch {
-		it, err := decodeRunItem(body)
-		if err != nil {
-			return nil, err
-		}
-		return []runItem{it}, nil
+		scs, fps, err := dynring.AdmitRows(nil, nil, nil, body, true)
+		return admitted{scs, fps}, err
 	}
-	// Only lines that decode take room: items fill an array on the stack,
-	// spilling to the heap only past its length, and are copied out at
+	// Only lines that decode take room: rows fill arrays on the stack,
+	// spilling to the heap only past their length, and are copied out at
 	// their exact count.
-	var stack [16]runItem
-	items := stack[:0]
+	var scStack [16]dynring.Scenario
+	var fpStack [16]string
+	scs, fps := scStack[:0], fpStack[:0]
 	for rest := body; len(rest) > 0; {
 		var line []byte
 		line, rest, _ = bytes.Cut(rest, []byte{'\n'})
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		it, err := decodeRunItem(line)
-		if err != nil {
-			return nil, err
+		var err error
+		if scs, fps, err = dynring.AdmitRows(scs, fps, nil, line, true); err != nil {
+			return admitted{}, err
 		}
-		items = append(items, it)
 	}
-	if len(items) == 0 {
-		return nil, errors.New("empty batch")
+	if len(scs) == 0 {
+		return admitted{}, errors.New("empty batch")
 	}
-	return append(make([]runItem, 0, len(items)), items...), nil
-}
-
-// decodeRunItem decodes, validates and fingerprints one RunRequest.
-func decodeRunItem(data []byte) (runItem, error) {
-	req, err := dynring.DecodeRunRequest(data)
-	if err != nil {
-		return runItem{}, err
-	}
-	sc, err := req.Scenario.Scenario()
-	if err == nil {
-		err = sc.Validate()
-	}
-	if err != nil {
-		return runItem{}, err
-	}
-	fp, err := sc.Fingerprint()
-	if err != nil {
-		return runItem{}, err
-	}
-	return runItem{sc: sc, fp: fp}, nil
+	return admitted{append(make([]dynring.Scenario, 0, len(scs)), scs...), append(make([]string, 0, len(fps)), fps...)}, nil
 }
 
 // serveRun is the core both forms of POST /v1/run share: serve one row
 // through ExecuteLocal and describe it, with this node's span for the
 // coordinator to adopt into its sweep trace.
-func (m *Manager) serveRun(ctx context.Context, it runItem) dynring.RunResponse {
+func (m *Manager) serveRun(ctx context.Context, sc dynring.Scenario, fp string) dynring.RunResponse {
 	started := time.Now()
-	res, cached, err := m.ExecuteLocal(ctx, it.sc, it.fp)
-	resp := dynring.RunResponse{Fingerprint: it.fp, Cached: cached}
+	res, cached, err := m.ExecuteLocal(ctx, sc, fp)
+	resp := dynring.RunResponse{Fingerprint: fp, Cached: cached}
 	span := &dynring.TraceSpan{
 		Node:       m.NodeName(),
 		Kind:       "executed",
@@ -447,27 +433,28 @@ func (m *Manager) serveRun(ctx context.Context, it runItem) dynring.RunResponse 
 // it flushes only before it would block on the next row, and only when it
 // has written a line since the last flush: the header rides with the
 // first line.
-func (m *Manager) serveRunBatch(ctx context.Context, w http.ResponseWriter, items []runItem) {
+func (m *Manager) serveRunBatch(ctx context.Context, w http.ResponseWriter, rows admitted) {
 	w.Header().Set("Content-Type", ndjsonType)
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
+	n := len(rows.scs)
 	// Buffered for every row, so no runner blocks once the writer is gone.
-	lines := make(chan dynring.RunResponse, len(items))
+	lines := make(chan dynring.RunResponse, n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	defer wg.Wait()
-	for range min(m.workers, len(items)) {
+	for range min(m.workers, n) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for k := next.Add(1) - 1; k < int64(len(items)); k = next.Add(1) - 1 {
-				lines <- m.serveRun(ctx, items[k])
+			for k := next.Add(1) - 1; k < int64(n); k = next.Add(1) - 1 {
+				lines <- m.serveRun(ctx, rows.scs[k], rows.fps[k])
 			}
 		}()
 	}
 	var buf []byte
 	unflushed := false // lines written since the last flush
-	for range items {
+	for range n {
 		var rr dynring.RunResponse
 		select {
 		case rr = <-lines:

@@ -423,24 +423,25 @@ type SubmitOptions struct {
 	Tenant string
 }
 
-// Submit is the submission path: expand and fingerprint the grid (axis
-// form or explicit-list form — the latter is how cluster peers ship grid
-// shares), admit it against the tenant's quotas (ErrQuotaExceeded — HTTP
+// Submit is the submission path: expand and fingerprint the grid with
+// dynring.AdmitRows (axis form or explicit-list form — the latter is how
+// cluster peers ship grid shares), admit it against the tenant's quotas (ErrQuotaExceeded — HTTP
 // 429 — when over), register the job and queue it on the tenant's
 // scheduler lane.
 // Expansion, validation and fingerprint errors are reported here, before
 // anything runs.
 func (m *Manager) Submit(spec dynring.SweepSpec, opts SubmitOptions) (*Job, error) {
-	scenarios, err := spec.ScenarioList()
+	scs, fps, err := dynring.AdmitRows(nil, nil, &spec, nil, false)
 	if err != nil {
 		return nil, err
 	}
-	fps := make([]string, len(scenarios))
-	for i, sc := range scenarios {
-		if fps[i], err = sc.Fingerprint(); err != nil {
-			return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
-		}
-	}
+	return m.submit(admitted{scs, fps}, opts)
+}
+
+// submit is Submit for admitted rows: POST /v1/sweeps admits its body's
+// rows while it holds the body, and submits them here.
+func (m *Manager) submit(rows admitted, opts SubmitOptions) (*Job, error) {
+	scenarios, fps := rows.scs, rows.fps
 	traceID := opts.TraceID
 	if traceID == "" {
 		traceID = telemetry.NewTraceID()

@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"dynring"
 )
@@ -325,12 +326,12 @@ func TestPooledBodiesAreCopiedOut(t *testing.T) {
 
 		for _, body := range [][]byte{batch, escapeFirst(batch)} {
 			want := map[string]dynring.Result{}
-			items, err := decodeRunBody(bytes.Clone(body), true)
+			rows, err := decodeRunBody(bytes.Clone(body), true)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, it := range items {
-				fp, res := wantRun(t, it.sc)
+			for _, sc := range rows.scs {
+				fp, res := wantRun(t, sc)
 				want[fp] = res
 			}
 			rec := postScribbled(h, "/v1/run", ndjsonType, body, known)
@@ -385,8 +386,8 @@ func TestPooledBodiesAreCopiedOut(t *testing.T) {
 // FuzzDecodeRunBody: decodeRunBody never panics; in either form it
 // accepts a body exactly when every row decodes, validates and
 // fingerprints — the whole body, or each non-blank line of a batch —
-// and each item is DecodeRunRequest of its row, then Scenario, then
-// Fingerprint. Overwriting the body afterwards leaves the items unchanged.
+// and each row is DecodeRunRequest of its line, then Scenario, then
+// Fingerprint. Overwriting the body afterwards leaves the rows unchanged.
 func FuzzDecodeRunBody(f *testing.F) {
 	var lines [][]byte
 	for _, sp := range pooledScenarios() {
@@ -401,7 +402,7 @@ func FuzzDecodeRunBody(f *testing.F) {
 	f.Add([]byte(""), false)
 	f.Fuzz(func(t *testing.T, data []byte, batch bool) {
 		body := bytes.Clone(data)
-		items, err := decodeRunBody(body, batch)
+		got, err := decodeRunBody(body, batch)
 		rows := [][]byte{data}
 		if batch {
 			rows = nil
@@ -411,7 +412,7 @@ func FuzzDecodeRunBody(f *testing.F) {
 				}
 			}
 		}
-		var want []runItem
+		var want admitted
 		for _, row := range rows {
 			req, err := dynring.DecodeRunRequest(row)
 			if err != nil {
@@ -425,9 +426,9 @@ func FuzzDecodeRunBody(f *testing.F) {
 			if err != nil {
 				break
 			}
-			want = append(want, runItem{sc: sc, fp: fp})
+			want.scs, want.fps = append(want.scs, sc), append(want.fps, fp)
 		}
-		if ok := len(rows) > 0 && len(want) == len(rows); (err == nil) != ok {
+		if ok := len(rows) > 0 && len(want.scs) == len(rows); (err == nil) != ok {
 			t.Fatalf("decodeRunBody(%q, %v) error %v, want ok=%v", data, batch, err, ok)
 		}
 		if err != nil {
@@ -436,22 +437,22 @@ func FuzzDecodeRunBody(f *testing.F) {
 		for i := range body {
 			body[i] = 'x'
 		}
-		if len(items) != len(want) {
-			t.Fatalf("decodeRunBody(%q, %v): %d items, want %d", data, batch, len(items), len(want))
+		if len(got.scs) != len(want.scs) || len(got.fps) != len(want.fps) {
+			t.Fatalf("decodeRunBody(%q, %v): %d rows, want %d", data, batch, len(got.scs), len(want.scs))
 		}
-		for i := range items {
-			if items[i].fp != want[i].fp || !reflect.DeepEqual(scenarioData(items[i].sc), scenarioData(want[i].sc)) {
-				t.Fatalf("decodeRunBody(%q, %v) item %d = %+v, want %+v", data, batch, i, items[i], want[i])
+		for i := range got.scs {
+			if got.fps[i] != want.fps[i] || !reflect.DeepEqual(scenarioData(got.scs[i]), scenarioData(want.scs[i])) {
+				t.Fatalf("decodeRunBody(%q, %v) row %d = %+v %s, want %+v %s", data, batch, i, got.scs[i], got.fps[i], want.scs[i], want.fps[i])
 			}
 		}
 	})
 }
 
-// TestDecodeRunBodyAllocatesForDecodedLines: a batch's items take room
+// TestDecodeRunBodyAllocatesForDecodedLines: a batch's rows take room
 // only for lines that decode, so a 1 MiB body of blank lines, or of
 // lines that fail, allocates at most about twice its size (the newline
-// count as a hint allocated 224 MB and 112 MB), and a batch's items come
-// back at their exact count, past the stack array included.
+// count as a hint allocated 224 MB and 112 MB), and a batch's rows come
+// back at their exact count, past the stack arrays included.
 func TestDecodeRunBodyAllocatesForDecodedLines(t *testing.T) {
 	const size = 1 << 20
 	line, _ := json.Marshal(dynring.RunRequest{Scenario: pooledScenarios()[0]})
@@ -476,9 +477,10 @@ func TestDecodeRunBodyAllocatesForDecodedLines(t *testing.T) {
 	}
 	for _, n := range []int{1, 16, 17, 40} {
 		body := bytes.Repeat(append(line, '\n'), n)
-		items, err := decodeRunBody(body, true)
-		if err != nil || len(items) != n || cap(items) != n {
-			t.Errorf("%d-line batch: %d items, cap %d, error %v; want %d, cap %d", n, len(items), cap(items), err, n, n)
+		rows, err := decodeRunBody(body, true)
+		if err != nil || len(rows.scs) != n || cap(rows.scs) != n || len(rows.fps) != n || cap(rows.fps) != n {
+			t.Errorf("%d-line batch: %d rows, caps %d and %d, error %v; want %d at exact capacity",
+				n, len(rows.scs), cap(rows.scs), cap(rows.fps), err, n)
 		}
 	}
 }
@@ -489,4 +491,152 @@ func TestDecodeRunBodyAllocatesForDecodedLines(t *testing.T) {
 func scenarioData(sc dynring.Scenario) dynring.Scenario {
 	sc.NewAdversary, sc.NewProtocols, sc.Observer = nil, nil, nil
 	return sc
+}
+
+// soloHotSpec is a 48-row explicit spec shaped like perfbench's solo-hot
+// grids: three terminating algorithms × four sizes × {random(p=0.5),
+// greedy} × two seeds, each row named by its coordinates and seed.
+func soloHotSpec() dynring.SweepSpec {
+	var rows []dynring.ScenarioSpec
+	seed := int64(1) << 40
+	for _, algo := range []string{"KnownNNoChirality", "LandmarkWithChirality", "PTBoundWithChirality"} {
+		for _, n := range []int{8, 12, 16, 24} {
+			for _, adv := range []dynring.AdversarySpec{{Kind: "random", P: 0.5}, {Kind: "greedy"}} {
+				for range 2 {
+					seed = seed*6364136223846793005 + 1442695040888963407
+					s := int64(uint64(seed) >> 2)
+					rows = append(rows, dynring.ScenarioSpec{
+						Name: fmt.Sprintf("%s/n=%d/%s/%d", algo, n, adv.Label(), s), Algorithm: algo, Size: n, Seed: s,
+						Adversary: &adv,
+					})
+				}
+			}
+		}
+	}
+	return dynring.SweepSpec{Scenarios: rows}
+}
+
+// TestAdmissionAllocBound gates what POST /v1/sweeps allocates to admit a
+// solo-hot-shaped 48-row body before the scheduler sees it — decode,
+// expand and fingerprint (admitSweep) and the job that keeps the rows
+// (newJob) — and what Submit allocates to admit the same rows from a
+// SweepSpec. Every allocation left is one the job keeps: per row a name,
+// a fingerprint, an adversary factory and, for random(p=0.5), its label;
+// per job the row arrays and the job itself. Decode, expand and
+// fingerprint alone took 677 allocations (14.1 per row) before decoding
+// reused pooled storage and each row was resolved once.
+func TestAdmissionAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; gate runs in the non-race pass")
+	}
+	spec := soloHotSpec()
+	body, err := spec.AppendJSON(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := testing.AllocsPerRun(100, func() {
+		a, err := admitSweep(body)
+		if err != nil || len(a.scs) != len(spec.Scenarios) {
+			t.Fatalf("admitSweep: %d rows, %v", len(a.scs), err)
+		}
+		newJob("sw-1", "trace", a.scs, a.fps, time.Time{})
+	})
+	submit := testing.AllocsPerRun(100, func() {
+		if _, _, err := dynring.AdmitRows(nil, nil, &spec, nil, false); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const maxPost, maxSubmit = 175, 122
+	if post > maxPost || submit > maxSubmit {
+		rows := float64(len(spec.Scenarios))
+		t.Fatalf("admitting a %.0f-row spec allocates %.0f (%.2f per row) from a body and %.0f (%.2f per row) from a spec, want ≤ %d and ≤ %d",
+			rows, post, post/rows, submit, submit/rows, maxPost, maxSubmit)
+	}
+}
+
+// TestReusedDecodeStorageLeavesJobsUnchanged: POST /v1/sweeps decodes into
+// storage pooled across requests. A sweep whose rows set names, starts,
+// orientations and adversaries, then a shorter one that sets none of them,
+// then one as long as the first with other values, all through one
+// handler: every job keeps exactly the scenarios and fingerprints a fresh
+// decode of its own body gives — none of an earlier body's fields leak
+// into a later job, and no later body rewrites an earlier job — and the
+// first job streams the same bytes before and after the others.
+func TestReusedDecodeStorageLeavesJobsUnchanged(t *testing.T) {
+	m := mustNew(t, Options{Workers: 2, CacheSize: 64})
+	defer m.Close()
+	h := NewHandler(m)
+	full := func(shift int) dynring.SweepSpec {
+		var rows []dynring.ScenarioSpec
+		for i, adv := range []dynring.AdversarySpec{{Kind: "pin", Pin: 1}, {Kind: "random", P: 0.3, Act: 0.5}, {Kind: "persistent", Edge: 2}} {
+			rows = append(rows, dynring.ScenarioSpec{
+				Name: fmt.Sprintf("full-%d-%d", shift, i), Algorithm: "KnownNNoChirality", Size: 7 + i,
+				Starts: []int{shift + i, shift + i + 3}, Orients: []string{"cw", "ccw"}, Adversary: &adv, Seed: int64(shift + i),
+			})
+		}
+		return dynring.SweepSpec{Scenarios: rows}
+	}
+	specs := []dynring.SweepSpec{
+		full(0),
+		{Scenarios: []dynring.ScenarioSpec{{Algorithm: "KnownNNoChirality", Size: 9}}},
+		full(1),
+	}
+	var jobs []*Job
+	var firstStream []byte
+	stream := func(j *Job) []byte {
+		req, res := newTestRequest(http.MethodGet, "/v1/sweeps/"+j.ID+"/results", nil)
+		h.ServeHTTP(res, req)
+		return res.Body.Bytes()
+	}
+	var bodies [][]byte
+	for _, spec := range specs {
+		body, err := spec.AppendJSON(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies, body)
+	}
+	for k, body := range bodies {
+		req, res := newTestRequest(http.MethodPost, "/v1/sweeps", body)
+		h.ServeHTTP(res, req)
+		if res.Code != http.StatusCreated {
+			t.Fatalf("POST /v1/sweeps %d: %d %s", k, res.Code, res.Body)
+		}
+		var st dynring.JobStatus
+		if err := json.Unmarshal(res.Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		j, _ := m.Job(st.ID)
+		waitDone(t, j)
+		jobs = append(jobs, j)
+		if k == 0 {
+			firstStream = stream(j)
+		}
+		for i, j := range jobs {
+			fresh, err := dynring.DecodeSweepSpec(bodies[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			scs, err := fresh.ScenarioList()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(j.scenarios) != len(scs) {
+				t.Fatalf("after body %d, job %d holds %d rows, want %d", k, i, len(j.scenarios), len(scs))
+			}
+			for r, sc := range scs {
+				fp, err := sc.Fingerprint()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(scenarioData(j.scenarios[r]), scenarioData(sc)) || j.fps[r] != fp {
+					t.Errorf("after body %d, job %d row %d = %+v %s, want %+v %s",
+						k, i, r, scenarioData(j.scenarios[r]), j.fps[r], scenarioData(sc), fp)
+				}
+			}
+		}
+	}
+	if again := stream(jobs[0]); !bytes.Equal(again, firstStream) {
+		t.Errorf("first job streams\\n%s\\nafter later bodies, and streamed\\n%s\\nbefore them", again, firstStream)
+	}
 }

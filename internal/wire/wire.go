@@ -197,6 +197,19 @@ func (l *Lexer) String() string {
 	return ""
 }
 
+// Intern consumes a string value as String does, but returns the string
+// names maps it to, without allocating, when names holds it.
+func (l *Lexer) Intern(names map[string]string) string {
+	b := l.raw()
+	if l.bad {
+		return ""
+	}
+	if s, ok := names[string(b)]; ok {
+		return s
+	}
+	return string(b)
+}
+
 // null consumes a null literal if one comes next and reports whether it
 // did.
 func (l *Lexer) null() bool {
@@ -333,11 +346,6 @@ func (l *Lexer) Int64s() []int64 {
 	return out
 }
 
-// Objects consumes an array's opening bracket and returns a capacity hint
-// for an array of objects: the number of its top-level elements that open
-// with '{', or 0 on failure.
-func (l *Lexer) Objects() int { return l.elems("{") }
-
 // intOpens are the bytes an integer element can open with.
 const intOpens = "-0123456789"
 
@@ -383,13 +391,18 @@ func (l *Lexer) elems(opens string) int {
 	return n
 }
 
-// Strings consumes an array of strings; [] reads as an empty slice.
-func (l *Lexer) Strings() []string {
-	out := make([]string, 0, l.elems(`"`))
-	for i := 0; l.Next(i, ']'); i++ {
-		out = append(out, l.String())
+// Strings consumes an array of strings into dst's storage, reusing it
+// when it holds the elements, and reads each element as Intern does; []
+// reads as an empty slice.
+func (l *Lexer) Strings(dst []string, names map[string]string) []string {
+	if n := l.elems(`"`); dst == nil || cap(dst) < n {
+		dst = make([]string, 0, n)
 	}
-	return out
+	dst = dst[:0]
+	for i := 0; l.Next(i, ']'); i++ {
+		dst = append(dst, l.Intern(names))
+	}
+	return dst
 }
 
 // AppendTime appends t as time.Time.MarshalJSON encodes it: an RFC 3339

@@ -145,6 +145,36 @@ func TestLexerStrings(t *testing.T) {
 				t.Errorf("String(%s) = %q, encoding/json %q (%v)", in, got, want, err)
 			}
 		}
+		l = NewLexer([]byte(in))
+		if interned := l.Intern(nil); l.End() != ok || interned != got {
+			t.Errorf("Intern(%s) = %q ok=%v, String %q ok=%v", in, interned, l.End(), got, ok)
+		}
+	}
+}
+
+// TestLexerIntern: a string the table holds comes back as the table's
+// own string, without allocating, and Strings reads its elements so and
+// into the storage it is given when that holds them.
+func TestLexerIntern(t *testing.T) {
+	names := map[string]string{"cw": "cw", "ccw": "ccw"}
+	data := []byte(`["cw","ccw","cw"]`)
+	dst := make([]string, 0, 4)
+	allocs := testing.AllocsPerRun(20, func() {
+		l := NewLexer(data)
+		if got := l.Strings(dst, names); !l.End() || len(got) != 3 || &got[0] != &dst[:1][0] || got[1] != "ccw" {
+			t.Fatalf("Strings(%s) = %q ok=%v, want it in dst's storage", data, got, l.End())
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Strings of interned elements into roomy storage allocated %.0f times", allocs)
+	}
+	l := NewLexer([]byte(`["cw","other"]`))
+	if got := l.Strings(make([]string, 0, 1), names); !l.End() || len(got) != 2 || got[1] != "other" {
+		t.Errorf("Strings past dst's capacity = %q ok=%v", got, l.End())
+	}
+	l = NewLexer([]byte(`[]`))
+	if got := l.Strings(nil, names); !l.End() || got == nil {
+		t.Errorf("Strings([]) into nil storage = %#v, want an empty slice", got)
 	}
 }
 
@@ -183,8 +213,9 @@ func TestLexerContainers(t *testing.T) {
 }
 
 // TestLexerElementHints: the capacity hint of an array counts its
-// top-level elements that open with a byte of their kind — '{' for
-// Objects, '"' for Strings, a digit or '-' for Ints and Int64s — and
+// top-level elements that open with a byte of their kind — '"' for
+// Strings, a digit or '-' for Ints and Int64s, '{' here to exercise
+// nesting — and
 // nothing inside strings or nested values, nothing of another kind and
 // nothing past the array, so it never exceeds what a successful decode of
 // the same bytes holds. The decoders size their slices by it exactly.
@@ -220,13 +251,9 @@ func TestLexerElementHints(t *testing.T) {
 			t.Errorf("elems(%q) of %s = %d, want %d", tc.opens, tc.in, got, tc.want)
 		}
 	}
-	l := NewLexer([]byte(`[{}, {}]`))
-	if got := l.Objects(); got != 2 {
-		t.Errorf("Objects([{}, {}]) = %d, want 2", got)
-	}
 	for _, in := range []string{`[]`, `["a", "b,c"]`} {
 		l := NewLexer([]byte(in))
-		if got := l.Strings(); !l.End() || got == nil || cap(got) != len(got) {
+		if got := l.Strings(nil, nil); !l.End() || got == nil || cap(got) != len(got) {
 			t.Errorf("Strings(%s) = %#v with cap %d", in, got, cap(got))
 		}
 	}

@@ -149,11 +149,14 @@ type Scenario struct {
 }
 
 // resolved is a validated scenario with every default filled in, ready to
-// assemble a World.
+// assemble a World once built (see resolveRings).
 type resolved struct {
-	ring      *ring.Ring
-	spec      Algorithm // zero for custom protocol factories
-	protos    []Protocol
+	ring   *ring.Ring // nil until built
+	spec   Algorithm  // zero for custom protocol factories
+	protos []Protocol
+	agents int
+	// starts and orients are the scenario's own; until built, nil stands
+	// for the default (even spacing, all CW) — see start and orient.
 	starts    []int
 	orients   []GlobalDir
 	model     Model
@@ -163,11 +166,28 @@ type resolved struct {
 	params core.Params
 }
 
+// start and orient are agent i's start node and orientation, defaults
+// included.
+func (r *resolved) start(i, size int) int {
+	if r.starts == nil {
+		return i * size / r.agents
+	}
+	return r.starts[i]
+}
+
+func (r *resolved) orient(i int) GlobalDir {
+	if r.orients == nil {
+		return CW
+	}
+	return r.orients[i]
+}
+
 // resolve validates s and fills in defaults. It is the single source of
-// truth behind Validate, NewWorld and Run. With build=false the registry
-// protocols are not constructed (validation needs only the spec); a
-// NewProtocols factory is still invoked either way, since the agent count is
-// known only to it.
+// truth behind Validate, Fingerprint, NewWorld and Run. With build=false
+// nothing is built — no ring, no default starts or orients, no registry
+// protocols — so resolving a registry scenario allocates nothing; a
+// NewProtocols factory is still invoked either way, since the agent count
+// is known only to it.
 func (s Scenario) resolve(build bool) (resolved, error) {
 	return s.resolveRings(build, ring.NewWithLandmark)
 }
@@ -186,13 +206,10 @@ func (s Scenario) resolveRings(build bool, newRing func(n, landmark int) (*ring.
 		r.spec = spec
 	}
 
-	rg, err := newRing(s.Size, s.Landmark)
-	if err != nil {
+	if err := ring.Check(s.Size, s.Landmark); err != nil {
 		return r, err
 	}
-	r.ring = rg
 
-	agents := 0
 	if s.NewProtocols != nil {
 		protos, err := s.NewProtocols()
 		if err != nil {
@@ -202,35 +219,23 @@ func (s Scenario) resolveRings(build bool, newRing func(n, landmark int) (*ring.
 			return r, fmt.Errorf("%w: NewProtocols returned no agents", ErrRequirement)
 		}
 		r.protos = protos
-		agents = len(protos)
+		r.agents = len(protos)
 	} else {
-		agents = r.spec.Agents
-		if r.spec.NeedsLandmark && !rg.HasLandmark() {
+		r.agents = r.spec.Agents
+		if r.spec.NeedsLandmark && s.Landmark == ring.NoLandmark {
 			return r, fmt.Errorf("%w: %s needs a landmark node", ErrRequirement, r.spec.Name)
 		}
 	}
 
 	r.starts = s.Starts
-	if r.starts == nil {
-		r.starts = make([]int, agents)
-		for i := range r.starts {
-			r.starts[i] = i * s.Size / agents
-		}
-	}
-	if len(r.starts) != agents {
+	if r.starts != nil && len(r.starts) != r.agents {
 		return r, fmt.Errorf("%w: %s uses %d agents, got %d starts",
-			ErrRequirement, s.algoLabel(), agents, len(r.starts))
+			ErrRequirement, s.algoLabel(), r.agents, len(r.starts))
 	}
 	r.orients = s.Orients
-	if r.orients == nil {
-		r.orients = make([]GlobalDir, agents)
-		for i := range r.orients {
-			r.orients[i] = CW
-		}
-	}
-	if len(r.orients) != agents {
+	if r.orients != nil && len(r.orients) != r.agents {
 		return r, fmt.Errorf("%w: %s uses %d agents, got %d orientations",
-			ErrRequirement, s.algoLabel(), agents, len(r.orients))
+			ErrRequirement, s.algoLabel(), r.agents, len(r.orients))
 	}
 
 	if s.NewProtocols == nil {
@@ -257,7 +262,7 @@ func (s Scenario) resolveRings(build bool, newRing func(n, landmark int) (*ring.
 		}
 		r.params = params
 		if build {
-			protos, err := core.Build(r.spec.Name, agents, params)
+			protos, err := core.Build(r.spec.Name, r.agents, params)
 			if err != nil {
 				return r, err
 			}
@@ -282,6 +287,28 @@ func (s Scenario) resolveRings(build bool, newRing func(n, landmark int) (*ring.
 	r.maxRounds = s.MaxRounds
 	if r.maxRounds <= 0 {
 		r.maxRounds = DefaultBudget(r.spec, s.Size)
+	}
+
+	if build {
+		rg, err := newRing(s.Size, s.Landmark)
+		if err != nil {
+			return r, err
+		}
+		r.ring = rg
+		if r.starts == nil {
+			starts := make([]int, r.agents)
+			for i := range starts {
+				starts[i] = r.start(i, s.Size)
+			}
+			r.starts = starts
+		}
+		if r.orients == nil {
+			orients := make([]GlobalDir, r.agents)
+			for i := range orients {
+				orients[i] = r.orient(i)
+			}
+			r.orients = orients
+		}
 	}
 	return r, nil
 }
@@ -342,7 +369,7 @@ var fingerprintV2AdversaryKinds = map[string]bool{
 
 // fingerprintVersionFor selects the encoding version the resolved scenario
 // needs: v2 when it exercises any post-v1 feature, v1 otherwise.
-func (s Scenario) fingerprintVersionFor(r resolved) string {
+func (s *Scenario) fingerprintVersionFor(r *resolved) string {
 	if fingerprintV2Algorithms[r.spec.Name] {
 		return fingerprintVersionV2
 	}
@@ -401,10 +428,20 @@ func (s Scenario) Fingerprint() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	// The buffer lives on Fingerprint's stack: appending into it, rather
-	// than allocating inside fingerprintPreimage, saves a heap allocation.
+	return s.fingerprint(&r), nil
+}
+
+// fingerprint is Fingerprint of a scenario resolved without build, which
+// has neither a NewProtocols factory nor an unlabelled NewAdversary. Its
+// one allocation is the string it returns.
+func (s *Scenario) fingerprint(r *resolved) string {
+	// The buffers live on the stack: appending the pre-image into one,
+	// rather than allocating inside fingerprintPreimage, and encoding the
+	// digest into the other saves a heap allocation each.
 	sum := sha256.Sum256(s.fingerprintPreimage(make([]byte, 0, 256), r))
-	return hex.EncodeToString(sum[:16]), nil
+	var h [32]byte
+	hex.Encode(h[:], sum[:16])
+	return string(h[:])
 }
 
 // fingerprintPreimage appends the hashed text of the resolved scenario to
@@ -421,7 +458,7 @@ func (s Scenario) Fingerprint() (string, error) {
 // encoded as "adv=-", outside the "adv=<len>:<label>" value space, so no
 // label (not even a literal "nil" or "none") can collide with adversary
 // absence.
-func (s Scenario) fingerprintPreimage(b []byte, r resolved) []byte {
+func (s *Scenario) fingerprintPreimage(b []byte, r *resolved) []byte {
 	b = append(b, s.fingerprintVersionFor(r)...)
 	b = append(b, "\nsize="...)
 	b = strconv.AppendInt(b, int64(s.Size), 10)
@@ -436,18 +473,18 @@ func (s Scenario) fingerprintPreimage(b []byte, r resolved) []byte {
 	b = append(b, " es="...)
 	b = strconv.AppendInt(b, int64(r.params.ExactSize), 10)
 	b = append(b, "\nstarts=["...)
-	for i, v := range r.starts {
+	for i := range r.agents {
 		if i > 0 {
 			b = append(b, ' ')
 		}
-		b = strconv.AppendInt(b, int64(v), 10)
+		b = strconv.AppendInt(b, int64(r.start(i, s.Size)), 10)
 	}
 	b = append(b, "] orients=["...)
-	for i, d := range r.orients {
+	for i := range r.agents {
 		if i > 0 {
 			b = append(b, ' ')
 		}
-		b = append(b, d.String()...)
+		b = append(b, r.orient(i).String()...)
 	}
 	b = append(b, "]\nadv="...)
 	if s.NewAdversary != nil {

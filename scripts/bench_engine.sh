@@ -2,9 +2,9 @@
 # Runs the engine/runner benchmarks with allocation tracking and emits
 # BENCH_engine.json so the perf trajectory is machine-readable. Fails hard
 # if the zero-allocation steady-state gates (FSYNC, and SSYNC under the
-# stock adversaries), the Scenario.Fingerprint allocation bound, the Runner
-# batch-reuse allocation bound, or the leap/slow equivalence property
-# regress.
+# stock adversaries), the Scenario.Fingerprint allocation bound, the
+# service's admission allocation bound, the Runner batch-reuse allocation
+# bound, or the leap/slow equivalence property regress.
 #
 #   scripts/bench_engine.sh [output.json]
 #   BENCHTIME=2000x scripts/bench_engine.sh
@@ -23,6 +23,7 @@ trap 'rm -f "$TMP"' EXIT
 # fail the build before any numbers are published.
 go test -count=1 -run 'TestStepZeroAllocSteadyState|TestLeapSkipsBlockedRounds' ./internal/sim
 go test -count=1 -run 'TestScenarioStepZeroAllocSteadyState|TestScenarioStepZeroAllocStockAdversaries|TestFingerprintAllocBound|TestRunnerMatchesScenarioRun|TestRunnerBatchedAllocBound|TestLeapSlowEquivalenceProperty' .
+go test -count=1 -run 'TestAdmissionAllocBound' ./internal/service
 
 go test -run '^$' -bench 'BenchmarkEngine_|BenchmarkRunner_|BenchmarkSweep|BenchmarkLeap_' \
   -benchmem -benchtime "${BENCHTIME:-1000x}" . | tee "$TMP"

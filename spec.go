@@ -7,7 +7,9 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 
+	"dynring/internal/core"
 	"dynring/internal/wire"
 )
 
@@ -57,27 +59,34 @@ type AdversarySpec struct {
 // Scenario.Fingerprint, so it must (and does) encode every parameter that
 // changes the dynamics.
 func (a AdversarySpec) Label() string {
-	var l string
+	act := a.Act > 0 && a.Act < 1
+	// The label is built in a buffer on the stack, so its one allocation
+	// is the string returned. fmt's %g is 'g' at the shortest precision.
+	var buf [64]byte
+	b := buf[:0]
+	if act {
+		b = append(strconv.AppendFloat(append(b, "act("...), a.Act, 'g', -1, 64), ")+"...)
+	}
 	switch a.Kind {
 	case "random":
-		l = fmt.Sprintf("random(p=%g)", a.P)
+		b = strconv.AppendFloat(append(b, "random(p="...), a.P, 'g', -1, 64)
 	case "pin":
-		l = fmt.Sprintf("pin(%d)", a.Pin)
+		b = strconv.AppendInt(append(b, "pin("...), int64(a.Pin), 10)
 	case "persistent":
-		l = fmt.Sprintf("persistent(%d)", a.Edge)
+		b = strconv.AppendInt(append(b, "persistent("...), int64(a.Edge), 10)
 	case "tinterval":
-		l = fmt.Sprintf("tinterval(T=%d)", a.T)
+		b = strconv.AppendInt(append(b, "tinterval(T="...), int64(a.T), 10)
 	case "capped":
-		l = fmt.Sprintf("capped(r=%d)", a.R)
+		b = strconv.AppendInt(append(b, "capped(r="...), int64(a.R), 10)
 	case "recurrent":
-		l = fmt.Sprintf("recurrent(w=%d)", a.W)
+		b = strconv.AppendInt(append(b, "recurrent(w="...), int64(a.W), 10)
 	default:
-		l = a.Kind
+		if !act {
+			return a.Kind
+		}
+		return string(append(b, a.Kind...))
 	}
-	if a.Act > 0 && a.Act < 1 {
-		l = fmt.Sprintf("act(%g)+%s", a.Act, l)
-	}
-	return l
+	return string(append(b, ')'))
 }
 
 // Factory builds the adversary factory the spec describes. Seeded strategies
@@ -432,22 +441,34 @@ func (sp SweepSpec) ScenarioList() ([]Scenario, error) {
 		}
 		return sw.Scenarios()
 	}
-	if len(sp.Algorithms)+len(sp.Sizes)+len(sp.Seeds)+len(sp.Adversaries) > 0 ||
-		!reflect.DeepEqual(sp.Base, ScenarioSpec{}) {
-		return nil, fmt.Errorf("dynring: SweepSpec mixes explicit scenarios with base/axes — use one form")
+	if err := sp.checkExplicit(); err != nil {
+		return nil, err
 	}
 	out := make([]Scenario, len(sp.Scenarios))
-	for i, ss := range sp.Scenarios {
-		sc, err := ss.Scenario()
+	for i := range sp.Scenarios {
+		sc, _, err := sp.Scenarios[i].materialize()
 		if err != nil {
-			return nil, fmt.Errorf("dynring: scenarios[%d]: %w", i, err)
-		}
-		if err := sc.Validate(); err != nil {
-			return nil, fmt.Errorf("dynring: scenarios[%d]: %w", i, err)
+			return nil, rowError(i, err)
 		}
 		out[i] = sc
 	}
 	return out, nil
+}
+
+// checkExplicit rejects an explicit-list spec that also sets base or axes.
+func (sp *SweepSpec) checkExplicit() error {
+	// IsZero, unlike a DeepEqual against ScenarioSpec{}, boxes nothing;
+	// the two agree, since ScenarioSpec holds no floats.
+	if len(sp.Algorithms)+len(sp.Sizes)+len(sp.Seeds)+len(sp.Adversaries) > 0 ||
+		!reflect.ValueOf(&sp.Base).Elem().IsZero() {
+		return fmt.Errorf("dynring: SweepSpec mixes explicit scenarios with base/axes — use one form")
+	}
+	return nil
+}
+
+// rowError names the explicit-list row an expansion error comes from.
+func rowError(i int, err error) error {
+	return fmt.Errorf("dynring: scenarios[%d]: %w", i, err)
 }
 
 // Sweep materializes the spec. Axis expansion and validation still happen in
@@ -602,13 +623,13 @@ func appendFloat(dst []byte, key string, v float64) ([]byte, error) {
 // accepted and the error for what is not. Either way only whitespace may
 // follow the spec.
 func DecodeSweepSpec(data []byte) (SweepSpec, error) {
-	var sp SweepSpec
+	d := getScratch()
+	defer putScratch(d)
 	l := wire.NewLexer(data)
-	readSweepSpec(&l, &sp)
-	if l.End() {
-		return sp, nil
+	if readSweepSpec(&l, &d.spec); l.End() {
+		return d.spec.clone(), nil
 	}
-	sp = SweepSpec{}
+	var sp SweepSpec
 	return sp, decodeStrict(data, &sp)
 }
 
@@ -628,10 +649,86 @@ func decodeStrict(data []byte, v any) error {
 	return nil
 }
 
+// scratch is the storage the fast path decodes request bodies into, pooled
+// across requests: the rows of a POST /v1/sweeps body, or the scenario of
+// a POST /v1/run row. Its decoders reuse what it holds (see readSweepSpec)
+// and their callers copy out what they keep.
+type scratch struct {
+	spec SweepSpec
+	row  ScenarioSpec
+}
+
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
+
+// maxPooledRows bounds the rows a pooled scratch keeps room for; a rare
+// larger body's scratch is left to the collector.
+const maxPooledRows = 1024
+
+func getScratch() *scratch { return scratches.Get().(*scratch) }
+
+func putScratch(d *scratch) {
+	if cap(d.spec.Scenarios) <= maxPooledRows && cap(d.spec.Adversaries) <= maxPooledRows {
+		scratches.Put(d)
+	}
+}
+
+// closedNames interns the strings a spec draws from a closed set — the
+// registry's algorithm names, the adversary kinds, the model names and the
+// orientations — so the fast path reads them without allocating.
+var closedNames = func() map[string]string {
+	names := map[string]string{}
+	for _, s := range append(core.Names(),
+		"none", "random", "greedy", "frontier", "pin", "persistent", "prevent", "tinterval", "capped", "recurrent",
+		"default", "fsync", "ssync-ns", "ssync/ns", "ssync-pt", "ssync/pt", "ssync-et", "ssync/et",
+		"cw", "ccw") {
+		names[s] = s
+	}
+	return names
+}()
+
+// clone copies sp out of decode storage: every array at its exact size,
+// and fresh adversary specs. The strings, Starts and the axis arrays are
+// never reused by the decoders, so they are shared.
+func (sp *SweepSpec) clone() SweepSpec {
+	out := *sp
+	out.Base = sp.Base.clone()
+	out.Adversaries = exact(sp.Adversaries)
+	if sp.Scenarios != nil {
+		out.Scenarios = make([]ScenarioSpec, len(sp.Scenarios))
+		for i := range sp.Scenarios {
+			out.Scenarios[i] = sp.Scenarios[i].clone()
+		}
+	}
+	return out
+}
+
+func (sp ScenarioSpec) clone() ScenarioSpec {
+	sp.Orients = exact(sp.Orients)
+	if sp.Adversary != nil {
+		a := *sp.Adversary
+		sp.Adversary = &a
+	}
+	return sp
+}
+
+// exact copies s into an array of exactly its length; nil stays nil.
+func exact[T any](s []T) []T {
+	if s == nil {
+		return nil
+	}
+	return append(make([]T, 0, len(s)), s...)
+}
+
 // readSweepSpec, readScenarioSpec and readAdversarySpec are the spec
 // decoders' fast path over the form json.Marshal emits; anything else
-// fails l.
+// fails l. They decode into the storage an earlier decode left in sp —
+// the Scenarios and Adversaries arrays, each row's adversary spec and
+// orientation array — and clear every field they do not read, so what they
+// return never depends on what sp held. Strings, Starts and the axis
+// arrays are allocated afresh, closed-set strings excepted.
 func readSweepSpec(l *wire.Lexer, sp *SweepSpec) {
+	rows, advs := sp.Scenarios[:0], sp.Adversaries[:0]
+	*sp = SweepSpec{}
 	var seen uint64
 	l.Expect('{')
 	for i := 0; l.Next(i, '}'); i++ {
@@ -641,7 +738,7 @@ func readSweepSpec(l *wire.Lexer, sp *SweepSpec) {
 			readScenarioSpec(l, &sp.Base)
 		case "algorithms":
 			l.Field(&seen, 1)
-			sp.Algorithms = l.Strings()
+			sp.Algorithms = l.Strings(nil, closedNames)
 		case "sizes":
 			l.Field(&seen, 2)
 			sp.Sizes = l.Ints()
@@ -650,18 +747,30 @@ func readSweepSpec(l *wire.Lexer, sp *SweepSpec) {
 			sp.Seeds = l.Int64s()
 		case "adversaries":
 			l.Field(&seen, 4)
-			sp.Adversaries = make([]AdversarySpec, 0, l.Objects())
-			for j := 0; l.Next(j, ']'); j++ {
-				sp.Adversaries = append(sp.Adversaries, AdversarySpec{})
-				readAdversarySpec(l, &sp.Adversaries[j])
+			l.Expect('[')
+			if advs == nil {
+				advs = []AdversarySpec{}
 			}
+			for j := 0; l.Next(j, ']'); j++ {
+				advs = append(advs, AdversarySpec{})
+				readAdversarySpec(l, &advs[j])
+			}
+			sp.Adversaries = advs
 		case "scenarios":
 			l.Field(&seen, 5)
-			sp.Scenarios = make([]ScenarioSpec, 0, l.Objects())
-			for j := 0; l.Next(j, ']'); j++ {
-				sp.Scenarios = append(sp.Scenarios, ScenarioSpec{})
-				readScenarioSpec(l, &sp.Scenarios[j])
+			l.Expect('[')
+			if rows == nil {
+				rows = []ScenarioSpec{}
 			}
+			for j := 0; l.Next(j, ']'); j++ {
+				if j < cap(rows) {
+					rows = rows[:j+1]
+				} else {
+					rows = append(rows, ScenarioSpec{})
+				}
+				readScenarioSpec(l, &rows[j])
+			}
+			sp.Scenarios = rows
 		default:
 			l.Fail()
 		}
@@ -669,6 +778,8 @@ func readSweepSpec(l *wire.Lexer, sp *SweepSpec) {
 }
 
 func readScenarioSpec(l *wire.Lexer, sp *ScenarioSpec) {
+	orients, adv := sp.Orients, sp.Adversary
+	*sp = ScenarioSpec{}
 	var seen uint64
 	l.Expect('{')
 	for i := 0; l.Next(i, '}'); i++ {
@@ -684,10 +795,10 @@ func readScenarioSpec(l *wire.Lexer, sp *ScenarioSpec) {
 			sp.Landmark = l.Int()
 		case "algorithm":
 			l.Field(&seen, 3)
-			sp.Algorithm = l.String()
+			sp.Algorithm = l.Intern(closedNames)
 		case "model":
 			l.Field(&seen, 4)
-			sp.Model = l.String()
+			sp.Model = l.Intern(closedNames)
 		case "upper_bound":
 			l.Field(&seen, 5)
 			sp.UpperBound = l.Int()
@@ -699,11 +810,14 @@ func readScenarioSpec(l *wire.Lexer, sp *ScenarioSpec) {
 			sp.Starts = l.Ints()
 		case "orients":
 			l.Field(&seen, 8)
-			sp.Orients = l.Strings()
+			sp.Orients = l.Strings(orients, closedNames)
 		case "adversary":
 			l.Field(&seen, 9)
-			sp.Adversary = new(AdversarySpec)
-			readAdversarySpec(l, sp.Adversary)
+			if adv == nil {
+				adv = new(AdversarySpec)
+			}
+			sp.Adversary = adv
+			readAdversarySpec(l, adv)
 		case "seed":
 			l.Field(&seen, 10)
 			sp.Seed = l.Int64()
@@ -726,13 +840,14 @@ func readScenarioSpec(l *wire.Lexer, sp *ScenarioSpec) {
 }
 
 func readAdversarySpec(l *wire.Lexer, a *AdversarySpec) {
+	*a = AdversarySpec{}
 	var seen uint64
 	l.Expect('{')
 	for i := 0; l.Next(i, '}'); i++ {
 		switch string(l.Key()) {
 		case "kind":
 			l.Field(&seen, 0)
-			a.Kind = l.String()
+			a.Kind = l.Intern(closedNames)
 		case "p":
 			l.Field(&seen, 1)
 			a.P = l.Float()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -35,6 +36,45 @@ func TestAdversarySpecLabels(t *testing.T) {
 			t.Errorf("Label(%+v) = %q, want %q", tt.spec, got, tt.want)
 		}
 	}
+	// Label is byte for byte the fmt formula it replaced: every label is
+	// part of a fingerprint.
+	fmtLabel := func(a dynring.AdversarySpec) string {
+		var l string
+		switch a.Kind {
+		case "random":
+			l = fmt.Sprintf("random(p=%g)", a.P)
+		case "pin":
+			l = fmt.Sprintf("pin(%d)", a.Pin)
+		case "persistent":
+			l = fmt.Sprintf("persistent(%d)", a.Edge)
+		case "tinterval":
+			l = fmt.Sprintf("tinterval(T=%d)", a.T)
+		case "capped":
+			l = fmt.Sprintf("capped(r=%d)", a.R)
+		case "recurrent":
+			l = fmt.Sprintf("recurrent(w=%d)", a.W)
+		default:
+			l = a.Kind
+		}
+		if a.Act > 0 && a.Act < 1 {
+			l = fmt.Sprintf("act(%g)+%s", a.Act, l)
+		}
+		return l
+	}
+	floats := []float64{0, 0.5, 1, -1, 1e-7, 1e-300, 5e-324, 0.1 + 0.2, 1e21, 123456789, math.Inf(1), math.Inf(-1), math.NaN()}
+	ints := []int{0, 1, -7, math.MaxInt64, math.MinInt64}
+	for _, kind := range []string{"none", "random", "greedy", "frontier", "pin", "persistent", "prevent", "tinterval", "capped", "recurrent", "", "custom kind"} {
+		for i, f := range floats {
+			n := ints[i%len(ints)]
+			for _, act := range floats {
+				a := dynring.AdversarySpec{Kind: kind, P: f, Edge: n, Pin: n + 1, T: n - 1, R: n, W: n + 2, Act: act}
+				if got, want := a.Label(), fmtLabel(a); got != want {
+					t.Errorf("Label(%+v) = %q, fmt formula %q", a, got, want)
+				}
+			}
+		}
+	}
+
 	// Labels must separate parameterizations: same kind, different params.
 	a := dynring.AdversarySpec{Kind: "random", P: 0.4}.Label()
 	b := dynring.AdversarySpec{Kind: "random", P: 0.5}.Label()
@@ -390,8 +430,9 @@ func explicitSpecJSON(t testing.TB, n int) []byte {
 
 // TestDecodeSweepSpecSizesScenariosOnce: decoding a 48-row spec costs the
 // allocations of a 1-row spec plus 47 times what each further row adds.
-// Growing Scenarios by append would add six more (1, 2, 4, ..., 64 slots
-// for 48 rows), so this pins the array at one allocation of exactly 48.
+// Growing the copied-out Scenarios by append would add six more (1, 2, 4,
+// ..., 64 slots for 48 rows), so this pins the array at one allocation of
+// exactly 48.
 func TestDecodeSweepSpecSizesScenariosOnce(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")

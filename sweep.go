@@ -82,6 +82,16 @@ type SweepResult struct {
 // deterministically derived seed; invalid combinations abort the expansion
 // with a descriptive error, before anything runs.
 func (s Sweep) Scenarios() ([]Scenario, error) {
+	out, _, err := s.expand(nil, nil, false)
+	return out, err
+}
+
+// expand appends the grid's scenarios to scs, in grid order, and with
+// fingerprint each one's fingerprint to fps, taken from the resolve that
+// validates it. Only a grid of fingerprintable scenarios — one expanded
+// from a SweepSpec — may ask for fingerprints. On error scs and fps keep
+// their length.
+func (s Sweep) expand(scs []Scenario, fps []string, fingerprint bool) ([]Scenario, []string, error) {
 	algos := s.Algorithms
 	if len(algos) == 0 {
 		algos = []string{s.Base.Algorithm}
@@ -110,7 +120,12 @@ func (s Sweep) Scenarios() ([]Scenario, error) {
 		advs = []SweepAdversary{{Name: label, New: s.Base.NewAdversary}}
 	}
 
-	out := make([]Scenario, 0, len(algos)*len(sizes)*len(advs)*len(seeds))
+	n, m := len(scs), len(fps)
+	total := len(algos) * len(sizes) * len(advs) * len(seeds)
+	scs = grow(scs, total)
+	if fingerprint {
+		fps = grow(fps, total)
+	}
 	for _, algo := range algos {
 		for _, size := range sizes {
 			for _, adv := range advs {
@@ -123,15 +138,19 @@ func (s Sweep) Scenarios() ([]Scenario, error) {
 					sc.Seed = sweep.SeedFor(seed, algo, size, adv.Name)
 					sc.Observer = nil
 					sc.Name = fmt.Sprintf("%s/n=%d/%s/seed=%d", algo, size, adv.Name, seed)
-					if err := sc.Validate(); err != nil {
-						return nil, fmt.Errorf("sweep scenario %s: %w", sc.Name, err)
+					r, err := sc.resolve(false)
+					if err != nil {
+						return scs[:n], fps[:m], fmt.Errorf("sweep scenario %s: %w", sc.Name, err)
 					}
-					out = append(out, sc)
+					scs = append(scs, sc)
+					if fingerprint {
+						fps = append(fps, sc.fingerprint(&r))
+					}
 				}
 			}
 		}
 	}
-	return out, nil
+	return scs, fps, nil
 }
 
 // ScenarioRunner executes one expanded scenario of a sweep. It is the
