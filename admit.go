@@ -14,13 +14,13 @@ import "dynring/internal/wire"
 // Rows and errors are exactly what decoding, ScenarioList (for a
 // RunRequest, ScenarioSpec.Scenario and Validate) and Fingerprint give,
 // but each row is resolved once, for validation and fingerprint alike;
-// body is decoded into storage pooled across calls, closed-set strings
-// cost nothing, and nothing appended points into that storage or into
-// body. Nil scs and fps are allocated at the exact row count. On error
-// they keep their length.
+// body is decoded into storage pooled across calls, registry algorithm
+// names and adversary kinds cost nothing, and nothing appended points into
+// that storage or into body. Nil scs and fps are allocated at the exact
+// row count. On error they keep their length.
 func AdmitRows(scs []Scenario, fps []string, spec *SweepSpec, body []byte, run bool) ([]Scenario, []string, error) {
 	if spec != nil {
-		return spec.appendRows(scs, fps)
+		return spec.appendRows(scs, fps, true)
 	}
 	d := getScratch()
 	defer putScratch(d)
@@ -47,31 +47,39 @@ func AdmitRows(scs []Scenario, fps []string, spec *SweepSpec, body []byte, run b
 			return scs, fps, err
 		}
 	}
-	return sp.appendRows(scs, fps)
+	return sp.appendRows(scs, fps, true)
 }
 
-// appendRows is AdmitRows over a decoded spec.
-func (sp *SweepSpec) appendRows(scs []Scenario, fps []string) ([]Scenario, []string, error) {
+// appendRows appends the rows ScenarioList expands sp to, and with
+// fingerprint each row's fingerprint, as Sweep.expand does for a grid.
+func (sp *SweepSpec) appendRows(scs []Scenario, fps []string, fingerprint bool) ([]Scenario, []string, error) {
 	if len(sp.Scenarios) == 0 {
 		sw, err := sp.Sweep()
 		if err != nil {
 			return scs, fps, err
 		}
-		return sw.expand(scs, fps, true)
+		return sw.expand(scs, fps, fingerprint)
 	}
 	if err := sp.checkExplicit(); err != nil {
 		return scs, fps, err
 	}
 	n, m := len(scs), len(fps)
-	scs, fps = grow(scs, len(sp.Scenarios)), grow(fps, len(sp.Scenarios))
+	scs = grow(scs, len(sp.Scenarios))
+	if fingerprint {
+		fps = grow(fps, len(sp.Scenarios))
+	}
 	for i := range sp.Scenarios {
 		sc, r, err := sp.Scenarios[i].materialize()
 		if err != nil {
 			return scs[:n], fps[:m], rowError(i, err)
 		}
-		// A scenario built from a spec has no NewProtocols factory, and
-		// its adversary, if any, is labelled: it is fingerprintable.
-		scs, fps = append(scs, sc), append(fps, sc.fingerprint(&r))
+		scs = append(scs, sc)
+		if fingerprint {
+			// A scenario built from a spec has no NewProtocols factory,
+			// and its adversary, if any, is labelled: it is
+			// fingerprintable.
+			fps = append(fps, sc.fingerprint(&r))
+		}
 	}
 	return scs, fps, nil
 }

@@ -391,18 +391,13 @@ func (l *Lexer) elems(opens string) int {
 	return n
 }
 
-// Strings consumes an array of strings into dst's storage, reusing it
-// when it holds the elements, and reads each element as Intern does; []
-// reads as an empty slice.
-func (l *Lexer) Strings(dst []string, names map[string]string) []string {
-	if n := l.elems(`"`); dst == nil || cap(dst) < n {
-		dst = make([]string, 0, n)
-	}
-	dst = dst[:0]
+// Strings consumes an array of strings; [] reads as an empty slice.
+func (l *Lexer) Strings() []string {
+	out := make([]string, 0, l.elems(`"`))
 	for i := 0; l.Next(i, ']'); i++ {
-		dst = append(dst, l.Intern(names))
+		out = append(out, l.String())
 	}
-	return dst
+	return out
 }
 
 // AppendTime appends t as time.Time.MarshalJSON encodes it: an RFC 3339

@@ -152,29 +152,20 @@ func TestLexerStrings(t *testing.T) {
 	}
 }
 
-// TestLexerIntern: a string the table holds comes back as the table's
-// own string, without allocating, and Strings reads its elements so and
-// into the storage it is given when that holds them.
+// TestLexerIntern: a string the table holds comes back without
+// allocating; any other string is read as String reads it.
 func TestLexerIntern(t *testing.T) {
-	names := map[string]string{"cw": "cw", "ccw": "ccw"}
-	data := []byte(`["cw","ccw","cw"]`)
-	dst := make([]string, 0, 4)
-	allocs := testing.AllocsPerRun(20, func() {
-		l := NewLexer(data)
-		if got := l.Strings(dst, names); !l.End() || len(got) != 3 || &got[0] != &dst[:1][0] || got[1] != "ccw" {
-			t.Fatalf("Strings(%s) = %q ok=%v, want it in dst's storage", data, got, l.End())
+	names := map[string]string{"greedy": "greedy"}
+	for in, want := range map[string]float64{`"greedy"`: 0, `"other"`: 1} {
+		allocs := testing.AllocsPerRun(20, func() {
+			l := NewLexer([]byte(in))
+			if got := l.Intern(names); !l.End() || got != in[1:len(in)-1] {
+				t.Fatalf("Intern(%s) = %q ok=%v", in, got, l.End())
+			}
+		})
+		if allocs != want {
+			t.Errorf("Intern(%s) allocated %.0f times, want %.0f", in, allocs, want)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("Strings of interned elements into roomy storage allocated %.0f times", allocs)
-	}
-	l := NewLexer([]byte(`["cw","other"]`))
-	if got := l.Strings(make([]string, 0, 1), names); !l.End() || len(got) != 2 || got[1] != "other" {
-		t.Errorf("Strings past dst's capacity = %q ok=%v", got, l.End())
-	}
-	l = NewLexer([]byte(`[]`))
-	if got := l.Strings(nil, names); !l.End() || got == nil {
-		t.Errorf("Strings([]) into nil storage = %#v, want an empty slice", got)
 	}
 }
 
@@ -253,7 +244,7 @@ func TestLexerElementHints(t *testing.T) {
 	}
 	for _, in := range []string{`[]`, `["a", "b,c"]`} {
 		l := NewLexer([]byte(in))
-		if got := l.Strings(nil, nil); !l.End() || got == nil || cap(got) != len(got) {
+		if got := l.Strings(); !l.End() || got == nil || cap(got) != len(got) {
 			t.Errorf("Strings(%s) = %#v with cap %d", in, got, cap(got))
 		}
 	}

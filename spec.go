@@ -434,23 +434,9 @@ type SweepSpec struct {
 // expansion path of the ringsimd service and the remote client, so both
 // ends of the wire agree on row order by construction.
 func (sp SweepSpec) ScenarioList() ([]Scenario, error) {
-	if len(sp.Scenarios) == 0 {
-		sw, err := sp.Sweep()
-		if err != nil {
-			return nil, err
-		}
-		return sw.Scenarios()
-	}
-	if err := sp.checkExplicit(); err != nil {
+	out, _, err := sp.appendRows(nil, nil, false)
+	if err != nil {
 		return nil, err
-	}
-	out := make([]Scenario, len(sp.Scenarios))
-	for i := range sp.Scenarios {
-		sc, _, err := sp.Scenarios[i].materialize()
-		if err != nil {
-			return nil, rowError(i, err)
-		}
-		out[i] = sc
 	}
 	return out, nil
 }
@@ -672,23 +658,21 @@ func putScratch(d *scratch) {
 	}
 }
 
-// closedNames interns the strings a spec draws from a closed set — the
-// registry's algorithm names, the adversary kinds, the model names and the
-// orientations — so the fast path reads them without allocating.
+// closedNames interns the two closed-set strings an explicit row carries:
+// the registry's algorithm names and the adversary kinds. The fast path reads them without allocating.
 var closedNames = func() map[string]string {
 	names := map[string]string{}
 	for _, s := range append(core.Names(),
-		"none", "random", "greedy", "frontier", "pin", "persistent", "prevent", "tinterval", "capped", "recurrent",
-		"default", "fsync", "ssync-ns", "ssync/ns", "ssync-pt", "ssync/pt", "ssync-et", "ssync/et",
-		"cw", "ccw") {
+		"none", "random", "greedy", "frontier", "pin", "persistent", "prevent", "tinterval", "capped", "recurrent") {
 		names[s] = s
 	}
 	return names
 }()
 
-// clone copies sp out of decode storage: every array at its exact size,
-// and fresh adversary specs. The strings, Starts and the axis arrays are
-// never reused by the decoders, so they are shared.
+// clone copies sp out of decode storage: the row and adversary arrays at
+// their exact size, and fresh adversary specs. The strings, Starts,
+// Orients and the axis arrays are never reused by the decoders, so they
+// are shared.
 func (sp *SweepSpec) clone() SweepSpec {
 	out := *sp
 	out.Base = sp.Base.clone()
@@ -703,7 +687,6 @@ func (sp *SweepSpec) clone() SweepSpec {
 }
 
 func (sp ScenarioSpec) clone() ScenarioSpec {
-	sp.Orients = exact(sp.Orients)
 	if sp.Adversary != nil {
 		a := *sp.Adversary
 		sp.Adversary = &a
@@ -722,10 +705,10 @@ func exact[T any](s []T) []T {
 // readSweepSpec, readScenarioSpec and readAdversarySpec are the spec
 // decoders' fast path over the form json.Marshal emits; anything else
 // fails l. They decode into the storage an earlier decode left in sp —
-// the Scenarios and Adversaries arrays, each row's adversary spec and
-// orientation array — and clear every field they do not read, so what they
-// return never depends on what sp held. Strings, Starts and the axis
-// arrays are allocated afresh, closed-set strings excepted.
+// the Scenarios and Adversaries arrays and each row's adversary spec — and
+// clear every field they do not read, so what they return never depends
+// on what sp held. Strings, Starts, Orients and the axis arrays are
+// allocated afresh, interned names (see closedNames) excepted.
 func readSweepSpec(l *wire.Lexer, sp *SweepSpec) {
 	rows, advs := sp.Scenarios[:0], sp.Adversaries[:0]
 	*sp = SweepSpec{}
@@ -738,7 +721,7 @@ func readSweepSpec(l *wire.Lexer, sp *SweepSpec) {
 			readScenarioSpec(l, &sp.Base)
 		case "algorithms":
 			l.Field(&seen, 1)
-			sp.Algorithms = l.Strings(nil, closedNames)
+			sp.Algorithms = l.Strings()
 		case "sizes":
 			l.Field(&seen, 2)
 			sp.Sizes = l.Ints()
@@ -778,7 +761,7 @@ func readSweepSpec(l *wire.Lexer, sp *SweepSpec) {
 }
 
 func readScenarioSpec(l *wire.Lexer, sp *ScenarioSpec) {
-	orients, adv := sp.Orients, sp.Adversary
+	adv := sp.Adversary
 	*sp = ScenarioSpec{}
 	var seen uint64
 	l.Expect('{')
@@ -798,7 +781,7 @@ func readScenarioSpec(l *wire.Lexer, sp *ScenarioSpec) {
 			sp.Algorithm = l.Intern(closedNames)
 		case "model":
 			l.Field(&seen, 4)
-			sp.Model = l.Intern(closedNames)
+			sp.Model = l.String()
 		case "upper_bound":
 			l.Field(&seen, 5)
 			sp.UpperBound = l.Int()
@@ -810,7 +793,7 @@ func readScenarioSpec(l *wire.Lexer, sp *ScenarioSpec) {
 			sp.Starts = l.Ints()
 		case "orients":
 			l.Field(&seen, 8)
-			sp.Orients = l.Strings(orients, closedNames)
+			sp.Orients = l.Strings()
 		case "adversary":
 			l.Field(&seen, 9)
 			if adv == nil {
