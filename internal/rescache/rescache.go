@@ -1,9 +1,6 @@
 package rescache
 
-import (
-	"container/list"
-	"sync"
-)
+import "sync"
 
 // Cache is a bounded, LRU-evicting map from string keys to values of type V.
 // It is safe for concurrent use; every counter — including the hit/miss
@@ -16,24 +13,33 @@ import (
 // memo (memo key → Result, see dynring.Memo). Both key by a content hash
 // whose contract guarantees key equality implies value identity, which is
 // what makes "serve the cached copy" correct.
+//
+// The LRU order is a ring linked through the entries themselves, and a Put
+// into a full cache reuses the node it evicts: at capacity, a Put allocates
+// only what copyVal allocates. Held entries (see Hold) sit outside the
+// ring, so they are never evicted and their nodes never reused.
 type Cache[V any] struct {
 	mu       sync.Mutex
 	capacity int
 	copyVal  func(V) V
-	ll       *list.List // front = most recently used
-	items    map[string]*list.Element
+	// root anchors the LRU ring of resident unheld entries: root.next is
+	// the most recently used, root.prev the least.
+	root  entry[V]
+	items map[string]*entry[V]
 	// holds counts Hold pins by key, resident or not; held keeps the
-	// resident held entries, outside ll and the capacity (see Hold).
+	// resident held entries, outside the ring and the capacity (see Hold).
 	holds  map[string]int
 	held   map[string]*entry[V]
 	hits   uint64
 	misses uint64
 }
 
-// entry is one LRU node.
+// entry is one LRU node. The links live in the node, so a Put into a full
+// cache reuses the node it evicts instead of allocating one.
 type entry[V any] struct {
-	key string
-	val V
+	prev, next *entry[V]
+	key        string
+	val        V
 }
 
 // New returns a cache bounded to capacity entries. A non-positive capacity
@@ -48,12 +54,13 @@ type entry[V any] struct {
 // A nil copyVal stores and serves values as-is, which is only safe for
 // value-semantics types.
 func New[V any](capacity int, copyVal func(V) V) *Cache[V] {
-	return &Cache[V]{
+	c := &Cache[V]{
 		capacity: max(capacity, 0),
 		copyVal:  copyVal,
-		ll:       list.New(),
-		items:    make(map[string]*list.Element),
+		items:    make(map[string]*entry[V]),
 	}
+	c.root.prev, c.root.next = &c.root, &c.root
+	return c
 }
 
 // copy applies the cache's copy function, if any.
@@ -62,6 +69,18 @@ func (c *Cache[V]) copy(v V) V {
 		return v
 	}
 	return c.copyVal(v)
+}
+
+// unlink takes e out of the LRU ring.
+func (e *entry[V]) unlink() {
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = nil, nil
+}
+
+// pushFront makes e the most recently used entry of the ring.
+func (c *Cache[V]) pushFront(e *entry[V]) {
+	e.prev, e.next = &c.root, c.root.next
+	e.prev.next, e.next.prev = e, e
 }
 
 // Get returns a private copy of the cached value for key, marking it most
@@ -75,10 +94,11 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
+	if e, ok := c.items[key]; ok {
 		c.hits++
-		c.ll.MoveToFront(el)
-		return c.copy(el.Value.(*entry[V]).val), true
+		e.unlink()
+		c.pushFront(e)
+		return c.copy(e.val), true
 	}
 	if e, ok := c.held[key]; ok {
 		c.hits++
@@ -107,39 +127,51 @@ func (c *Cache[V]) Contains(key string) bool {
 }
 
 // Put stores a private copy of val under key, evicting the least recently
-// used entry when the cache is full. Storing an existing key refreshes its
-// recency without replacing the value (by the key contract the value is
-// identical).
+// used entry when the cache is full and reusing its node. Storing an
+// existing key refreshes its recency without replacing the value (by the
+// key contract the value is identical).
 func (c *Cache[V]) Put(key string, val V) {
 	if c.capacity == 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
+	if e, ok := c.items[key]; ok {
+		e.unlink()
+		c.pushFront(e)
 		return
 	}
 	if _, ok := c.held[key]; ok {
 		return
 	}
-	e := &entry[V]{key: key, val: c.copy(val)}
 	if c.holds[key] > 0 {
-		c.held[key] = e
+		c.held[key] = &entry[V]{key: key, val: c.copy(val)}
 		return
 	}
+	e := c.evictLocked()
+	if e == nil {
+		e = new(entry[V])
+	}
+	e.key, e.val = key, c.copy(val)
 	c.insertLocked(e)
 }
 
-// insertLocked makes e the most recently used entry, evicting the least
-// recently used one past the capacity.
-func (c *Cache[V]) insertLocked(e *entry[V]) {
-	c.items[e.key] = c.ll.PushFront(e)
-	if c.ll.Len() > c.capacity {
-		last := c.ll.Back()
-		c.ll.Remove(last)
-		delete(c.items, last.Value.(*entry[V]).key)
+// evictLocked removes the least recently used entry when the cache is full
+// and returns its node for reuse; it returns nil when there is room.
+func (c *Cache[V]) evictLocked() *entry[V] {
+	if len(c.items) < c.capacity {
+		return nil
 	}
+	e := c.root.prev
+	e.unlink()
+	delete(c.items, e.key)
+	return e
+}
+
+// insertLocked makes e the most recently used entry.
+func (c *Cache[V]) insertLocked(e *entry[V]) {
+	c.items[e.key] = e
+	c.pushFront(e)
 }
 
 // Hold pins each key until a matching Release. While a key holds a pin,
@@ -160,10 +192,10 @@ func (c *Cache[V]) Hold(keys ...string) {
 	}
 	for _, key := range keys {
 		c.holds[key]++
-		if el, ok := c.items[key]; ok {
-			c.ll.Remove(el)
+		if e, ok := c.items[key]; ok {
+			e.unlink()
 			delete(c.items, key)
-			c.held[key] = el.Value.(*entry[V])
+			c.held[key] = e
 		}
 	}
 }
@@ -181,6 +213,7 @@ func (c *Cache[V]) Release(key string) {
 	delete(c.holds, key)
 	if e, ok := c.held[key]; ok {
 		delete(c.held, key)
+		c.evictLocked()
 		c.insertLocked(e)
 	}
 }
@@ -202,7 +235,7 @@ func (c *Cache[V]) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{
-		Size:     c.ll.Len() + len(c.held),
+		Size:     len(c.items) + len(c.held),
 		Capacity: c.capacity,
 		Hits:     c.hits,
 		Misses:   c.misses,

@@ -61,6 +61,15 @@ func appendReplicate(dst []byte, fp string, res *dynring.Result) []byte {
 	return append(dst, '}')
 }
 
+// encodeReplicate returns the replicateRequest for fp and res at its exact
+// size: appended on the stack, then copied out once, where appending to
+// nil grows the body through several reallocations.
+func encodeReplicate(fp string, res *dynring.Result) []byte {
+	var scratch [512]byte
+	b := appendReplicate(scratch[:0], fp, res)
+	return append(make([]byte, 0, len(b)), b...)
+}
+
 // decodeReplicate decodes a POST /v1/replicate body or a GET
 // /v1/antientropy/entry answer: a fast path over the canonical form
 // appendReplicate emits, json.Unmarshal for anything else. Both copy every
@@ -151,7 +160,7 @@ func (m *Manager) pushReplicas(fp string, res dynring.Result) {
 			continue
 		}
 		if body == nil {
-			body = appendReplicate(nil, fp, &res)
+			body = encodeReplicate(fp, &res)
 		}
 		start := time.Now()
 		if err := m.postReplicate(o, body); err != nil {

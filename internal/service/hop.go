@@ -288,7 +288,8 @@ func (h *hops) post(b *batch, size int) error {
 	if err != nil {
 		return err
 	}
-	hdr := http.Header{"Content-Type": {ndjsonType}, "User-Agent": noUserAgent, dynring.TraceHeader: {j.traceID}}
+	hdr := http.Header{"Content-Type": {ndjsonType}, "User-Agent": noUserAgent, "Accept-Encoding": acceptIdentity,
+		dynring.TraceHeader: {j.traceID}}
 	if key := m.TenantKey(j.Tenant); key != "" {
 		hdr["Authorization"] = []string{"Bearer " + key}
 	}

@@ -42,9 +42,6 @@ var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 const maxPooledBody = 64 << 10
 
-// replicateAck is the whole body of a successful /v1/replicate answer.
-var replicateAck = []byte("{\"status\":\"ok\"}\n")
-
 // NewHandler serves the ringsimd HTTP API on top of a Manager:
 //
 //	POST   /v1/sweeps               submit a dynring.SweepSpec, returns JobStatus (201)
@@ -57,8 +54,8 @@ var replicateAck = []byte("{\"status\":\"ok\"}\n")
 //	                                with Content-Type application/x-ndjson, a batch: one RunRequest
 //	                                per line in, one RunResponse line per row out as rows settle
 //	GET    /v1/cluster              dynring.ClusterStatus (this node's cluster view)
-//	POST   /v1/replicate            peer pushes one completed envelope, answered by a constant
-//	                                {"status":"ok"} (replicated clusters only)
+//	POST   /v1/replicate            peer pushes one completed envelope, answered by a bodiless 204
+//	                                (replicated clusters only)
 //	GET    /v1/antientropy/keys     durable-tier fingerprint listing (replicated clusters only)
 //	GET    /v1/antientropy/entry    one validated envelope, ?fp=... (replicated clusters only)
 //	GET    /healthz                 liveness
@@ -284,7 +281,10 @@ func NewHandler(m *Manager) http.Handler {
 	// receiver re-keys by the embedded fingerprint, so the worst a bogus
 	// push can do is cache a result nobody asks for). A push is most of a
 	// replicated cluster's requests — one per other replica per execution
-	// — so its answer is a constant, with no Date header.
+	// — so its answer is a bare 204. The handler never calls w.Header(),
+	// which makes net/http build and then clone the handler's header map;
+	// so the server's own Date header stays, as removing it would take
+	// that call. Every pusher, old or new, checks only for a 2xx.
 	mux.HandleFunc("POST /v1/replicate", func(w http.ResponseWriter, r *http.Request) {
 		if !m.Replicated() {
 			writeError(w, http.StatusNotFound, errors.New("replication not enabled"))
@@ -301,12 +301,7 @@ func NewHandler(m *Manager) http.Handler {
 		}
 		m.AdoptEnvelope(req.Fingerprint, req.Result)
 		m.met.replAdopted.Inc()
-		// The bytes writeJSON writes for {"status":"ok"}, without the
-		// encoder or a Date header.
-		h := w.Header()
-		h["Content-Type"] = ctJSON
-		h["Date"] = nil
-		w.Write(replicateAck)
+		w.WriteHeader(http.StatusNoContent)
 	})
 
 	mux.HandleFunc("GET /v1/antientropy/keys", func(w http.ResponseWriter, r *http.Request) {

@@ -40,14 +40,15 @@ func newPeerClient(rt http.RoundTripper) *peerClient {
 
 // Fixed header values. A RoundTripper must not modify its request, so
 // requests share them; an empty User-Agent keeps the transport from
-// sending its default one.
+// sending its default one. A preset Accept-Encoding keeps it from adding
+// gzip, which costs a header map per request; peers never compress.
 var (
-	ctJSON      = []string{"application/json"}
-	noUserAgent = []string{""}
+	noUserAgent    = []string{""}
+	acceptIdentity = []string{"identity"}
 	// pushHeader is the whole header of a /v1/replicate push, getHeader
 	// that of an anti-entropy fetch.
-	pushHeader = http.Header{"Content-Type": ctJSON, "User-Agent": noUserAgent}
-	getHeader  = http.Header{"User-Agent": noUserAgent}
+	pushHeader = http.Header{"Content-Type": {"application/json"}, "User-Agent": noUserAgent, "Accept-Encoding": acceptIdentity}
+	getHeader  = http.Header{"User-Agent": noUserAgent, "Accept-Encoding": acceptIdentity}
 )
 
 // url is base+path, parsed once per peer and route. The result is shared:
@@ -96,7 +97,8 @@ func (p *peerClient) send(ctx context.Context, method string, u *url.URL, hdr ht
 	return resp, nil
 }
 
-// push POSTs one JSON body to base+path and drains the acknowledgement.
+// push POSTs one JSON body to base+path and drains the acknowledgement,
+// if it has a body.
 func (p *peerClient) push(ctx context.Context, base, path string, body []byte) error {
 	u, err := p.url(base, path)
 	if err != nil {
@@ -107,8 +109,11 @@ func (p *peerClient) push(ctx context.Context, base, path string, body []byte) e
 		return err
 	}
 	// The status already says the body landed; draining only lets the
-	// transport reuse the connection.
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+	// transport reuse the connection. A 204 has no body to drain; an
+	// older node answers 200 with a short JSON one.
+	if resp.Body != http.NoBody {
+		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+	}
 	resp.Body.Close()
 	return nil
 }

@@ -370,7 +370,7 @@ func TestPooledBodiesAreCopiedOut(t *testing.T) {
 				t.Fatal(err)
 			}
 			rec := postScribbled(rh, "/v1/replicate", "", body, known)
-			if rec.Code != http.StatusOK {
+			if rec.Code != http.StatusNoContent {
 				t.Fatalf("POST /v1/replicate: %d %s", rec.Code, rec.Body)
 			}
 			if got, ok := rm.cache.Get(want.Fingerprint); !ok || !reflect.DeepEqual(got, want.Result) {

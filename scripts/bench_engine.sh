@@ -3,7 +3,8 @@
 # BENCH_engine.json so the perf trajectory is machine-readable. Fails hard
 # if the zero-allocation steady-state gates (FSYNC, and SSYNC under the
 # stock adversaries), the Scenario.Fingerprint allocation bound, the
-# service's admission allocation bound, the Runner batch-reuse allocation
+# service's admission and replication round-trip allocation bounds, the
+# result cache's Put-at-capacity bound, the Runner batch-reuse allocation
 # bound, or the leap/slow equivalence property regress.
 #
 #   scripts/bench_engine.sh [output.json]
@@ -23,7 +24,8 @@ trap 'rm -f "$TMP"' EXIT
 # fail the build before any numbers are published.
 go test -count=1 -run 'TestStepZeroAllocSteadyState|TestLeapSkipsBlockedRounds' ./internal/sim
 go test -count=1 -run 'TestScenarioStepZeroAllocSteadyState|TestScenarioStepZeroAllocStockAdversaries|TestFingerprintAllocBound|TestRunnerMatchesScenarioRun|TestRunnerBatchedAllocBound|TestLeapSlowEquivalenceProperty' .
-go test -count=1 -run 'TestAdmissionAllocBound' ./internal/service
+go test -count=1 -run 'TestAdmissionAllocBound|TestReplicationRoundTripAllocs' ./internal/service
+go test -count=1 -run 'TestCachePutAtCapacityAllocs' ./internal/rescache
 
 go test -run '^$' -bench 'BenchmarkEngine_|BenchmarkRunner_|BenchmarkSweep|BenchmarkLeap_' \
   -benchmem -benchtime "${BENCHTIME:-1000x}" . | tee "$TMP"

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"dynring/internal/sweep"
@@ -137,7 +138,7 @@ func (s Sweep) expand(scs []Scenario, fps []string, fingerprint bool) ([]Scenari
 					sc.AdversaryLabel = adv.Name
 					sc.Seed = sweep.SeedFor(seed, algo, size, adv.Name)
 					sc.Observer = nil
-					sc.Name = fmt.Sprintf("%s/n=%d/%s/seed=%d", algo, size, adv.Name, seed)
+					sc.Name = axisName(algo, size, adv.Name, seed)
 					r, err := sc.resolve(false)
 					if err != nil {
 						return scs[:n], fps[:m], fmt.Errorf("sweep scenario %s: %w", sc.Name, err)
@@ -151,6 +152,19 @@ func (s Sweep) expand(scs []Scenario, fps []string, fingerprint bool) ([]Scenari
 		}
 	}
 	return scs, fps, nil
+}
+
+// axisName is the name of an axis-form grid row,
+// fmt.Sprintf("%s/n=%d/%s/seed=%d", algo, size, adv, seed), appended on
+// the stack so that the string is the one allocation.
+func axisName(algo string, size int, adv string, seed int64) string {
+	var scratch [128]byte
+	b := append(scratch[:0], algo...)
+	b = append(b, "/n="...)
+	b = strconv.AppendInt(b, int64(size), 10)
+	b = append(append(append(b, '/'), adv...), "/seed="...)
+	b = strconv.AppendInt(b, seed, 10)
+	return string(b)
 }
 
 // ScenarioRunner executes one expanded scenario of a sweep. It is the

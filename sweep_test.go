@@ -430,3 +430,33 @@ func TestSweepUnlabeledFactoryNotFingerprintable(t *testing.T) {
 		t.Fatalf("unlabeled scenario must still run: %v", err)
 	}
 }
+
+// TestAdmitAxisSpecAllocs bounds admitting a 48-row axis-form spec (3
+// algorithms × 4 sizes × 2 adversaries × 2 seeds) through AdmitRows at
+// the measured 103: what the job keeps — per row a name and a
+// fingerprint, and the two row arrays — plus the spec's Sweep form with
+// its adversary factories and labels. Naming rows with fmt.Sprintf took
+// 199.
+func TestAdmitAxisSpecAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	spec := dynring.SweepSpec{
+		Base:       dynring.ScenarioSpec{Landmark: 0},
+		Algorithms: []string{"KnownNNoChirality", "LandmarkWithChirality", "LandmarkNoChirality"},
+		Sizes:      []int{8, 10, 12, 16},
+		Seeds:      []int64{1, 2},
+		Adversaries: []dynring.AdversarySpec{
+			{Kind: "random", P: 0.5}, {Kind: "greedy"},
+		},
+	}
+	n := testing.AllocsPerRun(100, func() {
+		scs, _, err := dynring.AdmitRows(nil, nil, &spec, nil, false)
+		if err != nil || len(scs) != 48 {
+			t.Fatalf("AdmitRows: %d rows, %v", len(scs), err)
+		}
+	})
+	if n > 103 {
+		t.Fatalf("admitting a 48-row axis-form spec allocated %.0f times, want <= 103", n)
+	}
+}
