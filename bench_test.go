@@ -97,6 +97,46 @@ func BenchmarkEngine_StepFSync(b *testing.B) {
 	}
 }
 
+// BenchmarkEngine_ColdRows measures the engine on the rows that dominate a
+// cold service sweep: perfbench solo-cold's stepped template,
+// {UnconsciousExploration, ETUnconscious} × n{8,16} under random(p=0.5) on
+// an anonymous ring. Neither algorithm terminates and the random schedule
+// never leaps, so every row steps its full 200n+4000-round budget. One op
+// is the four rows through one Runner; ns/round divides the time by the
+// rounds stepped.
+func BenchmarkEngine_ColdRows(b *testing.B) {
+	spec := dynring.AdversarySpec{Kind: "random", P: 0.5}
+	f, err := spec.Factory()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var rows []dynring.Scenario
+	for _, algo := range []string{"UnconsciousExploration", "ETUnconscious"} {
+		for _, n := range []int{8, 16} {
+			rows = append(rows, dynring.Scenario{
+				Size: n, Landmark: dynring.NoLandmark, Algorithm: algo,
+				AdversaryLabel: spec.Label(), NewAdversary: f,
+			})
+		}
+	}
+	r := dynring.NewRunner()
+	ctx := context.Background()
+	rounds := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, sc := range rows {
+			sc.Seed = int64(i)
+			res, err := r.Run(ctx, sc)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rounds += res.Rounds
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rounds), "ns/round")
+}
+
 // BenchmarkFingerprint measures Scenario.Fingerprint, which the sweep
 // service runs for every row of every submission (see
 // TestFingerprintAllocBound for its allocation gate).

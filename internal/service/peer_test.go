@@ -317,9 +317,11 @@ func TestReplicationPushAllocs(t *testing.T) {
 // through NewHandler, counting both sides: encode, request and ack on the
 // pusher, and on the receiver the server's request handling, the decode
 // and the adoption of a fresh envelope into a full memory tier. The bound
-// is the measured count, 72, with no slack: 30 runs, shuffled and at 1 and
-// 4 CPUs, all read exactly 72. A 200 JSON ack, the transport's own
-// Accept-Encoding, a body grown from nil and an LRU node per Put took 92.
+// is the measured count, 71, with no slack: 10 runs at 1 and 4 CPUs all
+// read exactly 71. Before readBody closed the drained body, the server's
+// post-handler discard of it took one more (72); a 200 JSON ack, the
+// transport's own Accept-Encoding, a body grown from nil and an LRU node
+// per Put took 92.
 func TestReplicationRoundTripAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -362,7 +364,7 @@ func TestReplicationRoundTripAllocs(t *testing.T) {
 	if rm.met.replAdopted.Value() != uint64(next) {
 		t.Fatalf("%d envelopes adopted for %d pushes", rm.met.replAdopted.Value(), next)
 	}
-	if n > 72 {
-		t.Fatalf("one replication round trip allocated %.1f times, want <= 72", n)
+	if n > 71 {
+		t.Fatalf("one replication round trip allocated %.1f times, want <= 71", n)
 	}
 }

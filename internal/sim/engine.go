@@ -4,11 +4,20 @@ import (
 	"fmt"
 
 	"dynring/internal/agent"
+	"dynring/internal/ring"
 )
 
 // Step executes one round: activation, Look, Compute, adversarial edge
 // removal, port resolution under mutual exclusion, movement, and transport.
 // It returns ErrAllTerminated once no live agent remains.
+//
+// The round makes one pass over the active agents to step their protocols;
+// the same pass fixes each decision as the adversary's Intent and as the
+// global direction the release, grab and move phases read. The World keeps
+// a live-agent count (set by Reset, lowered at each termination) instead of
+// scanning for terminations, so with every agent live a full activation is
+// a copy of AgentIDs. The sleeper pass (passive transport under PT,
+// transport debt under ET) runs only in rounds where some live agent slept.
 //
 // The steady state performs zero heap allocations: all per-round working
 // storage lives in the World's preallocated scratch (see Reset). Only the
@@ -16,7 +25,7 @@ import (
 // SSYNC adversary's Activate allocates (the stock adversaries allocate
 // nothing; see AgentIDs).
 func (w *World) Step() error {
-	if w.AllTerminated() {
+	if w.live == 0 {
 		return ErrAllTerminated
 	}
 	t := w.round
@@ -34,25 +43,35 @@ func (w *World) Step() error {
 	}
 
 	// Look + Compute: snapshots are taken before anything changes, so all
-	// active agents observe the same configuration.
-	decisions := w.scratch.decisions
-	for _, id := range active {
+	// active agents observe the same configuration. Each decision is fixed
+	// as the adversary's intent and, privately, as the agent's plan: its
+	// global direction (0 to stay or terminate), which the resolution
+	// phases below read instead of mapping the private direction again.
+	intents := w.scratch.intents[:len(active)]
+	plans := w.scratch.plans[:len(active)]
+	for k, id := range active {
+		a := &w.agents[id]
 		w.fillView(id, &w.look)
-		d, stepErr := w.agents[id].proto.Step(w.look)
+		d, stepErr := a.proto.Step(w.look)
 		if stepErr != nil {
 			return fmt.Errorf("%w: agent %d in round %d: %v", ErrProtocolFault, id, t, stepErr)
 		}
-		decisions[id] = d
-		w.agents[id].lastSeen = t
+		a.lastSeen = t
+		in := Intent{Agent: id, From: a.node, TargetEdge: NoEdge, Terminate: d.Terminate}
+		var g ring.GlobalDir
+		if !d.Terminate && d.Dir != agent.NoDir {
+			g = w.toGlobal(id, d.Dir)
+			in.Move = true
+			in.Dir = g
+			in.TargetEdge = w.edge(a.node, g)
+		}
+		intents[k] = in
+		plans[k] = plan{dir: g, terminate: d.Terminate}
 	}
 
-	// Fix intents and let the adversary pick the missing edges: exactly one
-	// per round under 1-interval connectivity (MissingEdge), up to its cap
-	// for a MultiAdversary (MissingEdges).
-	intents := w.scratch.intents[:0]
-	for _, id := range active {
-		intents = append(intents, w.intentOf(id, decisions[id]))
-	}
+	// Let the adversary pick the missing edges: exactly one per round under
+	// 1-interval connectivity (MissingEdge), up to its cap for a
+	// MultiAdversary (MissingEdges).
 	req := w.scratch.missingReq[:0]
 	if w.madv != nil {
 		req = w.madv.MissingEdges(t, w, intents, req)
@@ -90,7 +109,7 @@ func (w *World) Step() error {
 		for _, id := range active {
 			a := &w.agents[id]
 			if a.etDebt >= w.fairness && a.onPort {
-				if e := w.ring.Edge(a.node, a.portDir); bits[e] {
+				if e := w.edge(a.node, a.portDir); bits[e] {
 					bits[e] = false
 					vetoed = true
 				}
@@ -109,14 +128,11 @@ func (w *World) Step() error {
 	w.scratch.missing = missing
 
 	// Resolution phase 1: releases. Agents abandoning their port step into
-	// the node interior before grabs are processed.
-	for _, id := range active {
+	// the node interior before grabs are processed. A plan to stay or
+	// terminate has direction 0, which no port has.
+	for k, id := range active {
 		a := &w.agents[id]
-		d := decisions[id]
-		if !a.onPort {
-			continue
-		}
-		if d.Terminate || d.Dir == agent.NoDir || w.toGlobal(id, d.Dir) != a.portDir {
+		if a.onPort && plans[k].dir != a.portDir {
 			a.onPort = false
 			w.stepChanged = true
 		}
@@ -128,15 +144,13 @@ func (w *World) Step() error {
 	// the request count is bounded by the agent count, so the quadratic
 	// scan is cheaper than the map it replaces.
 	reqs := w.scratch.reqs[:0]
-	for _, id := range active {
+	for k, id := range active {
 		a := &w.agents[id]
-		d := decisions[id]
-		if d.Terminate || d.Dir == agent.NoDir {
+		g := plans[k].dir
+		// An agent still on a port after the releases holds the one it
+		// wants: already positioned, it cannot fail.
+		if g == 0 || a.onPort {
 			continue
-		}
-		g := w.toGlobal(id, d.Dir)
-		if a.onPort && a.portDir == g {
-			continue // already positioned; cannot fail
 		}
 		reqs = append(reqs, portReq{id: id, node: a.node, dir: g})
 	}
@@ -177,28 +191,34 @@ func (w *World) Step() error {
 		w.stepChanged = true
 	}
 
+	// Whether some live agent slept this round must be read before the
+	// movement phase: a termination there lowers the live count, and a
+	// sleeper beside a terminating agent still needs its transport.
+	slept := len(active) < w.live
+
 	// Movement phase for active agents.
-	for _, id := range active {
+	for k, id := range active {
 		a := &w.agents[id]
-		d := decisions[id]
+		p := plans[k]
 		prevMoved, prevFailed := a.moved, a.failed
 		a.failed = false
 		switch {
-		case d.Terminate:
+		case p.terminate:
 			a.term = true
+			w.live--
 			a.moved = false
 			w.termAt[id] = t
 			w.stepChanged = true
-		case d.Dir == agent.NoDir:
+		case p.dir == 0:
 			a.moved = false
 		case !a.onPort:
 			// Wanted to move but lost the port race.
 			a.moved = false
 			a.failed = true
 		default:
-			edge := w.ring.Edge(a.node, a.portDir)
+			edge := w.edge(a.node, a.portDir)
 			if !bits[edge] {
-				a.node = w.ring.Neighbor(a.node, a.portDir)
+				a.node = w.neighbor(a.node, a.portDir)
 				a.onPort = false
 				a.moved = true
 				a.moves++
@@ -215,39 +235,41 @@ func (w *World) Step() error {
 		}
 	}
 
-	// Transport / debt accounting for agents sleeping on ports.
-	activeBits := w.scratch.activeBits
-	for _, id := range active {
-		activeBits[id] = true
-	}
-	for id := range w.agents {
-		a := &w.agents[id]
-		if a.term || activeBits[id] || !a.onPort {
-			continue
-		}
-		present := !bits[w.ring.Edge(a.node, a.portDir)]
-		switch w.model {
-		case SSyncPT:
-			if present {
-				a.node = w.ring.Neighbor(a.node, a.portDir)
+	// Transport / debt accounting for agents sleeping on ports: PT carries
+	// them over present edges and ET charges them debt, so the pass runs
+	// only under those models and only when some agent slept. active is in
+	// ascending id order, so walking it alongside the agent table skips the
+	// active agents.
+	if slept && (w.model == SSyncPT || w.model == SSyncET) {
+		next := 0
+		for id := range w.agents {
+			if next < len(active) && active[next] == id {
+				next++
+				continue
+			}
+			a := &w.agents[id]
+			if a.term || !a.onPort || bits[w.edge(a.node, a.portDir)] {
+				continue
+			}
+			if w.model == SSyncPT {
+				a.node = w.neighbor(a.node, a.portDir)
 				a.onPort = false
 				a.moved = true
 				a.moves++
 				w.visit(a.node)
-				w.stepChanged = true
-			}
-		case SSyncET:
-			if present {
+			} else {
 				a.etDebt++
-				w.stepChanged = true
 			}
+			w.stepChanged = true
 		}
 	}
-	for _, id := range active {
-		activeBits[id] = false
-		if w.agents[id].etDebt != 0 {
-			w.agents[id].etDebt = 0
-			w.stepChanged = true
+	// Only ET accrues debt; an activation settles it.
+	if w.model == SSyncET {
+		for _, id := range active {
+			if w.agents[id].etDebt != 0 {
+				w.agents[id].etDebt = 0
+				w.stepChanged = true
+			}
 		}
 	}
 
@@ -283,13 +305,17 @@ func (w *World) Step() error {
 // set stays readable after Step returns (the leap probe consults it).
 func (w *World) selectActive(t int) ([]int, error) {
 	act := w.scratch.active[:0]
-	defer func() { w.scratch.active = act }()
 	if w.model == FSync || w.adv == nil {
-		for id := range w.agents {
-			if !w.agents[id].term {
-				act = append(act, id)
+		if w.live == len(w.agents) {
+			act = append(act, w.scratch.agentIDs...)
+		} else {
+			for id := range w.agents {
+				if !w.agents[id].term {
+					act = append(act, id)
+				}
 			}
 		}
+		w.scratch.active = act
 		return act, nil
 	}
 
@@ -324,6 +350,7 @@ func (w *World) selectActive(t int) ([]int, error) {
 			mark[id] = false
 		}
 	}
+	w.scratch.active = act
 	if len(act) == 0 {
 		return nil, fmt.Errorf("%w: round %d", ErrEmptyActivation, t)
 	}

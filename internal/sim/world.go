@@ -259,18 +259,24 @@ type portReq struct {
 	dir  ring.GlobalDir
 }
 
+// plan is an active agent's decision resolved to global terms: the
+// direction it wants to move in, 0 when it stays or terminates.
+type plan struct {
+	dir       ring.GlobalDir
+	terminate bool
+}
+
 // scratch is Step's per-round working storage, sized once by Reset so the
 // steady state allocates nothing. Every field but agentIDs is valid only
 // during the round being resolved.
 type scratch struct {
-	active     []int            // activation set, capacity = #agents
-	decisions  []agent.Decision // indexed by agent id; written for active ids only
-	intents    []Intent         // fixed intents handed to the adversary
-	mark       []bool           // per-agent bits for dedup/sort in selectActive
-	activeBits []bool           // per-agent membership bits for transport accounting
-	reqs       []portReq        // port-grab requests in activation order
-	contenders []int            // contenders of the port being resolved
-	agentIDs   []int            // 0..m-1 until the next Reset, handed out read-only by AgentIDs
+	active     []int     // activation set, capacity = #agents
+	intents    []Intent  // fixed intents handed to the adversary, one per activation slot
+	plans      []plan    // the same decisions, private to the engine, one per activation slot
+	mark       []bool    // per-agent bits for dedup/sort in selectActive
+	reqs       []portReq // port-grab requests in activation order
+	contenders []int     // contenders of the port being resolved
+	agentIDs   []int     // 0..m-1 until the next Reset, handed out read-only by AgentIDs
 
 	missingReq  []int  // adversary's raw missing-edge request, capacity = #edges
 	missing     []int  // validated, deduplicated missing edges of the round
@@ -278,30 +284,23 @@ type scratch struct {
 }
 
 // grow sizes the scratch for m agents on a ring of n nodes, reusing prior
-// capacity. mark, activeBits and missingBits are maintained all-false
-// between rounds.
+// capacity. mark and missingBits are maintained all-false between rounds.
 func (s *scratch) grow(m, n int) {
 	s.growMissing(n)
 	if cap(s.active) < m {
 		s.active = make([]int, 0, m)
 	}
 	s.active = s.active[:0]
-	if len(s.decisions) < m {
-		s.decisions = make([]agent.Decision, m)
+	if len(s.intents) < m {
+		s.intents = make([]Intent, m)
 	}
-	if cap(s.intents) < m {
-		s.intents = make([]Intent, 0, m)
+	if len(s.plans) < m {
+		s.plans = make([]plan, m)
 	}
-	s.intents = s.intents[:0]
 	if len(s.mark) < m {
 		s.mark = make([]bool, m)
 	} else {
 		clear(s.mark)
-	}
-	if len(s.activeBits) < m {
-		s.activeBits = make([]bool, m)
-	} else {
-		clear(s.activeBits)
 	}
 	if cap(s.reqs) < m {
 		s.reqs = make([]portReq, 0, m)
@@ -341,6 +340,7 @@ func (s *scratch) growMissing(n int) {
 // World is the mutable run state.
 type World struct {
 	ring     *ring.Ring
+	n        int // ring size, cached for the engine's wrap-by-compare steps
 	model    Model
 	agents   []agentRT
 	adv      Adversary
@@ -350,6 +350,7 @@ type World struct {
 	fairness int
 
 	round        int
+	live         int // agents not yet terminated
 	visited      []bool
 	visitedCount int
 	exploredAt   int // round after which all nodes had been visited; -1 if not yet
@@ -410,6 +411,7 @@ func (w *World) Reset(cfg Config) error {
 	n := cfg.Ring.Size()
 
 	w.ring = cfg.Ring
+	w.n = n
 	w.model = cfg.Model
 	w.adv = cfg.Adversary
 	w.madv, _ = cfg.Adversary.(MultiAdversary)
@@ -417,6 +419,7 @@ func (w *World) Reset(cfg Config) error {
 	w.obs = cfg.Observer
 	w.fairness = fair
 	w.round = 0
+	w.live = m
 	w.stepChanged = false
 	w.forcedActivation = false
 	if cap(w.visited) < n {
@@ -464,7 +467,7 @@ func (w *World) visit(node int) {
 	if !w.visited[node] {
 		w.visited[node] = true
 		w.visitedCount++
-		if w.visitedCount == w.ring.Size() && w.exploredAt < 0 {
+		if w.visitedCount == w.n && w.exploredAt < 0 {
 			w.exploredAt = w.round
 		}
 	}
@@ -529,7 +532,7 @@ func (w *World) Visited(v int) bool { return w.visited[w.ring.Node(v)] }
 func (w *World) VisitedCount() int { return w.visitedCount }
 
 // Explored reports whether every node has been visited.
-func (w *World) Explored() bool { return w.visitedCount == w.ring.Size() }
+func (w *World) Explored() bool { return w.visitedCount == w.n }
 
 // ExploredRound returns the round in which the last unvisited node was
 // reached, or -1.
@@ -539,24 +542,13 @@ func (w *World) ExploredRound() int { return w.exploredAt }
 func (w *World) TerminatedRound(i int) int { return w.termAt[i] }
 
 // AllTerminated reports whether every agent has terminated.
-func (w *World) AllTerminated() bool {
-	for i := range w.agents {
-		if !w.agents[i].term {
-			return false
-		}
-	}
-	return true
-}
+func (w *World) AllTerminated() bool { return w.live == 0 }
 
 // AnyTerminated reports whether at least one agent has terminated.
-func (w *World) AnyTerminated() bool {
-	for i := range w.agents {
-		if w.agents[i].term {
-			return true
-		}
-	}
-	return false
-}
+func (w *World) AnyTerminated() bool { return w.live < len(w.agents) }
+
+// LiveAgents returns the number of agents that have not terminated.
+func (w *World) LiveAgents() int { return w.live }
 
 // MissingEdgeNow returns the edge missing in the round currently being
 // resolved (valid while adversary callbacks and observers run), or NoEdge.
@@ -578,6 +570,31 @@ func (w *World) MissingEdgesNow() []int { return w.scratch.missing }
 // being resolved. Invalid edge indices are simply not missing.
 func (w *World) EdgeMissingNow(e int) bool {
 	return e >= 0 && e < len(w.scratch.missingBits) && w.scratch.missingBits[e]
+}
+
+// edge is Ring.Edge for a node already in [0, n): the step leaves the
+// range only at node 0, so a compare replaces Ring.Node's modulo.
+func (w *World) edge(v int, d ring.GlobalDir) int {
+	if d == ring.CW {
+		return v
+	}
+	if v == 0 {
+		return w.n - 1
+	}
+	return v - 1
+}
+
+// neighbor is Ring.Neighbor for a node already in [0, n), wrapping by
+// compare like edge.
+func (w *World) neighbor(v int, d ring.GlobalDir) int {
+	v += int(d)
+	switch {
+	case v < 0:
+		return v + w.n
+	case v >= w.n:
+		return v - w.n
+	}
+	return v
 }
 
 // toGlobal maps agent i's private direction to a global one.
@@ -668,7 +685,7 @@ func (w *World) intentOf(i int, d agent.Decision) Intent {
 	if !d.Terminate && d.Dir != agent.NoDir {
 		in.Move = true
 		in.Dir = w.toGlobal(i, d.Dir)
-		in.TargetEdge = w.ring.Edge(in.From, in.Dir)
+		in.TargetEdge = w.edge(in.From, in.Dir)
 	}
 	return in
 }

@@ -73,7 +73,8 @@ func parityScenarios(t testing.TB) []dynring.Scenario {
 	}
 	out := append(scs, extras...)
 	out = append(out, zooScenarios(t)...)
-	return append(out, leapScenarios(t)...)
+	out = append(out, leapScenarios(t)...)
+	return append(out, activationScenarios(t)...)
 }
 
 // leapScenarios is the quiescence-leap grid appended to the parity corpus
@@ -118,6 +119,52 @@ func leapScenarios(t testing.TB) []dynring.Scenario {
 		scs[i].Name = "leap/" + scs[i].Name
 	}
 	return scs
+}
+
+// activationScenarios is the random-activation grid appended to the parity
+// corpus after the leap entries: the terminating SSYNC algorithms under
+// random activation over random edges, in their own model (PT or ET) and
+// under NS. Rounds where some agents sleep while an active one terminates
+// are common here, and those are the rounds where the engine's passive
+// transport (PT) and transport-debt (ET) accounting must still visit every
+// sleeper.
+func activationScenarios(t testing.TB) []dynring.Scenario {
+	t.Helper()
+	var advs []dynring.SweepAdversary
+	for _, act := range []float64{0.3, 0.6} {
+		spec := dynring.AdversarySpec{Kind: "random", P: 0.5, Act: act}
+		f, err := spec.Factory()
+		if err != nil {
+			t.Fatal(err)
+		}
+		advs = append(advs, dynring.SweepAdversary{Name: spec.Label(), New: f})
+	}
+	var out []dynring.Scenario
+	for _, block := range []struct {
+		prefix string
+		model  dynring.Model
+		seeds  int
+	}{{"act/", dynring.ModelDefault, 8}, {"act/NS/", dynring.SSyncNS, 2}} {
+		sw := dynring.Sweep{
+			Base: dynring.Scenario{Landmark: 0, Model: block.model},
+			Algorithms: []string{
+				"PTBoundWithChirality", "PTLandmarkWithChirality",
+				"PTBoundNoChirality", "PTLandmarkNoChirality", "ETBoundNoChirality",
+			},
+			Sizes:       []int{4, 5, 6, 7},
+			Seeds:       []int64{1, 2, 3, 4, 5, 6, 7, 8}[:block.seeds],
+			Adversaries: advs,
+		}
+		scs, err := sw.Scenarios()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range scs {
+			scs[i].Name = block.prefix + scs[i].Name
+		}
+		out = append(out, scs...)
+	}
+	return out
 }
 
 // runParity executes the corpus and pairs each scenario with its fingerprint
