@@ -101,16 +101,16 @@ func figure12() error {
 	const n = 7
 	blocked := (n - 1) / 2
 	rec := dynring.NewTrace(n)
-	res, err := dynring.Run(dynring.Config{
-		Size:      n,
-		Landmark:  0,
-		Algorithm: "StartFromLandmarkNoChirality",
-		Starts:    []int{0, 0},
-		Orients:   []dynring.GlobalDir{dynring.CCW, dynring.CW},
-		Adversary: dynring.KeepEdgeRemoved(blocked),
-		Observer:  rec,
-		MaxRounds: 40 * n,
-	})
+	res, err := dynring.Scenario{
+		Size:         n,
+		Landmark:     0,
+		Algorithm:    "StartFromLandmarkNoChirality",
+		Starts:       []int{0, 0},
+		Orients:      []dynring.GlobalDir{dynring.CCW, dynring.CW},
+		NewAdversary: dynring.Fixed(dynring.KeepEdgeRemoved(blocked)),
+		Observer:     rec,
+		MaxRounds:    40 * n,
+	}.Run()
 	if err != nil {
 		return err
 	}
@@ -125,15 +125,15 @@ func figure12() error {
 
 func figure15(n int) error {
 	rec := dynring.NewTrace(n)
-	res, err := dynring.Run(dynring.Config{
-		Size:      n,
-		Landmark:  dynring.NoLandmark,
-		Algorithm: "PTBoundWithChirality",
-		Starts:    []int{0, 1},
-		Adversary: dynring.FrontierGuarding(),
-		Observer:  rec,
-		MaxRounds: 400 * n * n,
-	})
+	res, err := dynring.Scenario{
+		Size:         n,
+		Landmark:     dynring.NoLandmark,
+		Algorithm:    "PTBoundWithChirality",
+		Starts:       []int{0, 1},
+		NewAdversary: dynring.Fixed(dynring.FrontierGuarding()),
+		Observer:     rec,
+		MaxRounds:    400 * n * n,
+	}.Run()
 	if err != nil {
 		return err
 	}

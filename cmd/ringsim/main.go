@@ -5,9 +5,10 @@
 //
 // Usage:
 //
-//	ringsim -algo LandmarkWithChirality -n 12 -landmark 0 -adversary random -p 0.5 -trace
+//	ringsim -algo LandmarkWithChirality -n 12 -landmark 0 -adversary "random(p=0.5)" -trace
 //	ringsim -algo LandmarkFreeExactN -n 12 -landmark -1 -adversary "tinterval(T=2)"
-//	ringsim -sweep -algos KnownNNoChirality,UnconsciousExploration -sizes 8,16,32 -seeds 1,2,3 -adversaries random,greedy
+//	ringsim -algo PTBoundWithChirality -n 12 -landmark -1 -adversary "act(0.7)+random(p=0.5)"
+//	ringsim -sweep -algos KnownNNoChirality,UnconsciousExploration -sizes 8,16,32 -seeds 1,2,3 -adversaries "random(p=0.5),greedy"
 //	ringsim -sweep -adversaries "tinterval(T=2),capped(r=2),recurrent(w=3)" -sizes 8,16
 //	ringsim -sweep -sizes 8,16 -json
 //	ringsim -sweep -sizes 8,16 -stats
@@ -15,10 +16,10 @@
 //	ringsim -sweep -sizes 8,16 -server http://127.0.0.1:8080
 //	ringsim -list
 //
-// Adversaries are named either by bare kind (parameterized through the
-// -p/-edge/-pin/-tconn/-cap/-window flags) or by a full parameter-bearing
-// label in the AdversarySpec grammar, e.g. capped(r=2) or
-// act(0.7)+random(p=0.5); see dynring.ParseAdversary.
+// Adversaries are named by their labels in the AdversarySpec grammar, e.g.
+// greedy, capped(r=2) or act(0.7)+random(p=0.5); see
+// dynring.ParseAdversary. A kind that takes a parameter must carry it:
+// -adversary random is refused, -adversary "random(p=0.5)" runs.
 //
 // Sweeps are cancellable: an interrupt (Ctrl-C) stops the grid and prints
 // the aggregate of the scenarios finished so far. -dry-run prints the
@@ -62,15 +63,8 @@ func run(ctx context.Context, out io.Writer, args []string) error {
 		algo     = fs.String("algo", "LandmarkWithChirality", "algorithm name (see -list)")
 		n        = fs.Int("n", 12, "ring size")
 		landmark = fs.Int("landmark", 0, "landmark node, or -1 for an anonymous ring")
-		advName  = fs.String("adversary", "random", "adversary: a kind (none|random|greedy|frontier|pin|persistent|prevent|tinterval|capped|recurrent) or a full label like capped(r=2)")
-		p        = fs.Float64("p", 0.5, "edge-removal probability for -adversary random")
+		advName  = fs.String("adversary", "random(p=0.5)", "adversary label, e.g. greedy, random(p=0.5), tinterval(T=2) or act(0.7)+capped(r=2); see dynring.ParseAdversary")
 		seed     = fs.Int64("seed", 1, "adversary seed")
-		edge     = fs.Int("edge", 0, "edge for -adversary persistent")
-		pin      = fs.Int("pin", 0, "agent for -adversary pin")
-		tconn    = fs.Int("tconn", 2, "phase length T for -adversary tinterval")
-		capR     = fs.Int("cap", 2, "per-round removal cap r for -adversary capped")
-		recW     = fs.Int("window", 3, "recurrence window w for -adversary recurrent")
-		actP     = fs.Float64("act", 1, "SSYNC activation probability (<1 wraps the adversary)")
 		rounds   = fs.Int("rounds", 0, "round budget (0 = default for the algorithm)")
 		starts   = fs.String("starts", "", "comma-separated start nodes (default: even spacing)")
 		orients  = fs.String("orients", "", "comma-separated orientations cw|ccw (default: all cw)")
@@ -121,10 +115,10 @@ func run(ctx context.Context, out io.Writer, args []string) error {
 		StopWhenExplored: *stopExpl,
 	}
 	var err error
-	if base.Starts, err = parseInts(*starts); err != nil {
+	if base.Starts, err = parseList(*starts, strconv.Atoi); err != nil {
 		return fmt.Errorf("bad -starts: %w", err)
 	}
-	if base.Orients, err = parseOrients(*orients); err != nil {
+	if base.Orients, err = parseList(*orients, dynring.ParseOrient); err != nil {
 		return fmt.Errorf("bad -orients: %w", err)
 	}
 
@@ -132,9 +126,7 @@ func run(ctx context.Context, out io.Writer, args []string) error {
 		return runSweep(ctx, out, base, sweepFlags{
 			algos: *algos, sizes: *sizes, seeds: *seeds,
 			adversaries: *advAxis, defaultAdv: *advName,
-			workers: *workers, p: *p, edge: *edge, pin: *pin,
-			tconn: *tconn, capR: *capR, recW: *recW, actP: *actP,
-			jsonOut: *jsonOut, dryRun: *dryRun, server: *server,
+			workers: *workers, jsonOut: *jsonOut, dryRun: *dryRun, server: *server,
 			memo: *memo, stats: *stats,
 		})
 	}
@@ -142,9 +134,7 @@ func run(ctx context.Context, out io.Writer, args []string) error {
 		return fmt.Errorf("-server submits grids: combine it with -sweep")
 	}
 
-	spec, err := adversarySpec(*advName, advParams{
-		p: *p, edge: *edge, pin: *pin, tconn: *tconn, capR: *capR, recW: *recW, actP: *actP,
-	})
+	spec, err := adversarySpec(*advName)
 	if err != nil {
 		return err
 	}
@@ -208,20 +198,11 @@ type sweepFlags struct {
 	algos, sizes, seeds, adversaries string
 	defaultAdv                       string
 	workers                          int
-	p                                float64
-	edge, pin                        int
-	tconn, capR, recW                int
-	actP                             float64
 	jsonOut                          bool
 	dryRun                           bool
 	server                           string
 	memo                             bool
 	stats                            bool
-}
-
-// params returns the flag-supplied adversary parameters.
-func (f sweepFlags) params() advParams {
-	return advParams{p: f.p, edge: f.edge, pin: f.pin, tconn: f.tconn, capR: f.capR, recW: f.recW, actP: f.actP}
 }
 
 // sweepJSON is the -sweep -json output document.
@@ -244,11 +225,11 @@ type scenarioJSON struct {
 }
 
 func runSweep(ctx context.Context, out io.Writer, base dynring.Scenario, f sweepFlags) error {
-	sizes, err := parseInts(f.sizes)
+	sizes, err := parseList(f.sizes, strconv.Atoi)
 	if err != nil {
 		return fmt.Errorf("bad -sizes: %w", err)
 	}
-	seeds, err := parseInt64s(f.seeds)
+	seeds, err := parseList(f.seeds, func(s string) (int64, error) { return strconv.ParseInt(s, 10, 64) })
 	if err != nil {
 		return fmt.Errorf("bad -seeds: %w", err)
 	}
@@ -258,7 +239,7 @@ func runSweep(ctx context.Context, out io.Writer, base dynring.Scenario, f sweep
 	}
 	var advSpecs []dynring.AdversarySpec
 	for _, name := range advNames {
-		spec, serr := adversarySpec(name, f.params())
+		spec, serr := adversarySpec(name)
 		if serr != nil {
 			return serr
 		}
@@ -414,63 +395,20 @@ func printGrid(out io.Writer, sw dynring.Sweep) error {
 	return nil
 }
 
-// advParams carries the flag-supplied adversary parameters applied to bare
-// kind names.
-type advParams struct {
-	p                 float64
-	edge, pin         int
-	tconn, capR, recW int
-	actP              float64
-}
-
-// adversarySpec maps one CLI adversary name to the serializable spec the
-// sweep axes, fingerprints and the remote API share. A parameter-bearing
-// label (anything containing '(') is parsed with dynring.ParseAdversary and
-// carries its own parameters; a bare kind name takes them from the flags.
-// Act 0 is the spec's "unset" value, so -act must be positive: a silent p=0
-// activation wrap (or a silent full-activation fallback) would invert the
-// dynamics.
-func adversarySpec(name string, pr advParams) (dynring.AdversarySpec, error) {
-	if pr.actP <= 0 || pr.actP > 1 {
-		return dynring.AdversarySpec{}, fmt.Errorf("-act %g: activation probability must be in (0,1]", pr.actP)
-	}
-	if strings.ContainsRune(name, '(') {
-		spec, err := dynring.ParseAdversary(name)
-		if err != nil {
-			return dynring.AdversarySpec{}, err
+// adversarySpec parses one CLI adversary label into the serializable spec
+// the sweep axes, fingerprints and the remote API share. A bare kind that
+// takes a parameter is refused rather than run with its zero value: its
+// label is not the name itself (random renders as random(p=0)), so Label
+// is the oracle and no list of kinds is kept here.
+func adversarySpec(name string) (dynring.AdversarySpec, error) {
+	strategy := strings.TrimSpace(name[strings.LastIndex(name, "+")+1:])
+	if !strings.ContainsRune(strategy, '(') {
+		if label := (dynring.AdversarySpec{Kind: strategy}).Label(); label != strategy {
+			form := label[:strings.LastIndexAny(label, "(=")+1] + "…)"
+			return dynring.AdversarySpec{}, fmt.Errorf("adversary %q takes a parameter: write it as the label %s", name, form)
 		}
-		// -act wraps a label that does not already carry its own wrapper.
-		if pr.actP < 1 && spec.Act == 0 {
-			spec.Act = pr.actP
-			if _, err := spec.Factory(); err != nil {
-				return dynring.AdversarySpec{}, err
-			}
-		}
-		return spec, nil
 	}
-	spec := dynring.AdversarySpec{Kind: name}
-	switch name {
-	case "random":
-		spec.P = pr.p
-	case "persistent":
-		spec.Edge = pr.edge
-	case "pin":
-		spec.Pin = pr.pin
-	case "tinterval":
-		spec.T = pr.tconn
-	case "capped":
-		spec.R = pr.capR
-	case "recurrent":
-		spec.W = pr.recW
-	}
-	if pr.actP < 1 {
-		spec.Act = pr.actP
-	}
-	// Reject unknown kinds here, before a sweep axis is built from them.
-	if _, err := spec.Factory(); err != nil {
-		return dynring.AdversarySpec{}, err
-	}
-	return spec, nil
+	return dynring.ParseAdversary(name)
 }
 
 func splitList(s string) []string {
@@ -487,53 +425,19 @@ func splitList(s string) []string {
 	return out
 }
 
-func parseInts(s string) ([]int, error) {
+// parseList splits a comma-separated flag value and parses each entry.
+func parseList[T any](s string, parse func(string) (T, error)) ([]T, error) {
 	parts := splitList(s)
 	if parts == nil {
 		return nil, nil
 	}
-	out := make([]int, 0, len(parts))
+	out := make([]T, 0, len(parts))
 	for _, part := range parts {
-		v, err := strconv.Atoi(part)
+		v, err := parse(part)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, v)
-	}
-	return out, nil
-}
-
-func parseInt64s(s string) ([]int64, error) {
-	parts := splitList(s)
-	if parts == nil {
-		return nil, nil
-	}
-	out := make([]int64, 0, len(parts))
-	for _, part := range parts {
-		v, err := strconv.ParseInt(part, 10, 64)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func parseOrients(s string) ([]dynring.GlobalDir, error) {
-	parts := splitList(s)
-	if parts == nil {
-		return nil, nil
-	}
-	out := make([]dynring.GlobalDir, 0, len(parts))
-	for _, part := range parts {
-		switch strings.ToLower(part) {
-		case "cw":
-			out = append(out, dynring.CW)
-		case "ccw":
-			out = append(out, dynring.CCW)
-		default:
-			return nil, fmt.Errorf("orientation %q (want cw or ccw)", part)
-		}
 	}
 	return out, nil
 }

@@ -7,6 +7,7 @@ import (
 	"context"
 	"dynring/internal/service"
 	"encoding/json"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -25,85 +26,61 @@ func TestParseInts(t *testing.T) {
 		{give: "x", wantErr: true},
 	}
 	for _, tt := range tests {
-		got, err := parseInts(tt.give)
+		got, err := parseList(tt.give, strconv.Atoi)
 		if (err != nil) != tt.wantErr {
-			t.Errorf("parseInts(%q) error = %v", tt.give, err)
+			t.Errorf("parseList(%q) error = %v", tt.give, err)
 			continue
 		}
 		if len(got) != len(tt.want) {
-			t.Errorf("parseInts(%q) = %v, want %v", tt.give, got, tt.want)
+			t.Errorf("parseList(%q) = %v, want %v", tt.give, got, tt.want)
 			continue
 		}
 		for i := range got {
 			if got[i] != tt.want[i] {
-				t.Errorf("parseInts(%q)[%d] = %d, want %d", tt.give, i, got[i], tt.want[i])
+				t.Errorf("parseList(%q)[%d] = %d, want %d", tt.give, i, got[i], tt.want[i])
 			}
 		}
 	}
 }
 
 func TestParseOrients(t *testing.T) {
-	got, err := parseOrients("cw,CCW, cw")
+	got, err := parseList("cw,CCW, cw", dynring.ParseOrient)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []dynring.GlobalDir{dynring.CW, dynring.CCW, dynring.CW}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("parseOrients = %v, want %v", got, want)
+			t.Fatalf("parseList = %v, want %v", got, want)
 		}
 	}
-	if _, err := parseOrients("up"); err == nil {
+	if _, err := parseList("up", dynring.ParseOrient); err == nil {
 		t.Fatal("bad orientation accepted")
 	}
-	if got, err := parseOrients(""); err != nil || got != nil {
+	if got, err := parseList("", dynring.ParseOrient); err != nil || got != nil {
 		t.Fatalf("empty input: %v, %v", got, err)
 	}
 }
 
-func TestAdversarySpecFlags(t *testing.T) {
-	defaults := advParams{p: 0.5, tconn: 2, capR: 2, recW: 3, actP: 1}
-	for _, name := range []string{
-		"none", "random", "greedy", "frontier", "pin", "persistent", "prevent",
-		"tinterval", "capped", "recurrent",
-	} {
-		spec, err := adversarySpec(name, defaults)
-		if err != nil {
-			t.Errorf("adversarySpec(%q): %v", name, err)
-			continue
-		}
-		factory, err := spec.Factory()
-		if err != nil {
-			t.Errorf("Factory(%q): %v", name, err)
-			continue
-		}
-		if factory(1) == nil {
-			t.Errorf("adversarySpec(%q) built a nil adversary", name)
-		}
-	}
-	if _, err := adversarySpec("bogus", defaults); err == nil {
-		t.Fatal("bogus adversary accepted")
-	}
-	// Act 0 is the wire "unset" value, so a non-positive -act must be
-	// rejected rather than silently running with full activation.
-	if _, err := adversarySpec("random", advParams{p: 0.5}); err == nil {
-		t.Fatal("-act 0 accepted")
-	}
-}
-
 // TestAdversarySpecLabels: parameter-bearing labels parse through
-// dynring.ParseAdversary and override the flag defaults; -act wraps labels
-// that do not already carry an act() wrapper.
+// dynring.ParseAdversary with their own parameters, parameter-free kinds
+// pass bare, and unknown or out-of-range labels are refused.
 func TestAdversarySpecLabels(t *testing.T) {
-	defaults := advParams{p: 0.5, tconn: 2, capR: 2, recW: 3, actP: 1}
 	for label, check := range map[string]func(dynring.AdversarySpec) bool{
+		"none":                 func(s dynring.AdversarySpec) bool { return s.Kind == "none" },
+		"greedy":               func(s dynring.AdversarySpec) bool { return s.Kind == "greedy" },
+		"frontier":             func(s dynring.AdversarySpec) bool { return s.Kind == "frontier" },
+		"prevent":              func(s dynring.AdversarySpec) bool { return s.Kind == "prevent" },
+		"pin(1)":               func(s dynring.AdversarySpec) bool { return s.Kind == "pin" && s.Pin == 1 },
+		"persistent(3)":        func(s dynring.AdversarySpec) bool { return s.Kind == "persistent" && s.Edge == 3 },
 		"tinterval(T=4)":       func(s dynring.AdversarySpec) bool { return s.Kind == "tinterval" && s.T == 4 },
 		"capped(r=3)":          func(s dynring.AdversarySpec) bool { return s.Kind == "capped" && s.R == 3 },
 		"recurrent(w=5)":       func(s dynring.AdversarySpec) bool { return s.Kind == "recurrent" && s.W == 5 },
 		"random(p=0.25)":       func(s dynring.AdversarySpec) bool { return s.Kind == "random" && s.P == 0.25 },
 		"act(0.6)+capped(r=2)": func(s dynring.AdversarySpec) bool { return s.Kind == "capped" && s.Act == 0.6 },
+		"act(0.6)+greedy":      func(s dynring.AdversarySpec) bool { return s.Kind == "greedy" && s.Act == 0.6 },
 	} {
-		spec, err := adversarySpec(label, defaults)
+		spec, err := adversarySpec(label)
 		if err != nil {
 			t.Errorf("adversarySpec(%q): %v", label, err)
 			continue
@@ -112,18 +89,39 @@ func TestAdversarySpecLabels(t *testing.T) {
 			t.Errorf("adversarySpec(%q) = %+v", label, spec)
 		}
 	}
-	// -act composes with a wrapper-less label...
-	spec, err := adversarySpec("capped(r=2)", advParams{actP: 0.7})
-	if err != nil || spec.Act != 0.7 {
-		t.Fatalf("-act did not wrap label: %+v, %v", spec, err)
+	for _, bad := range []string{"bogus", "capped(r=0)", "act(1.5)+greedy"} {
+		if _, err := adversarySpec(bad); err == nil {
+			t.Errorf("adversarySpec(%q) accepted", bad)
+		}
 	}
-	// ...but never overrides an explicit one.
-	spec, err = adversarySpec("act(0.6)+greedy", advParams{actP: 0.7})
-	if err != nil || spec.Act != 0.6 {
-		t.Fatalf("-act overrode the label's wrapper: %+v, %v", spec, err)
+}
+
+// TestBareKindNeedsLabel: a kind that takes a parameter must carry it. A bare
+// random would otherwise run as random(p=0), and a bare tinterval has no
+// phase length at all; both are refused, and the error names the label form.
+func TestBareKindNeedsLabel(t *testing.T) {
+	for name, form := range map[string]string{
+		"random":          "random(p=…)",
+		"pin":             "pin(…)",
+		"persistent":      "persistent(…)",
+		"tinterval":       "tinterval(T=…)",
+		"capped":          "capped(r=…)",
+		"recurrent":       "recurrent(w=…)",
+		"act(0.7)+random": "random(p=…)",
+	} {
+		_, err := adversarySpec(name)
+		if err == nil || !strings.Contains(err.Error(), form) {
+			t.Errorf("adversarySpec(%q) = %v, want an error naming %s", name, err, form)
+		}
 	}
-	if _, err := adversarySpec("capped(r=0)", defaults); err == nil {
-		t.Fatal("out-of-range label parameter accepted")
+	var out bytes.Buffer
+	for _, args := range [][]string{
+		{"-algo", "KnownNNoChirality", "-n", "8", "-landmark", "-1", "-adversary", "random"},
+		{"-sweep", "-algos", "KnownNNoChirality", "-sizes", "8", "-landmark", "-1", "-adversaries", "tinterval,greedy"},
+	} {
+		if err := run(context.Background(), &out, args); err == nil {
+			t.Errorf("run(%q) accepted a bare parameterized kind", args)
+		}
 	}
 }
 
@@ -131,7 +129,7 @@ func TestRunEndToEnd(t *testing.T) {
 	ctx := context.Background()
 	var out bytes.Buffer
 	if err := run(ctx, &out, []string{"-algo", "KnownNNoChirality", "-n", "8", "-landmark", "-1",
-		"-adversary", "random", "-p", "0.4", "-seed", "3"}); err != nil {
+		"-adversary", "random(p=0.4)", "-seed", "3"}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "outcome:") {
@@ -230,7 +228,7 @@ func TestDryRun(t *testing.T) {
 	var out bytes.Buffer
 	if err := run(context.Background(), &out, []string{"-sweep", "-dry-run",
 		"-algos", "KnownNNoChirality,UnconsciousExploration", "-sizes", "8,16",
-		"-seeds", "1,2,3", "-landmark", "-1", "-adversary", "random", "-p", "0.5"}); err != nil {
+		"-seeds", "1,2,3", "-landmark", "-1", "-adversary", "random(p=0.5)"}); err != nil {
 		t.Fatal(err)
 	}
 	text := out.String()
@@ -288,7 +286,7 @@ func TestServerMode(t *testing.T) {
 	defer srv.Close()
 
 	args := []string{"-sweep", "-algos", "KnownNNoChirality", "-sizes", "6,8",
-		"-seeds", "1,2", "-landmark", "-1", "-adversary", "random", "-p", "0.4"}
+		"-seeds", "1,2", "-landmark", "-1", "-adversary", "random(p=0.4)"}
 	var remote bytes.Buffer
 	if err := run(context.Background(), &remote, append(args, "-server", srv.URL)); err != nil {
 		t.Fatal(err)

@@ -17,15 +17,18 @@
 //
 // Quick start:
 //
-//	res, err := dynring.Run(dynring.Config{
-//		Size:      12,
-//		Landmark:  0,
-//		Algorithm: "LandmarkWithChirality",
-//		Adversary: dynring.RandomEdges(0.5, 42),
-//	})
+//	res, err := dynring.Scenario{
+//		Size:           12,
+//		Landmark:       0,
+//		Algorithm:      "LandmarkWithChirality",
+//		AdversaryLabel: "random(p=0.5)",
+//		NewAdversary:   dynring.RandomEdgesFactory(0.5),
+//		Seed:           42,
+//	}.Run()
 //
-// See Algorithms for the registry and the examples directory for complete
-// programs.
+// A Sweep expands a base Scenario along algorithm, size, seed and
+// adversary axes and runs the grid concurrently. See Algorithms for the
+// registry and the examples directory for complete programs.
 package dynring
 
 import (
@@ -94,7 +97,7 @@ type (
 
 // Synchrony and transport models. ModelDefault is the explicit "use the
 // algorithm's default regime" sentinel — it is the zero value of Model, so
-// a Config or Scenario that leaves Model unset selects the first entry of
+// a Scenario that leaves Model unset selects the first entry of
 // the algorithm's spec.
 const (
 	ModelDefault = sim.ModelDefault
@@ -129,92 +132,13 @@ const (
 	OutcomeCycle         = sim.OutcomeCycle
 )
 
-// Config describes one exploration run.
-type Config struct {
-	// Size is the number of ring nodes (≥ 3).
-	Size int
-	// Landmark is the landmark node, or NoLandmark (the default zero value
-	// is node 0 — set NoLandmark explicitly for anonymous rings).
-	Landmark int
-	// Algorithm is a registry name; see Algorithms.
-	Algorithm string
-	// Model overrides the algorithm's default regime (first entry of its
-	// spec). Usually left zero.
-	Model Model
-	// UpperBound is the known bound N for algorithms that require one;
-	// defaults to Size.
-	UpperBound int
-	// ExactSize is the known exact size for algorithms that require it;
-	// defaults to Size.
-	ExactSize int
-	// Starts are the agents' initial nodes; defaults to even spacing.
-	Starts []int
-	// Orients are the agents' orientations; defaults to all CW (chirality).
-	Orients []GlobalDir
-	// Adversary controls dynamics; nil means an always-connected ring.
-	Adversary Adversary
-	// MaxRounds bounds the run; defaults to a generous per-algorithm
-	// budget.
-	MaxRounds int
-	// StopWhenExplored ends the run at full coverage (useful for the
-	// unconscious algorithms). Terminating algorithms usually leave it
-	// false to observe termination.
-	StopWhenExplored bool
-	// FairnessBound overrides the SSYNC fairness horizon (0 = default).
-	FairnessBound int
-	// Observer optionally receives round records (e.g. a TraceRecorder).
-	Observer Observer
-	// DetectCycles enables configuration-cycle certificates when all
-	// components support fingerprints.
-	DetectCycles bool
-}
-
-// Errors returned by Run.
+// Errors returned by Scenario.Validate, and by every path that runs a
+// scenario (Scenario.Run, Scenario.NewWorld, Runner, Sweep), wrapped with
+// the offending detail.
 var (
 	ErrUnknownAlgorithm = errors.New("dynring: unknown algorithm")
 	ErrRequirement      = errors.New("dynring: configuration violates the algorithm's assumptions")
 )
-
-// Scenario converts the legacy single-shot configuration into the
-// Scenario/Sweep v1 form. The live adversary instance, if any, is wrapped
-// via Fixed — replaying the scenario therefore reuses that instance; build
-// new Config values (or real AdversaryFactory scenarios) for independent
-// replays of stateful adversaries.
-func (cfg Config) Scenario() Scenario {
-	s := Scenario{
-		Size:             cfg.Size,
-		Landmark:         cfg.Landmark,
-		Algorithm:        cfg.Algorithm,
-		Model:            cfg.Model,
-		UpperBound:       cfg.UpperBound,
-		ExactSize:        cfg.ExactSize,
-		Starts:           cfg.Starts,
-		Orients:          cfg.Orients,
-		MaxRounds:        cfg.MaxRounds,
-		StopWhenExplored: cfg.StopWhenExplored,
-		FairnessBound:    cfg.FairnessBound,
-		DetectCycles:     cfg.DetectCycles,
-		Observer:         cfg.Observer,
-	}
-	if cfg.Adversary != nil {
-		s.NewAdversary = Fixed(cfg.Adversary)
-	}
-	return s
-}
-
-// Run executes one exploration run described by cfg. It is a thin wrapper
-// over cfg.Scenario().Run(); new code should use Scenario (and Sweep for
-// batches) directly.
-func Run(cfg Config) (Result, error) {
-	return cfg.Scenario().Run()
-}
-
-// NewWorld validates cfg and assembles a World without running it, for
-// callers that want to drive rounds manually via World.Step. It is a thin
-// wrapper over cfg.Scenario().NewWorld().
-func NewWorld(cfg Config) (*World, error) {
-	return cfg.Scenario().NewWorld()
-}
 
 // DefaultBudget returns a generous round budget for the algorithm's claimed
 // complexity on a ring of size n.
@@ -241,7 +165,7 @@ func Algorithms() []Algorithm { return core.All() }
 func LookupAlgorithm(name string) (Algorithm, bool) { return core.Lookup(name) }
 
 // NewTrace returns a recorder for a ring of n nodes; pass it as
-// Config.Observer and render with its Render method.
+// Scenario.Observer and render with its Render method.
 func NewTrace(n int) *TraceRecorder { return trace.NewRecorder(n) }
 
 // Built-in adversaries. Custom strategies implement the Adversary

@@ -9,12 +9,12 @@ import (
 )
 
 func TestRunQuickstart(t *testing.T) {
-	res, err := dynring.Run(dynring.Config{
-		Size:      12,
-		Landmark:  0,
-		Algorithm: "LandmarkWithChirality",
-		Adversary: dynring.RandomEdges(0.5, 42),
-	})
+	res, err := dynring.Scenario{
+		Size:         12,
+		Landmark:     0,
+		Algorithm:    "LandmarkWithChirality",
+		NewAdversary: dynring.Fixed(dynring.RandomEdges(0.5, 42)),
+	}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,11 +25,11 @@ func TestRunQuickstart(t *testing.T) {
 
 func TestRunDefaults(t *testing.T) {
 	// Defaults: even spacing, chirality, bound = size, FSYNC regime.
-	res, err := dynring.Run(dynring.Config{
+	res, err := dynring.Scenario{
 		Size:      9,
 		Landmark:  dynring.NoLandmark,
 		Algorithm: "KnownNNoChirality",
-	})
+	}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,12 +45,12 @@ func TestRunDefaults(t *testing.T) {
 }
 
 func TestRunSSYNCAlgorithm(t *testing.T) {
-	res, err := dynring.Run(dynring.Config{
-		Size:      8,
-		Landmark:  dynring.NoLandmark,
-		Algorithm: "PTBoundWithChirality",
-		Adversary: dynring.RandomActivation(0.6, 7, dynring.RandomEdges(0.5, 8)),
-	})
+	res, err := dynring.Scenario{
+		Size:         8,
+		Landmark:     dynring.NoLandmark,
+		Algorithm:    "PTBoundWithChirality",
+		NewAdversary: dynring.Fixed(dynring.RandomActivation(0.6, 7, dynring.RandomEdges(0.5, 8))),
+	}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,42 +62,42 @@ func TestRunSSYNCAlgorithm(t *testing.T) {
 func TestRunValidation(t *testing.T) {
 	tests := []struct {
 		name string
-		cfg  dynring.Config
+		sc   dynring.Scenario
 		want error
 	}{
 		{
 			name: "unknown algorithm",
-			cfg:  dynring.Config{Size: 8, Algorithm: "Nope"},
+			sc:   dynring.Scenario{Size: 8, Algorithm: "Nope"},
 			want: dynring.ErrUnknownAlgorithm,
 		},
 		{
 			name: "missing landmark",
-			cfg: dynring.Config{Size: 8, Landmark: dynring.NoLandmark,
+			sc: dynring.Scenario{Size: 8, Landmark: dynring.NoLandmark,
 				Algorithm: "LandmarkWithChirality"},
 			want: dynring.ErrRequirement,
 		},
 		{
 			name: "chirality violated",
-			cfg: dynring.Config{Size: 8, Landmark: 0, Algorithm: "LandmarkWithChirality",
+			sc: dynring.Scenario{Size: 8, Landmark: 0, Algorithm: "LandmarkWithChirality",
 				Orients: []dynring.GlobalDir{dynring.CW, dynring.CCW}},
 			want: dynring.ErrRequirement,
 		},
 		{
 			name: "bound below size",
-			cfg: dynring.Config{Size: 8, Landmark: dynring.NoLandmark,
+			sc: dynring.Scenario{Size: 8, Landmark: dynring.NoLandmark,
 				Algorithm: "KnownNNoChirality", UpperBound: 5},
 			want: dynring.ErrRequirement,
 		},
 		{
 			name: "wrong agent count",
-			cfg: dynring.Config{Size: 8, Landmark: dynring.NoLandmark,
+			sc: dynring.Scenario{Size: 8, Landmark: dynring.NoLandmark,
 				Algorithm: "KnownNNoChirality", Starts: []int{0, 1, 2}},
 			want: dynring.ErrRequirement,
 		},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := dynring.Run(tt.cfg); !errors.Is(err, tt.want) {
+			if _, err := tt.sc.Run(); !errors.Is(err, tt.want) {
 				t.Fatalf("err = %v, want %v", err, tt.want)
 			}
 		})
@@ -122,13 +122,13 @@ func TestAlgorithmsRegistry(t *testing.T) {
 
 func TestTraceObserver(t *testing.T) {
 	rec := dynring.NewTrace(8)
-	_, err := dynring.Run(dynring.Config{
-		Size:      8,
-		Landmark:  dynring.NoLandmark,
-		Algorithm: "KnownNNoChirality",
-		Adversary: dynring.KeepEdgeRemoved(3),
-		Observer:  rec,
-	})
+	_, err := dynring.Scenario{
+		Size:         8,
+		Landmark:     dynring.NoLandmark,
+		Algorithm:    "KnownNNoChirality",
+		NewAdversary: dynring.Fixed(dynring.KeepEdgeRemoved(3)),
+		Observer:     rec,
+	}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,14 +155,14 @@ func (m maintenanceWindow) MissingEdge(t int, w *dynring.World, _ []dynring.Inte
 }
 
 func TestCustomAdversary(t *testing.T) {
-	res, err := dynring.Run(dynring.Config{
-		Size:      10,
-		Landmark:  dynring.NoLandmark,
-		Algorithm: "UnconsciousExploration",
-		Adversary: maintenanceWindow{w: 3},
-		Orients:   []dynring.GlobalDir{dynring.CW, dynring.CCW},
-		MaxRounds: 2000, StopWhenExplored: true,
-	})
+	res, err := dynring.Scenario{
+		Size:         10,
+		Landmark:     dynring.NoLandmark,
+		Algorithm:    "UnconsciousExploration",
+		NewAdversary: dynring.Fixed(maintenanceWindow{w: 3}),
+		Orients:      []dynring.GlobalDir{dynring.CW, dynring.CCW},
+		MaxRounds:    2000, StopWhenExplored: true,
+	}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}

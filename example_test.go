@@ -6,14 +6,14 @@ import (
 	"dynring"
 )
 
-// ExampleRun explores a static 9-node ring with the 3N−6 algorithm of
-// Theorem 3: both agents terminate at exactly round 3·9−6 = 21.
-func ExampleRun() {
-	res, err := dynring.Run(dynring.Config{
+// ExampleScenario_Run explores a static 9-node ring with the 3N−6 algorithm
+// of Theorem 3: both agents terminate at exactly round 3·9−6 = 21.
+func ExampleScenario_Run() {
+	res, err := dynring.Scenario{
 		Size:      9,
 		Landmark:  dynring.NoLandmark,
 		Algorithm: "KnownNNoChirality",
-	})
+	}.Run()
 	if err != nil {
 		fmt.Println(err)
 		return
@@ -25,16 +25,17 @@ func ExampleRun() {
 	// terminated at: [21 21]
 }
 
-// ExampleRun_adversary runs the same algorithm against the Figure 2 tight
-// schedule expressed as KeepEdgeRemoved plus PinAgent-style strategies from
-// the built-in suite; the guarantee is schedule-independent.
-func ExampleRun_adversary() {
-	res, err := dynring.Run(dynring.Config{
-		Size:      9,
-		Landmark:  dynring.NoLandmark,
-		Algorithm: "KnownNNoChirality",
-		Adversary: dynring.GreedyBlocking(),
-	})
+// ExampleScenario_Run_adversary runs the same algorithm against the greedy
+// blocking adversary from the built-in suite; the guarantee is
+// schedule-independent.
+func ExampleScenario_Run_adversary() {
+	res, err := dynring.Scenario{
+		Size:           9,
+		Landmark:       dynring.NoLandmark,
+		Algorithm:      "KnownNNoChirality",
+		AdversaryLabel: "greedy",
+		NewAdversary:   dynring.Fixed(dynring.GreedyBlocking()),
+	}.Run()
 	if err != nil {
 		fmt.Println(err)
 		return
@@ -46,13 +47,13 @@ func ExampleRun_adversary() {
 	// terminated at: [21 21]
 }
 
-// ExampleNewWorld drives rounds manually instead of using Run.
-func ExampleNewWorld() {
-	w, err := dynring.NewWorld(dynring.Config{
+// ExampleScenario_NewWorld drives rounds manually instead of using Run.
+func ExampleScenario_NewWorld() {
+	w, err := dynring.Scenario{
 		Size:      6,
 		Landmark:  dynring.NoLandmark,
 		Algorithm: "UnconsciousExploration",
-	})
+	}.NewWorld()
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -71,13 +71,13 @@ func run() error {
 		{name: "rolling maintenance (w=4)", adv: rollingMaintenance{w: 4}},
 		{name: "chase the leader", adv: chaseLeader{}},
 	} {
-		res, err := dynring.Run(dynring.Config{
-			Size:      n,
-			Landmark:  dynring.NoLandmark,
-			Algorithm: "KnownNNoChirality",
-			Orients:   []dynring.GlobalDir{dynring.CW, dynring.CCW}, // no chirality needed
-			Adversary: tc.adv,
-		})
+		res, err := dynring.Scenario{
+			Size:         n,
+			Landmark:     dynring.NoLandmark,
+			Algorithm:    "KnownNNoChirality",
+			Orients:      []dynring.GlobalDir{dynring.CW, dynring.CCW}, // no chirality needed
+			NewAdversary: dynring.Fixed(tc.adv),
+		}.Run()
 		if err != nil {
 			return err
 		}

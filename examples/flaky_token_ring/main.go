@@ -33,14 +33,14 @@ func run() error {
 		noc      = 0 // the NOC rack is the landmark
 	)
 	rec := dynring.NewTrace(switches)
-	res, err := dynring.Run(dynring.Config{
-		Size:      switches,
-		Landmark:  noc,
-		Algorithm: "LandmarkWithChirality",
-		Starts:    []int{2, 10}, // probes plugged in at arbitrary racks
-		Adversary: dynring.KeepEdgeRemoved(deadLink),
-		Observer:  rec,
-	})
+	res, err := dynring.Scenario{
+		Size:         switches,
+		Landmark:     noc,
+		Algorithm:    "LandmarkWithChirality",
+		Starts:       []int{2, 10}, // probes plugged in at arbitrary racks
+		NewAdversary: dynring.Fixed(dynring.KeepEdgeRemoved(deadLink)),
+		Observer:     rec,
+	}.Run()
 	if err != nil {
 		return err
 	}

@@ -33,18 +33,18 @@ func run() error {
 	fmt.Printf("patrolling %d sensors under radio interference (ET model):\n\n", sensors)
 	total := 0
 	for sweep := 1; sweep <= sweeps; sweep++ {
-		res, err := dynring.Run(dynring.Config{
+		res, err := dynring.Scenario{
 			Size:      sensors,
 			Landmark:  dynring.NoLandmark,
 			Algorithm: "ETUnconscious",
 			Starts:    []int{0, sensors / 2},
-			Adversary: dynring.RandomActivation(
+			NewAdversary: dynring.Fixed(dynring.RandomActivation(
 				0.7,              // nodes awake with probability 0.7
 				int64(sweep)*997, // independent interference per sweep
-				dynring.RandomEdges(0.5, int64(sweep)*31)),
+				dynring.RandomEdges(0.5, int64(sweep)*31))),
 			StopWhenExplored: true,
 			MaxRounds:        4000 * sensors,
-		})
+		}.Run()
 		if err != nil {
 			return err
 		}

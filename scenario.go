@@ -30,7 +30,9 @@ type AdversaryFactory func(seed int64) Adversary
 // Fixed adapts a ready-made adversary instance into an AdversaryFactory that
 // ignores the seed. Use it for the stateless proof strategies (GreedyBlocking,
 // FrontierGuarding, PinAgent, ...); for seeded strategies prefer a factory
-// that consumes the seed, so sweeps decorrelate their runs.
+// that consumes the seed, so sweeps decorrelate their runs. Every run gets
+// the same instance, so a scenario holding a stateful one (RandomEdges, a
+// custom strategy with counters) replays only if it is rebuilt per run.
 func Fixed(a Adversary) AdversaryFactory {
 	return func(int64) Adversary { return a }
 }
@@ -72,9 +74,9 @@ func RecurrentFactory(w int) AdversaryFactory {
 
 // Scenario fully describes one exploration run as a plain value: topology,
 // algorithm, regime, initial configuration, a-priori knowledge, dynamics and
-// budget. Unlike Config it carries an adversary *constructor*, so the same
-// Scenario value replays to the same Result, and it separates validation
-// (Validate) from execution (Run / NewWorld).
+// budget. It carries an adversary *constructor*, so the same Scenario value
+// replays to the same Result, and it separates validation (Validate) from
+// execution (Run / NewWorld).
 //
 // The zero value of most fields means "use the algorithm's default":
 // Starts defaults to even spacing, Orients to all-CW, Model to the first

@@ -9,8 +9,8 @@ import (
 )
 
 // validationCases enumerates the configuration-validation error paths. Each
-// case is expressed once and asserted against both the new Scenario.Validate
-// and the legacy NewWorld(Config) wrapper, which must agree.
+// case is expressed once and asserted against both Scenario.Validate and
+// Scenario.NewWorld, which must agree.
 var validationCases = []struct {
 	name string
 	sc   dynring.Scenario
@@ -68,54 +68,25 @@ var validationCases = []struct {
 	},
 }
 
-// scenarioConfig mirrors a Scenario back into the legacy Config for the
-// parity assertions (the fields the validation cases use).
-func scenarioConfig(sc dynring.Scenario) dynring.Config {
-	return dynring.Config{
-		Size:       sc.Size,
-		Landmark:   sc.Landmark,
-		Algorithm:  sc.Algorithm,
-		Model:      sc.Model,
-		UpperBound: sc.UpperBound,
-		ExactSize:  sc.ExactSize,
-		Starts:     sc.Starts,
-		Orients:    sc.Orients,
-		MaxRounds:  sc.MaxRounds,
-	}
-}
-
+// TestScenarioValidate: Validate and NewWorld reject exactly the same
+// scenarios — NewWorld validates through the same resolve, building the ring
+// and protocols on top.
 func TestScenarioValidate(t *testing.T) {
 	for _, tt := range validationCases {
 		t.Run(tt.name, func(t *testing.T) {
 			err := tt.sc.Validate()
+			_, werr := tt.sc.NewWorld()
 			if tt.want == nil {
-				if err != nil {
-					t.Fatalf("Validate() = %v, want nil", err)
+				if err != nil || werr != nil {
+					t.Fatalf("Validate() = %v, NewWorld() = %v, want nil", err, werr)
 				}
 				return
 			}
 			if !errors.Is(err, tt.want) {
 				t.Fatalf("Validate() = %v, want %v", err, tt.want)
 			}
-		})
-	}
-}
-
-// TestLegacyNewWorldValidationParity: the legacy Config path must reject
-// exactly what Scenario.Validate rejects — it is a wrapper, not a second
-// implementation.
-func TestLegacyNewWorldValidationParity(t *testing.T) {
-	for _, tt := range validationCases {
-		t.Run(tt.name, func(t *testing.T) {
-			_, err := dynring.NewWorld(scenarioConfig(tt.sc))
-			if tt.want == nil {
-				if err != nil {
-					t.Fatalf("NewWorld() = %v, want nil", err)
-				}
-				return
-			}
-			if !errors.Is(err, tt.want) {
-				t.Fatalf("NewWorld() = %v, want %v", err, tt.want)
+			if !errors.Is(werr, tt.want) {
+				t.Fatalf("NewWorld() = %v, want %v", werr, tt.want)
 			}
 		})
 	}
@@ -136,31 +107,6 @@ func TestScenarioValidateCustomProtocols(t *testing.T) {
 	noAlgo := dynring.Scenario{Size: 8, Landmark: dynring.NoLandmark}
 	if err := noAlgo.Validate(); !errors.Is(err, dynring.ErrUnknownAlgorithm) {
 		t.Fatalf("no algorithm: Validate() = %v, want ErrUnknownAlgorithm", err)
-	}
-}
-
-// TestScenarioRunMatchesLegacyRun: a deterministic scenario produces the
-// same Result through both entry points.
-func TestScenarioRunMatchesLegacyRun(t *testing.T) {
-	sc := dynring.Scenario{
-		Size: 12, Landmark: 0,
-		Algorithm:    "LandmarkWithChirality",
-		NewAdversary: dynring.Fixed(dynring.GreedyBlocking()),
-	}
-	a, err := sc.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := dynring.Run(dynring.Config{
-		Size: 12, Landmark: 0,
-		Algorithm: "LandmarkWithChirality",
-		Adversary: dynring.GreedyBlocking(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("Scenario.Run and legacy Run diverge:\n%+v\n%+v", a, b)
 	}
 }
 

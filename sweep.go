@@ -73,8 +73,8 @@ type SweepResult struct {
 	// Stats is the engine's execution accounting for this row (rounds
 	// stepped vs leapt, see RunStats). Like Wall and Cached it describes
 	// how the row ran, not what it computed: it is zero for replayed rows
-	// and for rows executed through StreamFunc or a remote service, and is
-	// ignored by Aggregate.
+	// and for rows executed by a remote service, and is ignored by
+	// Aggregate.
 	Stats RunStats
 }
 
@@ -167,16 +167,6 @@ func axisName(algo string, size int, adv string, seed int64) string {
 	return string(b)
 }
 
-// ScenarioRunner executes one expanded scenario of a sweep. It is the
-// job-level hook of StreamFunc: implementations can wrap
-// Scenario.RunContext with caching, instrumentation or remote dispatch.
-type ScenarioRunner func(ctx context.Context, sc Scenario) (Result, error)
-
-// cachedRunner is the internal per-worker execution hook: ScenarioRunner
-// plus the replayed-from-memo bit that fills SweepResult.Cached and the
-// engine accounting that fills SweepResult.Stats.
-type cachedRunner func(ctx context.Context, sc Scenario) (Result, RunStats, bool, error)
-
 // Stream expands the grid and executes it on a bounded worker pool,
 // delivering results on the returned channel in grid order. The channel is
 // closed when the grid is exhausted or ctx is cancelled; scenarios cancelled
@@ -188,37 +178,6 @@ type cachedRunner func(ctx context.Context, sc Scenario) (Result, RunStats, bool
 // sweep carries a Memo every worker's Runner shares it. Results are
 // identical to running every scenario through Scenario.RunContext.
 func (s Sweep) Stream(ctx context.Context) (<-chan SweepResult, error) {
-	return s.stream(ctx, func() cachedRunner {
-		r := NewRunner()
-		r.Memo = s.Memo
-		return func(ctx context.Context, sc Scenario) (Result, RunStats, bool, error) {
-			res, cached, err := r.RunCached(ctx, sc)
-			return res, r.LastStats(), cached, err
-		}
-	})
-}
-
-// StreamFunc is Stream with a caller-supplied runner: every expanded
-// scenario is executed through run instead of a per-worker Runner, keeping
-// the grid expansion, worker pool and ordered delivery. It is the hook for
-// interposing a result cache (the contract the ringsimd service builds on:
-// scenarios with equal Fingerprints may share a Result), metrics, or any
-// other per-run middleware. run must be safe for concurrent use. The
-// sweep's Memo is not consulted — caching is the hook's business here —
-// and every delivered result has Cached unset.
-func (s Sweep) StreamFunc(ctx context.Context, run ScenarioRunner) (<-chan SweepResult, error) {
-	return s.stream(ctx, func() cachedRunner {
-		return func(ctx context.Context, sc Scenario) (Result, RunStats, bool, error) {
-			res, err := run(ctx, sc)
-			return res, RunStats{}, false, err
-		}
-	})
-}
-
-// stream is the shared engine of Stream and StreamFunc: newRun is invoked
-// once per worker goroutine, so it can hand each worker private reusable
-// state (a Runner) or a shared concurrency-safe hook.
-func (s Sweep) stream(ctx context.Context, newRun func() cachedRunner) (<-chan SweepResult, error) {
 	scenarios, err := s.Scenarios()
 	if err != nil {
 		return nil, err
@@ -227,10 +186,14 @@ func (s Sweep) stream(ctx context.Context, newRun func() cachedRunner) (<-chan S
 	go func() {
 		defer close(ch)
 		_ = sweep.OrderedStates(ctx, len(scenarios), s.Workers,
-			newRun,
-			func(ctx context.Context, run cachedRunner, i int) SweepResult {
+			func() *Runner {
+				r := NewRunner()
+				r.Memo = s.Memo
+				return r
+			},
+			func(ctx context.Context, r *Runner, i int) SweepResult {
 				start := time.Now()
-				res, stats, cached, err := run(ctx, scenarios[i])
+				res, cached, err := r.RunCached(ctx, scenarios[i])
 				return SweepResult{
 					Index:    i,
 					Scenario: scenarios[i],
@@ -238,7 +201,7 @@ func (s Sweep) stream(ctx context.Context, newRun func() cachedRunner) (<-chan S
 					Err:      err,
 					Wall:     time.Since(start),
 					Cached:   cached,
-					Stats:    stats,
+					Stats:    r.LastStats(),
 				}
 			},
 			func(_ int, v SweepResult) bool {

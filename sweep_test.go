@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"dynring"
@@ -334,74 +333,6 @@ func TestAggregateErrorOnlyCell(t *testing.T) {
 	// And the row still renders.
 	if s := errRow.String(); !strings.Contains(s, "errors=2") {
 		t.Fatalf("String() = %q", s)
-	}
-}
-
-// TestSweepStreamFunc: the job hook executes every expanded scenario through
-// the supplied runner, preserving grid order and per-scenario identity.
-func TestSweepStreamFunc(t *testing.T) {
-	sw := dynring.Sweep{
-		Base:    dynring.Scenario{Landmark: 0, Algorithm: "LandmarkWithChirality"},
-		Sizes:   []int{6, 8},
-		Seeds:   []int64{1, 2, 3},
-		Workers: 4,
-	}
-	var calls atomic.Int64
-	ch, err := sw.StreamFunc(context.Background(),
-		func(_ context.Context, sc dynring.Scenario) (dynring.Result, error) {
-			calls.Add(1)
-			// A deterministic stand-in result tagged with the scenario size,
-			// as a cache or remote executor would produce.
-			return dynring.Result{Rounds: sc.Size}, nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []dynring.SweepResult
-	for r := range ch {
-		got = append(got, r)
-	}
-	if len(got) != 6 || calls.Load() != 6 {
-		t.Fatalf("%d results, %d calls", len(got), calls.Load())
-	}
-	for i, r := range got {
-		if r.Index != i {
-			t.Fatalf("result %d has index %d", i, r.Index)
-		}
-		if r.Err != nil || r.Result.Rounds != r.Scenario.Size {
-			t.Fatalf("runner result not threaded through: %+v", r)
-		}
-	}
-}
-
-// TestSweepStreamFuncRunnerError: runner failures surface per scenario like
-// engine failures, without stopping the grid.
-func TestSweepStreamFuncRunnerError(t *testing.T) {
-	sw := dynring.Sweep{
-		Base:  dynring.Scenario{Size: 8, Landmark: 0, Algorithm: "LandmarkWithChirality"},
-		Seeds: []int64{1, 2},
-	}
-	boom := errors.New("runner exploded")
-	ch, err := sw.StreamFunc(context.Background(),
-		func(_ context.Context, sc dynring.Scenario) (dynring.Result, error) {
-			if strings.HasSuffix(sc.Name, "seed=1") {
-				return dynring.Result{}, boom
-			}
-			return dynring.Result{Rounds: 1}, nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var errs, oks int
-	for r := range ch {
-		if r.Err != nil {
-			errs++
-		} else {
-			oks++
-		}
-	}
-	if errs != 1 || oks != 1 {
-		t.Fatalf("errs=%d oks=%d", errs, oks)
 	}
 }
 
