@@ -68,25 +68,40 @@ var validationCases = []struct {
 	},
 }
 
-// TestScenarioValidate: Validate and NewWorld reject exactly the same
-// scenarios — NewWorld validates through the same resolve, building the ring
-// and protocols on top.
 func TestScenarioValidate(t *testing.T) {
 	for _, tt := range validationCases {
 		t.Run(tt.name, func(t *testing.T) {
 			err := tt.sc.Validate()
-			_, werr := tt.sc.NewWorld()
 			if tt.want == nil {
-				if err != nil || werr != nil {
-					t.Fatalf("Validate() = %v, NewWorld() = %v, want nil", err, werr)
+				if err != nil {
+					t.Fatalf("Validate() = %v, want nil", err)
 				}
 				return
 			}
 			if !errors.Is(err, tt.want) {
 				t.Fatalf("Validate() = %v, want %v", err, tt.want)
 			}
-			if !errors.Is(werr, tt.want) {
-				t.Fatalf("NewWorld() = %v, want %v", werr, tt.want)
+		})
+	}
+}
+
+// TestLegacyNewWorldValidationParity: the world-building path must reject
+// exactly what Scenario.Validate rejects — NewWorld validates through the
+// same resolve, building the ring and protocols on top. (The name dates from
+// the removed NewWorld(Config) wrapper, which this test used to hold to the
+// same cases.)
+func TestLegacyNewWorldValidationParity(t *testing.T) {
+	for _, tt := range validationCases {
+		t.Run(tt.name, func(t *testing.T) {
+			_, err := tt.sc.NewWorld()
+			if tt.want == nil {
+				if err != nil {
+					t.Fatalf("NewWorld() = %v, want nil", err)
+				}
+				return
+			}
+			if !errors.Is(err, tt.want) {
+				t.Fatalf("NewWorld() = %v, want %v", err, tt.want)
 			}
 		})
 	}
