@@ -14,9 +14,9 @@ type walker struct {
 	dir agent.Dir
 }
 
-func (w *walker) Step(agent.View) (agent.Decision, error) { return agent.Move(w.dir), nil }
-func (w *walker) State() string                           { return "walker" }
-func (w *walker) Clone() agent.Protocol                   { cp := *w; return &cp }
+func (w *walker) Step(*agent.View) (agent.Decision, error) { return agent.Move(w.dir), nil }
+func (w *walker) State() string                            { return "walker" }
+func (w *walker) Clone() agent.Protocol                    { cp := *w; return &cp }
 
 // Fingerprint implements sim.Fingerprinter (the walker is stateless).
 func (w *walker) Fingerprint() string { return "w" }

@@ -68,8 +68,8 @@ type Core struct {
 }
 
 // Begin folds the Look snapshot of a new activation into the counters. It
-// must be called exactly once at the start of every Step; Exec does so.
-func (c *Core) Begin(v View) {
+// must be called exactly once at the start of every Step.
+func (c *Core) Begin(v *View) {
 	if c.started {
 		c.Ttime++
 		c.Etime++
@@ -130,13 +130,13 @@ func (c *Core) Begin(v View) {
 }
 
 // Attempted records the decision taken this activation so the next Begin can
-// resolve its outcome. Exec calls it automatically.
-func (c *Core) Attempted(d Decision) {
+// resolve its outcome, and returns it. Every Step ends with it.
+func (c *Core) Attempted(d Decision) Decision {
+	c.lastAttempt = d.Dir
 	if d.Terminate {
 		c.lastAttempt = NoDir
-		return
 	}
-	c.lastAttempt = d.Dir
+	return d
 }
 
 // EnterExplore starts a fresh Explore/LExplore call (a state transition):
@@ -203,7 +203,7 @@ func (c *Core) DistFromLandmark() (dist int, ok bool) {
 // Meeting reports the paper's "meeting" predicate: this agent and at least
 // one other agent are both in the node interior. A true result consumes the
 // event for the rest of the activation (see the usedMeeting field).
-func (c *Core) Meeting(v View) bool {
+func (c *Core) Meeting(v *View) bool {
 	if c.usedMeeting || v.OnPort || v.OthersInNode == 0 {
 		return false
 	}
@@ -214,7 +214,7 @@ func (c *Core) Meeting(v View) bool {
 // Catches reports the paper's "catches" predicate for moving direction dir:
 // the agent is in the node and another agent occupies the port in dir. A
 // true result consumes the event for the rest of the activation.
-func (c *Core) Catches(v View, dir Dir) bool {
+func (c *Core) Catches(v *View, dir Dir) bool {
 	if c.usedCatches || v.OnPort || v.OthersOnPort(dir) == 0 {
 		return false
 	}
@@ -232,7 +232,7 @@ func (c *Core) Catches(v View, dir Dir) bool {
 // direction schedule points away can trigger caught without becoming B,
 // leaving an F with no partner and unsound termination).
 // A true result consumes the catches event for the rest of the activation.
-func (c *Core) CatchesAny(v View) (Dir, bool) {
+func (c *Core) CatchesAny(v *View) (Dir, bool) {
 	if c.usedCatches || v.OnPort {
 		return NoDir, false
 	}
@@ -252,7 +252,7 @@ func (c *Core) CatchesAny(v View) (Dir, bool) {
 // Caught reports the paper's "caught" predicate: the agent is on a port
 // after a failed move and another agent is observed in the node interior.
 // A true result consumes the event for the rest of the activation.
-func (c *Core) Caught(v View) bool {
+func (c *Core) Caught(v *View) bool {
 	if c.usedCaught || !v.OnPort || v.Moved || v.OthersInNode == 0 {
 		return false
 	}
@@ -260,23 +260,28 @@ func (c *Core) Caught(v View) bool {
 	return true
 }
 
-// maxChain bounds same-round state transitions; exceeding it indicates a
-// guard cycle in a protocol.
-const maxChain = 32
+// MaxChain bounds same-round state transitions: a Step whose guards make
+// MaxChain transitions without producing a decision reports GuardCycle.
+//
+// A protocol built on Core runs one activation as
+//
+//	p.c.Begin(v)
+//	for range agent.MaxChain {
+//		if d, final := p.eval(v); final {
+//			return p.c.Attempted(d), nil
+//		}
+//	}
+//	return agent.Decision{}, agent.GuardCycle(p.State())
+//
+// where eval returns final=false after performing a state transition that
+// must be processed again in the same round (the paper's "change state and
+// process it (in the same round)" semantics). eval is a static call, so the
+// compiler may inline it into Step.
+const MaxChain = 32
 
-// Exec drives one activation of a protocol built on Core: it applies Begin,
-// then repeatedly invokes eval until it yields a final decision, and records
-// the attempt. eval returns final=false after performing a state transition
-// that must be processed again in the same round (the paper's "change state
-// and process it (in the same round)" semantics).
-func Exec(c *Core, state func() string, v View, eval func(View) (Decision, bool)) (Decision, error) {
-	c.Begin(v)
-	for i := 0; i < maxChain; i++ {
-		d, final := eval(v)
-		if final {
-			c.Attempted(d)
-			return d, nil
-		}
-	}
-	return Decision{}, &guardCycleError{state: state(), steps: maxChain}
+// GuardCycle is the error a Step returns when its state transitions looped
+// MaxChain times without producing a decision; state names the state the
+// loop was in.
+func GuardCycle(state string) error {
+	return &guardCycleError{state: state, steps: MaxChain}
 }

@@ -2,10 +2,10 @@ package agent
 
 import "testing"
 
-// step feeds one activation into the core the way Exec does, with the given
-// view, and records the attempted decision.
+// step feeds one activation into the core the way a protocol's Step does,
+// with the given view, and records the attempted decision.
 func step(c *Core, v View, d Decision) {
-	c.Begin(v)
+	c.Begin(&v)
 	c.Attempted(d)
 }
 
@@ -126,25 +126,25 @@ func TestCoreEnterExploreResets(t *testing.T) {
 
 func TestCorePredicates(t *testing.T) {
 	var c Core
-	if !c.Meeting(View{OthersInNode: 1}) {
+	if !c.Meeting(&View{OthersInNode: 1}) {
 		t.Error("Meeting: other agent in interior should trigger")
 	}
-	if c.Meeting(View{OnPort: true, OthersInNode: 1}) {
+	if c.Meeting(&View{OnPort: true, OthersInNode: 1}) {
 		t.Error("Meeting: observer on a port should not trigger")
 	}
-	if !c.Catches(View{OthersOnLeftPort: 1}, Left) {
+	if !c.Catches(&View{OthersOnLeftPort: 1}, Left) {
 		t.Error("Catches: agent on the left port, moving left, should trigger")
 	}
-	if c.Catches(View{OthersOnRightPort: 1}, Left) {
+	if c.Catches(&View{OthersOnRightPort: 1}, Left) {
 		t.Error("Catches: agent on the wrong port should not trigger")
 	}
-	if c.Catches(View{OnPort: true, PortDir: Right, OthersOnLeftPort: 1}, Left) {
+	if c.Catches(&View{OnPort: true, PortDir: Right, OthersOnLeftPort: 1}, Left) {
 		t.Error("Catches: observer on a port should not trigger")
 	}
-	if !c.Caught(View{OnPort: true, PortDir: Left, OthersInNode: 1}) {
+	if !c.Caught(&View{OnPort: true, PortDir: Left, OthersInNode: 1}) {
 		t.Error("Caught: on port after failed move with other in node should trigger")
 	}
-	if c.Caught(View{OnPort: true, PortDir: Left, Moved: true, OthersInNode: 1}) {
+	if c.Caught(&View{OnPort: true, PortDir: Left, Moved: true, OthersInNode: 1}) {
 		t.Error("Caught: a successful move should not trigger")
 	}
 }

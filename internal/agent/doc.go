@@ -5,6 +5,12 @@
 // (Ttime, Tsteps, Etime, Esteps, Btime, Ntime, Tnodes) together with the
 // Explore / LExplore guarded-transition pattern.
 //
+// Step receives the snapshot by reference (*View), valid only during the
+// call. A protocol built on Core begins each activation with Core.Begin,
+// evaluates its own guards as a direct call (re-evaluating after each
+// same-round state transition, at most MaxChain times), and ends with
+// Core.Attempted.
+//
 // Everything in this package is expressed in the agent's private orientation:
 // protocols never see global coordinates, node identifiers, or the adversary's
 // choices, exactly as in the paper's model (Section 2.1).

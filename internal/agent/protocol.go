@@ -10,11 +10,16 @@ import "fmt"
 // agent's decision for the round. Step must be deterministic: the engine's
 // reproducibility guarantees and the omniscient proof adversaries (which
 // predict decisions by cloning) both rely on it.
+//
+// The snapshot is passed by reference: the engine refills a View it owns
+// for every activation, so v is valid only during the call.
+// A protocol must not keep v (copy *v to remember a snapshot); the engine
+// never reads v back, so writing through it changes nothing.
 type Protocol interface {
 	// Step performs the Compute phase for one activation.
 	// It returns an error only on internal protocol faults (e.g. a guard
 	// cycle); the engine aborts the run and surfaces the error.
-	Step(v View) (Decision, error)
+	Step(v *View) (Decision, error)
 
 	// State returns a short human-readable label of the current protocol
 	// state, used for traces and configuration-cycle detection.

@@ -45,7 +45,8 @@ func (d Dir) String() string {
 // describe the configuration at the beginning of the current round, before
 // any agent moves, and are restricted to what the paper allows an agent to
 // observe: its own position within the node and the positions of co-located
-// agents (Section 2.1, step 1).
+// agents (Section 2.1, step 1). Protocol.Step receives it by reference, valid
+// only for the duration of the call.
 type View struct {
 	// OnPort reports whether the agent is currently positioned on a port
 	// (it entered the port in an earlier round and the move failed, or it
@@ -78,13 +79,13 @@ type View struct {
 	Failed bool
 }
 
-// Reset zeroes the view in place. The engine keeps one scratch View per
-// World and resets it before each Look instead of allocating a fresh
+// Reset zeroes the view in place. The engine keeps scratch Views in each
+// World and resets one before each Look instead of allocating a fresh
 // snapshot, which is part of the simulator's zero-allocation round contract.
 func (v *View) Reset() { *v = View{} }
 
 // OthersOnPort returns the number of other agents on the port in direction d.
-func (v View) OthersOnPort(d Dir) int {
+func (v *View) OthersOnPort(d Dir) int {
 	switch d {
 	case Left:
 		return v.OthersOnLeftPort

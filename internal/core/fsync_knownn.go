@@ -65,11 +65,17 @@ func NewKnownNNoChiralityLiteral(boundN int) (*KnownNNoChirality, error) {
 }
 
 // Step implements agent.Protocol.
-func (p *KnownNNoChirality) Step(v agent.View) (agent.Decision, error) {
-	return agent.Exec(&p.c, p.State, v, p.eval)
+func (p *KnownNNoChirality) Step(v *agent.View) (agent.Decision, error) {
+	p.c.Begin(v)
+	for range agent.MaxChain {
+		if d, final := p.eval(v); final {
+			return p.c.Attempted(d), nil
+		}
+	}
+	return agent.Decision{}, agent.GuardCycle(p.State())
 }
 
-func (p *KnownNNoChirality) eval(v agent.View) (agent.Decision, bool) {
+func (p *KnownNNoChirality) eval(v *agent.View) (agent.Decision, bool) {
 	c := &p.c
 	bigN := p.n
 	switch p.st {
@@ -129,7 +135,7 @@ func (p *KnownNNoChirality) eval(v agent.View) (agent.Decision, bool) {
 
 // evalInitLiteral is the Init state exactly as printed in Figure 1,
 // kept for the errata-ablation experiment.
-func (p *KnownNNoChirality) evalInitLiteral(v agent.View) (agent.Decision, bool) {
+func (p *KnownNNoChirality) evalInitLiteral(v *agent.View) (agent.Decision, bool) {
 	c := &p.c
 	bigN := p.n
 	switch {

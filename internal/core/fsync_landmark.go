@@ -114,8 +114,14 @@ func NewLandmarkNoChirality() *LandmarkExplorer {
 }
 
 // Step implements agent.Protocol.
-func (p *LandmarkExplorer) Step(v agent.View) (agent.Decision, error) {
-	return agent.Exec(&p.c, p.State, v, p.eval)
+func (p *LandmarkExplorer) Step(v *agent.View) (agent.Decision, error) {
+	p.c.Begin(v)
+	for range agent.MaxChain {
+		if d, final := p.eval(v); final {
+			return p.c.Attempted(d), nil
+		}
+	}
+	return agent.Decision{}, agent.GuardCycle(p.State())
 }
 
 // State implements agent.Protocol.
@@ -146,7 +152,7 @@ func (p *LandmarkExplorer) becomeB(side agent.Dir) {
 
 // becomeF enters state Forward as the caught agent; its blocked port's
 // direction becomes the role frame's "left".
-func (p *LandmarkExplorer) becomeF(v agent.View) {
+func (p *LandmarkExplorer) becomeF(v *agent.View) {
 	p.flip = v.PortDir == agent.Right
 	p.st = lmForward
 	p.c.EnterExplore(false)
@@ -157,7 +163,7 @@ func (p *LandmarkExplorer) becomeF(v agent.View) {
 // caught agent). The catcher check is the port-side based CatchesAny: it
 // mirrors Caught exactly, so the two agents of a catch always take their
 // roles in the same round (see DESIGN.md).
-func (p *LandmarkExplorer) roleEntry(v agent.View) bool {
+func (p *LandmarkExplorer) roleEntry(v *agent.View) bool {
 	if side, ok := p.c.CatchesAny(v); ok {
 		p.becomeB(side)
 		return true
@@ -192,7 +198,7 @@ func ceilLog2(n int) int {
 	return k
 }
 
-func (p *LandmarkExplorer) eval(v agent.View) (agent.Decision, bool) {
+func (p *LandmarkExplorer) eval(v *agent.View) (agent.Decision, bool) {
 	c := &p.c
 	switch p.st {
 

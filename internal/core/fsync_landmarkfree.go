@@ -64,12 +64,14 @@ func NewLandmarkFreeExactN(n int) (*LandmarkFreeExactN, error) {
 	return &LandmarkFreeExactN{st: lfSweep, n: n, dir: agent.Right}, nil
 }
 
-// Step implements agent.Protocol.
-func (p *LandmarkFreeExactN) Step(v agent.View) (agent.Decision, error) {
-	return agent.Exec(&p.c, p.State, v, p.eval)
+// Step implements agent.Protocol. The sweep never transitions twice in a
+// round, so there is no chain to run.
+func (p *LandmarkFreeExactN) Step(v *agent.View) (agent.Decision, error) {
+	p.c.Begin(v)
+	return p.c.Attempted(p.eval()), nil
 }
 
-func (p *LandmarkFreeExactN) eval(v agent.View) (agent.Decision, bool) {
+func (p *LandmarkFreeExactN) eval() agent.Decision {
 	c := &p.c
 	switch p.st {
 	case lfSweep:
@@ -78,18 +80,18 @@ func (p *LandmarkFreeExactN) eval(v agent.View) (agent.Decision, bool) {
 			// The private walk spans n−1 edges: the agent has visited all
 			// n nodes itself, so it may stop unconditionally.
 			p.st = lfDone
-			return agent.Terminate, true
+			return agent.Terminate
 		case c.Failed || c.Btime >= lfBounceFactor*p.n:
 			// Lost a port race (another agent holds the port this agent
 			// wants — pushing further would deadlock behind it) or waited
 			// out a wall: sweep the other way.
 			p.dir = p.dir.Opposite()
-			return agent.Move(p.dir), true
+			return agent.Move(p.dir)
 		default:
-			return agent.Move(p.dir), true
+			return agent.Move(p.dir)
 		}
 	default:
-		return agent.Terminate, true
+		return agent.Terminate
 	}
 }
 

@@ -64,11 +64,17 @@ func NewUnconsciousExplorationLiteral() *UnconsciousExploration {
 }
 
 // Step implements agent.Protocol.
-func (p *UnconsciousExploration) Step(v agent.View) (agent.Decision, error) {
-	return agent.Exec(&p.c, p.State, v, p.eval)
+func (p *UnconsciousExploration) Step(v *agent.View) (agent.Decision, error) {
+	p.c.Begin(v)
+	for range agent.MaxChain {
+		if d, final := p.eval(v); final {
+			return p.c.Attempted(d), nil
+		}
+	}
+	return agent.Decision{}, agent.GuardCycle(p.State())
 }
 
-func (p *UnconsciousExploration) eval(v agent.View) (agent.Decision, bool) {
+func (p *UnconsciousExploration) eval(v *agent.View) (agent.Decision, bool) {
 	c := &p.c
 	switch p.st {
 	case ucInit, ucReverse, ucKeep:
@@ -118,7 +124,7 @@ func (p *UnconsciousExploration) eval(v agent.View) (agent.Decision, bool) {
 
 // evalPhaseLiteral is the Init/Reverse/Keep guard list exactly as printed
 // in Figure 3, kept for the errata-ablation experiment.
-func (p *UnconsciousExploration) evalPhaseLiteral(v agent.View) (agent.Decision, bool) {
+func (p *UnconsciousExploration) evalPhaseLiteral(v *agent.View) (agent.Decision, bool) {
 	c := &p.c
 	switch {
 	case c.Etime >= 2*p.g && c.Btime > p.g:

@@ -75,10 +75,10 @@ func TestCloneIndependence(t *testing.T) {
 		clone := p.Clone()
 		// Stepping the clone must not disturb the original's state label.
 		before := p.State()
-		if _, err := clone.Step(agent.View{}); err != nil {
+		if _, err := clone.Step(&agent.View{}); err != nil {
 			t.Fatalf("%s clone step: %v", spec.Name, err)
 		}
-		if _, err := clone.Step(agent.View{OnPort: true, PortDir: agent.Left}); err != nil {
+		if _, err := clone.Step(&agent.View{OnPort: true, PortDir: agent.Left}); err != nil {
 			t.Fatalf("%s clone step: %v", spec.Name, err)
 		}
 		if got := p.State(); got != before {

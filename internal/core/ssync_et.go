@@ -20,17 +20,15 @@ func NewETUnconscious() *ETUnconscious {
 	return &ETUnconscious{dir: agent.Left}
 }
 
-// Step implements agent.Protocol.
-func (p *ETUnconscious) Step(v agent.View) (agent.Decision, error) {
-	return agent.Exec(&p.c, p.State, v, p.eval)
-}
-
-func (p *ETUnconscious) eval(v agent.View) (agent.Decision, bool) {
+// Step implements agent.Protocol. Its one guard never transitions twice in
+// a round, so there is no chain to run.
+func (p *ETUnconscious) Step(v *agent.View) (agent.Decision, error) {
+	p.c.Begin(v)
 	if p.c.Catches(v, p.dir) {
 		p.dir = p.dir.Opposite()
 		p.c.EnterExplore(false)
 	}
-	return agent.Move(p.dir), true
+	return p.c.Attempted(agent.Move(p.dir)), nil
 }
 
 // State implements agent.Protocol.

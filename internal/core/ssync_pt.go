@@ -80,11 +80,17 @@ func (p *PTExplorer) done() bool {
 }
 
 // Step implements agent.Protocol.
-func (p *PTExplorer) Step(v agent.View) (agent.Decision, error) {
-	return agent.Exec(&p.c, p.State, v, p.eval)
+func (p *PTExplorer) Step(v *agent.View) (agent.Decision, error) {
+	p.c.Begin(v)
+	for range agent.MaxChain {
+		if d, final := p.eval(v); final {
+			return p.c.Attempted(d), nil
+		}
+	}
+	return agent.Decision{}, agent.GuardCycle(p.State())
 }
 
-func (p *PTExplorer) eval(v agent.View) (agent.Decision, bool) {
+func (p *PTExplorer) eval(v *agent.View) (agent.Decision, bool) {
 	c := &p.c
 	switch p.st {
 	case ptInit, ptReverse:

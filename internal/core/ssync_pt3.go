@@ -105,11 +105,17 @@ func (p *PT3Explorer) checkD(x int) bool {
 }
 
 // Step implements agent.Protocol.
-func (p *PT3Explorer) Step(v agent.View) (agent.Decision, error) {
-	return agent.Exec(&p.c, p.State, v, p.eval)
+func (p *PT3Explorer) Step(v *agent.View) (agent.Decision, error) {
+	p.c.Begin(v)
+	for range agent.MaxChain {
+		if d, final := p.eval(v); final {
+			return p.c.Attempted(d), nil
+		}
+	}
+	return agent.Decision{}, agent.GuardCycle(p.State())
 }
 
-func (p *PT3Explorer) eval(v agent.View) (agent.Decision, bool) {
+func (p *PT3Explorer) eval(v *agent.View) (agent.Decision, bool) {
 	c := &p.c
 	switch p.st {
 	case p3Init:

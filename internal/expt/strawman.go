@@ -22,13 +22,12 @@ type FixedTimer struct {
 var _ agent.Protocol = (*FixedTimer)(nil)
 
 // Step implements agent.Protocol.
-func (p *FixedTimer) Step(v agent.View) (agent.Decision, error) {
-	return agent.Exec(&p.c, p.State, v, func(agent.View) (agent.Decision, bool) {
-		if p.c.Ttime >= p.Limit {
-			return agent.Terminate, true
-		}
-		return agent.Move(agent.Left), true
-	})
+func (p *FixedTimer) Step(v *agent.View) (agent.Decision, error) {
+	p.c.Begin(v)
+	if p.c.Ttime >= p.Limit {
+		return p.c.Attempted(agent.Terminate), nil
+	}
+	return p.c.Attempted(agent.Move(agent.Left)), nil
 }
 
 // State implements agent.Protocol.

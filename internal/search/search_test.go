@@ -13,10 +13,10 @@ type walker struct {
 	dir agent.Dir
 }
 
-func (w *walker) Step(agent.View) (agent.Decision, error) { return agent.Move(w.dir), nil }
-func (w *walker) State() string                           { return "walker" }
-func (w *walker) Clone() agent.Protocol                   { cp := *w; return &cp }
-func (w *walker) Fingerprint() string                     { return "w" }
+func (w *walker) Step(*agent.View) (agent.Decision, error) { return agent.Move(w.dir), nil }
+func (w *walker) State() string                            { return "walker" }
+func (w *walker) Clone() agent.Protocol                    { cp := *w; return &cp }
+func (w *walker) Fingerprint() string                      { return "w" }
 
 // TestSingleAgentPreventable confirms Corollary 1 exactly: for one agent
 // there exists a schedule preventing exploration for the whole horizon (the

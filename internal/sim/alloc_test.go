@@ -13,10 +13,10 @@ type circler struct {
 	dir agent.Dir
 }
 
-func (c *circler) Step(agent.View) (agent.Decision, error) { return agent.Move(c.dir), nil }
-func (c *circler) State() string                           { return "circling" }
-func (c *circler) Clone() agent.Protocol                   { cp := *c; return &cp }
-func (c *circler) Fingerprint() string                     { return "circler" }
+func (c *circler) Step(*agent.View) (agent.Decision, error) { return agent.Move(c.dir), nil }
+func (c *circler) State() string                            { return "circling" }
+func (c *circler) Clone() agent.Protocol                    { cp := *c; return &cp }
+func (c *circler) Fingerprint() string                      { return "circler" }
 
 // frugalAdversary is an allocation-free SSYNC adversary: it reuses one ids
 // backing array across Activate calls (the engine's contract allows this)
@@ -229,5 +229,35 @@ func TestResetReusesWorld(t *testing.T) {
 	}
 	if !reused.Explored() {
 		t.Fatal("5 circling agents failed to explore 8 nodes in 20 rounds after Reset")
+	}
+}
+
+// TestPeekAllocs pins Peek to the allocations of its protocol's Clone.
+// circler's Clone allocates once; the clone steps on the World's own peek
+// snapshot, so Peek and PeekGlobal cost exactly that one allocation. The
+// stock Alternation, SegmentConfine and NSStarvation adversaries peek at
+// every agent in every round.
+func TestPeekAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; gate runs in the non-race pass")
+	}
+	w := allocWorld(t, 64, 3, SSyncNS, &frugalAdversary{})
+	for i := 0; i < 8; i++ {
+		if err := w.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	peek := testing.AllocsPerRun(200, func() {
+		if _, err := w.Peek(1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	global := testing.AllocsPerRun(200, func() {
+		if _, err := w.PeekGlobal(2); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if peek != 1 || global != 1 {
+		t.Fatalf("Peek allocates %.2f and PeekGlobal %.2f objects per call, want 1 each (the clone)", peek, global)
 	}
 }

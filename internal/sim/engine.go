@@ -16,8 +16,11 @@ import (
 // global direction the release, grab and move phases read. The World keeps
 // a live-agent count (set by Reset, lowered at each termination) instead of
 // scanning for terminations, so with every agent live a full activation is
-// a copy of AgentIDs. The sleeper pass (passive transport under PT,
-// transport debt under ET) runs only in rounds where some live agent slept.
+// a copy of AgentIDs (under SSYNC, when the adversary answers with AgentIDs
+// itself). Each active agent's protocol steps on the World's one Look
+// snapshot, passed by reference and refilled per activation. The sleeper
+// pass (passive transport under PT, transport debt under ET) runs only in
+// rounds where some live agent slept.
 //
 // The steady state performs zero heap allocations: all per-round working
 // storage lives in the World's preallocated scratch (see Reset). Only the
@@ -52,7 +55,7 @@ func (w *World) Step() error {
 	for k, id := range active {
 		a := &w.agents[id]
 		w.fillView(id, &w.look)
-		d, stepErr := a.proto.Step(w.look)
+		d, stepErr := a.proto.Step(&w.look)
 		if stepErr != nil {
 			return fmt.Errorf("%w: agent %d in round %d: %v", ErrProtocolFault, id, t, stepErr)
 		}
@@ -319,11 +322,20 @@ func (w *World) selectActive(t int) ([]int, error) {
 		return act, nil
 	}
 
+	ids := w.adv.Activate(t, w)
+	if all := w.scratch.agentIDs; w.live == len(all) && len(ids) == len(all) && &ids[0] == &all[0] {
+		// Every agent is live and the adversary activated them all through
+		// AgentIDs: the set is complete, sorted and unique, and no agent
+		// can be forced into it, so it is copied without marking.
+		act = append(act, ids...)
+		w.scratch.active = act
+		return act, nil
+	}
 	// Mark the adversary's picks plus the fairness-forced agents, then
 	// collect the marks in id order: sorted, unique, live — without
 	// allocating.
 	mark := w.scratch.mark
-	for _, id := range w.adv.Activate(t, w) {
+	for _, id := range ids {
 		if id >= 0 && id < len(w.agents) && !w.agents[id].term {
 			mark[id] = true
 		}

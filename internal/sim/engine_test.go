@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -15,11 +16,11 @@ import (
 type scripted struct {
 	moves []agent.Decision
 	i     int
-	views []agent.View // recorded Look snapshots
+	views []agent.View // recorded Look snapshots, copied out of *v
 }
 
-func (s *scripted) Step(v agent.View) (agent.Decision, error) {
-	s.views = append(s.views, v)
+func (s *scripted) Step(v *agent.View) (agent.Decision, error) {
+	s.views = append(s.views, *v) // v is valid only during the call
 	if s.i < len(s.moves) {
 		d := s.moves[s.i]
 		s.i++
@@ -482,3 +483,67 @@ func TestObserverRecords(t *testing.T) {
 type observerFunc func(RoundRecord)
 
 func (f observerFunc) ObserveRound(rec RoundRecord) { f(rec) }
+
+// allIDs activates every agent, returning World.AgentIDs itself (the
+// selectActive fast path) or, with copied set, an equal fresh slice (the
+// marking path).
+type allIDs struct{ copied bool }
+
+func (a allIDs) Activate(_ int, w *World) []int {
+	if a.copied {
+		return append([]int(nil), w.AgentIDs()...)
+	}
+	return w.AgentIDs()
+}
+
+func (allIDs) MissingEdge(t int, _ *World, _ []Intent) int { return t % 6 }
+
+// TestSelectActiveFastPath runs the same SSYNC scenario with the adversary
+// answering World.AgentIDs itself and an equal copy of it, and requires the
+// same activation set, forcedActivation flag and agent state after every
+// round, through one agent's termination (after which every round takes
+// the marking path).
+func TestSelectActiveFastPath(t *testing.T) {
+	build := func(model Model, copied bool) *World {
+		return mustWorld(t, Config{
+			Ring:    ring6(t),
+			Model:   model,
+			Starts:  []int{0, 2, 4},
+			Orients: []ring.GlobalDir{ring.CW, ring.CCW, ring.CW},
+			Protocols: []agent.Protocol{
+				&scripted{moves: append(repeat(agent.Move(agent.Right), 5), agent.Terminate)},
+				&scripted{moves: repeat(agent.Move(agent.Left), 20)},
+				&scripted{moves: repeat(agent.Move(agent.Right), 20)},
+			},
+			Adversary: allIDs{copied: copied},
+		})
+	}
+	state := func(w *World) []agentRT {
+		out := append([]agentRT(nil), w.agents...)
+		for i := range out {
+			out[i].proto = nil
+		}
+		return out
+	}
+	for _, model := range []Model{SSyncNS, SSyncPT, SSyncET} {
+		fast, slow := build(model, false), build(model, true)
+		for r := 0; r < 30; r++ {
+			if err := fast.Step(); err != nil {
+				t.Fatal(err)
+			}
+			if err := slow.Step(); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(fast.scratch.active, slow.scratch.active) ||
+				fast.forcedActivation != slow.forcedActivation ||
+				!reflect.DeepEqual(state(fast), state(slow)) {
+				t.Fatalf("%v round %d: fast path active=%v forced=%v %+v, marking path active=%v forced=%v %+v",
+					model, r, fast.scratch.active, fast.forcedActivation, state(fast),
+					slow.scratch.active, slow.forcedActivation, state(slow))
+			}
+		}
+		if fast.live != 2 {
+			t.Fatalf("%v: live=%d, want 2 (agent 0 terminates)", model, fast.live)
+		}
+	}
+}

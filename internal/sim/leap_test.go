@@ -15,7 +15,7 @@ type stepCounter struct {
 	n     *int
 }
 
-func (s *stepCounter) Step(v agent.View) (agent.Decision, error) {
+func (s *stepCounter) Step(v *agent.View) (agent.Decision, error) {
 	*s.n++
 	return s.inner.Step(v)
 }

@@ -16,10 +16,10 @@ type fpWalker struct {
 	dir agent.Dir
 }
 
-func (w *fpWalker) Step(agent.View) (agent.Decision, error) { return agent.Move(w.dir), nil }
-func (w *fpWalker) State() string                           { return "fpWalker" }
-func (w *fpWalker) Clone() agent.Protocol                   { cp := *w; return &cp }
-func (w *fpWalker) Fingerprint() string                     { return strconv.Itoa(int(w.dir)) }
+func (w *fpWalker) Step(*agent.View) (agent.Decision, error) { return agent.Move(w.dir), nil }
+func (w *fpWalker) State() string                            { return "fpWalker" }
+func (w *fpWalker) Clone() agent.Protocol                    { cp := *w; return &cp }
+func (w *fpWalker) Fingerprint() string                      { return strconv.Itoa(int(w.dir)) }
 
 // blockAll removes whatever edge the single agent wants, forever, and has a
 // stationary fingerprint — together with fpWalker this produces a certified

@@ -367,7 +367,13 @@ type World struct {
 	forcedActivation bool
 
 	scratch scratch
-	look    agent.View // reusable Look snapshot filled by fillView
+	// look and peek are the reusable Look snapshots fillView fills: Step
+	// hands &look to each active agent's protocol, Peek hands &peek to a
+	// clone. They are separate because adversaries peek mid-round (from
+	// Activate and MissingEdge). Being World-held, neither escapes to the
+	// heap when passed through the Protocol interface.
+	look agent.View
+	peek agent.View
 }
 
 // NewWorld validates cfg and builds the initial configuration. All starting
@@ -625,8 +631,7 @@ func (w *World) portHolder(node int, dir ring.GlobalDir) int {
 }
 
 // fillView resets v in place and fills it with agent i's Look snapshot of
-// the current configuration. Step feeds it the World's reusable scratch
-// View; Peek a stack-local one.
+// the current configuration. Step feeds it the World's look, Peek its peek.
 func (w *World) fillView(i int, v *agent.View) {
 	a := &w.agents[i]
 	v.Reset()
@@ -662,9 +667,8 @@ func (w *World) Peek(i int) (agent.Decision, error) {
 		return agent.Decision{Terminate: true}, nil
 	}
 	clone := w.agents[i].proto.Clone()
-	var v agent.View
-	w.fillView(i, &v)
-	d, err := clone.Step(v)
+	w.fillView(i, &w.peek)
+	d, err := clone.Step(&w.peek)
 	if err != nil {
 		return agent.Decision{}, fmt.Errorf("%w: peek agent %d: %v", ErrProtocolFault, i, err)
 	}

@@ -3,7 +3,7 @@
 # BENCH_engine.json so the perf trajectory is machine-readable. Fails hard
 # if the engine parity golden (every Result unchanged), the zero-allocation
 # steady-state gates (FSYNC, and SSYNC under the stock adversaries), the
-# Scenario.Fingerprint allocation bound, the
+# Peek allocation pin, the Scenario.Fingerprint allocation bound, the
 # service's admission and replication round-trip allocation bounds, the
 # result cache's Put-at-capacity bound, the Runner batch-reuse allocation
 # bound, or the leap/slow equivalence property regress.
@@ -23,7 +23,7 @@ trap 'rm -f "$TMP"' EXIT
 
 # The allocation and equivalence gates are the contract; a regression must
 # fail the build before any numbers are published.
-go test -count=1 -run 'TestStepZeroAllocSteadyState|TestLeapSkipsBlockedRounds' ./internal/sim
+go test -count=1 -run 'TestStepZeroAllocSteadyState|TestPeekAllocs|TestLeapSkipsBlockedRounds' ./internal/sim
 go test -count=1 -run 'TestEngineParityGolden|TestScenarioStepZeroAllocSteadyState|TestScenarioStepZeroAllocStockAdversaries|TestFingerprintAllocBound|TestRunnerMatchesScenarioRun|TestRunnerBatchedAllocBound|TestLeapSlowEquivalenceProperty' .
 go test -count=1 -run 'TestAdmissionAllocBound|TestReplicationRoundTripAllocs' ./internal/service
 go test -count=1 -run 'TestCachePutAtCapacityAllocs' ./internal/rescache

@@ -103,9 +103,10 @@ func (a AdversarySpec) Factory() (AdversaryFactory, error) {
 		return nil, fmt.Errorf("dynring: adversary edge %d is negative", a.Edge)
 	}
 	// 0 is the JSON zero value ("unset": full activation), 1 is explicit
-	// full activation. Anything outside [0,1] is rejected rather than
-	// silently running fully active — that would invert the dynamics.
-	if a.Act < 0 || a.Act > 1 {
+	// full activation. Anything outside [0,1], NaN included, is rejected
+	// rather than silently running fully active — that would invert the
+	// dynamics.
+	if !(a.Act >= 0 && a.Act <= 1) {
 		return nil, fmt.Errorf("dynring: adversary act %g outside [0,1]", a.Act)
 	}
 	var base AdversaryFactory
@@ -152,7 +153,7 @@ func (a AdversarySpec) Factory() (AdversaryFactory, error) {
 // the inverse of AdversarySpec.Label, and the grammar behind cmd/ringsim's
 // parameter-bearing -adversary/-adversaries values:
 //
-//	label   := [ "act(" float ")+" ] strategy
+//	label   := [ "act(" float ")+" ] strategy    (0 < float ≤ 1)
 //	strategy:= "none" | "greedy" | "frontier" | "prevent"
 //	         | "random(p=" float ")" | "pin(" int ")" | "persistent(" int ")"
 //	         | "tinterval(T=" int ")" | "capped(r=" int ")" | "recurrent(w=" int ")"
@@ -171,6 +172,11 @@ func ParseAdversary(label string) (AdversarySpec, error) {
 		v, err := strconv.ParseFloat(s[len("act("):end], 64)
 		if err != nil {
 			return AdversarySpec{}, fmt.Errorf("dynring: adversary label %q: bad activation probability: %v", label, err)
+		}
+		// A written act(p) asks for SSYNC activation, so unlike the JSON
+		// field it has no "unset" value: act(0) would run fully active.
+		if !(v > 0 && v <= 1) {
+			return AdversarySpec{}, fmt.Errorf("dynring: adversary label %q: activation probability %g outside (0,1]", label, v)
 		}
 		spec.Act = v
 		s = s[end+2:]

@@ -262,6 +262,7 @@ func TestAdversarySpecParameterValidation(t *testing.T) {
 	for _, bad := range []dynring.AdversarySpec{
 		{Kind: "random", P: 0.5, Act: 1.5},
 		{Kind: "random", P: 0.5, Act: -0.1},
+		{Kind: "greedy", Act: math.NaN()},
 		{Kind: "pin", Pin: -1},
 		{Kind: "persistent", Edge: -2},
 	} {
@@ -306,6 +307,8 @@ var parseAdversaryBad = []string{
 	"capped(r=2",          // unbalanced parentheses
 	"act(0.5)capped(r=2)", // act wrapper not closed with )+
 	"act(2)+greedy",       // activation probability out of range
+	"act(0)+greedy",       // would run fully active, as plain greedy
+	"act(NaN)+greedy",     // would run fully active, as plain greedy
 	"random(p=x)",         // unparseable value
 }
 
@@ -365,6 +368,12 @@ func FuzzParseAdversary(f *testing.F) {
 		}
 		if got := back.Label(); got != canon {
 			t.Fatalf("ParseAdversary(%q): label %q reparses to label %q", label, canon, got)
+		}
+		// A written activation probability below 1 must survive into the
+		// canonical label, or the label (and the fingerprint) would name
+		// a fully active adversary.
+		if strings.HasPrefix(strings.TrimSpace(label), "act(") && spec.Act < 1 && !strings.Contains(canon, "act(") {
+			t.Fatalf("ParseAdversary(%q) = %+v: label %q drops the activation wrapper", label, spec, canon)
 		}
 	})
 }
